@@ -157,13 +157,11 @@ def run_hostperf_flow(profiled: bool):
 def test_hostperf_sampling_overhead(benchmark):
     """Sampling the simulator's stack must stay within 5%.
 
-    Unlike the lock-step :class:`~repro.telemetry.profiler.KernelProfiler`,
-    the :class:`~repro.telemetry.hostperf.HostPerfProfiler` observes
+    The :class:`~repro.telemetry.hostperf.HostPerfProfiler` observes
     from a side thread and never changes the kernel's execution mode, so
     its entire cost is GIL contention from periodic
-    ``sys._current_frames()`` walks — gated here at 5% (the ISSUE 10
-    acceptance bound).  Cycle counts are asserted identical: sampling
-    only reads simulator state.
+    ``sys._current_frames()`` walks — gated here at 5%.  Cycle counts
+    are asserted identical: sampling only reads simulator state.
     """
 
     def both():

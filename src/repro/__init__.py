@@ -30,7 +30,6 @@ from .telemetry import (
     HealthMonitor,
     HealthViolation,
     HostPerfProfiler,
-    KernelProfiler,
     MetricsRegistry,
     TelemetrySink,
 )
@@ -42,7 +41,6 @@ __all__ = [
     "HealthMonitor",
     "HealthViolation",
     "HostPerfProfiler",
-    "KernelProfiler",
     "MetricsRegistry",
     "MultiNoC",
     "MultiNoCPlatform",

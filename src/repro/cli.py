@@ -188,11 +188,6 @@ def cmd_system(args) -> int:
     session = platform.launch(
         telemetry=telemetry, strict_lockstep=args.no_idle_skip
     )
-    profiler = None
-    if args.profile:
-        from .telemetry import KernelProfiler
-
-        profiler = KernelProfiler().attach(session.sim)
     hostperf = None
     if args.hostperf:
         hostperf = session.profile_host()
@@ -277,7 +272,7 @@ def cmd_system(args) -> int:
             print(f"crash bundle -> {bundle}", file=sys.stderr)
         if health is not None:
             _report_health_failure(exc, health, args.health_report)
-        elif profiler is None and hostperf is None and flight is None:
+        elif hostperf is None and flight is None:
             raise
         else:
             print(f"error: {exc}", file=sys.stderr)
@@ -286,8 +281,6 @@ def cmd_system(args) -> int:
         if telemetry is not None:
             session.system.flush_telemetry()
         _flush_system_exports(session, args, telemetry, vcd)
-        if profiler is not None:
-            print(profiler.report())
         if hostperf is not None:
             print(hostperf.report())
         _record_system_run(session, args, status="failed", exit_code=1)
@@ -312,8 +305,6 @@ def cmd_system(args) -> int:
         session.system.flush_telemetry()
     if _flush_system_exports(session, args, telemetry, vcd) != 0:
         return 1
-    if profiler is not None:
-        print(profiler.report())
     if hostperf is not None:
         hostperf.stop()
         print(hostperf.report())
@@ -988,12 +979,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--stats",
         action="store_true",
         help="print the latency summary and mesh utilisation heatmap",
-    )
-    p.add_argument(
-        "--profile",
-        action="store_true",
-        help="profile kernel wall-clock time per component "
-        "(exact but forces lock-step; see --hostperf for sampling)",
     )
     p.add_argument(
         "--hostperf",

@@ -29,8 +29,7 @@ from typing import List, Optional, Tuple
 from ..sim import Component, HandshakeTx
 from .arbiter import RoundRobinArbiter
 from .fifo import CircularFifo
-from .flit import decode_address
-from .routing import ALL_PORTS, Port, xy_route
+from .routing import Port
 from .topology import port_label
 
 
@@ -52,10 +51,10 @@ class HermesRouter(Component):
 
     Channels are attached by the mesh builder with :meth:`attach_input`
     and :meth:`attach_output`; ports without a neighbour stay detached
-    (border routers really do instantiate fewer ports in Hermes).
+    (border routers really do instantiate fewer ports in Hermes).  The
+    *topology* plugin supplies the port count, the header codec and the
+    routing function.
     """
-
-    N_PORTS = len(ALL_PORTS)
 
     def __init__(
         self,
@@ -64,23 +63,17 @@ class HermesRouter(Component):
         buffer_depth: int = 2,
         routing_cycles: int = 7,
         stats=None,
-        topology=None,
+        *,
+        topology,
     ):
         super().__init__(name)
         if routing_cycles < 1:
             raise ValueError("routing_cycles must be at least 1")
         self.address = address
         self.topology = topology
-        # The topology plugin supplies the port count, the header codec
-        # and the routing function; without one the router falls back to
-        # the classic five-port XY mesh behaviour.
-        if topology is not None:
-            self.N_PORTS = topology.router_ports
-            self._decode = topology.decode
-            self._route = topology.route
-        else:
-            self._decode = decode_address
-            self._route = xy_route
+        self.N_PORTS = topology.router_ports
+        self._decode = topology.decode
+        self._route = topology.route
         self._port_names = [port_label(p) for p in range(self.N_PORTS)]
         self.buffer_depth = buffer_depth
         self.routing_cycles = routing_cycles

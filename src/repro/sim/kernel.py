@@ -19,21 +19,20 @@ The results are cycle-exact with respect to the legacy schedule: a
 quiescent component's eval is by contract a no-op, and skipped idle
 evals are credited through ``on_wake`` so per-cycle counters (CPU stall
 accounting, PC samples) match bit for bit.  ``Simulator(
-strict_lockstep=True)`` keeps the original evaluate-everything loop for
-A/B comparison, and an attached :class:`~repro.telemetry.profiler.
-KernelProfiler` also forces lock-step so wall clock attribution stays
-per-component (it announces the fidelity change on attach and restores
-the fast path on ``detach()``).  The sampling
-:class:`~repro.telemetry.hostperf.HostPerfProfiler` is the
-mode-preserving alternative: it observes this thread from the side and
-never alters which loop runs.
+strict_lockstep=True)`` keeps the original evaluate-everything loop as
+the reference the A/B equivalence tests compare against.  Host time is
+attributed by the sampling :class:`~repro.telemetry.hostperf.
+HostPerfProfiler`, which observes this thread from the side and never
+alters which loop runs.
 
-Watcher semantics across a fast-forwarded span: plain watchers run once
-at the landing cycle (state is frozen during the span, so change-based
-tracers/VCD observe nothing, same as lock-step); strided observers that
-must fire *inside* the span (health watchdogs, time-series samplers)
-register a skip listener via :meth:`Simulator.add_skip_listener` and are
-called with ``(start, end)`` before the landing-cycle watchers.
+Observers use one hook, :meth:`Simulator.add_watcher`.  A plain watcher
+runs after every evaluated cycle and once at the landing cycle of a
+fast-forwarded span (state is frozen during the span, so change-based
+tracers/VCD observe nothing, same as lock-step).  A watcher added with
+``stride=k`` runs at every multiple of k; inside a skipped span the
+kernel replays those multiples before the landing-cycle pass, so health
+watchdogs, samplers and live frames keep their cadence.  The
+``ff_spans``/``ff_cycles`` counters record every skipped span exactly.
 """
 
 from __future__ import annotations
@@ -96,21 +95,17 @@ class Simulator:
         self.strict_lockstep = strict_lockstep
         self._components: List[Component] = []
         self._component_set: Set[Component] = set()
-        self._watchers: List[Callable[[int], None]] = []
-        self._watcher_set: set = set()
-        #: listeners called as fn(start, end) when the kernel
-        #: fast-forwards over an idle span (cycles start..end, where the
-        #: landing cycle `end` additionally gets a normal watcher call).
-        self._skip_listeners: List[Callable[[int, int], None]] = []
-        #: fn -> (watcher, skip listener) pairs installed by
-        #: add_stride_watcher, so one call detaches both halves.
-        self._stride_watchers: Dict[
-            Callable[[int], None], Tuple[Callable, Callable]
-        ] = {}
-        #: optional KernelProfiler (see repro.telemetry.profiler); when
-        #: set, step() takes the instrumented lock-step path — the plain
-        #: loop is untouched so disabled profiling costs one None-check.
-        self.profiler = None
+        #: watcher -> stride (None: every cycle), in registration order
+        self._watchers: Dict[Callable[[int], None], Optional[int]] = {}
+        #: immutable (watcher, stride) snapshot the loops iterate; it is
+        #: rebuilt on every (de)registration, so a watcher that removes
+        #: itself mid-pass cannot make the next one miss that cycle
+        self._watcher_pass: Tuple[
+            Tuple[Callable[[int], None], Optional[int]], ...
+        ] = ()
+        #: idle spans fast-forwarded and cycles skipped in them, exact
+        self.ff_spans = 0
+        self.ff_cycles = 0
         #: optional HostPerfProfiler (see repro.telemetry.hostperf); set
         #: by HostPerfProfiler.attach().  Purely observational — a side
         #: thread samples this thread's stack, so the kernel never
@@ -121,8 +116,8 @@ class Simulator:
         #: path, so an unmonitored run pays nothing per cycle.
         self.health = None
         #: optional LiveStream (see repro.telemetry.live); set by
-        #: LiveStream.attach().  Frame production rides the stride
-        #: watchers, so an unobserved run pays nothing per cycle.
+        #: LiveStream.attach().  Frame production rides a strided
+        #: watcher, so an unobserved run pays nothing per cycle.
         self.live = None
         #: optional CheckpointRing advertised by whoever owns one (the
         #: system debugger); the live plane reads it for frame marks.
@@ -151,82 +146,38 @@ class Simulator:
             self._needs_elab = True
         return component
 
-    def add_watcher(self, fn: Callable[[int], None]) -> None:
-        """Call *fn(cycle)* after every committed cycle (tracing hooks).
+    def add_watcher(
+        self, fn: Callable[[int], None], stride: Optional[int] = None
+    ) -> None:
+        """Call *fn(cycle)* after committed cycles (tracing hooks).
+
+        With ``stride=None`` *fn* runs after every evaluated cycle and,
+        across a fast-forwarded idle span, once at the landing cycle.
+        With ``stride=k`` it runs at every multiple of *k*, and that
+        cadence survives idle fast-forward: the kernel replays every
+        multiple inside a skipped span (state is frozen there, so the
+        replayed call observes exactly what lock-step evaluation would
+        have shown).  Samplers and live telemetry frames use this.
 
         Adding the same function twice is a no-op, like :meth:`add`:
         double registration would run the hook twice per cycle.
-
-        Across a fast-forwarded idle span watchers fire once, at the
-        landing cycle; observers needing the skipped stride points should
-        also register a skip listener (:meth:`add_skip_listener`).
         """
-        if fn not in self._watcher_set:
-            self._watcher_set.add(fn)
-            self._watchers.append(fn)
+        if stride is not None and stride < 1:
+            raise ValueError("stride must be at least 1 cycle")
+        if fn not in self._watchers:
+            self._watchers[fn] = stride
+            self._watcher_pass = tuple(self._watchers.items())
 
     def remove_watcher(self, fn: Callable[[int], None]) -> None:
         """Detach a watcher added with :meth:`add_watcher`.
 
         Removing a function that is not registered is a no-op, so
-        monitors and exporters can detach unconditionally.
+        monitors and exporters can detach unconditionally.  A pass in
+        progress still finishes over the watchers it started with.
         """
-        if fn in self._watcher_set:
-            self._watcher_set.discard(fn)
-            self._watchers.remove(fn)
-
-    def add_skip_listener(self, fn: Callable[[int, int], None]) -> None:
-        """Call *fn(start, end)* whenever the kernel fast-forwards.
-
-        The span covers skipped cycles ``(start, end)`` exclusive of
-        *end*: the landing cycle still gets the regular watcher pass, so
-        a listener replaying strided work must stop short of *end*.
-        """
-        if fn not in self._skip_listeners:
-            self._skip_listeners.append(fn)
-
-    def remove_skip_listener(self, fn: Callable[[int, int], None]) -> None:
-        try:
-            self._skip_listeners.remove(fn)
-        except ValueError:
-            pass
-
-    def add_stride_watcher(
-        self, fn: Callable[[int], None], stride: int
-    ) -> None:
-        """Call *fn(cycle)* at every multiple of *stride* cycles.
-
-        Unlike a plain watcher, the stride cadence survives idle
-        fast-forward: the kernel replays every stride boundary inside a
-        skipped span (state is frozen there, so the replayed call
-        observes exactly what lock-step evaluation would have shown).
-        Strided observers — samplers, live telemetry frames — should use
-        this instead of hand-wiring a watcher plus a skip listener.
-        Re-adding an already-registered function is a no-op.
-        """
-        if stride < 1:
-            raise ValueError("stride must be at least 1 cycle")
-        if fn in self._stride_watchers:
-            return
-
-        def on_cycle(cycle: int) -> None:
-            if cycle % stride == 0:
-                fn(cycle)
-
-        def on_skip(start: int, end: int) -> None:
-            for c in stride_points(start, end, stride):
-                fn(c)
-
-        self._stride_watchers[fn] = (on_cycle, on_skip)
-        self.add_watcher(on_cycle)
-        self.add_skip_listener(on_skip)
-
-    def remove_stride_watcher(self, fn: Callable[[int], None]) -> None:
-        """Detach both halves of an :meth:`add_stride_watcher` hook."""
-        pair = self._stride_watchers.pop(fn, None)
-        if pair is not None:
-            self.remove_watcher(pair[0])
-            self.remove_skip_listener(pair[1])
+        if fn in self._watchers:
+            del self._watchers[fn]
+            self._watcher_pass = tuple(self._watchers.items())
 
     def invalidate_elaboration(self) -> None:
         """Re-elaborate before the next step (wiring/topology changed)."""
@@ -312,19 +263,6 @@ class Simulator:
         """Wake *unit* at *cycle* (processed before that cycle's evals)."""
         self._wake_seq += 1
         heappush(self._wake_heap, (cycle, self._wake_seq, unit))
-
-    def _flush_sleep_credits(self) -> None:
-        """Wake everything, crediting skipped idle evals (used when
-        switching to the lock-step profiled path mid-run)."""
-        for u in self._units:
-            if not u._awake:
-                u._awake = True
-                self._n_awake += 1
-            s = u._slept_since
-            if s is not None:
-                u._slept_since = None
-                if self.cycle > s:
-                    u.on_wake(self.cycle - s)
 
     # -- execution ---------------------------------------------------------
 
@@ -488,14 +426,11 @@ class Simulator:
 
     def step(self, cycles: int = 1) -> int:
         """Advance the simulation by *cycles* clock cycles."""
-        if self.profiler is not None:
-            return self._step_profiled(cycles)
         if self.strict_lockstep:
             return self._step_lockstep(cycles)
         if self._needs_elab:
             self._elaborate()
         units = self._units
-        watchers = self._watchers
         heap = self._wake_heap
         driven = self._driven
         unit_set = self._unit_set
@@ -543,14 +478,14 @@ class Simulator:
                 driven.clear()
             self.cycle = cyc + 1
             # hostperf: watchers
-            for fn in watchers:
-                fn(self.cycle)
+            for fn, stride in self._watcher_pass:
+                if stride is None or self.cycle % stride == 0:
+                    fn(self.cycle)
         return self.cycle
 
     def _step_lockstep(self, cycles: int) -> int:
         """The legacy loop: evaluate and commit everything, every cycle."""
         components = self._components
-        watchers = self._watchers
         for _ in range(cycles):
             cyc = self.cycle
             # hostperf: eval
@@ -561,50 +496,30 @@ class Simulator:
                 c.commit()
             self.cycle = cyc + 1
             # hostperf: watchers
-            for fn in watchers:
-                fn(self.cycle)
+            for fn, stride in self._watcher_pass:
+                if stride is None or self.cycle % stride == 0:
+                    fn(self.cycle)
         return self.cycle
 
     def _fast_forward(self, from_cycle: int, to_cycle: int) -> None:
         """Jump over an idle span: every unit is asleep and no wake is
         scheduled before *to_cycle*, so no architectural state can change
-        in between — advancing the cycle counter is exact."""
-        self.cycle = to_cycle
-        for fn in self._skip_listeners:
-            fn(from_cycle, to_cycle)
-        for fn in self._watchers:
-            fn(to_cycle)
+        in between — advancing the cycle counter is exact.
 
-    def _step_profiled(self, cycles: int) -> int:
-        """Instrumented twin of :meth:`step`: every component eval,
-        commit and watcher call is timed by the attached profiler.
-
-        Profiling runs lock-step (no idle skipping) so wall-clock cost is
-        attributed per component per cycle; sleep credits are flushed
-        first to keep counters cycle-exact when switching paths mid-run.
+        Strided watchers first replay their multiples strictly inside
+        the span, each in registration order; then every watcher gets
+        the regular pass at the landing cycle *to_cycle*.
         """
-        prof = self.profiler
-        if not self.strict_lockstep:
-            if self._needs_elab:
-                self._elaborate()
-            self._flush_sleep_credits()
-        driven = self._driven
-        for _ in range(cycles):
-            cyc = self.cycle
-            for c in self._components:
-                prof.timed_eval(c, cyc)
-            for c in self._components:
-                prof.timed_commit(c)
-            if driven:
-                # recursive commit already latched these; just clear flags
-                for w in driven:
-                    w._queued = False
-                driven.clear()
-            self.cycle = cyc + 1
-            for fn in self._watchers:
-                prof.timed_watcher(fn, self.cycle)
-            prof.cycles += 1
-        return self.cycle
+        self.cycle = to_cycle
+        self.ff_spans += 1
+        self.ff_cycles += to_cycle - from_cycle
+        for fn, stride in self._watcher_pass:
+            if stride is not None:
+                for c in stride_points(from_cycle, to_cycle, stride):
+                    fn(c)
+        for fn, stride in self._watcher_pass:
+            if stride is None or to_cycle % stride == 0:
+                fn(to_cycle)
 
     def run_until(
         self,
@@ -624,7 +539,7 @@ class Simulator:
         """
         start = self.cycle
         budget = start + max_cycles
-        fast = self.profiler is None and not self.strict_lockstep
+        fast = not self.strict_lockstep
         while not predicate():
             if self.cycle >= budget:
                 what = label or getattr(predicate, "__name__", "condition")

@@ -1,4 +1,4 @@
-"""Unified observability layer: events, metrics, exporters, profiler.
+"""Unified observability layer: events, metrics, exporters, profiling.
 
 One :class:`TelemetrySink` instruments the whole platform — the packet
 lifecycle across routers and network interfaces, R8 execution (bursts,
@@ -6,7 +6,7 @@ stalls, traps), host serial transactions — while the
 :class:`MetricsRegistry` carries the numeric aggregates
 (:class:`~repro.noc.stats.NetworkStats` is built on it).  Exporters turn
 a sink into a Chrome-trace/Perfetto JSON, a JSONL event log or a
-Prometheus text dump, and :class:`KernelProfiler` measures where the
+Prometheus text dump, and :class:`HostPerfProfiler` samples where the
 simulator's wall-clock time goes.  :class:`HealthMonitor` is the active
 layer on top: watchdogs (deadlock, starvation, CPU stall, host timeout),
 online invariant checks and a time-series sampler that detect, localise
@@ -64,7 +64,6 @@ from .hostperf import (
 )
 from .live import LIVE_SCHEMA, LIVE_TRACKS, LiveStream
 from .metrics import Counter, Gauge, Histogram, MetricError, MetricsRegistry
-from .profiler import KernelProfiler
 from .registry import (
     RUN_SCHEMA,
     RegistryError,
@@ -105,7 +104,6 @@ __all__ = [
     "Histogram",
     "HopBreakdown",
     "HostPerfProfiler",
-    "KernelProfiler",
     "LIVE_SCHEMA",
     "LIVE_TRACKS",
     "LiveStream",

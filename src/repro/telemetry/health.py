@@ -59,24 +59,10 @@ from typing import (
     Tuple,
 )
 
-from ..noc.routing import OPPOSITE, PORT_DELTA, Port, xy_route
+from ..noc.routing import OPPOSITE, Port
 from ..noc.topology import port_label
-from ..sim.kernel import stride_points
 
 Address = Tuple[int, int]
-
-#: Legal XY turns: with X corrected before Y, a connection entering from
-#: a Y port may only continue in Y or deliver locally, and no connection
-#: may u-turn back out of its own direction.
-_XY_LEGAL: Dict[Port, frozenset] = {
-    Port.LOCAL: frozenset(
-        {Port.EAST, Port.WEST, Port.NORTH, Port.SOUTH, Port.LOCAL}
-    ),
-    Port.EAST: frozenset({Port.WEST, Port.NORTH, Port.SOUTH, Port.LOCAL}),
-    Port.WEST: frozenset({Port.EAST, Port.NORTH, Port.SOUTH, Port.LOCAL}),
-    Port.NORTH: frozenset({Port.SOUTH, Port.LOCAL}),
-    Port.SOUTH: frozenset({Port.NORTH, Port.LOCAL}),
-}
 
 
 class HealthViolation(Exception):
@@ -410,7 +396,7 @@ class HealthMonitor:
             processors = list(system.processors.values())
         self.sim = sim
         self.mesh = mesh
-        self.topology = getattr(mesh, "topology", None)
+        self.topology = mesh.topology if mesh is not None else None
         self.stats = stats
         self.nis = list(nis)
         self.processors = list(processors)
@@ -432,18 +418,22 @@ class HealthMonitor:
             )
             self._install_default_probes()
 
-        sim.add_watcher(self.on_cycle)
-        if hasattr(sim, "add_skip_listener"):
-            sim.add_skip_listener(self.on_fast_forward)
+        # sampler first, then checks: the order both ran in at a shared
+        # stride point.  Strided watchers keep firing inside idle
+        # fast-forward spans, where all probed state is frozen, so the
+        # replayed calls see exactly what lock-step would have shown.
+        if self.sampler is not None:
+            sim.add_watcher(self.sampler.sample, self.sample_interval)
+        sim.add_watcher(self._run_checks, self.check_interval)
         sim.health = self
         return self
 
     def detach(self) -> None:
         """Unhook from the simulator; the run continues unmonitored."""
         if self.sim is not None:
-            self.sim.remove_watcher(self.on_cycle)
-            if hasattr(self.sim, "remove_skip_listener"):
-                self.sim.remove_skip_listener(self.on_fast_forward)
+            if self.sampler is not None:
+                self.sim.remove_watcher(self.sampler.sample)
+            self.sim.remove_watcher(self._run_checks)
             if self.sim.health is self:
                 self.sim.health = None
 
@@ -472,31 +462,7 @@ class HealthMonitor:
                 lambda c=proc.cpu: c.instructions_retired,
             )
 
-    # -- the per-cycle hook -------------------------------------------------
-
-    def on_cycle(self, cycle: int) -> None:
-        """Simulator watcher: sample on its stride, check on its own."""
-        if self.sampler is not None and cycle % self.sample_interval == 0:
-            self.sampler.sample(cycle)
-        if cycle % self.check_interval:
-            return
-        self._run_checks(cycle)
-
-    def on_fast_forward(self, start: int, end: int) -> None:
-        """Simulator skip listener: keep strided samples and watchdog
-        checks firing *inside* a fast-forwarded idle span.
-
-        The kernel only fast-forwards while every component sleeps, so
-        all probed state is frozen at its ``start`` value — replaying the
-        stride points with that state is exactly what lock-step would
-        have observed.  The landing cycle ``end`` is excluded here; it
-        gets the regular :meth:`on_cycle` watcher call.
-        """
-        if self.sampler is not None:
-            for c in stride_points(start, end, self.sample_interval):
-                self.sampler.sample(c)
-        for c in stride_points(start, end, self.check_interval):
-            self._run_checks(c)
+    # -- the strided check hook ---------------------------------------------
 
     def _run_checks(self, cycle: int) -> None:
         self.checks_run += 1
@@ -736,12 +702,8 @@ class HealthMonitor:
         for in_port, out_port in enumerate(router.in_conn):
             if out_port is None:
                 continue
-            if topo is not None:
-                legal = topo.legal_turn(in_port, out_port)
-            else:
-                legal = Port(out_port) in _XY_LEGAL[Port(in_port)]
-            if not legal:
-                mesh_like = topo is None or topo.kind == "mesh"
+            if not topo.legal_turn(in_port, out_port):
+                mesh_like = topo.kind == "mesh"
                 self._violate(
                     "invariant.xy_routing"
                     if mesh_like
@@ -812,10 +774,7 @@ class HealthMonitor:
                 target = router.pending_header_target(port)
                 if target is None:
                     continue
-                if self.topology is not None:
-                    out = self.topology.route(addr, target)
-                else:
-                    out = xy_route(addr, target)
+                out = self.topology.route(addr, target)
                 owner = router.out_owner[out]
                 if owner is not None:
                     edges.append(
@@ -859,21 +818,12 @@ class HealthMonitor:
         """(node, blocked, reason) for an established connection's sink."""
         topo = self.topology
         if out_port >= Port.LOCAL:
-            node = router.address
-            if topo is not None:
-                node = topo.port_node(router.address, out_port)
-            ni = ni_at.get(node)
+            ni = ni_at.get(topo.port_node(router.address, out_port))
             name = ni.name if ni is not None else f"{router.name}.local-ip"
             ch = router.out_ch[out_port]
             blocked = bool(ch.tx.value) and not bool(ch.ack.value)
             return f"{name}.rx", blocked, "delivering to local IP"
-        if topo is not None:
-            nb_addr = topo.neighbour(router.address, out_port)
-        else:
-            x, y = router.address
-            dx, dy = PORT_DELTA[Port(out_port)]
-            nb_addr = (x + dx, y + dy)
-        neighbour = self.mesh.routers[nb_addr]
+        neighbour = self.mesh.routers[topo.neighbour(router.address, out_port)]
         in_port = OPPOSITE[Port(out_port)]
         blocked = neighbour.fifos[in_port].is_full
         return (

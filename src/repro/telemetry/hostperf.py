@@ -1,14 +1,10 @@
 """Host performance observatory: sampling self-profiler + flight recorder.
 
-The lock-step :class:`~repro.telemetry.profiler.KernelProfiler` answers
-"which component is slow?" with exact per-call timings, but it answers
-by *changing the execution mode*: an attached profiler forces the
-kernel out of its quiescence fast path, so the very thing that makes
-large fabrics simulable (~3.5x idle skipping) disappears from the
-measurement.  This module is the complementary instrument: a
+This module answers "where does the simulator's host time go?" with a
 **sampling** profiler that observes the simulator from a side thread
 while it runs at full speed, on whichever kernel path it would have
-taken anyway.
+taken anyway: the quiescence fast path and idle fast-forward that make
+large fabrics simulable stay in the measurement.
 
 Three pieces:
 
@@ -22,12 +18,13 @@ Three pieces:
   kernel itself — and subsystems (Router, NI, ProcessorIP, Uart,
   Memory, ...) from the innermost sampled frame's module.  Every sample
   is tagged with the simulated cycle, so the headline metric is
-  **host-seconds per simulated kilocycle per subsystem**.  Cheap
-  counters ride the kernel's skip-listener hook to count fast-forward
-  spans exactly.  Because every tick's elapsed time lands in *some*
-  bucket (``host``/``other`` catch everything unrecognised), the
-  attributed total approximates measured wall time — the coverage
-  contract ``multinoc profile`` reports and CI gates.
+  **host-seconds per simulated kilocycle per subsystem**.  The
+  kernel's exact ``ff_spans``/``ff_cycles`` counters, read at attach
+  and detach, count the fast-forwarded spans in between.  Because
+  every tick's elapsed time lands in *some* bucket (``host``/``other``
+  catch everything unrecognised), the attributed total approximates
+  measured wall time — the coverage contract ``multinoc profile``
+  reports and CI gates.
 
 * memory telemetry — RSS (``/proc/self/status``, with a
   :mod:`resource` fallback), GC pause counts/durations via
@@ -219,10 +216,9 @@ class HostPerfProfiler:
     max_stack_depth:
         Frames kept per folded stack for the flamegraph output.
 
-    Unlike :class:`~repro.telemetry.profiler.KernelProfiler`, attaching
-    this profiler does **not** change the kernel's execution mode: the
-    quiescent fast path, idle fast-forward and watcher cadence all run
-    exactly as in an unobserved simulation.
+    Attaching this profiler does **not** change the kernel's execution
+    mode: the quiescent fast path, idle fast-forward and watcher cadence
+    all run exactly as in an unobserved simulation.
     """
 
     def __init__(
@@ -258,9 +254,9 @@ class HostPerfProfiler:
         self._wall_s = 0.0
         self._end_cycle = 0
 
-        # fast-forward counters (exact, via the kernel's skip listener)
-        self.ff_spans = 0
-        self.ff_cycles = 0
+        # the kernel's (ff_spans, ff_cycles) at attach and at detach
+        self._ff_attach = (0, 0)
+        self._ff_detach: Optional[Tuple[int, int]] = None
 
         # memory telemetry
         self.rss_bytes = 0
@@ -274,27 +270,43 @@ class HostPerfProfiler:
     # -- wiring ------------------------------------------------------------
 
     def attach(self, sim) -> "HostPerfProfiler":
-        """Advertise on *sim* and hook the fast-forward counters.
+        """Advertise on *sim* and note its fast-forward counters.
 
-        Attachment is observational only: ``sim.profiler`` is left
-        untouched, so the kernel stays on whichever path it was on.
+        Attachment is observational only: the kernel stays on whichever
+        path it was on and installs no hook.
         """
         self.sim = sim
         sim.hostperf = self
-        sim.add_skip_listener(self._on_skip)
+        self._ff_attach = (sim.ff_spans, sim.ff_cycles)
+        self._ff_detach = None
         return self
 
     def detach(self) -> None:
         """Stop sampling and unhook from the simulator."""
         self.stop()
         if self.sim is not None:
-            self.sim.remove_skip_listener(self._on_skip)
+            if self._ff_detach is None:
+                self._ff_detach = (self.sim.ff_spans, self.sim.ff_cycles)
             if getattr(self.sim, "hostperf", None) is self:
                 self.sim.hostperf = None
 
-    def _on_skip(self, start: int, end: int) -> None:
-        self.ff_spans += 1
-        self.ff_cycles += end - start
+    def _ff_counts(self) -> Tuple[int, int]:
+        if self.sim is None:
+            return (0, 0)
+        spans, cycles = self._ff_detach or (
+            self.sim.ff_spans, self.sim.ff_cycles
+        )
+        return spans - self._ff_attach[0], cycles - self._ff_attach[1]
+
+    @property
+    def ff_spans(self) -> int:
+        """Idle spans the kernel fast-forwarded while attached."""
+        return self._ff_counts()[0]
+
+    @property
+    def ff_cycles(self) -> int:
+        """Cycles skipped in those spans."""
+        return self._ff_counts()[1]
 
     # -- sampling ----------------------------------------------------------
 

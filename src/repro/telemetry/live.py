@@ -3,8 +3,8 @@
 The passive telemetry layer records what the platform did and the health
 monitor raises when something is wrong; this module makes a *running*
 simulation watchable.  A :class:`LiveStream` attaches to a
-:class:`~repro.sim.kernel.Simulator` through the kernel's stride-watcher
-machinery (:meth:`~repro.sim.kernel.Simulator.add_stride_watcher`, so
+:class:`~repro.sim.kernel.Simulator` as a strided watcher
+(:meth:`~repro.sim.kernel.Simulator.add_watcher` with ``stride``, so
 frames keep their cadence across idle fast-forward spans) and, every
 ``stride`` cycles, folds the raw counters into one compact, JSON-ready
 frame (schema ``multinoc-live/1``):
@@ -168,14 +168,14 @@ class LiveStream:
         for proc in self.processors:
             self._prev_retired[proc.name] = proc.cpu.instructions_retired
 
-        sim.add_stride_watcher(self.on_stride, self.stride)
+        sim.add_watcher(self.on_stride, self.stride)
         sim.live = self
         return self
 
     def detach(self) -> None:
         """Unhook from the simulator; the run continues unobserved."""
         if self.sim is not None:
-            self.sim.remove_stride_watcher(self.on_stride)
+            self.sim.remove_watcher(self.on_stride)
             if getattr(self.sim, "live", None) is self:
                 self.sim.live = None
 
@@ -221,7 +221,7 @@ class LiveStream:
     # -- frame production --------------------------------------------------
 
     def on_stride(self, cycle: int) -> None:
-        """Kernel stride watcher: build and publish one frame."""
+        """Strided kernel watcher: build and publish one frame."""
         self.emit(self.build_frame(cycle))
 
     def force(self, cycle: Optional[int] = None) -> Dict[str, Any]:

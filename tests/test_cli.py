@@ -259,10 +259,10 @@ class TestSystem:
         assert "noc_packets_delivered_total" in out
 
     def test_profile_report(self, asm_file, capsys):
-        assert main(["system", str(asm_file), "--profile"]) == 0
+        assert main(["system", str(asm_file), "--hostperf"]) == 0
         out = capsys.readouterr().out
-        assert "kernel profile" in out
-        assert "router" in out
+        assert "host profile" in out
+        assert "fast-forward:" in out
 
     def test_monitor_healthy_run(self, asm_file, tmp_path, capsys):
         import json
@@ -319,7 +319,7 @@ class TestSystem:
 
     def test_failed_run_still_prints_profile(self, tmp_path, capsys):
         # exactly the runs that most need profiling: a timed-out run
-        # must still emit the kernel-profile table before returning 1
+        # must still emit the host-profile table before returning 1
         path = tmp_path / "wedge.asm"
         path.write_text(ECHO)
         assert (
@@ -327,7 +327,7 @@ class TestSystem:
                 [
                     "system",
                     str(path),
-                    "--profile",
+                    "--hostperf",
                     "--max-cycles",
                     "40000",
                     "--no-record",
@@ -337,7 +337,7 @@ class TestSystem:
         )
         captured = capsys.readouterr()
         assert "error:" in captured.err
-        assert "kernel profile" in captured.out
+        assert "host profile" in captured.out
 
     def test_failed_run_flushes_exports(self, tmp_path, capsys):
         path = tmp_path / "wedge.asm"

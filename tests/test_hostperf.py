@@ -129,7 +129,7 @@ class TestHostPerfProfiler:
             "fast_forward", "run_until", "kernel", "host",
         }
         # the quiescent kernel fast-forwarded at least once on this
-        # mostly-idle workload, counted exactly via the skip listener
+        # mostly-idle workload, counted exactly by the kernel
         assert snap["fast_forward"]["spans"] > 0
         assert snap["fast_forward"]["cycles"] > 0
         assert snap["memory"]["rss_bytes"] > 1_000_000
@@ -165,10 +165,15 @@ class TestHostPerfProfiler:
         session = MultiNoCPlatform.standard().launch()
         prof = session.profile_host()
         assert session.sim.hostperf is prof
-        spans_hooked = len(session.sim._skip_listeners)
+        session.host.sync()
+        assert prof.ff_spans > 0
         prof.detach()
         assert session.sim.hostperf is None
-        assert len(session.sim._skip_listeners) == spans_hooked - 1
+        # the fast-forward count stops advancing once detached
+        spans = prof.ff_spans
+        session.sim.step(20_000)
+        assert session.sim.ff_spans > spans
+        assert prof.ff_spans == spans
         # detach is idempotent
         prof.detach()
 

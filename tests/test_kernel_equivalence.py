@@ -241,7 +241,7 @@ class TestContendedTrafficEquivalence:
 
 
 # ---------------------------------------------------------------------------
-# Kernel mechanics: fast-forward, wake_at, skip listeners, credits
+# Kernel mechanics: fast-forward, wake_at, strided watchers, credits
 # ---------------------------------------------------------------------------
 
 
@@ -280,14 +280,14 @@ class TestFastForward:
         sim.add(beeper)
         watched = []
         sim.add_watcher(watched.append)
-        spans = []
-        sim.add_skip_listener(lambda a, b: spans.append((a, b)))
+        strided = []
+        sim.add_watcher(strided.append, stride=50)
         sim.step(cycles)
-        return beeper, watched, spans
+        return sim, beeper, watched, strided
 
     def test_quiescent_skips_but_beeps_identically(self):
-        strict, w_strict, _ = self._run(strict=True)
-        quiet, w_quiet, spans = self._run(strict=False)
+        _, strict, w_strict, _ = self._run(strict=True)
+        sim, quiet, w_quiet, _ = self._run(strict=False)
         assert quiet.beeps == strict.beeps == [0, 100, 200]
         # lock-step evaluates every cycle; the quiescent kernel ran 3
         # evals and credited the skipped cycles up to the last wake
@@ -296,12 +296,20 @@ class TestFastForward:
         assert strict.evals == 250
         assert quiet.evals == 3
         assert quiet.evals + quiet.credited == 201
-        # skipped spans are exclusive of the landing cycle
-        assert spans == [(1, 100), (101, 200), (201, 250)]
+        # skipped spans (1, 100), (101, 200), (201, 250) are exclusive
+        # of the landing cycle: 99 + 99 + 49 cycles
+        assert (sim.ff_spans, sim.ff_cycles) == (3, 247)
 
     def test_watchers_fire_once_at_landing_cycle(self):
-        _, watched, _ = self._run(strict=False)
+        _, _, watched, _ = self._run(strict=False)
         assert watched == [1, 100, 101, 200, 201, 250]
+
+    def test_strided_watcher_replays_skipped_multiples(self):
+        _, _, _, strict = self._run(strict=True)
+        _, _, _, quiet = self._run(strict=False)
+        # 50 and 150 are replayed inside spans; 100, 200 and 250 are
+        # landing cycles and must not be called twice
+        assert quiet == strict == [50, 100, 150, 200, 250]
 
     def test_deferred_credit_lands_on_next_wake(self):
         sim = Simulator()
@@ -313,9 +321,9 @@ class TestFastForward:
         assert beeper.evals + beeper.credited == 301  # covers 0..300
 
     def test_strict_mode_watchers_fire_every_cycle(self):
-        _, watched, spans = self._run(strict=True, cycles=10)
+        sim, _, watched, _ = self._run(strict=True, cycles=10)
         assert watched == list(range(1, 11))
-        assert spans == []
+        assert sim.ff_spans == 0
 
     def test_run_until_fast_forwards_idle_sim(self):
         sim = Simulator()

@@ -7,7 +7,14 @@ blocking) is visible.
 
 import pytest
 
-from repro.noc import HermesNetwork, HermesRouter, Packet, Port, RoutingError
+from repro.noc import (
+    HermesNetwork,
+    HermesRouter,
+    MeshTopology,
+    Packet,
+    Port,
+    RoutingError,
+)
 from repro.noc.flit import encode_address
 from repro.sim import Component, HandshakeTx, Simulator
 
@@ -66,7 +73,9 @@ class ChannelSink(Component):
 
 def single_router(routing_cycles=7, buffer_depth=2, stall_until=0):
     """A lone router with driven WEST input and sunk LOCAL output."""
-    router = HermesRouter("r", (0, 0), buffer_depth, routing_cycles)
+    router = HermesRouter(
+        "r", (0, 0), buffer_depth, routing_cycles, topology=MeshTopology(1, 1)
+    )
     west_in = HandshakeTx("west_in")
     local_out = HandshakeTx("local_out")
     router.attach_input(Port.WEST, west_in)

@@ -205,6 +205,25 @@ class TestSimulator:
         sim.remove_watcher(lambda cycle: None)
         sim.step(1)
 
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_watcher_removing_itself_does_not_skip_the_next(self, strict):
+        sim = Simulator(strict_lockstep=strict)
+        calls = []
+
+        def a(cycle):
+            calls.append(("a", cycle))
+            sim.remove_watcher(a)
+
+        sim.add_watcher(a)
+        sim.add_watcher(lambda cycle: calls.append(("b", cycle)))
+        sim.step(3)
+        assert calls == [("a", 1), ("b", 1), ("b", 2), ("b", 3)]
+
+    def test_stride_must_be_positive(self):
+        sim = Simulator()
+        with pytest.raises(ValueError, match="stride"):
+            sim.add_watcher(lambda cycle: None, stride=0)
+
 
 class TestTracer:
     def test_records_only_changes(self):

@@ -1,5 +1,5 @@
 """Tests for the unified telemetry layer: events, metrics, exporters,
-profiler, and its integration with the full platform."""
+and its integration with the full platform."""
 
 import json
 
@@ -9,7 +9,6 @@ from repro import MultiNoCPlatform
 from repro.noc import HermesNetwork
 from repro.telemetry import (
     Event,
-    KernelProfiler,
     MetricError,
     MetricsRegistry,
     TelemetrySink,
@@ -330,98 +329,3 @@ class TestHermesNetworkTelemetry:
         net.run_to_drain(sim)
         assert sink.events_named("route")
         assert sink.events_named("packet")
-
-
-class TestKernelProfiler:
-    def test_profile_attributes_time_to_leaves(self):
-        session = MultiNoCPlatform.standard().launch()
-        profiler = KernelProfiler().attach(session.sim)
-        session.sim.step(200)
-        names = {name for name, _, _, _ in profiler.hot_components(top=50)}
-        # composites are expanded: routers appear individually
-        assert any(n.startswith("router") for n in names)
-        assert "multinoc" not in {
-            n for (n, p, _, _) in profiler.hot_components(50) if p == "eval"
-        }
-        assert profiler.cycles == 200
-        assert profiler.total_seconds > 0
-
-    def test_report_format(self):
-        session = MultiNoCPlatform.standard().launch()
-        profiler = KernelProfiler().attach(session.sim)
-        session.sim.step(50)
-        report = profiler.report(top=5)
-        assert "kernel profile" in report
-        assert "eval" in report
-        assert "%" in report
-
-    def test_watchers_are_timed(self):
-        session = MultiNoCPlatform.standard().launch()
-        profiler = KernelProfiler().attach(session.sim)
-        session.sim.add_watcher(lambda cycle: None)
-        session.sim.step(10)
-        assert any(p == "watch" for _, p, _, _ in profiler.hot_components(50))
-
-    def test_attach_announces_lockstep_on_stderr(self, capsys):
-        session = MultiNoCPlatform.standard().launch()
-        KernelProfiler().attach(session.sim)
-        err = capsys.readouterr().err
-        assert "lock-step" in err
-        assert "detach()" in err
-        # quiet=True suppresses the notice (library/benchmark use)
-        KernelProfiler(quiet=True).attach(session.sim)
-        assert capsys.readouterr().err == ""
-
-    def test_attach_detach_round_trip(self):
-        session = MultiNoCPlatform.standard().launch()
-        profiler = KernelProfiler(quiet=True).attach(session.sim)
-        assert session.sim.profiler is profiler
-        session.sim.step(20)
-        profiler.detach()
-        assert session.sim.profiler is None
-        # samples survive detach; the fast path is back for new steps
-        assert profiler.cycles == 20
-        before = session.sim.cycle
-        session.sim.step(100)
-        assert session.sim.cycle == before + 100
-        assert profiler.cycles == 20
-        # detaching twice, or when never attached, is a no-op
-        profiler.detach()
-        KernelProfiler(quiet=True).detach()
-
-    def test_detach_leaves_replacement_installed(self):
-        session = MultiNoCPlatform.standard().launch()
-        first = KernelProfiler(quiet=True).attach(session.sim)
-        second = KernelProfiler(quiet=True).attach(session.sim)
-        first.detach()
-        assert session.sim.profiler is second
-
-    def test_zero_cycle_report(self):
-        profiler = KernelProfiler(quiet=True)
-        report = profiler.report()
-        assert "no cycles measured" in report
-        assert "component" in report  # the header row still renders
-
-    def test_profiled_run_is_bit_identical(self):
-        """Forcing lock-step changes wall clock only: architectural
-        state, printf stream and packet counts must match the fast
-        path exactly."""
-
-        def run(profiled):
-            session = MultiNoCPlatform.standard().launch()
-            if profiled:
-                KernelProfiler(quiet=True).attach(session.sim)
-            session.host.sync()
-            session.run(1, "        CLR  R0\n"
-                           "        LDI  R1, 42\n"
-                           "        LDI  R2, 0xFFFF\n"
-                           "        ST   R1, R2, R0\n"
-                           "        HALT\n")
-            return (
-                session.sim.cycle,
-                session.host.monitor(1).printf_values,
-                session.system.stats.packets_injected,
-                session.read(1, 0, 16),
-            )
-
-        assert run(profiled=False) == run(profiled=True)
