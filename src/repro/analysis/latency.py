@@ -32,12 +32,15 @@ from __future__ import annotations
 
 from typing import Tuple
 
-from ..noc.routing import route_path
+from ..noc.topology import MeshTopology
 
 
 def hops(source: Tuple[int, int], target: Tuple[int, int]) -> int:
     """Number of routers on the XY path, endpoints included (paper's n)."""
-    return len(route_path(source, target))
+    mesh = MeshTopology(
+        max(source[0], target[0]) + 1, max(source[1], target[1]) + 1
+    )
+    return len(mesh.route_path(source, target))
 
 
 def paper_latency(n_routers: int, packet_flits: int, r_cycles: int = 7) -> int:

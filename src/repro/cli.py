@@ -8,8 +8,9 @@ Run as ``python -m repro.cli <command>``::
     debug FILE          run a debugger script against a program
     cc FILE             compile R8C to assembly or object code
     system FILE         load and run on the full MultiNoC platform
-    profile [FILE]      host performance observatory (sampling profiler)
-    top                 live terminal dashboard for a served simulation
+                        (or --workload edge-detection; --hostperf adds
+                        the sampling host profiler)
+    top                live terminal dashboard for a served simulation
     analyze TRACE       post-mortem analysis of a JSONL trace
     runs ...            cross-run registry: list/show/diff/trend/gc
     alerts ...          alert/SLO rules: lint, post-hoc check (CI gate)
@@ -58,11 +59,26 @@ def cmd_dis(args) -> int:
     return 0
 
 
+def _parse_scanf(text) -> list:
+    """``--scanf 1,0x1F`` -> ``[1, 31]``; ValueError on a malformed answer."""
+    if not text:
+        return []
+    try:
+        return [int(v, 0) for v in text.split(",")]
+    except ValueError:
+        raise ValueError(
+            f"--scanf expects comma-separated integers, got {text!r}"
+        ) from None
+
+
 def cmd_run(args) -> int:
     from .r8.simulator import SimulatorError
 
-    scanf_values = [int(v, 0) for v in args.scanf.split(",")] if args.scanf else []
-    values = list(scanf_values)
+    try:
+        values = _parse_scanf(args.scanf)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     sim = R8Simulator(on_scanf=(lambda: values.pop(0)) if values else None)
     sim.load(_load_program(args.file))
     sim.activate()
@@ -160,168 +176,172 @@ def cmd_cc(args) -> int:
     return 0
 
 
-def _system_platform(args):
-    """The platform a ``system`` run describes: the paper's standard
-    2x2 instance, or ``--topology``/``--procs`` overrides."""
-    from .core import MultiNoCPlatform
-
-    topology = getattr(args, "topology", None)
-    procs = getattr(args, "procs", None)
-    if topology is None and not procs:
-        return MultiNoCPlatform.standard()
-    return MultiNoCPlatform(
-        n_processors=procs or 2, topology=topology or (2, 2)
-    )
-
-
 def cmd_system(args) -> int:
+    from .core import MultiNoCPlatform
+    from .telemetry.alerts import RuleError, load_rules
+
+    if (args.file is None) == (args.workload is None):
+        print(
+            "error: system needs exactly one of FILE or --workload",
+            file=sys.stderr,
+        )
+        return 2
+    try:
+        scanf = _parse_scanf(args.scanf)
+        rules = load_rules(args.alerts) if args.alerts else None
+        # the paper's standard 2x2 instance unless --topology/--procs
+        platform = (
+            MultiNoCPlatform.standard()
+            if args.topology is None and not args.procs
+            else MultiNoCPlatform(
+                n_processors=args.procs or 2, topology=args.topology or (2, 2)
+            )
+        )
+    except (OSError, ValueError, RuleError) as exc:
+        # ValueError includes TopologyError at spec parse time
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     telemetry = None
     if args.trace or args.trace_jsonl or args.metrics:
         from .telemetry import TelemetrySink
 
         telemetry = TelemetrySink()
-    try:
-        platform = _system_platform(args)
-    except ValueError as exc:  # includes TopologyError at spec parse time
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     session = platform.launch(
         telemetry=telemetry, strict_lockstep=args.no_idle_skip
     )
-    hostperf = None
-    if args.hostperf:
-        hostperf = session.profile_host()
-    vcd = None
-    if args.vcd:
-        from .sim import VcdWriter
-
-        vcd = VcdWriter([session.system.rxd, session.system.txd])
-        session.sim.add_watcher(vcd.sample)
-    health = None
-    if args.monitor or args.sample_interval or args.health_report:
-        health = session.monitor_health(
-            sample_interval=args.sample_interval,
-            invariants=True,
-        )
-    live = server = engine = None
-    if args.top or args.serve is not None or args.alerts:
-        live = session.live_stream(stride=args.live_stride)
-    if args.alerts:
-        from .telemetry.alerts import RuleError, load_rules
-
-        try:
-            rules = load_rules(args.alerts)
-        except (OSError, RuleError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        engine = session.alert_engine(
-            rules,
-            log=args.alert_log,
-            notify=sys.stderr,
-            sink=telemetry,
-            registry=session.system.stats.registry,
-        )
-        if telemetry is not None:
-            # mirror frames into the event log so `multinoc alerts
-            # check RULES --trace` replays the exact frames this run
-            # was alerted on
-            live.mirror_to(telemetry)
-    if args.serve is not None:
-        server = session.serve_telemetry(port=args.serve)
-        print(
-            f"telemetry server -> {server.address}"
-            "  (/metrics /frame /frames"
-            + (" /alerts" if engine is not None else "")
-            + ")"
-        )
-    if args.top:
-        from .telemetry import MeshTop
-
-        top = MeshTop(color=False if args.no_color else None).attach(live)
-        if engine is not None:
-            top.attach_alerts(engine)
-    flight = None
-    if args.crash_dir:
-        # after live wiring so the recorder can mirror frames
-        flight = session.flight_recorder(args.crash_dir)
-    session.host.sync()
-    obj = _load_program(args.file)
-    addr = session.processor_address(args.proc)
-    if args.scanf:
-        values = [int(v, 0) for v in args.scanf.split(",")]
-        it = iter(values)
-        session.host.set_scanf_handler(args.proc, lambda: next(it))
+    vcd = server = None
     try:
-        session.host.load_program(addr, obj)
+        if args.hostperf or args.hostperf_json or args.flamegraph:
+            session.profile_host()
+        if args.vcd:
+            from .sim import VcdWriter
+
+            vcd = VcdWriter([session.system.rxd, session.system.txd])
+            session.sim.add_watcher(vcd.sample)
+        if args.monitor or args.sample_interval or args.health_report:
+            session.monitor_health(
+                sample_interval=args.sample_interval, invariants=True
+            )
+        if args.top or args.serve is not None or rules is not None:
+            session.live_stream(stride=args.live_stride)
+        if rules is not None:
+            session.alert_engine(
+                rules,
+                log=args.alert_log,
+                notify=sys.stderr,
+                sink=telemetry,
+                registry=session.system.stats.registry,
+            )
+            if telemetry is not None:
+                # mirror frames into the event log so `multinoc alerts
+                # check RULES --trace` replays the exact frames this run
+                # was alerted on
+                session.live.mirror_to(telemetry)
+        if args.serve is not None:
+            server = session.serve_telemetry(port=args.serve)
+            print(
+                f"telemetry server -> {server.address}"
+                "  (/metrics /frame /frames"
+                + (" /alerts" if rules is not None else "")
+                + ")"
+            )
+        if args.top:
+            from .telemetry import MeshTop
+
+            top = MeshTop(color=False if args.no_color else None)
+            top.attach(session.live)
+            if session.alerts is not None:
+                top.attach_alerts(session.alerts)
+        if args.crash_dir:
+            # after live wiring so the recorder can mirror frames
+            session.flight_recorder(args.crash_dir)
+        _drive_system(session, args, scanf)
+    except Exception as exc:
+        return _finish_system(session, args, exc, vcd=vcd, server=server)
+    return _finish_system(session, args, None, vcd=vcd, server=server)
+
+
+def _drive_system(session, args, scanf) -> None:
+    """The run itself: the built-in workload, or FILE on ``--proc``."""
+    if args.workload == "edge-detection":
+        import random
+
+        from .apps.edge_detection import EdgeDetectionApp, reference_sobel
+
+        rng = random.Random(11)
+        image = [[rng.randrange(256) for _ in range(16)] for _ in range(6)]
+        app = EdgeDetectionApp(session.host)
+        app.deploy()
+        if app.run(image).output != reference_sobel(image):
+            raise RuntimeError("edge-detection output mismatch")
+    else:
+        session.host.sync()
+        addr = session.processor_address(args.proc)
+        if scanf:
+            it = iter(scanf)
+            session.host.set_scanf_handler(args.proc, lambda: next(it))
+        session.host.load_program(addr, _load_program(args.file))
         session.host.activate(addr)
         session.sim.run_until(
             lambda: session.system.processors[args.proc].cpu.halted,
             max_cycles=args.max_cycles,
         )
-    except Exception as exc:
-        if hostperf is not None:
-            hostperf.stop()
-        if flight is not None:
-            bundle = flight.record(
-                exc,
-                sim=session.sim,
-                hostperf=hostperf,
-                health=health,
-                meta={"program": str(args.file), "proc": args.proc},
-            )
-            print(f"crash bundle -> {bundle}", file=sys.stderr)
-        if health is not None:
-            _report_health_failure(exc, health, args.health_report)
-        elif hostperf is None and flight is None:
-            raise
-        else:
-            print(f"error: {exc}", file=sys.stderr)
-        # exactly the runs that most need their instrumentation: flush
-        # what was collected before the failure, then report it
-        if telemetry is not None:
-            session.system.flush_telemetry()
-        _flush_system_exports(session, args, telemetry, vcd)
-        if hostperf is not None:
-            print(hostperf.report())
-        _record_system_run(session, args, status="failed", exit_code=1)
-        return 1
-    session.sim.step(6000)
-    if live is not None:
+        session.sim.step(6000)
+    if session.live is not None:
         # one final off-stride frame so dashboards and post-run scrapes
         # see the end-of-run state
-        live.force()
-    monitor = session.host.monitor(args.proc)
-    print(monitor.transcript() or "(no I/O)")
-    print(
-        f"halted at cycle {session.sim.cycle} "
-        f"({session.sim.elapsed_seconds() * 1e3:.2f} ms at 25 MHz)"
+        session.live.force()
+
+
+def _finish_system(session, args, exc, *, vcd, server) -> int:
+    """The one teardown of ``multinoc system``, for success and failure.
+
+    Stops the profiler, reports the outcome (or the failure, with a
+    crash bundle under ``--crash-dir``), flushes every export — a failed
+    run's partial trace and profile are often the most valuable
+    artifacts it leaves — closes the alert log and the telemetry
+    server, and records the run.  Returns the exit code.
+    """
+    status = 0 if exc is None else 1
+    meta = (
+        {"workload": args.workload}
+        if args.workload
+        else {"program": str(args.file), "proc": args.proc}
     )
-    if args.stats:
-        _print_system_stats(session)
-    if args.metrics:
-        print(session.system.stats.registry.prometheus_text(), end="")
-    if telemetry is not None:
+    if session.hostperf is not None:
+        session.hostperf.stop()
+    if exc is None:
+        _print_system_summary(session, args)
+    else:
+        _report_system_failure(session, exc, meta)
+    if session.telemetry is not None:
         # flush deferred telemetry (CPU PC samples) before any export
         session.system.flush_telemetry()
-    if _flush_system_exports(session, args, telemetry, vcd) != 0:
-        return 1
-    if hostperf is not None:
-        hostperf.stop()
-        print(hostperf.report())
-    if health is not None:
-        if health.sampler is not None:
-            print("health timeline:")
-            print(health.sampler.timeline())
-        n = len(health.violations)
-        print(f"health: {'OK, no violations' if n == 0 else f'{n} violation(s)'}")
-        if args.health_report:
-            _write_health_report(health, args.health_report)
-    if engine is not None:
-        print(engine.report())
+    if _flush_system_exports(session, args, vcd) != 0:
+        status = 1
+    if session.hostperf is not None:
+        print(session.hostperf.report())
+    if session.alerts is not None:
+        print(session.alerts.report())
         if args.alert_log:
             print(f"alert log -> {args.alert_log}")
-        engine.close()
-    _record_system_run(session, args, status="ok", exit_code=0)
+        session.alerts.close()
+    _record_run(
+        args,
+        session.record_run,
+        registry=args.runs_dir,
+        kind="system",
+        status=status,
+        artifacts={
+            "trace": args.trace,
+            "trace_jsonl": args.trace_jsonl,
+            "vcd": args.vcd,
+            "health_report": args.health_report,
+            "hostperf": args.hostperf_json,
+            "flamegraph": args.flamegraph,
+        },
+        meta=meta,
+    )
     if server is not None:
         if args.linger:
             import time
@@ -332,16 +352,63 @@ def cmd_system(args) -> int:
             except KeyboardInterrupt:
                 pass
         server.close()
-    return 0
+    return status
 
 
-def _flush_system_exports(session, args, telemetry, vcd) -> int:
-    """Write the ``--trace``/``--trace-jsonl``/``--vcd`` outputs.
+def _print_system_summary(session, args) -> None:
+    """A finished run's stdout: I/O transcript, final cycle, reports."""
+    if args.workload:
+        print(f"{args.workload}: output matches the reference")
+    else:
+        print(session.host.monitor(args.proc).transcript() or "(no I/O)")
+    print(
+        f"{'finished' if args.workload else 'halted'} at cycle "
+        f"{session.sim.cycle} "
+        f"({session.sim.elapsed_seconds() * 1e3:.2f} ms at 25 MHz)"
+    )
+    if args.stats:
+        _print_system_stats(session)
+    if args.metrics:
+        print(session.system.stats.registry.prometheus_text(), end="")
+    health = session.health
+    if health is not None:
+        if health.sampler is not None:
+            print("health timeline:")
+            print(health.sampler.timeline())
+        n = len(health.violations)
+        print(f"health: {'OK, no violations' if n == 0 else f'{n} violation(s)'}")
 
-    Shared by the success path and the failure path (a failing run's
-    partial trace is often the most valuable artifact it leaves).
-    Returns 0, or 1 when an export target cannot be written.
-    """
+
+def _report_system_failure(session, exc, meta) -> None:
+    """A failed run's stderr: crash bundle, error, health diagnosis."""
+    from .telemetry import HealthViolation
+
+    if session.flight is not None:
+        bundle = session.flight.record(
+            exc,
+            sim=session.sim,
+            hostperf=session.hostperf,
+            health=session.health,
+            meta=meta,
+        )
+        print(f"crash bundle -> {bundle}", file=sys.stderr)
+    print(f"error: {exc}", file=sys.stderr)
+    if session.health is not None and isinstance(exc, HealthViolation):
+        # timeouts already embed describe(); violations carry details,
+        # and land in the health report
+        print(session.health.describe(), file=sys.stderr)
+        session.health.violations.append(exc)
+
+
+def _write_lines(path, lines) -> None:
+    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""))
+
+
+def _flush_system_exports(session, args, vcd) -> int:
+    """Write every requested export; 1 if a target is unwritable, else 0."""
+    import json
+
+    telemetry, hostperf = session.telemetry, session.hostperf
     try:
         if telemetry is not None and args.trace:
             from .telemetry import write_chrome_trace
@@ -356,68 +423,52 @@ def _flush_system_exports(session, args, telemetry, vcd) -> int:
             print(f"event log -> {write_jsonl(telemetry, args.trace_jsonl)}")
         if vcd is not None:
             print(f"serial-line waveform -> {vcd.write(args.vcd)}")
+        if session.health is not None and args.health_report:
+            Path(args.health_report).write_text(
+                json.dumps(session.health.report(), indent=2)
+            )
+            print(f"health report -> {args.health_report}")
+        if hostperf is not None and args.hostperf_json:
+            Path(args.hostperf_json).write_text(
+                json.dumps(hostperf.snapshot(), indent=2) + "\n"
+            )
+            print(f"hostperf snapshot -> {args.hostperf_json}")
+        if hostperf is not None and args.flamegraph:
+            lines = hostperf.folded_stacks()
+            _write_lines(args.flamegraph, lines)
+            print(f"folded stacks ({len(lines)}) -> {args.flamegraph}")
     except OSError as exc:
         print(f"error: cannot write export file: {exc}", file=sys.stderr)
         return 1
     return 0
 
 
-def _record_system_run(session, args, *, status: str, exit_code: int) -> None:
+def _record_run(args, write, *, status: int, artifacts, **fields) -> None:
     """Append the run to the cross-run registry (``multinoc runs ...``).
 
-    On by default — the registry is the durable history every later
-    ``runs trend`` gate reads — and disabled with ``--no-record``.
-    Registry failures must never fail the run they describe.
+    *write* is ``session.record_run`` or ``RunRegistry.record``.  On by
+    default — the registry is the durable history every later ``runs
+    trend`` gate reads — and disabled with ``--no-record``.  Registry
+    failures must never fail the run they describe.
     """
-    if getattr(args, "no_record", False):
+    if args.no_record:
         return
     from .telemetry.registry import AUTO
 
-    artifacts = {
-        name: str(value)
-        for name, value in (
-            ("trace", getattr(args, "trace", None)),
-            ("trace_jsonl", getattr(args, "trace_jsonl", None)),
-            ("vcd", getattr(args, "vcd", None)),
-            ("health_report", getattr(args, "health_report", None)),
-        )
-        if value
-    }
     try:
-        record = session.record_run(
-            registry=getattr(args, "runs_dir", None),
-            kind="system",
-            status=status,
-            exit_code=exit_code,
-            artifacts=artifacts,
-            meta={"program": str(args.file), "proc": args.proc},
+        record = write(
+            status="ok" if status == 0 else "failed",
+            exit_code=status,
+            artifacts={
+                name: str(value) for name, value in artifacts.items() if value
+            },
             git_rev=AUTO,
+            **fields,
         )
         # stderr: run ids are unique, stdout must stay comparable
         print(f"run record {record['run_id']} -> registry", file=sys.stderr)
     except OSError as exc:
         print(f"warning: could not record run: {exc}", file=sys.stderr)
-
-
-def _write_health_report(monitor, path: str) -> None:
-    import json
-
-    Path(path).write_text(json.dumps(monitor.report(), indent=2))
-    print(f"health report -> {path}")
-
-
-def _report_health_failure(exc, monitor, report_path) -> None:
-    """A monitored run failed: print the diagnosis, write the report."""
-    from .telemetry import HealthViolation
-
-    print(f"error: {exc}", file=sys.stderr)
-    if isinstance(exc, HealthViolation):
-        # timeouts already embed describe(); violations carry details
-        print(monitor.describe(), file=sys.stderr)
-    if report_path:
-        if isinstance(exc, HealthViolation):
-            monitor.violations.append(exc)
-        _write_health_report(monitor, report_path)
 
 
 def _print_system_stats(session) -> None:
@@ -449,135 +500,18 @@ def _print_system_stats(session) -> None:
     )
 
 
-def cmd_profile(args) -> int:
-    """``multinoc profile``: the host performance observatory.
-
-    Runs a program (or the built-in edge-detection workload) under the
-    sampling :class:`~repro.telemetry.hostperf.HostPerfProfiler` —
-    never changing the kernel's execution mode — and reports where host
-    wall-clock goes: per subsystem, per kernel region, and as the
-    headline host-seconds per simulated kilocycle.  Optional outputs:
-    a ``multinoc-hostperf/1`` JSON snapshot (``--json``), a
-    folded-stack flamegraph (``--flamegraph``, same format as
-    ``analyze --flamegraph``), and a crash bundle on failure
-    (``--crash-dir``).
-    """
-    import json
-
-    if not args.file and args.workload is None:
-        print(
-            "error: profile needs a program file or --workload",
-            file=sys.stderr,
-        )
-        return 2
-    try:
-        platform = _system_platform(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    session = platform.launch(strict_lockstep=args.no_idle_skip)
-    hostperf = session.profile_host(interval=args.interval)
-    flight = None
-    if args.crash_dir:
-        flight = session.flight_recorder(args.crash_dir)
-
-    status = 0
-    try:
-        if args.workload == "edge-detection":
-            import random
-
-            from .apps.edge_detection import EdgeDetectionApp, reference_sobel
-
-            processors = sorted(session.system.processors)
-            app = EdgeDetectionApp(session.host, processors=processors)
-            app.deploy()
-            rng = random.Random(11)
-            image = [
-                [rng.randrange(256) for _ in range(16)] for _ in range(6)
-            ]
-            result = app.run(image)
-            if result.output != reference_sobel(image):
-                print("error: edge-detection output mismatch", file=sys.stderr)
-                status = 1
-        else:
-            session.host.sync()
-            obj = _load_program(args.file)
-            addr = session.processor_address(args.proc)
-            session.host.load_program(addr, obj)
-            session.host.activate(addr)
-            session.sim.run_until(
-                lambda: session.system.processors[args.proc].cpu.halted,
-                max_cycles=args.max_cycles,
-            )
-            session.sim.step(6000)
-    except Exception as exc:
-        hostperf.stop()
-        if flight is not None:
-            bundle = flight.record(
-                exc,
-                sim=session.sim,
-                hostperf=hostperf,
-                meta={"workload": args.workload or str(args.file)},
-            )
-            print(f"crash bundle -> {bundle}", file=sys.stderr)
-        print(f"error: {exc}", file=sys.stderr)
-        status = 1
-    hostperf.stop()
-
-    print(hostperf.report(top=args.top))
-    try:
-        if args.json:
-            Path(args.json).write_text(
-                json.dumps(hostperf.snapshot(), indent=2) + "\n"
-            )
-            print(f"hostperf snapshot -> {args.json}")
-        if args.flamegraph:
-            lines = hostperf.folded_stacks()
-            Path(args.flamegraph).write_text(
-                "\n".join(lines) + ("\n" if lines else "")
-            )
-            print(f"folded stacks ({len(lines)}) -> {args.flamegraph}")
-    except OSError as exc:
-        print(f"error: cannot write output file: {exc}", file=sys.stderr)
-        status = status or 1
-
-    if not args.no_record:
-        from .telemetry.registry import AUTO
-
-        artifacts = {
-            name: str(value)
-            for name, value in (
-                ("hostperf", args.json),
-                ("flamegraph", args.flamegraph),
-            )
-            if value
-        }
-        try:
-            record = session.record_run(
-                registry=args.runs_dir,
-                kind="profile",
-                status="ok" if status == 0 else "failed",
-                exit_code=status,
-                artifacts=artifacts,
-                meta={"workload": args.workload or str(args.file)},
-                git_rev=AUTO,
-            )
-            print(f"run record {record['run_id']} -> registry", file=sys.stderr)
-        except OSError as exc:
-            print(f"warning: could not record run: {exc}", file=sys.stderr)
-    return status
-
-
 def cmd_analyze(args) -> int:
     """Post-mortem analysis of a ``--trace-jsonl`` event log."""
     import json
 
     from .telemetry import analyze_trace, diff_traces, load_jsonl
+    from .telemetry.registry import RunRegistry
 
     analysis = analyze_trace(load_jsonl(args.trace))
     print(analysis.report(top=args.top))
     document = analysis.to_dict()
     status = 0
+    meta = {}
 
     if args.baseline:
         diff = diff_traces(
@@ -590,15 +524,14 @@ def cmd_analyze(args) -> int:
         print(f"diff vs {args.baseline}:")
         print(diff.report())
         document["diff"] = diff.to_dict()
+        meta = {"baseline": args.baseline, "diff_ok": diff.ok}
         if not diff.ok:
             status = 1
 
     try:
         if args.flamegraph:
             lines = analysis.folded_stacks()
-            Path(args.flamegraph).write_text(
-                "\n".join(lines) + ("\n" if lines else "")
-            )
+            _write_lines(args.flamegraph, lines)
             print(
                 f"folded stacks ({len(lines)} frames) -> {args.flamegraph} "
                 "(open with flamegraph.pl or speedscope)"
@@ -618,15 +551,6 @@ def cmd_analyze(args) -> int:
     except OSError as exc:
         print(f"error: cannot write output file: {exc}", file=sys.stderr)
         return 1
-    _record_analyze_run(analysis, document, args, status)
-    return status
-
-
-def _record_analyze_run(analysis, document, args, status: int) -> None:
-    """Append the analysis outcome to the cross-run registry."""
-    if getattr(args, "no_record", False):
-        return
-    from .telemetry.registry import AUTO, RunRegistry
 
     delivered = analysis.delivered()
     metrics = {
@@ -637,35 +561,22 @@ def _record_analyze_run(analysis, document, args, status: int) -> None:
     }
     if delivered:
         latencies = sorted(p.latency for p in delivered)
-        metrics["latency_mean"] = round(
-            sum(latencies) / len(latencies), 4
-        )
+        metrics["latency_mean"] = round(sum(latencies) / len(latencies), 4)
         metrics["latency_max"] = float(latencies[-1])
-    artifacts = {
-        name: str(value)
-        for name, value in (
-            ("trace", args.trace),
-            ("json", args.json),
-            ("flamegraph", args.flamegraph),
-        )
-        if value
-    }
-    meta = {"baseline": args.baseline} if args.baseline else {}
-    if "diff" in document:
-        meta["diff_ok"] = document["diff"]["ok"]
-    try:
-        record = RunRegistry(getattr(args, "runs_dir", None)).record(
-            kind="analyze",
-            status="ok" if status == 0 else "failed",
-            exit_code=status,
-            metrics=metrics,
-            artifacts=artifacts,
-            meta=meta,
-            git_rev=AUTO,
-        )
-        print(f"run record {record['run_id']} -> registry", file=sys.stderr)
-    except OSError as exc:
-        print(f"warning: could not record run: {exc}", file=sys.stderr)
+    _record_run(
+        args,
+        RunRegistry(args.runs_dir).record,
+        kind="analyze",
+        status=status,
+        artifacts={
+            "trace": args.trace,
+            "json": args.json,
+            "flamegraph": args.flamegraph,
+        },
+        metrics=metrics,
+        meta=meta,
+    )
+    return status
 
 
 def cmd_top(args) -> int:
@@ -886,6 +797,21 @@ def cmd_prototype(args) -> int:
     return 0
 
 
+def _add_record_flags(p) -> None:
+    """The run-registry pair shared by ``system`` and ``analyze``."""
+    p.add_argument(
+        "--no-record",
+        action="store_true",
+        help="do not append this run to the cross-run registry",
+    )
+    p.add_argument(
+        "--runs-dir",
+        metavar="DIR",
+        help="registry root for the run record "
+        "(default: $MULTINOC_RUNS_DIR or .multinoc/runs)",
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro", description="MultiNoC toolchain"
@@ -948,7 +874,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_cc)
 
     p = sub.add_parser("system", help="run on the full MultiNoC")
-    p.add_argument("file")
+    p.add_argument("file", nargs="?", help="program to load onto --proc")
+    p.add_argument(
+        "--workload",
+        choices=["edge-detection"],
+        help="run a built-in workload instead of a program file",
+    )
     p.add_argument("--proc", type=int, default=1)
     p.add_argument(
         "--topology",
@@ -985,6 +916,18 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="attach the sampling host profiler (host-seconds per "
         "kilocycle per subsystem; never changes the execution mode)",
+    )
+    p.add_argument(
+        "--hostperf-json",
+        metavar="FILE",
+        help="write the multinoc-hostperf/1 snapshot as JSON "
+        "(implies --hostperf)",
+    )
+    p.add_argument(
+        "--flamegraph",
+        metavar="FILE",
+        help="write sampled host stacks in folded format for "
+        "flamegraph.pl / speedscope (implies --hostperf)",
     )
     p.add_argument(
         "--crash-dir",
@@ -1059,90 +1002,8 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="plain-ASCII dashboard output (also honours NO_COLOR)",
     )
-    p.add_argument(
-        "--no-record",
-        action="store_true",
-        help="do not append this run to the cross-run registry",
-    )
-    p.add_argument(
-        "--runs-dir",
-        metavar="DIR",
-        help="registry root for the run record "
-        "(default: $MULTINOC_RUNS_DIR or .multinoc/runs)",
-    )
+    _add_record_flags(p)
     p.set_defaults(fn=cmd_system)
-
-    p = sub.add_parser(
-        "profile",
-        help="host performance observatory: sampling self-profiler",
-    )
-    p.add_argument("file", nargs="?", help="program to run under the profiler")
-    p.add_argument(
-        "--workload",
-        choices=["edge-detection"],
-        help="profile a built-in workload instead of a program file",
-    )
-    p.add_argument("--proc", type=int, default=1)
-    p.add_argument(
-        "--topology",
-        metavar="SPEC",
-        help="fabric shape: mesh:WxH, torus:WxH or cmesh:WxHxC",
-    )
-    p.add_argument(
-        "--procs",
-        type=int,
-        metavar="N",
-        help="number of processor IPs to auto-place",
-    )
-    p.add_argument("--max-cycles", type=int, default=5_000_000)
-    p.add_argument(
-        "--interval",
-        type=float,
-        default=0.005,
-        metavar="SECONDS",
-        help="stack-sampling interval (default 5 ms)",
-    )
-    p.add_argument(
-        "--top",
-        type=int,
-        default=12,
-        metavar="N",
-        help="subsystem rows in the report table",
-    )
-    p.add_argument(
-        "--json",
-        metavar="FILE",
-        help="write the multinoc-hostperf/1 snapshot as JSON",
-    )
-    p.add_argument(
-        "--flamegraph",
-        metavar="FILE",
-        help="write sampled stacks in folded format "
-        "(flamegraph.pl / speedscope, same as `analyze --flamegraph`)",
-    )
-    p.add_argument(
-        "--crash-dir",
-        metavar="DIR",
-        help="write a multinoc-crash/1 bundle under DIR if the run fails",
-    )
-    p.add_argument(
-        "--no-idle-skip",
-        action="store_true",
-        help="profile the strict lock-step kernel instead of the "
-        "quiescent fast path",
-    )
-    p.add_argument(
-        "--no-record",
-        action="store_true",
-        help="do not append this run to the cross-run registry",
-    )
-    p.add_argument(
-        "--runs-dir",
-        metavar="DIR",
-        help="registry root for the run record "
-        "(default: $MULTINOC_RUNS_DIR or .multinoc/runs)",
-    )
-    p.set_defaults(fn=cmd_profile)
 
     p = sub.add_parser(
         "top", help="live terminal dashboard for a served simulation"
@@ -1225,17 +1086,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=5.0,
         help="absolute regression threshold for --baseline",
     )
-    p.add_argument(
-        "--no-record",
-        action="store_true",
-        help="do not append this analysis to the cross-run registry",
-    )
-    p.add_argument(
-        "--runs-dir",
-        metavar="DIR",
-        help="registry root for the run record "
-        "(default: $MULTINOC_RUNS_DIR or .multinoc/runs)",
-    )
+    _add_record_flags(p)
     p.set_defaults(fn=cmd_analyze)
 
     p = sub.add_parser(
@@ -1257,6 +1108,17 @@ def build_parser() -> argparse.ArgumentParser:
         q.add_argument(
             "--dir", metavar="DIR", default=argparse.SUPPRESS,
             help="registry root (overrides the pre-subcommand --dir)",
+        )
+
+    def _threshold_flags(q):
+        # the dual-threshold rule shared by `runs diff` and `runs trend`
+        q.add_argument(
+            "--threshold-pct", type=float, default=10.0,
+            help="relative regression threshold (default 10%%)",
+        )
+        q.add_argument(
+            "--threshold-abs", type=float, default=0.0,
+            help="absolute regression threshold (default 0)",
         )
 
     q = runs_sub.add_parser("list", help="history index, oldest first")
@@ -1287,14 +1149,7 @@ def build_parser() -> argparse.ArgumentParser:
     _dir_flag(q)
     q.add_argument("baseline", help="baseline run id")
     q.add_argument("current", help="current run id")
-    q.add_argument(
-        "--threshold-pct", type=float, default=10.0,
-        help="relative regression threshold (default 10%%)",
-    )
-    q.add_argument(
-        "--threshold-abs", type=float, default=0.0,
-        help="absolute regression threshold (default 0)",
-    )
+    _threshold_flags(q)
     q.add_argument("--json", metavar="FILE", help="write the diff as JSON")
     q.set_defaults(fn=cmd_runs)
 
@@ -1321,14 +1176,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--sustain", type=int, default=2, metavar="K",
         help="consecutive regressed records before flagging (default 2)",
     )
-    q.add_argument(
-        "--threshold-pct", type=float, default=10.0,
-        help="relative regression threshold (default 10%%)",
-    )
-    q.add_argument(
-        "--threshold-abs", type=float, default=0.0,
-        help="absolute regression threshold (default 0)",
-    )
+    _threshold_flags(q)
     q.add_argument(
         "--allow-cross-machine",
         action="store_true",

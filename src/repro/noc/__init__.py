@@ -25,7 +25,7 @@ from .network import HermesNetwork
 from .ni import NetworkInterface
 from .packet import Packet
 from .router import HermesRouter, RoutingError
-from .routing import ALL_PORTS, OPPOSITE, PORT_DELTA, Port, route_path, xy_route
+from .routing import ALL_PORTS, OPPOSITE, PORT_DELTA, Port
 from .stats import NetworkStats
 from .topology import (
     TOPOLOGIES,
@@ -76,9 +76,7 @@ __all__ = [
     "port_index",
     "port_label",
     "register_topology",
-    "route_path",
     "services",
     "split_word",
     "words_to_flits",
-    "xy_route",
 ]

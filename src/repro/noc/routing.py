@@ -1,9 +1,8 @@
-"""Port naming and the deterministic XY routing algorithm."""
+"""Hermes router port naming and link geometry."""
 
 from __future__ import annotations
 
 from enum import IntEnum
-from typing import Tuple
 
 
 class Port(IntEnum):
@@ -35,38 +34,3 @@ OPPOSITE = {
     Port.NORTH: Port.SOUTH,
     Port.SOUTH: Port.NORTH,
 }
-
-
-def xy_route(current: Tuple[int, int], target: Tuple[int, int]) -> Port:
-    """Deterministic XY routing: correct X first, then Y, then deliver.
-
-    This is the algorithm the paper names in Section 2.1.  Being
-    dimension-ordered it is deadlock-free on a mesh.
-    """
-    cx, cy = current
-    tx, ty = target
-    if tx > cx:
-        return Port.EAST
-    if tx < cx:
-        return Port.WEST
-    if ty > cy:
-        return Port.NORTH
-    if ty < cy:
-        return Port.SOUTH
-    return Port.LOCAL
-
-
-def route_path(source: Tuple[int, int], target: Tuple[int, int]) -> list:
-    """The full list of routers an XY-routed packet traverses.
-
-    Includes both endpoints, matching the latency formula's ``n`` ("number
-    of routers in the communication path (source and target included)").
-    """
-    path = [source]
-    pos = source
-    while pos != target:
-        port = xy_route(pos, target)
-        dx, dy = PORT_DELTA[port]
-        pos = (pos[0] + dx, pos[1] + dy)
-        path.append(pos)
-    return path

@@ -49,7 +49,7 @@ from __future__ import annotations
 from typing import Dict, Iterator, List, Optional, Tuple, Type, Union
 
 from .flit import decode_address, encode_address
-from .routing import ALL_PORTS, OPPOSITE, PORT_DELTA, Port, xy_route
+from .routing import ALL_PORTS, OPPOSITE, PORT_DELTA, Port
 
 Address = Tuple[int, int]
 
@@ -298,7 +298,20 @@ class MeshTopology(Topology):
         return None
 
     def route(self, current: Address, target: Address) -> int:
-        return xy_route(current, target)
+        """Deterministic XY routing (paper Section 2.1): correct X
+        first, then Y, then deliver.  Dimension order makes it
+        deadlock-free on a mesh."""
+        cx, cy = current
+        tx, ty = target
+        if tx > cx:
+            return Port.EAST
+        if tx < cx:
+            return Port.WEST
+        if ty > cy:
+            return Port.NORTH
+        if ty < cy:
+            return Port.SOUTH
+        return Port.LOCAL
 
 
 class TorusTopology(MeshTopology):
@@ -432,7 +445,8 @@ class CMeshTopology(Topology):
         router = self.node_router(target)
         if router == current:
             return self.local_port(target)
-        return xy_route(current, router)
+        # XY over the router grid
+        return MeshTopology.route(self, current, router)
 
 
 #: Registry of topology plugins, keyed by spec kind.

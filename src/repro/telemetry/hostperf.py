@@ -23,8 +23,8 @@ Three pieces:
   and detach, count the fast-forwarded spans in between.  Because
   every tick's elapsed time lands in *some* bucket (``host``/``other``
   catch everything unrecognised), the attributed total approximates
-  measured wall time — the coverage contract ``multinoc profile``
-  reports and CI gates.
+  measured wall time — the coverage contract ``multinoc system
+  --hostperf`` reports and CI gates.
 
 * memory telemetry — RSS (``/proc/self/status``, with a
   :mod:`resource` fallback), GC pause counts/durations via

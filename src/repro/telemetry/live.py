@@ -35,7 +35,6 @@ import time
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from ..noc.routing import Port
-from .health import TimeSeriesSampler
 
 Address = Tuple[int, int]
 
@@ -62,12 +61,8 @@ class LiveStream:
         Dropping tracks is the coarse overhead knob for big meshes.
     max_links:
         Keep only the busiest N links per frame (by flit rate); the
-        number of elided active links is reported as ``links_elided``.
-    min_link_rate:
-        Drop links below this flits-per-cycle rate (0 drops only
-        completely idle links).
-    window:
-        Samples kept per sparkline series in :attr:`sampler`.
+        number of elided active links is reported as ``links_elided``;
+        idle links are always dropped.
     """
 
     def __init__(
@@ -76,8 +71,6 @@ class LiveStream:
         stride: int = 1024,
         tracks: Optional[Iterable[str]] = None,
         max_links: int = 64,
-        min_link_rate: float = 0.0,
-        window: int = 256,
     ):
         if stride < 1:
             raise ValueError("live stream stride must be at least 1 cycle")
@@ -93,10 +86,6 @@ class LiveStream:
         self.stride = stride
         self.tracks = tracks
         self.max_links = max_links
-        self.min_link_rate = min_link_rate
-        #: windowed series (throughput, in_flight, latency, sim rate)
-        #: for sparkline rendering; fed once per frame.
-        self.sampler = TimeSeriesSampler(stride, window)
 
         self.sim = None
         self.mesh = None
@@ -289,7 +278,6 @@ class LiveStream:
             if hostperf is not None:
                 frame["host"] = hostperf.frame_fields()
 
-        self._feed_sampler(cycle, frame, sim_rate)
         self._last_cycle = cycle
         self._last_wall = wall
         return frame
@@ -312,10 +300,9 @@ class LiveStream:
             rate = delta / window
             router_rate[addr] = router_rate.get(addr, 0.0) + rate
             # 2-cycle handshake bound: rate*2 is utilisation in [0, 1]
-            util = rate * 2
-            if util < self.min_link_rate:
-                continue
-            active.append((util, f"{self._router_name(addr)}.{Port(port).name}"))
+            active.append(
+                (rate * 2, f"{self._router_name(addr)}.{Port(port).name}")
+            )
         self._prev_links = dict(current)
         active.sort(key=lambda item: (-item[0], item[1]))
         kept = active[: self.max_links]
@@ -409,16 +396,3 @@ class LiveStream:
             out["last_violation"] = monitor.violations[-1].as_dict()
         return out
 
-    def _feed_sampler(
-        self, cycle: int, frame: Dict[str, Any], sim_rate: float
-    ) -> None:
-        packets = frame.get("packets")
-        if packets is not None:
-            self.sampler.append(
-                "throughput", cycle, packets["throughput_flits_per_cycle"]
-            )
-            self.sampler.append("in_flight", cycle, packets["in_flight"])
-        latency = frame.get("latency")
-        if latency is not None:
-            self.sampler.append("latency", cycle, latency.get("mean", 0.0))
-        self.sampler.append("sim_rate", cycle, sim_rate)

@@ -70,6 +70,12 @@ class TestRun:
         main(["run", str(path), "--scanf", "0x1F"])
         assert "printf: 31" in capsys.readouterr().out
 
+    def test_malformed_scanf_is_a_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "echo.asm"
+        path.write_text(ECHO)
+        assert main(["run", str(path), "--scanf", "1,x"]) == 2
+        assert "error: --scanf" in capsys.readouterr().err
+
 
 class TestDebug:
     def test_script_file(self, asm_file, tmp_path, capsys):
@@ -396,6 +402,66 @@ class TestSystem:
         manifest = json.loads((bundles[0] / "manifest.json").read_text())
         assert manifest["schema"] == "multinoc-crash/1"
         assert manifest["exception"]["type"] == "SimulationTimeout"
+
+    def test_malformed_scanf_is_a_usage_error(self, asm_file, capsys):
+        assert main(["system", str(asm_file), "--scanf", "1,x"]) == 2
+        assert "error: --scanf" in capsys.readouterr().err
+
+    def test_timeout_without_observers_is_an_error_not_a_traceback(
+        self, tmp_path, capsys
+    ):
+        path = tmp_path / "wedge.asm"
+        path.write_text(ECHO)
+        assert (
+            main(["system", str(path), "--max-cycles", "40000", "--no-record"])
+            == 1
+        )
+        assert "error:" in capsys.readouterr().err
+
+    def test_failed_served_alerted_run_tears_down(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        import socket
+
+        from repro.telemetry.alerts import AlertEngine
+        from repro.telemetry.registry import RunRegistry
+        from repro.telemetry.server import TelemetryServer
+
+        closed = []
+        for cls in (AlertEngine, TelemetryServer):
+            def spy(self, _close=cls.close, _name=cls.__name__):
+                closed.append(_name)
+                return _close(self)
+
+            monkeypatch.setattr(cls, "close", spy)
+        path = tmp_path / "wedge.asm"
+        path.write_text(ECHO)
+        rules = tmp_path / "rules.alerts"
+        rules.write_text("alert busy\n    expr: in_flight > 1000\n")
+        runs = tmp_path / "runs"
+        assert (
+            main(
+                [
+                    "system", str(path),
+                    "--serve", "0",
+                    "--alerts", str(rules),
+                    "--alert-log", str(tmp_path / "alerts.jsonl"),
+                    "--max-cycles", "40000",
+                    "--runs-dir", str(runs),
+                ]
+            )
+            == 1
+        )
+        captured = capsys.readouterr()
+        assert "error:" in captured.err
+        assert sorted(closed) == ["AlertEngine", "TelemetryServer"]
+        address = captured.out.split("telemetry server -> ")[1].split()[0]
+        port = int(address.rsplit(":", 1)[1].rstrip("/"))
+        with pytest.raises(OSError):
+            socket.create_connection(("127.0.0.1", port), timeout=1).close()
+        (record,) = RunRegistry(runs).records()
+        assert record["kind"] == "system"
+        assert record["status"] == "failed" and record["exit_code"] == 1
 
 
 class TestPrototype:

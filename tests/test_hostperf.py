@@ -4,8 +4,8 @@ Covers the kernel region-marker parsing and subsystem classification,
 the sampling profiler's snapshot/report/folded outputs and its ≥90%
 wall-clock attribution contract, memory telemetry (RSS, GC pauses),
 metrics-registry and live-frame surfacing, run-registry metrics, the
-crash flight recorder's ``multinoc-crash/1`` bundles, the CLI
-``profile`` subcommand, and — most importantly — the equivalence
+crash flight recorder's ``multinoc-crash/1`` bundles, the profiling
+flags of ``multinoc system``, and — most importantly — the equivalence
 guard: a sampled run is architecturally bit-identical to an unsampled
 one in both kernel modes.
 """
@@ -340,19 +340,22 @@ class TestFlightRecorder:
 
 
 class TestProfileCli:
+    """``multinoc system`` carries the whole profiling surface: the
+    built-in workload, the hostperf snapshot and the folded stacks."""
+
     def test_profile_workload(self, tmp_path, monkeypatch, capsys):
         from repro.cli import main
 
         monkeypatch.chdir(tmp_path)
         rc = main([
-            "profile", "--workload", "edge-detection",
-            "--interval", "0.001",
-            "--json", "hostperf.json",
+            "system", "--workload", "edge-detection",
+            "--hostperf-json", "hostperf.json",
             "--flamegraph", "hostperf.folded",
             "--no-record",
         ])
         assert rc == 0
         out = capsys.readouterr().out
+        assert "edge-detection: output matches the reference" in out
         assert "host profile:" in out
         assert "hostperf snapshot -> hostperf.json" in out
 
@@ -373,8 +376,7 @@ class TestProfileCli:
         asm = tmp_path / "hello.asm"
         asm.write_text(PRINTF_LOOP)
         rc = main([
-            "profile", str(asm),
-            "--interval", "0.001",
+            "system", str(asm), "--hostperf",
             "--runs-dir", str(tmp_path / "runs"),
         ])
         assert rc == 0
@@ -384,14 +386,18 @@ class TestProfileCli:
 
         records = RunRegistry(tmp_path / "runs").records()
         assert len(records) == 1
-        assert records[0]["kind"] == "profile"
+        assert records[0]["kind"] == "system"
         assert records[0]["metrics"]["host_s_per_kcycle"] > 0
 
-    def test_profile_requires_input(self, capsys):
+    def test_profile_requires_input(self, tmp_path, capsys):
         from repro.cli import main
 
-        assert main(["profile"]) == 2
-        assert "needs a program file" in capsys.readouterr().err
+        assert main(["system"]) == 2
+        assert "error:" in capsys.readouterr().err
+        asm = tmp_path / "hello.asm"
+        asm.write_text(PRINTF_LOOP)
+        assert main(["system", str(asm), "--workload", "edge-detection"]) == 2
+        assert "exactly one of FILE or --workload" in capsys.readouterr().err
 
     def test_profile_crash_writes_bundle(self, tmp_path, capsys):
         from repro.cli import main
@@ -408,7 +414,8 @@ class TestProfileCli:
         )
         crash_dir = tmp_path / "crashes"
         rc = main([
-            "profile", str(asm),
+            "system", str(asm),
+            "--hostperf",
             "--max-cycles", "40000",
             "--crash-dir", str(crash_dir),
             "--no-record",
@@ -420,3 +427,4 @@ class TestProfileCli:
         assert len(bundles) == 1
         manifest = json.loads((bundles[0] / "manifest.json").read_text())
         assert manifest["schema"] == CRASH_SCHEMA
+        assert (bundles[0] / "hostperf.json").exists()

@@ -4,9 +4,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.noc import Port, RoundRobinArbiter, route_path, xy_route
+from repro.noc import MeshTopology, Port, RoundRobinArbiter
 
 coord = st.tuples(st.integers(0, 15), st.integers(0, 15))
+
+#: the largest mesh the 4-bit header nibbles allow; holds every ``coord``
+MESH = MeshTopology(16, 16)
 
 
 class TestRoundRobin:
@@ -75,38 +78,38 @@ class TestRoundRobin:
 
 class TestXYRouting:
     def test_east_when_target_right(self):
-        assert xy_route((0, 0), (2, 0)) == Port.EAST
+        assert MESH.route((0, 0), (2, 0)) == Port.EAST
 
     def test_west_when_target_left(self):
-        assert xy_route((2, 0), (0, 0)) == Port.WEST
+        assert MESH.route((2, 0), (0, 0)) == Port.WEST
 
     def test_x_corrected_before_y(self):
-        assert xy_route((0, 0), (1, 1)) == Port.EAST
+        assert MESH.route((0, 0), (1, 1)) == Port.EAST
 
     def test_north_south_after_x(self):
-        assert xy_route((1, 0), (1, 3)) == Port.NORTH
-        assert xy_route((1, 3), (1, 0)) == Port.SOUTH
+        assert MESH.route((1, 0), (1, 3)) == Port.NORTH
+        assert MESH.route((1, 3), (1, 0)) == Port.SOUTH
 
     def test_local_at_destination(self):
-        assert xy_route((3, 3), (3, 3)) == Port.LOCAL
+        assert MESH.route((3, 3), (3, 3)) == Port.LOCAL
 
     def test_route_path_includes_endpoints(self):
-        path = route_path((0, 0), (2, 1))
+        path = MESH.route_path((0, 0), (2, 1))
         assert path == [(0, 0), (1, 0), (2, 0), (2, 1)]
 
     def test_route_path_single_node(self):
-        assert route_path((1, 1), (1, 1)) == [(1, 1)]
+        assert MESH.route_path((1, 1), (1, 1)) == [(1, 1)]
 
     @given(coord, coord)
     def test_path_length_is_manhattan_plus_one(self, src, dst):
-        path = route_path(src, dst)
+        path = MESH.route_path(src, dst)
         manhattan = abs(src[0] - dst[0]) + abs(src[1] - dst[1])
         assert len(path) == manhattan + 1
 
     @given(coord, coord)
     def test_path_is_dimension_ordered(self, src, dst):
         """X movement strictly precedes Y movement (deadlock freedom)."""
-        path = route_path(src, dst)
+        path = MESH.route_path(src, dst)
         seen_y_move = False
         for (x0, y0), (x1, y1) in zip(path, path[1:]):
             if y0 != y1:
@@ -116,4 +119,4 @@ class TestXYRouting:
 
     @given(coord, coord)
     def test_path_reaches_target(self, src, dst):
-        assert route_path(src, dst)[-1] == dst
+        assert MESH.route_path(src, dst)[-1] == dst

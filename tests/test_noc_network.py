@@ -3,7 +3,7 @@
 import pytest
 
 from repro.analysis import hops, model_latency, paper_latency
-from repro.noc import HermesNetwork, Packet, route_path
+from repro.noc import HermesNetwork, Packet
 
 
 def run_single(src, dst, payload_len, width=5, height=5, **kw):
