@@ -80,6 +80,9 @@ class NetworkInterface(Component):
             self.unwatch_wires([self.from_router.tx, self.from_router.data])
         self.to_router = None
         self.from_router = None
+        # tx was parked low, so a flit in flight is presented afresh on
+        # the next channel this NI attaches to
+        self._tx_in_flight = False
         # any partially received packet is lost with the region
         self._rx_state = _RX_HEADER
         self._rx_flits = []
@@ -207,46 +210,43 @@ class NetworkInterface(Component):
             self._tx_index = 0
             self._tx_in_flight = False
         if self._tx_packet is None:
-            # Idle: tx must be low.  Only this NI drives the wire, so when
-            # both phases already read 0 the drive is a no-op — skip it.
-            tx = ch.tx
-            if tx.value or tx._next:
-                tx.drive(0)
+            # Idle: tx is already low.  Only this NI drives it, and the
+            # last flit of every packet (or detach/reset) drove it to 0.
             return
         if self._tx_in_flight:
-            if ch.ack.value:
-                if self._tx_index == 0:
-                    self._tx_packet.injected_cycle = cycle
-                self._tx_index += 1
-                if self._tx_index >= len(self._tx_flits):
-                    if self.stats is not None:
-                        self.stats.packet_injected(self._tx_packet)
-                    if self.sink is not None:
-                        start = self._tx_packet.injected_cycle
-                        target = self._tx_packet.target
-                        seq = self._flow_seq.get(target, 0)
-                        self._flow_seq[target] = seq + 1
-                        src = f"{self.address[0]},{self.address[1]}"
-                        tgt = f"{target[0]},{target[1]}"
-                        self.sink.complete(
-                            self.name,
-                            "inject",
-                            start if start is not None else cycle,
-                            cycle - start if start is not None else 0,
-                            target=tgt,
-                            flits=len(self._tx_flits),
-                            src=src,
-                            flow=f"{src}>{tgt}",
-                            seq=seq,
-                            queued=self._tx_packet.created_cycle,
-                        )
-                    self._tx_packet = None
-                    self._tx_in_flight = False
-                    ch.tx.drive(0)
-                    return
-                self._tx_in_flight = True
-            # present current (or next) flit
-            ch.tx.drive(1)
+            if not ch.ack.value:
+                # Waiting for ack: tx=1 and this flit are presented.
+                return
+            if self._tx_index == 0:
+                self._tx_packet.injected_cycle = cycle
+            self._tx_index += 1
+            if self._tx_index >= len(self._tx_flits):
+                if self.stats is not None:
+                    self.stats.packet_injected(self._tx_packet)
+                if self.sink is not None:
+                    start = self._tx_packet.injected_cycle
+                    target = self._tx_packet.target
+                    seq = self._flow_seq.get(target, 0)
+                    self._flow_seq[target] = seq + 1
+                    src = f"{self.address[0]},{self.address[1]}"
+                    tgt = f"{target[0]},{target[1]}"
+                    self.sink.complete(
+                        self.name,
+                        "inject",
+                        start if start is not None else cycle,
+                        cycle - start if start is not None else 0,
+                        target=tgt,
+                        flits=len(self._tx_flits),
+                        src=src,
+                        flow=f"{src}>{tgt}",
+                        seq=seq,
+                        queued=self._tx_packet.created_cycle,
+                    )
+                self._tx_packet = None
+                self._tx_in_flight = False
+                ch.tx.drive(0)
+                return
+            # tx stays high; present the next flit
             ch.data.drive(self._tx_flits[self._tx_index])
         else:
             ch.tx.drive(1)
@@ -264,10 +264,8 @@ class NetworkInterface(Component):
         if ch.tx.value:
             self._accept_flit(ch.data.value, cycle)
             ack.drive(1)
-        elif ack._next:
-            # ack is already low in both phases on a silent link; driving
-            # 0 again would be a no-op (only this NI drives the wire).
-            ack.drive(0)
+        # Otherwise ack is already low: only this NI drives it, and its
+        # pulse was dropped above.
 
     def _accept_flit(self, flit: int, cycle: int) -> None:
         if self._rx_state == _RX_HEADER:

@@ -20,10 +20,15 @@ Timing model
 * Once a connection input->output is established, flits stream through at
   one flit per two cycles until the payload count (snooped from the size
   flit) is exhausted, then the connection closes.
+
+Each cycle walks only the attached ports and does work only where a
+port's state changes (see the comments in the sender and receiver
+loops), so a saturated fabric spends host time on flits that move.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from typing import List, Optional, Tuple
 
 from ..sim import Component, HandshakeTx
@@ -89,6 +94,10 @@ class HermesRouter(Component):
 
         self.in_ch: List[Optional[HandshakeTx]] = [None] * self.N_PORTS
         self.out_ch: List[Optional[HandshakeTx]] = [None] * self.N_PORTS
+        #: attached ports in port order: (port, channel) plus, for
+        #: inputs, the port's FIFO and its stall-counter key
+        self._in_ports: list = []
+        self._out_ports: list = []
 
         self.fifos = [CircularFifo(buffer_depth) for _ in range(self.N_PORTS)]
         # Input-side connection state.
@@ -108,7 +117,12 @@ class HermesRouter(Component):
 
     def attach_input(self, port: Port, channel: HandshakeTx) -> None:
         """Attach the receive side of *channel* to *port* (we drive ack)."""
+        port = int(port)  # a plain int: it is part of the stats keys
         self.in_ch[port] = channel
+        insort(
+            self._in_ports,
+            (port, channel, self.fifos[port], (self.address, port)),
+        )
         self.adopt_wires([channel.ack])
         # A committed change on the neighbour's tx/data must wake us; the
         # output-side ack only matters while a connection is open, and an
@@ -117,7 +131,9 @@ class HermesRouter(Component):
 
     def attach_output(self, port: Port, channel: HandshakeTx) -> None:
         """Attach the send side of *channel* to *port* (we drive tx/data)."""
+        port = int(port)
         self.out_ch[port] = channel
+        insort(self._out_ports, (port, channel))
         self.adopt_wires([channel.tx, channel.data])
 
     # -- simulation ----------------------------------------------------------
@@ -135,11 +151,9 @@ class HermesRouter(Component):
         our own ack pulse already dropped back to zero)."""
         if self._ctrl_state != _CTRL_IDLE:
             return False
-        for p in range(self.N_PORTS):
-            if self.in_conn[p] is not None or self.fifos[p]:
-                return False
-            ch = self.in_ch[p]
-            if ch is not None and (ch.tx.value or ch.ack.value):
+        in_conn = self.in_conn
+        for p, ch, fifo, _ in self._in_ports:
+            if in_conn[p] is not None or fifo or ch.tx.value or ch.ack.value:
                 return False
         return True
 
@@ -154,9 +168,12 @@ class HermesRouter(Component):
         self._in_flight = [False] * self.N_PORTS
         self.arbiter.reset()
         self._ctrl_state = _CTRL_IDLE
+        self._ctrl_input = 0
         self._ctrl_counter = 0
         self._rx_phase = [_PH_HEADER] * self.N_PORTS
         self._rx_left = [0] * self.N_PORTS
+        self._conn_opened = [0] * self.N_PORTS
+        self._now = 0
 
     # -- checkpointing -----------------------------------------------------
 
@@ -200,37 +217,33 @@ class HermesRouter(Component):
     # -- output ports (handshake senders) -----------------------------------
 
     def _eval_senders(self) -> None:
-        for out in range(self.N_PORTS):
-            ch = self.out_ch[out]
-            if ch is None:
-                continue
-            owner = self.out_owner[out]
+        # An output with no owner, or owned but not in flight, already
+        # holds tx low: whatever ended its last flit drove tx=0.  An
+        # in-flight output waiting for ack already presents tx=1 and its
+        # FIFO head, which only this sender pops.  Neither needs a drive.
+        out_owner = self.out_owner
+        in_flight = self._in_flight
+        for out, ch in self._out_ports:
+            owner = out_owner[out]
             if owner is None:
-                ch.tx.drive(0)
-                self._in_flight[out] = False
                 continue
             fifo = self.fifos[owner]
-            if self._in_flight[out]:
-                if ch.ack.value:
-                    flit = fifo.pop()
-                    if self.stats is not None:
-                        self.stats.flit_sent(self.address, out)
-                    self._advance_packet(owner, out, flit)
-                    if self.out_owner[out] == owner and not fifo.is_empty:
-                        ch.tx.drive(1)
-                        ch.data.drive(fifo.head)
-                    else:
-                        ch.tx.drive(0)
-                        self._in_flight[out] = False
-                else:
-                    ch.tx.drive(1)
+            if in_flight[out]:
+                if not ch.ack.value:
+                    continue
+                flit = fifo.pop()
+                if self.stats is not None:
+                    self.stats.flit_sent(self.address, out)
+                self._advance_packet(owner, out, flit)
+                if out_owner[out] == owner and fifo:
                     ch.data.drive(fifo.head)
-            elif not fifo.is_empty:
+                else:
+                    ch.tx.drive(0)
+                    in_flight[out] = False
+            elif fifo:
                 ch.tx.drive(1)
                 ch.data.drive(fifo.head)
-                self._in_flight[out] = True
-            else:
-                ch.tx.drive(0)
+                in_flight[out] = True
 
     def _advance_packet(self, in_port: int, out_port: int, flit: int) -> None:
         """Track packet framing as a flit leaves, closing on the last one."""
@@ -270,17 +283,20 @@ class HermesRouter(Component):
 
     def _eval_control(self) -> None:
         if self._ctrl_state == _CTRL_IDLE:
-            requests = [
-                self.in_ch[p] is not None
-                and self.in_conn[p] is None
-                and not self.fifos[p].is_empty
-                for p in range(self.N_PORTS)
-            ]
+            # A request is an unconnected input with a flit at its head;
+            # with none, arbitration would grant nothing and change nothing.
+            in_conn = self.in_conn
+            requests = [False] * self.N_PORTS
+            pending = False
+            for p, _, fifo, _ in self._in_ports:
+                if fifo and in_conn[p] is None:
+                    requests[p] = pending = True
+            if not pending:
+                return
             grant = self.arbiter.grant(requests)
-            if grant is not None:
-                self._ctrl_state = _CTRL_ROUTING
-                self._ctrl_input = grant
-                self._ctrl_counter = self.routing_cycles - 1
+            self._ctrl_state = _CTRL_ROUTING
+            self._ctrl_input = grant
+            self._ctrl_counter = self.routing_cycles - 1
         else:
             if self._ctrl_counter > 0:
                 self._ctrl_counter -= 1
@@ -329,28 +345,24 @@ class HermesRouter(Component):
     # -- input ports (handshake receivers) -----------------------------------
 
     def _eval_receivers(self) -> None:
-        for p in range(self.N_PORTS):
-            ch = self.in_ch[p]
-            if ch is None:
-                continue
-            if ch.ack.value:
-                # ack is a single-cycle pulse.
-                ch.ack.drive(0)
-            elif ch.tx.value and not self.fifos[p].is_full:
-                self.fifos[p].push(ch.data.value)
-                ch.ack.drive(1)
+        # Only this router drives an input's ack, so outside its
+        # single-cycle pulse ack is already low and needs no drive.
+        for p, ch, fifo, stall_key in self._in_ports:
+            ack = ch.ack
+            if ack.value:
+                ack.drive(0)
+            elif ch.tx.value:
+                if fifo.is_full:
+                    if self.stats is not None:
+                        self.stats.stall_cycles[stall_key] += 1
+                    continue
+                flit = ch.data.value
+                fifo.push(flit)
+                ack.drive(1)
                 if self.stats is not None:
                     self.stats.flit_received(self.address, p)
                 if self.sink is not None:
-                    self._rx_track(p, ch.data.value)
-            else:
-                if (
-                    self.stats is not None
-                    and ch.tx.value
-                    and self.fifos[p].is_full
-                ):
-                    self.stats.stall(self.address, p)
-                ch.ack.drive(0)
+                    self._rx_track(p, flit)
 
     def _rx_track(self, port: int, flit: int) -> None:
         """Telemetry-only receive-side framing: stamp the FIFO-entry cycle

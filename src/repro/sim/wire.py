@@ -15,6 +15,13 @@ Two kernel-facing refinements keep the hot path flat:
   phase touches only wires that were actually driven instead of walking
   the whole component tree.  ``_sinks`` holds the schedulable units that
   declared the wire as an input — a committed value *change* wakes them.
+* **Drive-on-change.**  A drive equal to the pending ``_next`` returns
+  at once: it cannot change what commit latches, so the wire is neither
+  rewritten nor queued.  This is exact because every wire has exactly
+  one driver — no second component can have scheduled a different
+  value that the equal drive would have had to overwrite.  A component
+  that re-presents a held value each cycle therefore costs one
+  comparison, and commit never sees the wire.
 * **Checked/unchecked split.**  Width checking lives in the
   :class:`CheckedWire` subclass; ``Wire(name, width=8)`` transparently
   builds one.  Wires created without a width run a :meth:`drive` with no
@@ -74,6 +81,8 @@ class Wire:
 
     def drive(self, value: Any) -> None:
         """Schedule *value* to appear on the wire at the next clock edge."""
+        if value == self._next:
+            return
         self._next = value
         if not self._queued:
             q = self._queue
@@ -99,7 +108,9 @@ class CheckedWire(Wire):
 
     ``Wire(name, width=n)`` returns one of these; the precomputed bound
     keeps the check to a single comparison, and width-less wires never
-    pay for it at all.
+    pay for it at all.  The range check runs before the drive-on-change
+    shortcut, so an out-of-range value is rejected even when it equals
+    the pending one.
     """
 
     __slots__ = ("_max",)
@@ -110,6 +121,8 @@ class CheckedWire(Wire):
                 f"wire {self.name!r}: value {value!r} does not fit in "
                 f"{self.width} bits"
             )
+        if value == self._next:
+            return
         self._next = value
         if not self._queued:
             q = self._queue

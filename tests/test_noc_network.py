@@ -30,6 +30,22 @@ class TestDelivery:
         _, p = run_single((2, 2), (2, 2), 3)
         assert p.target == (2, 2)
 
+    def test_reattached_ni_presents_its_flit_again(self):
+        """Detach parks tx low, so an NI detached with a flit on the wire
+        must present it afresh on the channel it attaches to next."""
+        net = HermesNetwork(2, 1)
+        sim = net.make_simulator()
+        ni = net.interfaces[(0, 0)]
+        net.send((0, 0), (1, 0), [7, 8])
+        sim.step(1)
+        assert ni.to_router.tx.value == 1  # header presented, not yet taken
+        channels = ni.to_router, ni.from_router
+        ni.detach()
+        ni.attach(*channels)
+        net.run_to_drain(sim, max_cycles=1000)
+        [packet] = net.collect_received()
+        assert packet.payload == [7, 8]
+
     def test_1xn_mesh(self):
         _, p = run_single((0, 0), (3, 0), 2, width=4, height=1)
         assert p.payload == [0, 1]

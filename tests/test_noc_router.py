@@ -17,6 +17,7 @@ from repro.noc import (
 )
 from repro.noc.flit import encode_address
 from repro.sim import Component, HandshakeTx, Simulator
+from repro.telemetry import TelemetrySink
 
 
 class ChannelDriver(Component):
@@ -211,3 +212,25 @@ class TestConcurrentConnections:
         payloads = sorted(p.payload[0] for p in received)
         assert payloads == [1, 2]
         assert net.stats.blocked_routings  # someone had to wait
+
+
+class TestReset:
+    @pytest.mark.parametrize("telemetry", [False, True], ids=["bare", "sink"])
+    def test_reset_snapshot_equals_fresh_snapshot(self, telemetry):
+        """After traffic, reset leaves no router state a fresh build lacks
+        (control input, connection-open stamps, the sink's clock)."""
+
+        def build():
+            sink = TelemetrySink() if telemetry else None
+            net = HermesNetwork(3, 3, telemetry=sink)
+            return net, net.make_simulator()
+
+        net, sim = build()
+        addresses = net.mesh.addresses()
+        for i, src in enumerate(addresses):
+            net.send(src, addresses[-1 - i], [i] * 6)
+        net.run_to_drain(sim, max_cycles=5000)
+        assert len(net.collect_received()) == len(addresses)
+        sim.reset()
+        _, fresh = build()
+        assert sim.snapshot()["components"] == fresh.snapshot()["components"]

@@ -75,6 +75,49 @@ class TestWire:
         assert w.value == ("tuple", 1)
 
 
+class TestDriveOnChange:
+    """A drive equal to the pending value is dropped before the queue."""
+
+    def _elaborated(self):
+        c = Counter()
+        sim = Simulator()
+        sim.add(c)
+        sim.step(0)  # elaborate: installs the driven-wire queue
+        return sim, c.out
+
+    def test_equal_drive_is_not_queued(self):
+        sim, w = self._elaborated()
+        w.drive(w._next)
+        assert sim._driven == []
+        assert w._queued is False
+
+    def test_changed_drive_is_queued_once_per_cycle(self):
+        sim, w = self._elaborated()
+        w.drive(5)
+        w.drive(6)
+        w.drive(6)
+        assert sim._driven == [w]
+        assert w._queued is True
+        sim.step()  # Counter drives value + 1 = 1 over the pending 6
+        assert w.value == 1
+        assert sim._driven == [] and w._queued is False
+        w.drive(9)
+        assert sim._driven == [w]
+
+    def test_drive_back_to_committed_value_latches_it(self):
+        sim, w = self._elaborated()
+        w.drive(5)
+        w.drive(0)
+        w.commit()
+        assert w.value == 0
+
+    def test_checked_wire_rejects_out_of_range_value_equal_to_next(self):
+        w = Wire("w", reset=300, width=8)
+        assert w._next == 300
+        with pytest.raises(ValueError):
+            w.drive(300)
+
+
 class TestComponent:
     def test_owned_wires_commit_through_component(self):
         c = Counter()
