@@ -2,7 +2,8 @@
 """Health monitoring walkthrough: watch a live system, then wedge it.
 
 1. run a healthy program with the monitor attached — watchdogs and
-   invariant checks stay silent, the sampler records a timeline;
+   invariant checks stay silent, and the live stream's frames are
+   folded into a timeline (the series ``--health-report`` writes);
 2. build a bare 2x2 mesh with a *wedged* sink NI (never consumes a
    flit), inject a packet and let the deadlock watchdog localise the
    wormhole: the raised HealthViolation carries the port wait-for
@@ -18,6 +19,7 @@ from repro.noc.packet import Packet
 from repro.noc.stats import NetworkStats
 from repro.sim import Simulator
 from repro.telemetry.health import HealthMonitor
+from repro.telemetry.top import FrameSeries
 
 PROGRAM = """
 ; count down from 10, printf each value, halt.
@@ -34,18 +36,18 @@ done:   HALT
 
 
 def healthy_run() -> None:
-    """A monitored, sampled run of a well-behaved program."""
+    """A monitored run of a well-behaved program, with its time series."""
     session = MultiNoCPlatform.standard().launch()
-    monitor = session.monitor_health(
-        check_interval=32, sample_interval=200, invariants=True
-    )
+    monitor = session.monitor_health(check_interval=32, invariants=True)
+    series = FrameSeries(200)
+    session.live_stream(stride=200).subscribe(series.observe)
     session.host.sync()
     session.run(1, PROGRAM)
     print(f"printed: {session.host.monitor(1).printf_values}")
     print(f"checks run: {monitor.checks_run}, "
           f"violations: {len(monitor.violations)}")
-    print("sampled timeline:")
-    print(monitor.sampler.timeline(width=48))
+    print("timeline (one live frame per 200 cycles):")
+    print(series.timeline(width=48))
     assert not monitor.violations, "a healthy run must stay clean"
 
 

@@ -209,7 +209,7 @@ def cmd_system(args) -> int:
     session = platform.launch(
         telemetry=telemetry, strict_lockstep=args.no_idle_skip
     )
-    vcd = server = None
+    vcd = server = series = None
     try:
         if args.hostperf or args.hostperf_json or args.flamegraph:
             session.profile_host()
@@ -218,12 +218,17 @@ def cmd_system(args) -> int:
 
             vcd = VcdWriter([session.system.rxd, session.system.txd])
             session.sim.add_watcher(vcd.sample)
-        if args.monitor or args.sample_interval or args.health_report:
-            session.monitor_health(
-                sample_interval=args.sample_interval, invariants=True
-            )
-        if args.top or args.serve is not None or rules is not None:
+        if args.monitor or args.health_report:
+            session.monitor_health(invariants=True)
+        wants_live = args.top or args.serve is not None or rules is not None
+        if wants_live or args.health_report:
             session.live_stream(stride=args.live_stride)
+        if args.health_report:
+            from .telemetry.top import FrameSeries
+
+            # the report's time series: a fold of the live frames
+            series = FrameSeries(args.live_stride)
+            session.live.subscribe(series.observe)
         if rules is not None:
             session.alert_engine(
                 rules,
@@ -257,8 +262,12 @@ def cmd_system(args) -> int:
             session.flight_recorder(args.crash_dir)
         _drive_system(session, args, scanf)
     except Exception as exc:
-        return _finish_system(session, args, exc, vcd=vcd, server=server)
-    return _finish_system(session, args, None, vcd=vcd, server=server)
+        return _finish_system(
+            session, args, exc, vcd=vcd, server=server, series=series
+        )
+    return _finish_system(
+        session, args, None, vcd=vcd, server=server, series=series
+    )
 
 
 def _drive_system(session, args, scanf) -> None:
@@ -293,7 +302,7 @@ def _drive_system(session, args, scanf) -> None:
         session.live.force()
 
 
-def _finish_system(session, args, exc, *, vcd, server) -> int:
+def _finish_system(session, args, exc, *, vcd, server, series) -> int:
     """The one teardown of ``multinoc system``, for success and failure.
 
     Stops the profiler, reports the outcome (or the failure, with a
@@ -311,13 +320,13 @@ def _finish_system(session, args, exc, *, vcd, server) -> int:
     if session.hostperf is not None:
         session.hostperf.stop()
     if exc is None:
-        _print_system_summary(session, args)
+        _print_system_summary(session, args, series)
     else:
         _report_system_failure(session, exc, meta)
     if session.telemetry is not None:
         # flush deferred telemetry (CPU PC samples) before any export
         session.system.flush_telemetry()
-    if _flush_system_exports(session, args, vcd) != 0:
+    if _flush_system_exports(session, args, vcd, series) != 0:
         status = 1
     if session.hostperf is not None:
         print(session.hostperf.report())
@@ -355,7 +364,7 @@ def _finish_system(session, args, exc, *, vcd, server) -> int:
     return status
 
 
-def _print_system_summary(session, args) -> None:
+def _print_system_summary(session, args, series) -> None:
     """A finished run's stdout: I/O transcript, final cycle, reports."""
     if args.workload:
         print(f"{args.workload}: output matches the reference")
@@ -370,11 +379,11 @@ def _print_system_summary(session, args) -> None:
         _print_system_stats(session)
     if args.metrics:
         print(session.system.stats.registry.prometheus_text(), end="")
+    if series is not None:
+        print("health timeline:")
+        print(series.timeline())
     health = session.health
     if health is not None:
-        if health.sampler is not None:
-            print("health timeline:")
-            print(health.sampler.timeline())
         n = len(health.violations)
         print(f"health: {'OK, no violations' if n == 0 else f'{n} violation(s)'}")
 
@@ -404,7 +413,7 @@ def _write_lines(path, lines) -> None:
     Path(path).write_text("\n".join(lines) + ("\n" if lines else ""))
 
 
-def _flush_system_exports(session, args, vcd) -> int:
+def _flush_system_exports(session, args, vcd, series) -> int:
     """Write every requested export; 1 if a target is unwritable, else 0."""
     import json
 
@@ -424,8 +433,9 @@ def _flush_system_exports(session, args, vcd) -> int:
         if vcd is not None:
             print(f"serial-line waveform -> {vcd.write(args.vcd)}")
         if session.health is not None and args.health_report:
+            sampler = series.as_dict() if series is not None else None
             Path(args.health_report).write_text(
-                json.dumps(session.health.report(), indent=2)
+                json.dumps(session.health.report(sampler), indent=2)
             )
             print(f"health report -> {args.health_report}")
         if hostperf is not None and args.hostperf_json:
@@ -716,13 +726,13 @@ def cmd_alerts(args) -> int:
     import json
 
     from .telemetry.alerts import (
-        FIELD_HELP,
         RuleError,
         check_frames,
         check_records,
         frames_from_trace,
         load_rules,
     )
+    from .telemetry.live import FRAME_FIELDS
 
     try:
         rules = load_rules(args.rules)
@@ -737,8 +747,9 @@ def cmd_alerts(args) -> int:
             print(f"  {name}: {rule.condition.source}")
         if args.verbose:
             print("fields:")
-            for field, help_text in FIELD_HELP.items():
-                print(f"  {field:<18} {help_text}")
+            for field in FRAME_FIELDS.values():
+                label = f" (label: {field.label})" if field.label else ""
+                print(f"  {field.name:<18} {field.help}{label}")
         return 0
 
     if args.alerts_command == "check":
@@ -941,16 +952,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="attach the health monitor (watchdogs + invariant checks)",
     )
     p.add_argument(
-        "--sample-interval",
-        type=int,
-        default=0,
-        metavar="K",
-        help="sample health time-series gauges every K cycles",
-    )
-    p.add_argument(
         "--health-report",
         metavar="FILE",
-        help="write the health report (violations, sampler series) as JSON",
+        help="write the health report (violations, diagnostics, and the "
+        "live frames' series at --live-stride) as JSON; implies --monitor",
     )
     p.add_argument(
         "--no-idle-skip",

@@ -214,7 +214,7 @@ class PlatformSession:
         """Attach a :class:`~repro.telemetry.health.HealthMonitor`.
 
         Keyword arguments are forwarded to the monitor's constructor
-        (thresholds, ``sample_interval``, ``invariants``, ...).  The
+        (thresholds, ``check_interval``, ``invariants``, ...).  The
         monitor is wired to the system, simulator and host, stored as
         ``session.health`` and returned.
         """

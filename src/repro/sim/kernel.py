@@ -31,7 +31,7 @@ fast-forwarded span (state is frozen during the span, so change-based
 tracers/VCD observe nothing, same as lock-step).  A watcher added with
 ``stride=k`` runs at every multiple of k; inside a skipped span the
 kernel replays those multiples before the landing-cycle pass, so health
-watchdogs, samplers and live frames keep their cadence.  The
+watchdogs and live frames keep their cadence.  The
 ``ff_spans``/``ff_cycles`` counters record every skipped span exactly.
 """
 

@@ -8,9 +8,11 @@ stalls, traps), host serial transactions — while the
 a sink into a Chrome-trace/Perfetto JSON, a JSONL event log or a
 Prometheus text dump, and :class:`HostPerfProfiler` samples where the
 simulator's wall-clock time goes.  :class:`HealthMonitor` is the active
-layer on top: watchdogs (deadlock, starvation, CPU stall, host timeout),
-online invariant checks and a time-series sampler that detect, localise
-and explain pathologies while the simulation runs.
+layer on top: watchdogs (deadlock, starvation, CPU stall, host timeout)
+and online invariant checks that detect, localise and explain
+pathologies while the simulation runs.  :class:`LiveStream` frames are
+the one strided view of a running system; alerts, ``multinoc top`` and
+the health report's series all read them through one field table.
 
 See ``docs/OBSERVABILITY.md`` for the event taxonomy and workflows.
 """
@@ -48,13 +50,7 @@ from .export import (
     write_jsonl,
     write_prometheus,
 )
-from .health import (
-    HealthMonitor,
-    HealthViolation,
-    TimeSeriesSampler,
-    glyph_ramp,
-    terminal_is_rich,
-)
+from .health import HealthMonitor, HealthViolation
 from .hostperf import (
     CRASH_SCHEMA,
     HOSTPERF_SCHEMA,
@@ -122,7 +118,6 @@ __all__ = [
     "TREND_SCHEMA",
     "TelemetryServer",
     "TelemetrySink",
-    "TimeSeriesSampler",
     "TraceAnalysis",
     "TraceDiff",
     "TrendEntry",
@@ -140,7 +135,6 @@ __all__ = [
     "flatten_metrics",
     "frames_from_trace",
     "git_revision",
-    "glyph_ramp",
     "load_jsonl",
     "load_rules",
     "machine_fingerprint",
@@ -149,7 +143,6 @@ __all__ = [
     "parse_rules",
     "read_rss_bytes",
     "stream_frames",
-    "terminal_is_rich",
     "watch_fleet",
     "write_chrome_trace",
     "write_jsonl",

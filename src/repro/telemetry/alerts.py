@@ -38,7 +38,9 @@ Expressions are single comparisons ``field[{label=~"regex"}] OP value``
 ...) carry one instance per label value and may be narrowed with a
 label matcher (``=`` exact, ``=~`` anchored regex); **scalar fields**
 (``latency_p99``, ``in_flight``, ``health``, ...) have exactly one
-instance.  See :data:`FIELD_HELP` for the full field reference.
+instance.  Both come from one table next to the frame writer,
+:data:`~repro.telemetry.live.FRAME_FIELDS` (``multinoc alerts lint -v``
+lists it).
 
 An ``slo`` block layers an objective on top of the same expression
 language: ``expr`` defines the *good* condition, ``target`` the
@@ -78,6 +80,8 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, Union
 
+from .live import FRAME_FIELDS, frame_fields
+
 ALERT_SCHEMA = "multinoc-alert/1"
 ALERTS_DOC_SCHEMA = "multinoc-alerts/1"
 
@@ -97,105 +101,6 @@ _OPS: Tuple[Tuple[str, Callable[[Any, Any], bool]], ...] = (
     (">", lambda a, b: a > b),
     ("<", lambda a, b: a < b),
 )
-
-#: vector fields -> (label dimension, how to read instances off a frame)
-_VECTOR_FIELDS: Dict[str, Tuple[str, Callable[[Dict[str, Any]], Dict[str, Any]]]] = {
-    "link_util": ("link", lambda f: f.get("links") or {}),
-    "router_occupancy": (
-        "router",
-        lambda f: {
-            k: v.get("occupancy", 0) for k, v in (f.get("routers") or {}).items()
-        },
-    ),
-    "router_watermark": (
-        "router",
-        lambda f: {
-            k: v.get("watermark", 0) for k, v in (f.get("routers") or {}).items()
-        },
-    ),
-    "router_rate": (
-        "router",
-        lambda f: {
-            k: v.get("rate", 0.0) for k, v in (f.get("routers") or {}).items()
-        },
-    ),
-    "cpu_ipc": (
-        "cpu",
-        lambda f: {k: v.get("ipc", 0.0) for k, v in (f.get("cpus") or {}).items()},
-    ),
-    "cpu_retired": (
-        "cpu",
-        lambda f: {
-            k: v.get("retired", 0) for k, v in (f.get("cpus") or {}).items()
-        },
-    ),
-    "cpu_state": (
-        "cpu",
-        lambda f: {
-            k: v.get("state", "?") for k, v in (f.get("cpus") or {}).items()
-        },
-    ),
-}
-
-
-def _health_field(frame: Dict[str, Any]) -> str:
-    health = frame.get("health")
-    if not health or not health.get("attached"):
-        return "detached"
-    return "violating" if health.get("violations") else "ok"
-
-
-#: scalar fields -> how to read the single value off a frame (None = no data)
-_SCALAR_FIELDS: Dict[str, Callable[[Dict[str, Any]], Any]] = {
-    "cycle": lambda f: f.get("cycle"),
-    "sim_rate_hz": lambda f: f.get("sim_rate_hz"),
-    "in_flight": lambda f: (f.get("packets") or {}).get("in_flight"),
-    "injected": lambda f: (f.get("packets") or {}).get("injected"),
-    "delivered": lambda f: (f.get("packets") or {}).get("delivered"),
-    "delta_injected": lambda f: (f.get("packets") or {}).get("delta_injected"),
-    "delta_delivered": lambda f: (f.get("packets") or {}).get("delta_delivered"),
-    "throughput": lambda f: (f.get("packets") or {}).get(
-        "throughput_flits_per_cycle"
-    ),
-    "latency_count": lambda f: (f.get("latency") or {}).get("count"),
-    "latency_mean": lambda f: (f.get("latency") or {}).get("mean"),
-    "latency_p50": lambda f: (f.get("latency") or {}).get("p50"),
-    "latency_p90": lambda f: (f.get("latency") or {}).get("p90"),
-    "latency_p99": lambda f: (f.get("latency") or {}).get("p99"),
-    "latency_max": lambda f: (f.get("latency") or {}).get("max"),
-    "health": _health_field,
-    "health_violations": lambda f: (f.get("health") or {}).get("violations", 0),
-    "links_elided": lambda f: f.get("links_elided"),
-}
-
-#: one-line reference per field, surfaced by ``multinoc alerts lint -v``
-FIELD_HELP: Dict[str, str] = {
-    "link_util": "per-link utilisation in [0,1] (label: link)",
-    "router_occupancy": "FIFO flits queued per router (label: router)",
-    "router_watermark": "FIFO high-water mark per router (label: router)",
-    "router_rate": "output flit rate per router (label: router)",
-    "cpu_ipc": "windowed instructions/cycle per CPU (label: cpu)",
-    "cpu_retired": "instructions retired per CPU (label: cpu)",
-    "cpu_state": "CPU FSM state string per CPU (label: cpu)",
-    "cycle": "frame cycle",
-    "sim_rate_hz": "simulated cycles per wall second",
-    "in_flight": "packets currently in the mesh",
-    "injected": "packets injected since launch",
-    "delivered": "packets delivered since launch",
-    "delta_injected": "packets injected this window",
-    "delta_delivered": "packets delivered this window",
-    "throughput": "delivered flits per cycle this window",
-    "latency_count": "packets delivered this window",
-    "latency_mean": "mean latency of this window's packets (cycles)",
-    "latency_p50": "p50 latency of this window's packets (cycles)",
-    "latency_p90": "p90 latency of this window's packets (cycles)",
-    "latency_p99": "p99 latency of this window's packets (cycles)",
-    "latency_max": "max latency of this window's packets (cycles)",
-    "health": 'monitor status: "ok", "violating" or "detached"',
-    "health_violations": "health violations so far",
-    "links_elided": "active links dropped by the frame's top-N bound",
-}
-
 
 class RuleError(Exception):
     """A rule file (or expression) could not be parsed or validated."""
@@ -308,7 +213,8 @@ def parse_condition(text: str) -> Condition:
                 raise RuleError(f"bad label regex {pattern!r}: {exc}") from exc
         else:
             exact = m.group("pattern")
-        if m.group("field") in _SCALAR_FIELDS:
+        known = FRAME_FIELDS.get(m.group("field"))
+        if known is not None and known.label is None:
             raise RuleError(
                 f"field {m.group('field')!r} is scalar; label matchers "
                 "only apply to vector fields"
@@ -539,25 +445,6 @@ def load_rules(path) -> RuleSet:
 
 
 # -- samples -----------------------------------------------------------------
-
-
-def frame_fields(frame: Dict[str, Any]) -> Dict[str, Any]:
-    """Flatten one ``multinoc-live/1`` frame into a rule sample.
-
-    Vector fields become dicts tagged with their label dimension under
-    the ``__label__`` key; scalars with no data in this frame are
-    omitted (their conditions neither hold nor resolve instances).
-    """
-    fields: Dict[str, Any] = {}
-    for name, reader in _SCALAR_FIELDS.items():
-        value = reader(frame)
-        if value is not None:
-            fields[name] = value
-    for name, (dimension, reader) in _VECTOR_FIELDS.items():
-        instances = reader(frame)
-        if instances:
-            fields[name] = {"__label__": dimension, **instances}
-    return fields
 
 
 def record_fields(record: Dict[str, Any]) -> Dict[str, Any]:

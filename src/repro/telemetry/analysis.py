@@ -728,6 +728,27 @@ class TraceDiff:
         return "\n".join(lines)
 
 
+def classify_change(
+    current: float, baseline: float, threshold_pct: float, threshold_abs: float
+) -> int:
+    """The dual-threshold rule of :func:`diff_traces` and the run trends.
+
+    ``1`` (regressed) when *current* exceeds *baseline* by more than
+    *threshold_abs* **and** by more than *threshold_pct* percent of the
+    baseline; ``-1`` (improved) when it falls short by both margins;
+    ``0`` otherwise.  Both directions measure against the baseline, and
+    a zero baseline trips the percent margin on any change.
+    """
+    delta = current - baseline
+    for sign in (1, -1):
+        margin = sign * delta
+        if margin > threshold_abs and (
+            baseline == 0 or margin / baseline * 100.0 > threshold_pct
+        ):
+            return sign
+    return 0
+
+
 def diff_traces(
     current: TraceAnalysis,
     baseline: TraceAnalysis,
@@ -739,21 +760,18 @@ def diff_traces(
     A metric regresses when it grew by more than *threshold_cycles*
     **and** by more than *threshold_pct* percent (both must trip, so tiny
     absolute wobbles on tiny baselines don't alarm).  The same margins,
-    mirrored, classify improvements.
+    mirrored, classify improvements (:func:`classify_change`).
     """
     diff = TraceDiff(threshold_pct, threshold_cycles)
 
     def compare(kind: str, name: str, metric: str, base, cur) -> None:
         entry = DiffEntry(kind, name, metric, float(base), float(cur))
-        grew = entry.delta > threshold_cycles and (
-            base == 0 or entry.pct > threshold_pct
+        verdict = classify_change(
+            entry.current, entry.baseline, threshold_pct, threshold_cycles
         )
-        shrank = -entry.delta > threshold_cycles and (
-            base == 0 or -entry.pct > threshold_pct
-        )
-        if grew:
+        if verdict > 0:
             diff.regressions.append(entry)
-        elif shrank:
+        elif verdict < 0:
             diff.improvements.append(entry)
 
     cur_flows, base_flows = current.flows(), baseline.flows()

@@ -1,10 +1,10 @@
-"""Online health monitoring: watchdogs, invariants, time-series sampling.
+"""Online health monitoring: watchdogs and invariant checks.
 
 The passive telemetry layer (events, metrics, exporters) records what the
 platform did; this module watches it *while it runs* and localises
 pathologies instead of letting them surface as a bare timeout.  A single
 :class:`HealthMonitor` rides the simulator's watcher hook
-(:meth:`~repro.sim.kernel.Simulator.add_watcher`) and has three pillars:
+(:meth:`~repro.sim.kernel.Simulator.add_watcher`) and has two pillars:
 
 **Watchdogs** — always on while attached, evaluated every
 ``check_interval`` cycles:
@@ -30,10 +30,10 @@ pathologies instead of letting them surface as a bare timeout.  A single
 * single-producer discipline: each output port owned by at most one
   input, consistently in both direction tables.
 
-**Time-series sampler** — when ``sample_interval`` is set, gauges and
-derived probes (per-router link utilisation, FIFO occupancy, per-core
-IPC, in-flight packets) are snapshotted every K cycles into fixed
-windows, exportable as CSV/JSON and renderable as ASCII sparklines.
+Time series come from the live stream, the one strided view of a
+running system (:mod:`repro.telemetry.live`): ``multinoc system
+--health-report`` folds its frames into the report's ``sampler``
+section (:class:`~repro.telemetry.top.FrameSeries`).
 
 Every failure is a structured :class:`HealthViolation` naming component,
 cycle and a state snapshot; ``on_violation="record"`` collects instead
@@ -45,19 +45,7 @@ attached.
 
 from __future__ import annotations
 
-import os
-import sys
-from collections import deque
-from typing import (
-    Any,
-    Callable,
-    Deque,
-    Dict,
-    Iterable,
-    List,
-    Optional,
-    Tuple,
-)
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from ..noc.routing import OPPOSITE, Port
 from ..noc.topology import port_label
@@ -108,196 +96,6 @@ class HealthViolation(Exception):
 
 
 # ---------------------------------------------------------------------------
-# time-series sampler
-# ---------------------------------------------------------------------------
-
-#: pure-ASCII intensity ramp — safe for CI logs, pipes and diffs
-RAMP_ASCII = " .:-=+*#%@"
-#: unicode block ramp — crisper on a real terminal
-RAMP_BLOCKS = " ▁▂▃▄▅▆▇█"
-_RAMP = RAMP_ASCII  # backwards-compatible alias
-
-
-def terminal_is_rich(stream=None) -> bool:
-    """True when *stream* (default stdout) is an interactive terminal
-    and the user has not opted out via the ``NO_COLOR`` convention.
-
-    Renderers use this to pick between unicode/ANSI output and the
-    pure-ASCII fallback, so piped output and CI logs stay readable.
-    """
-    if os.environ.get("NO_COLOR"):
-        return False
-    stream = stream if stream is not None else sys.stdout
-    isatty = getattr(stream, "isatty", None)
-    try:
-        return bool(isatty and isatty())
-    except (ValueError, OSError):  # closed/replaced stream
-        return False
-
-
-def glyph_ramp(ascii_only: Optional[bool] = None) -> str:
-    """The intensity ramp to render with; ``None`` auto-detects the TTY."""
-    if ascii_only is None:
-        ascii_only = not terminal_is_rich()
-    return RAMP_ASCII if ascii_only else RAMP_BLOCKS
-
-
-class TimeSeriesSampler:
-    """Strided snapshots of zero-arg probes into fixed-size windows.
-
-    Each probe is sampled every ``interval`` cycles; the newest ``window``
-    samples per series are kept (older ones roll off), bounding memory on
-    unbounded runs exactly like the telemetry sink's ring buffer.
-    """
-
-    def __init__(self, interval: int, window: int = 512):
-        if interval < 1:
-            raise ValueError("sample interval must be at least 1 cycle")
-        if window < 1:
-            raise ValueError("sample window must hold at least 1 sample")
-        self.interval = interval
-        self.window = window
-        self._probes: Dict[str, Callable[[], float]] = {}
-        self.series: Dict[str, Deque[Tuple[int, float]]] = {}
-
-    def add_probe(self, name: str, fn: Callable[[], float]) -> None:
-        """Register a gauge probe; *fn()* is read at every sample point."""
-        self._probes[name] = fn
-        self.series[name] = deque(maxlen=self.window)
-
-    def add_rate_probe(
-        self, name: str, fn: Callable[[], float], scale: float = 1.0
-    ) -> None:
-        """Register a per-cycle rate over a monotone counter.
-
-        Records ``(fn() - previous) * scale / interval`` — e.g. with
-        ``scale=2`` a flit counter becomes link utilisation in [0, 1]
-        (the 2-cycle handshake bound).  The first sample is 0.
-        """
-        state: List[Optional[float]] = [None]
-        interval = self.interval
-
-        def probe() -> float:
-            current = fn()
-            previous, state[0] = state[0], current
-            if previous is None:
-                return 0.0
-            return (current - previous) * scale / interval
-
-        self.add_probe(name, probe)
-
-    def sample(self, cycle: int) -> None:
-        for name, fn in self._probes.items():
-            self.series[name].append((cycle, float(fn())))
-
-    def append(self, name: str, cycle: int, value: float) -> None:
-        """Record an externally produced sample point.
-
-        Creates the series on first use.  This is how consumers of
-        remote live frames (``multinoc top`` attached over HTTP) reuse
-        the sampler's windowing and sparkline rendering without having
-        local probes to call.
-        """
-        series = self.series.get(name)
-        if series is None:
-            series = self.series[name] = deque(maxlen=self.window)
-        series.append((cycle, float(value)))
-
-    # -- export -----------------------------------------------------------
-
-    def as_dict(self) -> Dict[str, Any]:
-        """JSON-friendly dump: per-series parallel cycle/value arrays."""
-        return {
-            "interval": self.interval,
-            "window": self.window,
-            "series": {
-                name: {
-                    "cycles": [c for c, _ in points],
-                    "values": [v for _, v in points],
-                }
-                for name, points in self.series.items()
-            },
-        }
-
-    def to_csv(self) -> str:
-        """``cycle,series,value`` rows, cycle-major."""
-        rows = [
-            (cycle, name, value)
-            for name, points in self.series.items()
-            for cycle, value in points
-        ]
-        rows.sort()
-        lines = ["cycle,series,value"]
-        lines += [f"{c},{name},{v:g}" for c, name, v in rows]
-        return "\n".join(lines) + "\n"
-
-    def write_csv(self, path: str) -> str:
-        with open(path, "w") as fh:
-            fh.write(self.to_csv())
-        return path
-
-    # -- rendering --------------------------------------------------------
-
-    def sparkline(
-        self, name: str, width: int = 64, ascii: Optional[bool] = None
-    ) -> str:
-        """One series as an intensity strip (newest on the right).
-
-        ``ascii=None`` auto-detects: unicode blocks on an interactive
-        terminal, the pure-ASCII ramp when output is piped/captured or
-        ``NO_COLOR`` is set, so CI logs stay readable.
-        """
-        points = self.series.get(name)
-        if not points:
-            return ""
-        ramp = glyph_ramp(ascii)
-        values = [v for _, v in points]
-        if len(values) > width:
-            # bucket-average down to `width` columns
-            step = len(values) / width
-            values = [
-                sum(values[int(i * step) : max(int((i + 1) * step), int(i * step) + 1)])
-                / max(int((i + 1) * step) - int(i * step), 1)
-                for i in range(width)
-            ]
-        lo = min(0.0, min(values))
-        hi = max(values)
-        span = (hi - lo) or 1.0
-        return "".join(
-            ramp[int((v - lo) / span * (len(ramp) - 1))] for v in values
-        )
-
-    def timeline(
-        self,
-        names: Optional[Iterable[str]] = None,
-        width: int = 64,
-        ascii: Optional[bool] = None,
-    ) -> str:
-        """All (or selected) series as aligned sparkline rows."""
-        names = list(names) if names is not None else sorted(self.series)
-        populated = [n for n in names if self.series.get(n)]
-        if not populated:
-            return "(no samples)"
-        first = min(self.series[n][0][0] for n in populated)
-        last = max(self.series[n][-1][0] for n in populated)
-        label_w = max(len(n) for n in populated)
-        ranges = {}
-        for name in populated:
-            values = [v for _, v in self.series[name]]
-            ranges[name] = f"[{min(values):g}..{max(values):g}]"
-        range_w = max(len(r) for r in ranges.values())
-        lines = [
-            f"cycles {first}..{last}, one sample per {self.interval} cycles"
-        ]
-        for name in populated:
-            lines.append(
-                f"{name:<{label_w}} {ranges[name]:>{range_w}} "
-                f"|{self.sparkline(name, width, ascii=ascii)}|"
-            )
-        return "\n".join(lines)
-
-
-# ---------------------------------------------------------------------------
 # the monitor
 # ---------------------------------------------------------------------------
 
@@ -310,8 +108,6 @@ class HealthMonitor:
     check_interval:
         Watchdogs and invariants run every this many cycles (1 =
         per-cycle).
-    sample_interval:
-        Time-series sampling stride; 0 disables the sampler.
     deadlock_cycles / max_packet_age / cpu_stall_cycles /
     host_transaction_cycles:
         Watchdog thresholds in cycles; ``None`` disables that watchdog.
@@ -328,8 +124,6 @@ class HealthMonitor:
         self,
         *,
         check_interval: int = 64,
-        sample_interval: int = 0,
-        sample_window: int = 512,
         deadlock_cycles: Optional[int] = 2_000,
         max_packet_age: Optional[int] = 50_000,
         cpu_stall_cycles: Optional[int] = 200_000,
@@ -342,8 +136,6 @@ class HealthMonitor:
         if on_violation not in ("raise", "record"):
             raise ValueError("on_violation must be 'raise' or 'record'")
         self.check_interval = check_interval
-        self.sample_interval = sample_interval
-        self.sample_window = sample_window
         self.deadlock_cycles = deadlock_cycles
         self.max_packet_age = max_packet_age
         self.cpu_stall_cycles = cpu_stall_cycles
@@ -358,7 +150,6 @@ class HealthMonitor:
         self.nis: List[Any] = []
         self.processors: List[Any] = []
         self.host = None
-        self.sampler: Optional[TimeSeriesSampler] = None
         self.violations: List[HealthViolation] = []
         self._recorded_keys: set = set()
         self.checks_run = 0
@@ -412,18 +203,9 @@ class HealthMonitor:
         for proc in self.processors:
             self._cpu_progress[proc.name] = (None, cycle)
 
-        if self.sample_interval:
-            self.sampler = TimeSeriesSampler(
-                self.sample_interval, self.sample_window
-            )
-            self._install_default_probes()
-
-        # sampler first, then checks: the order both ran in at a shared
-        # stride point.  Strided watchers keep firing inside idle
-        # fast-forward spans, where all probed state is frozen, so the
-        # replayed calls see exactly what lock-step would have shown.
-        if self.sampler is not None:
-            sim.add_watcher(self.sampler.sample, self.sample_interval)
+        # strided watchers keep firing inside idle fast-forward spans,
+        # where all checked state is frozen, so the replayed calls see
+        # exactly what lock-step would have shown
         sim.add_watcher(self._run_checks, self.check_interval)
         sim.health = self
         return self
@@ -431,36 +213,9 @@ class HealthMonitor:
     def detach(self) -> None:
         """Unhook from the simulator; the run continues unmonitored."""
         if self.sim is not None:
-            if self.sampler is not None:
-                self.sim.remove_watcher(self.sampler.sample)
             self.sim.remove_watcher(self._run_checks)
             if self.sim.health is self:
                 self.sim.health = None
-
-    def _install_default_probes(self) -> None:
-        sampler = self.sampler
-        assert sampler is not None
-        stats = self.stats
-        if stats is not None:
-            sampler.add_probe(
-                "noc.in_flight", lambda s=stats: s.in_flight_count
-            )
-        if self.mesh is not None and stats is not None:
-            for addr, router in sorted(self.mesh.routers.items()):
-                sampler.add_rate_probe(
-                    f"util.{router.name}",
-                    lambda s=stats, a=addr: s.router_flits_sent(a),
-                    scale=2.0,
-                )
-                sampler.add_probe(
-                    f"fifo.{router.name}",
-                    lambda r=router: sum(len(f) for f in r.fifos),
-                )
-        for proc in self.processors:
-            sampler.add_rate_probe(
-                f"ipc.{proc.name}",
-                lambda c=proc.cpu: c.instructions_retired,
-            )
 
     # -- the strided check hook ---------------------------------------------
 
@@ -955,14 +710,20 @@ class HealthMonitor:
             lines.append(f"  recorded violations: {len(diag['violations'])}")
         return "\n".join(lines)
 
-    def report(self) -> Dict[str, Any]:
-        """JSON-friendly health report (the CLI's ``--health-report``)."""
+    def report(
+        self, sampler: Optional[Dict[str, Any]] = None
+    ) -> Dict[str, Any]:
+        """JSON-friendly health report (the CLI's ``--health-report``).
+
+        *sampler* is stored verbatim under ``"sampler"``: the CLI passes
+        the ``as_dict()`` of a :class:`~repro.telemetry.top.FrameSeries`
+        folded from the run's live frames.
+        """
         return {
             "schema": "multinoc-health/1",
             "cycle": self.sim.cycle if self.sim is not None else 0,
             "config": {
                 "check_interval": self.check_interval,
-                "sample_interval": self.sample_interval,
                 "deadlock_cycles": self.deadlock_cycles,
                 "max_packet_age": self.max_packet_age,
                 "cpu_stall_cycles": self.cpu_stall_cycles,
@@ -972,9 +733,7 @@ class HealthMonitor:
             },
             "checks_run": self.checks_run,
             "violations": [v.as_dict() for v in self.violations],
-            "sampler": (
-                self.sampler.as_dict() if self.sampler is not None else None
-            ),
+            "sampler": sampler,
             "diagnostics": self.diagnostics(),
         }
 

@@ -24,6 +24,12 @@ module), a localhost HTTP endpoint (:mod:`repro.telemetry.server`:
 ``/metrics`` Prometheus scrape + ``/frames`` SSE/JSONL stream), and the
 ``multinoc top`` terminal dashboard (:mod:`repro.telemetry.top`).
 
+Frames are the one strided view of a running system: every consumer
+reads numbers out of them through :func:`frame_fields` and the
+:data:`FRAME_FIELDS` table next to the writer — alert rules
+(:mod:`repro.telemetry.alerts`), the ``multinoc top`` sparklines and
+the health report's series (:class:`~repro.telemetry.top.FrameSeries`).
+
 The stream only *reads* simulator state — an observed run is
 bit-identical to an unobserved one (``tests/test_live.py`` guards this
 in both kernel modes, like the health monitor's equivalence test).
@@ -32,7 +38,16 @@ in both kernel modes, like the health monitor's equivalence test).
 from __future__ import annotations
 
 import time
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    NamedTuple,
+    Optional,
+    Tuple,
+)
 
 from ..noc.routing import Port
 
@@ -46,6 +61,134 @@ LIVE_SCHEMA = "multinoc-live/1"
 LIVE_TRACKS = frozenset(
     {"packets", "links", "routers", "cpus", "health", "checkpoints", "host"}
 )
+
+
+# -- reading frames ----------------------------------------------------------
+
+
+class FrameField(NamedTuple):
+    """One number (or string) a frame carries, read the same way by
+    alert rules, ``multinoc top`` and the health report's series."""
+
+    name: str
+    #: label dimension of a vector field (one instance per label value);
+    #: None for a scalar
+    label: Optional[str]
+    read: Callable[[Dict[str, Any]], Any]
+    help: str
+
+
+def _at(track: str, key: str) -> Callable[[Dict[str, Any]], Any]:
+    """Scalar reader: ``frame[track][key]``, None when absent."""
+    return lambda f: (f.get(track) or {}).get(key)
+
+
+def _each(
+    track: str, key: str, default: Any
+) -> Callable[[Dict[str, Any]], Any]:
+    """Vector reader: ``{label: frame[track][label][key]}``."""
+    return lambda f: {
+        k: v.get(key, default) for k, v in (f.get(track) or {}).items()
+    }
+
+
+def _health(frame: Dict[str, Any]) -> str:
+    health = frame.get("health")
+    if not health or not health.get("attached"):
+        return "detached"
+    return "violating" if health.get("violations") else "ok"
+
+
+def _host_eval_share(frame: Dict[str, Any]) -> Optional[float]:
+    host = frame.get("host")
+    if not host:
+        return None
+    return (host.get("regions") or {}).get("eval", 0.0)
+
+
+#: every field a frame yields, by name; the one declaration of each
+#: field's label dimension, reader and help text
+FRAME_FIELDS: Dict[str, FrameField] = {
+    field.name: field
+    for field in (
+        FrameField("link_util", "link", lambda f: f.get("links") or {},
+                   "per-link utilisation in [0,1]"),
+        FrameField("router_occupancy", "router",
+                   _each("routers", "occupancy", 0),
+                   "FIFO flits queued per router"),
+        FrameField("router_watermark", "router",
+                   _each("routers", "watermark", 0),
+                   "FIFO high-water mark per router"),
+        FrameField("router_rate", "router", _each("routers", "rate", 0.0),
+                   "output flits per cycle per router"),
+        FrameField("cpu_ipc", "cpu", _each("cpus", "ipc", 0.0),
+                   "windowed instructions/cycle per CPU"),
+        FrameField("cpu_retired", "cpu", _each("cpus", "retired", 0),
+                   "instructions retired per CPU"),
+        FrameField("cpu_state", "cpu", _each("cpus", "state", "?"),
+                   "CPU FSM state string per CPU"),
+        FrameField("cycle", None, lambda f: f.get("cycle"), "frame cycle"),
+        FrameField("sim_rate_hz", None, lambda f: f.get("sim_rate_hz"),
+                   "simulated cycles per wall second"),
+        FrameField("in_flight", None, _at("packets", "in_flight"),
+                   "packets currently in the mesh"),
+        FrameField("injected", None, _at("packets", "injected"),
+                   "packets injected since launch"),
+        FrameField("delivered", None, _at("packets", "delivered"),
+                   "packets delivered since launch"),
+        FrameField("delta_injected", None, _at("packets", "delta_injected"),
+                   "packets injected this window"),
+        FrameField("delta_delivered", None,
+                   _at("packets", "delta_delivered"),
+                   "packets delivered this window"),
+        FrameField("throughput", None,
+                   _at("packets", "throughput_flits_per_cycle"),
+                   "delivered flits per cycle this window"),
+        FrameField("latency_count", None, _at("latency", "count"),
+                   "packets delivered this window"),
+        FrameField("latency_mean", None, _at("latency", "mean"),
+                   "mean latency of this window's packets (cycles)"),
+        FrameField("latency_p50", None, _at("latency", "p50"),
+                   "p50 latency of this window's packets (cycles)"),
+        FrameField("latency_p90", None, _at("latency", "p90"),
+                   "p90 latency of this window's packets (cycles)"),
+        FrameField("latency_p99", None, _at("latency", "p99"),
+                   "p99 latency of this window's packets (cycles)"),
+        FrameField("latency_max", None, _at("latency", "max"),
+                   "max latency of this window's packets (cycles)"),
+        FrameField("health", None, _health,
+                   'monitor status: "ok", "violating" or "detached"'),
+        FrameField("health_violations", None,
+                   lambda f: (f.get("health") or {}).get("violations", 0),
+                   "health violations so far"),
+        FrameField("links_elided", None, lambda f: f.get("links_elided"),
+                   "active links dropped by the frame's top-N bound"),
+        FrameField("host_rss_mb", None, _at("host", "rss_mb"),
+                   "simulator resident set size in MB (host track)"),
+        FrameField("host_eval_share", None, _host_eval_share,
+                   "share of host time in the kernel's eval phase "
+                   "(host track)"),
+    )
+}
+
+
+def frame_fields(frame: Dict[str, Any]) -> Dict[str, Any]:
+    """Read every :data:`FRAME_FIELDS` entry off one frame.
+
+    Vector fields become dicts tagged with their label dimension under
+    the ``__label__`` key; fields with no data in this frame are
+    omitted (alert conditions on them neither hold nor resolve
+    instances).
+    """
+    fields: Dict[str, Any] = {}
+    for name, field in FRAME_FIELDS.items():
+        value = field.read(frame)
+        if field.label is None:
+            if value is not None:
+                fields[name] = value
+        elif value:
+            fields[name] = {"__label__": field.label, **value}
+    return fields
 
 
 class LiveStream:

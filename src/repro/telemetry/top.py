@@ -29,20 +29,28 @@ multi-session service.
 
 Colour / glyph policy follows the rest of the telemetry layer: unicode
 block ramps and ANSI colour only when the output is a real terminal and
-``NO_COLOR`` is unset (:func:`~repro.telemetry.health.terminal_is_rich`);
-pure-ASCII everywhere else.  ``Ctrl-C`` quits the interactive loop.
+``NO_COLOR`` is unset (:func:`terminal_is_rich`); pure-ASCII everywhere
+else.  ``Ctrl-C`` quits the interactive loop.
+
+Sparkline history is a :class:`FrameSeries`: a fixed window per series,
+filled by folding frames through
+:func:`~repro.telemetry.live.frame_fields`, so a dashboard's series are
+named like alert fields.  ``multinoc system --health-report`` folds the
+same way into the report's ``sampler`` section.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import sys
 import time
 import urllib.error
 import urllib.request
-from typing import Any, Dict, Iterator, List, Optional
+from collections import deque
+from typing import Any, Deque, Dict, Iterable, Iterator, List, Optional, Tuple
 
-from .health import TimeSeriesSampler, glyph_ramp, terminal_is_rich
+from .live import FRAME_FIELDS, frame_fields
 
 _CLEAR = "\x1b[2J\x1b[H"
 _RESET = "\x1b[0m"
@@ -60,6 +68,152 @@ _STATE_COLOURS = {
     "decode": _GREEN,
     "execute": _GREEN,
 }
+
+
+#: pure-ASCII intensity ramp — safe for CI logs, pipes and diffs
+RAMP_ASCII = " .:-=+*#%@"
+#: unicode block ramp — crisper on a real terminal
+RAMP_BLOCKS = " ▁▂▃▄▅▆▇█"
+
+
+def terminal_is_rich(stream=None) -> bool:
+    """True when *stream* (default stdout) is an interactive terminal
+    and the user has not opted out via the ``NO_COLOR`` convention.
+
+    Renderers use this to pick between unicode/ANSI output and the
+    pure-ASCII fallback, so piped output and CI logs stay readable.
+    """
+    if os.environ.get("NO_COLOR"):
+        return False
+    stream = stream if stream is not None else sys.stdout
+    isatty = getattr(stream, "isatty", None)
+    try:
+        return bool(isatty and isatty())
+    except (ValueError, OSError):  # closed/replaced stream
+        return False
+
+
+def glyph_ramp(ascii_only: Optional[bool] = None) -> str:
+    """The intensity ramp to render with; ``None`` auto-detects the TTY."""
+    if ascii_only is None:
+        ascii_only = not terminal_is_rich()
+    return RAMP_ASCII if ascii_only else RAMP_BLOCKS
+
+
+class FrameSeries:
+    """Fixed-size windows of ``(cycle, value)`` points, one per series.
+
+    :meth:`observe` folds a ``multinoc-live/1`` frame: every numeric
+    value :func:`~repro.telemetry.live.frame_fields` yields is appended,
+    scalars under the field name and vector instances as
+    ``field.label`` (``router_occupancy.router00``).  The newest
+    ``window`` points per series are kept, so memory stays bounded on
+    unbounded runs.  *interval* is the frame stride, for the record.
+    """
+
+    def __init__(self, interval: int, window: int = 512):
+        if interval < 1:
+            raise ValueError("series interval must be at least 1 cycle")
+        if window < 1:
+            raise ValueError("series window must hold at least 1 point")
+        self.interval = interval
+        self.window = window
+        self.series: Dict[str, Deque[Tuple[int, float]]] = {}
+
+    def append(self, name: str, cycle: int, value: float) -> None:
+        """Record one point; creates the series on first use."""
+        series = self.series.get(name)
+        if series is None:
+            series = self.series[name] = deque(maxlen=self.window)
+        series.append((cycle, float(value)))
+
+    def observe(self, frame: Dict[str, Any]) -> None:
+        """Fold one frame (a :class:`~repro.telemetry.live.LiveStream`
+        subscriber)."""
+        cycle = frame.get("cycle", 0)
+        for name, value in frame_fields(frame).items():
+            if isinstance(value, dict):
+                for label, item in value.items():
+                    if label != "__label__" and _numeric(item):
+                        self.append(f"{name}.{label}", cycle, item)
+            elif _numeric(value):
+                self.append(name, cycle, value)
+
+    def as_dict(self) -> Dict[str, Any]:
+        """JSON-friendly dump: per-series parallel cycle/value arrays."""
+        return {
+            "interval": self.interval,
+            "window": self.window,
+            "series": {
+                name: {
+                    "cycles": [c for c, _ in points],
+                    "values": [v for _, v in points],
+                }
+                for name, points in self.series.items()
+            },
+        }
+
+    def sparkline(
+        self, name: str, width: int = 64, ascii: Optional[bool] = None
+    ) -> str:
+        """One series as an intensity strip (newest on the right).
+
+        ``ascii=None`` auto-detects: unicode blocks on an interactive
+        terminal, the pure-ASCII ramp when output is piped/captured or
+        ``NO_COLOR`` is set, so CI logs stay readable.
+        """
+        points = self.series.get(name)
+        if not points:
+            return ""
+        ramp = glyph_ramp(ascii)
+        values = [v for _, v in points]
+        if len(values) > width:
+            # bucket-average down to `width` columns
+            step = len(values) / width
+            values = [
+                sum(values[int(i * step) : max(int((i + 1) * step), int(i * step) + 1)])
+                / max(int((i + 1) * step) - int(i * step), 1)
+                for i in range(width)
+            ]
+        lo = min(0.0, min(values))
+        hi = max(values)
+        span = (hi - lo) or 1.0
+        return "".join(
+            ramp[int((v - lo) / span * (len(ramp) - 1))] for v in values
+        )
+
+    def timeline(
+        self,
+        names: Optional[Iterable[str]] = None,
+        width: int = 64,
+        ascii: Optional[bool] = None,
+    ) -> str:
+        """All (or selected) series as aligned sparkline rows."""
+        names = list(names) if names is not None else sorted(self.series)
+        populated = [n for n in names if self.series.get(n)]
+        if not populated:
+            return "(no samples)"
+        first = min(self.series[n][0][0] for n in populated)
+        last = max(self.series[n][-1][0] for n in populated)
+        label_w = max(len(n) for n in populated)
+        ranges = {}
+        for name in populated:
+            values = [v for _, v in self.series[name]]
+            ranges[name] = f"[{min(values):g}..{max(values):g}]"
+        range_w = max(len(r) for r in ranges.values())
+        lines = [
+            f"cycles {first}..{last}, one sample per {self.interval} cycles"
+        ]
+        for name in populated:
+            lines.append(
+                f"{name:<{label_w}} {ranges[name]:>{range_w}} "
+                f"|{self.sparkline(name, width, ascii=ascii)}|"
+            )
+        return "\n".join(lines)
+
+
+def _numeric(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 class MeshTop:
@@ -82,8 +236,8 @@ class MeshTop:
         )
         self.ramp = glyph_ramp(ascii_only=not self.color)
         self.sparkline_width = sparkline_width
-        self._sampler: Optional[TimeSeriesSampler] = None
-        self._fleet_samplers: Dict[str, TimeSeriesSampler] = {}
+        self._series: Optional[FrameSeries] = None
+        self._fleet_series: Dict[str, FrameSeries] = {}
         self._live = None
         self._alerts = None
 
@@ -117,7 +271,11 @@ class MeshTop:
 
     def render(self, frame: Dict[str, Any]) -> str:
         """One frame as a multi-line string (no screen control codes)."""
-        self._observe(frame)
+        if self._series is None:
+            self._series = FrameSeries(
+                max(frame.get("stride", 1), 1), window=self.sparkline_width
+            )
+        self._series.observe(frame)
         lines: List[str] = []
         lines.append(self._header(frame))
         packets = frame.get("packets")
@@ -145,35 +303,11 @@ class MeshTop:
         if checkpoints:
             marks = "  ".join(f"@{c}" for c in checkpoints[-6:])
             lines.append(f"checkpoints: {marks}")
-        if self._sampler is not None:
-            lines.append("")
-            lines.extend(self._sparklines())
+        lines.append("")
+        lines.extend(self._sparklines())
         return "\n".join(lines)
 
     # -- sections ----------------------------------------------------------
-
-    def _observe(self, frame: Dict[str, Any]) -> None:
-        """Fold the frame into the local sparkline history (remote
-        dashboards have no access to the producer's sampler)."""
-        if self._sampler is None:
-            self._sampler = TimeSeriesSampler(
-                max(frame.get("stride", 1), 1), window=self.sparkline_width
-            )
-        cycle = frame.get("cycle", 0)
-        packets = frame.get("packets")
-        if packets is not None:
-            self._sampler.append(
-                "throughput", cycle, packets.get("throughput_flits_per_cycle", 0.0)
-            )
-            self._sampler.append("in_flight", cycle, packets.get("in_flight", 0))
-        self._sampler.append("sim_rate", cycle, frame.get("sim_rate_hz", 0.0))
-        host = frame.get("host")
-        if host:
-            self._sampler.append("host_rss", cycle, host.get("rss_mb", 0.0))
-            regions = host.get("regions") or {}
-            self._sampler.append(
-                "host_eval_share", cycle, regions.get("eval", 0.0)
-            )
 
     def _header(self, frame: Dict[str, Any]) -> str:
         rate = frame.get("sim_rate_hz", 0.0)
@@ -375,11 +509,11 @@ class MeshTop:
         for name, label in (
             ("throughput", "thru"),
             ("in_flight", "infl"),
-            ("sim_rate", "rate"),
-            ("host_rss", "rss "),
+            ("sim_rate_hz", "rate"),
+            ("host_rss_mb", "rss "),
             ("host_eval_share", "eval"),
         ):
-            spark = self._sampler.sparkline(
+            spark = self._series.sparkline(
                 name, width=self.sparkline_width, ascii=ascii_only
             )
             if spark:
@@ -462,14 +596,14 @@ class MeshTop:
             alert_text = f"{alerts['pending']} pend"
         else:
             alert_text = "ok"
-        util = max(frame.get("links", {}).values(), default=0.0)
-        sampler = self._fleet_samplers.get(name)
-        if sampler is None:
-            sampler = self._fleet_samplers[name] = TimeSeriesSampler(
+        util = max(FRAME_FIELDS["link_util"].read(frame).values(), default=0.0)
+        series = self._fleet_series.get(name)
+        if series is None:
+            series = self._fleet_series[name] = FrameSeries(
                 1, window=self.sparkline_width
             )
-        sampler.append("util", frame.get("cycle", 0), util)
-        spark = sampler.sparkline(
+        series.append("util", frame.get("cycle", 0), util)
+        spark = series.sparkline(
             "util", width=min(self.sparkline_width, 24),
             ascii=not self.color,
         )

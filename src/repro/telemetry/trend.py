@@ -4,11 +4,14 @@
 module compares a run against its *history*.  For every numeric metric
 in the registry's records it builds the chronological series, takes a
 **rolling median of the preceding window** as the baseline at each
-point, and classifies the point with the same dual-threshold rule as
-:func:`~repro.telemetry.analysis.diff_traces`: a point regresses only
-when it grew by more than ``threshold_abs`` **and** by more than
-``threshold_pct`` percent (both must trip, so absolute wobbles on tiny
-baselines and relative wobbles on large ones stay quiet).
+point, and classifies the point with the one dual-threshold rule
+:func:`~repro.telemetry.analysis.diff_traces` uses
+(:func:`~repro.telemetry.analysis.classify_change`): a point regresses
+only when it grew by more than ``threshold_abs`` **and** by more than
+``threshold_pct`` percent of its baseline (both must trip, so absolute
+wobbles on tiny baselines and relative wobbles on large ones stay
+quiet); improvements mirror the same margins, also against the
+baseline.
 
 A metric is **flagged** — ``multinoc runs trend`` exits nonzero — only
 when the regression is *sustained*: the latest ``sustain`` consecutive
@@ -31,6 +34,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from statistics import median
 from typing import Any, Dict, Iterable, List, Optional, Tuple
+
+from .analysis import classify_change
 
 TREND_SCHEMA = "multinoc-trend/1"
 
@@ -163,22 +168,6 @@ def metric_series(
     return series
 
 
-def _regresses(
-    value: float, baseline: float, threshold_pct: float, threshold_abs: float
-) -> bool:
-    """The diff_traces rule: both absolute and relative margins must trip."""
-    delta = value - baseline
-    if delta <= threshold_abs:
-        return False
-    return baseline == 0 or delta / baseline * 100.0 > threshold_pct
-
-
-def _improves(
-    value: float, baseline: float, threshold_pct: float, threshold_abs: float
-) -> bool:
-    return _regresses(baseline, value, threshold_pct, threshold_abs)
-
-
 def select_comparable(
     records: List[Dict[str, Any]],
     *,
@@ -279,24 +268,24 @@ def compute_trend(
         last = len(values) - 1
         baseline = median(values[max(0, last - window): last])
 
-        def verdict(i: int) -> bool:
+        def verdict(i: int) -> int:
             base = median(values[max(0, i - window): i])
-            return _regresses(
+            return classify_change(
                 values[i], base, threshold_pct, threshold_abs
             )
 
         sustained = 0
         change_point = None
         for i in range(last, 0, -1):
-            if not verdict(i):
+            if verdict(i) <= 0:
                 break
             sustained += 1
             change_point = series[i][0]
 
         regressed = sustained > 0
-        improved = not regressed and _improves(
+        improved = not regressed and classify_change(
             values[last], baseline, threshold_pct, threshold_abs
-        )
+        ) < 0
         enough = len(values) >= min_history
         if not enough:
             notes.append(
@@ -447,9 +436,10 @@ def diff_records(
             for v in (cur, base)
         ):
             continue
-        if _regresses(cur, base, threshold_pct, threshold_abs):
+        verdict = classify_change(cur, base, threshold_pct, threshold_abs)
+        if verdict > 0:
             diff.regressions.append((name, float(base), float(cur)))
-        elif _improves(cur, base, threshold_pct, threshold_abs):
+        elif verdict < 0:
             diff.improvements.append((name, float(base), float(cur)))
         else:
             diff.unchanged += 1

@@ -35,6 +35,7 @@ from repro.telemetry import (
     parse_rules,
     write_jsonl,
 )
+from repro.telemetry.live import FRAME_FIELDS
 
 PRINTF_LOOP = """
         CLR  R0
@@ -627,6 +628,16 @@ class TestCliAlerts:
         out = capsys.readouterr().out
         assert "OK (1 alert(s), 1 slo(s))" in out
         assert "link_util" in out  # -v field reference
+
+    def test_lint_verbose_lists_exactly_the_field_table(
+        self, rules_file, capsys
+    ):
+        assert main(["alerts", "lint", str(rules_file), "-v"]) == 0
+        out = capsys.readouterr().out
+        table = out.split("fields:\n", 1)[1]
+        listed = [line.split()[0] for line in table.splitlines()]
+        assert listed == list(FRAME_FIELDS)
+        assert "host_rss_mb" in listed and "host_eval_share" in listed
 
     def test_lint_rejects_bad_rules(self, tmp_path, capsys):
         path = tmp_path / "bad.alerts"

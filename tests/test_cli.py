@@ -280,7 +280,7 @@ class TestSystem:
                     "system",
                     str(asm_file),
                     "--monitor",
-                    "--sample-interval",
+                    "--live-stride",
                     "500",
                     "--health-report",
                     str(report),
@@ -295,6 +295,9 @@ class TestSystem:
         assert doc["schema"] == "multinoc-health/1"
         assert doc["violations"] == []
         assert doc["sampler"]["interval"] == 500
+        names = set(doc["sampler"]["series"])
+        assert "in_flight" in names
+        assert any(n.startswith("router_occupancy.") for n in names)
 
     def test_monitor_diagnoses_failed_run(self, tmp_path, capsys):
         import json

@@ -3,8 +3,9 @@
 Covers the watchdogs (a wedged network must trip the deadlock detector
 with a correct wait-for graph, a starved flow must trip the packet-age
 detector, a healthy run must report zero violations), the invariant
-checks, the time-series sampler, and the requirement that an attached
-monitor never perturbs simulation results.
+checks, the health report's time series (a fold of the live frames),
+and the requirement that an attached monitor never perturbs simulation
+results.
 """
 
 import json
@@ -20,11 +21,9 @@ from repro.noc.routing import Port
 from repro.noc.stats import NetworkStats
 from repro.sim import Simulator
 from repro.sim.kernel import SimulationTimeout
-from repro.telemetry.health import (
-    HealthMonitor,
-    HealthViolation,
-    TimeSeriesSampler,
-)
+from repro.telemetry.health import HealthMonitor, HealthViolation
+from repro.telemetry.live import frame_fields
+from repro.telemetry.top import FrameSeries
 
 PRINTF_LOOP = """
         CLR  R0
@@ -243,9 +242,7 @@ class TestHealthyRuns:
     def test_healthy_run_reports_zero_violations(self):
         """Full monitoring (watchdogs + invariants) on a clean program."""
         session = MultiNoCPlatform.standard().launch()
-        monitor = session.monitor_health(
-            check_interval=16, invariants=True, sample_interval=100
-        )
+        monitor = session.monitor_health(check_interval=16, invariants=True)
         session.host.sync()
         session.run(1, PRINTF_LOOP)
         assert session.host.monitor(1).printf_values == [5, 4, 3, 2, 1]
@@ -255,12 +252,13 @@ class TestHealthyRuns:
     def test_monitor_does_not_perturb_results(self):
         """Bit-identical behaviour with and without the monitor."""
 
-        def run(monitored):
+        def run(observers):
             session = MultiNoCPlatform.standard().launch()
-            if monitored:
-                session.monitor_health(
-                    check_interval=1, invariants=True, sample_interval=50
-                )
+            if "monitor" in observers:
+                session.monitor_health(check_interval=1, invariants=True)
+            if "series" in observers:
+                series = FrameSeries(50)
+                session.live_stream(stride=50).subscribe(series.observe)
             session.host.sync()
             session.run(1, PRINTF_LOOP)
             return (
@@ -270,7 +268,7 @@ class TestHealthyRuns:
                 session.system.stats.latencies,
             )
 
-        assert run(False) == run(True)
+        assert run(()) == run(("monitor",)) == run(("monitor", "series"))
 
     def test_detach_stops_checking(self):
         sim, mesh, stats, source, sink = build_wedged_mesh()
@@ -350,65 +348,118 @@ class TestInvariants:
             sim.step(2)
 
 
-class TestSampler:
-    def test_windows_and_rate_probes(self):
-        sampler = TimeSeriesSampler(interval=10, window=4)
-        counter = {"n": 0}
-        sampler.add_probe("gauge", lambda: counter["n"])
-        sampler.add_rate_probe("rate", lambda: counter["n"] * 10)
-        for cycle in range(10, 110, 10):
-            counter["n"] += 1
-            sampler.sample(cycle)
-        # window keeps only the newest 4 samples
-        assert len(sampler.series["gauge"]) == 4
-        assert [v for _, v in sampler.series["gauge"]] == [7, 8, 9, 10]
-        # counter grows 10/sample over 10 cycles -> rate 1.0
-        assert [v for _, v in sampler.series["rate"]] == [1.0, 1.0, 1.0, 1.0]
+def fold_frames(frames):
+    """Re-fold frames by hand: every numeric field, vectors as
+    ``field.label`` — what the health report's series must equal."""
+    series = {}
+    for frame in frames:
+        for name, value in frame_fields(frame).items():
+            if isinstance(value, dict):
+                items = {
+                    f"{name}.{label}": v
+                    for label, v in value.items()
+                    if label != "__label__"
+                }
+            else:
+                items = {name: value}
+            for key, v in items.items():
+                if isinstance(v, (int, float)) and not isinstance(v, bool):
+                    points = series.setdefault(
+                        key, {"cycles": [], "values": []}
+                    )
+                    points["cycles"].append(frame["cycle"])
+                    points["values"].append(float(v))
+    return series
 
-    def test_csv_and_dict_export(self):
-        sampler = TimeSeriesSampler(interval=5, window=8)
-        sampler.add_probe("a", lambda: 1.5)
-        sampler.sample(5)
-        sampler.sample(10)
-        csv = sampler.to_csv()
-        assert csv.splitlines()[0] == "cycle,series,value"
-        assert "5,a,1.5" in csv
-        data = sampler.as_dict()
-        assert data["series"]["a"]["cycles"] == [5, 10]
+
+def monitored_with_series(stride, strict=False):
+    """A session with the health monitor and a FrameSeries on the live
+    stream, wired as ``multinoc system --health-report`` wires them."""
+    session = MultiNoCPlatform.standard().launch(strict_lockstep=strict)
+    monitor = session.monitor_health(invariants=True)
+    series = FrameSeries(stride)
+    session.live_stream(stride=stride).subscribe(series.observe)
+    return session, monitor, series
+
+
+class TestSampler:
+    def test_window_keeps_newest_samples(self):
+        series = FrameSeries(interval=10, window=4)
+        for cycle in range(10, 110, 10):
+            series.append("gauge", cycle, cycle // 10)
+        assert [v for _, v in series.series["gauge"]] == [7, 8, 9, 10]
+        assert [c for c, _ in series.series["gauge"]] == [70, 80, 90, 100]
+        with pytest.raises(ValueError, match="interval"):
+            FrameSeries(interval=0)
+        with pytest.raises(ValueError, match="window"):
+            FrameSeries(interval=1, window=0)
+
+    def test_observe_names_series_like_alert_fields(self):
+        series = FrameSeries(interval=256, window=8)
+        series.observe(
+            {
+                "cycle": 256,
+                "packets": {"in_flight": 2, "throughput_flits_per_cycle": 0.5},
+                "routers": {"router00": {"occupancy": 3, "rate": 0.25}},
+                "cpus": {"proc1": {"state": "fetch", "ipc": 0.4}},
+                "health": {"attached": True, "violations": 0},
+            }
+        )
+        assert series.series["in_flight"][-1] == (256, 2.0)
+        assert series.series["router_occupancy.router00"][-1] == (256, 3.0)
+        assert series.series["router_rate.router00"][-1] == (256, 0.25)
+        assert series.series["cpu_ipc.proc1"][-1] == (256, 0.4)
+        # strings (cpu_state, health) have no series
+        assert not any(n.startswith("cpu_state") for n in series.series)
+        assert "health" not in series.series
+
+    def test_dict_export(self):
+        series = FrameSeries(interval=5, window=8)
+        series.append("a", 5, 1.5)
+        series.append("a", 10, 1.5)
+        data = series.as_dict()
+        assert data["interval"] == 5 and data["window"] == 8
+        assert data["series"]["a"] == {"cycles": [5, 10], "values": [1.5, 1.5]}
         json.dumps(data)
 
     def test_sparkline_and_timeline(self):
-        sampler = TimeSeriesSampler(interval=1, window=100)
-        sampler.add_probe("ramp", lambda: 0.0)
+        series = FrameSeries(interval=1, window=100)
         for cycle in range(1, 101):
-            sampler.series["ramp"].append((cycle, float(cycle)))
-        line = sampler.sparkline("ramp", width=10)
+            series.append("ramp", cycle, float(cycle))
+        line = series.sparkline("ramp", width=10, ascii=True)
         assert len(line) == 10
         assert line[0] == " " and line[-1] == "@"
-        timeline = sampler.timeline()
+        timeline = series.timeline(ascii=True)
         assert "ramp" in timeline and "cycles 1..100" in timeline
-        assert sampler.sparkline("missing") == ""
+        assert "one sample per 1 cycles" in timeline
+        assert series.sparkline("missing") == ""
+        assert FrameSeries(1).timeline() == "(no samples)"
 
-    def test_monitor_installs_default_probes(self):
-        session = MultiNoCPlatform.standard().launch()
-        monitor = session.monitor_health(sample_interval=50)
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_report_series_are_a_fold_of_the_frames(self, strict):
+        session, monitor, series = monitored_with_series(50, strict)
+        frames = []
+        session.live.subscribe(frames.append)
         session.host.sync()
         session.run(1, PRINTF_LOOP)
-        names = set(monitor.sampler.series)
-        assert "noc.in_flight" in names
-        assert any(n.startswith("util.router") for n in names)
-        assert any(n.startswith("fifo.router") for n in names)
-        assert any(n.startswith("ipc.proc") for n in names)
-        assert all(len(s) > 0 for s in monitor.sampler.series.values())
+        session.live.force()
+        assert len(frames) < series.window  # nothing rolled off
+        report = monitor.report(series.as_dict())
+        assert report["sampler"]["interval"] == 50
+        assert report["sampler"]["series"] == fold_frames(frames)
+        names = set(report["sampler"]["series"])
+        assert "in_flight" in names
+        assert any(n.startswith("router_occupancy.router") for n in names)
+        assert any(n.startswith("router_rate.router") for n in names)
+        assert any(n.startswith("cpu_ipc.proc") for n in names)
 
 
 class TestReport:
     def test_report_is_json_serialisable_and_complete(self):
-        session = MultiNoCPlatform.standard().launch()
-        monitor = session.monitor_health(sample_interval=100, invariants=True)
+        session, monitor, series = monitored_with_series(100)
         session.host.sync()
         session.run(1, PRINTF_LOOP)
-        report = monitor.report()
+        report = monitor.report(series.as_dict())
         json.dumps(report)
         assert report["schema"] == "multinoc-health/1"
         assert report["violations"] == []

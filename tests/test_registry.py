@@ -13,6 +13,7 @@ from repro.telemetry.registry import (
     flatten_metrics,
     machine_fingerprint,
 )
+from repro.telemetry.analysis import classify_change
 from repro.telemetry.trend import (
     compute_trend,
     diff_records,
@@ -205,6 +206,23 @@ class TestTrendEngine:
         assert not diff.ok
         assert diff.regressions == [("latency_mean", 50.0, 120.0)]
         assert diff_records(base, base).ok
+
+    def test_improvement_is_measured_against_the_baseline(self):
+        """100 -> 85 is a 15 % drop of the baseline: within a 15 %
+        threshold for both the record diff and the trace diff."""
+        diff = diff_records(
+            {"metrics": {"m": 85}}, {"metrics": {"m": 100}}, threshold_pct=15
+        )
+        assert diff.improvements == [] and diff.unchanged == 1
+        assert classify_change(85, 100, 15, 0) == 0
+        assert classify_change(84, 100, 15, 0) == -1
+        assert classify_change(116, 100, 15, 0) == 1
+        history = [
+            {"run_id": f"r{i}", "machine": MACHINE, "metrics": {"m": v}}
+            for i, v in enumerate([100, 100, 100, 85])
+        ]
+        entry = compute_trend(history, threshold_pct=15).entries[0]
+        assert not entry.improved and not entry.regressed
 
 
 class TestRunsCli:
