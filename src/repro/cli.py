@@ -591,17 +591,9 @@ def cmd_analyze(args) -> int:
 
 def cmd_top(args) -> int:
     """Attach the terminal dashboard to a remote telemetry server."""
-    from .telemetry.top import MeshTop, watch, watch_fleet
+    from .telemetry.top import MeshTop, watch
 
     top = MeshTop(color=False if args.no_color else None)
-    if args.fleet:
-        return watch_fleet(
-            args.url,
-            once=args.once,
-            frames=args.frames,
-            interval=args.interval,
-            top=top,
-        )
     return watch(
         args.url,
         once=args.once,
@@ -1033,19 +1025,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-color",
         action="store_true",
         help="plain-ASCII output (also honours NO_COLOR)",
-    )
-    p.add_argument(
-        "--fleet",
-        action="store_true",
-        help="render the aggregator's /runs fleet table "
-        "(one row per session) instead of a single mesh",
-    )
-    p.add_argument(
-        "--interval",
-        type=float,
-        default=1.0,
-        metavar="SECONDS",
-        help="poll cadence for --fleet (default 1s)",
     )
     p.add_argument(
         "--retries",

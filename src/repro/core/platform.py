@@ -145,36 +145,23 @@ class PlatformSession:
         self.live = stream
         return stream
 
-    def serve_telemetry(
-        self,
-        port: int = 0,
-        *,
-        host: str = "127.0.0.1",
-        run_registry=None,
-        name: str = "default",
-    ):
+    def serve_telemetry(self, port: int = 0, *, host: str = "127.0.0.1"):
         """Serve this session's live stream over localhost HTTP.
 
         Attaches a default :meth:`live_stream` first if none exists;
         returns the started :class:`~repro.telemetry.server.TelemetryServer`
-        (its ``.address`` carries the bound port when ``port=0``).
-        Pass a :class:`~repro.telemetry.registry.RunRegistry` as
-        *run_registry* to also serve the run history at ``/runs``.
+        (its ``.address`` carries the bound port when ``port=0``).  An
+        attached :meth:`alert_engine` is served at ``/alerts``.
         """
         from ..telemetry.server import TelemetryServer
 
         if self.live is None:
             self.live_stream()
         server = TelemetryServer(
-            self.live,
-            self.system.stats.registry,
-            host=host,
-            port=port,
-            run_registry=run_registry,
-            name=name,
+            self.live, self.system.stats.registry, host=host, port=port
         )
         if self.alerts is not None:
-            server.attach_alerts(self.alerts, name)
+            server.attach_alerts(self.alerts)
         return server.start()
 
     def alert_engine(self, rules, **kwargs):

@@ -69,8 +69,8 @@ from .registry import (
     git_revision,
     machine_fingerprint,
 )
-from .server import FLEET_SCHEMA, TelemetryServer
-from .top import MeshTop, fetch_frame, fetch_runs, stream_frames, watch_fleet
+from .server import TelemetryServer
+from .top import MeshTop, fetch_frame, stream_frames
 from .trend import (
     TREND_SCHEMA,
     RunDiff,
@@ -91,7 +91,6 @@ __all__ = [
     "Counter",
     "CpuProfile",
     "Event",
-    "FLEET_SCHEMA",
     "FlightRecorder",
     "Gauge",
     "HOSTPERF_SCHEMA",
@@ -131,7 +130,6 @@ __all__ = [
     "diff_records",
     "diff_traces",
     "fetch_frame",
-    "fetch_runs",
     "flatten_metrics",
     "frames_from_trace",
     "git_revision",
@@ -143,7 +141,6 @@ __all__ = [
     "parse_rules",
     "read_rss_bytes",
     "stream_frames",
-    "watch_fleet",
     "write_chrome_trace",
     "write_jsonl",
     "write_prometheus",

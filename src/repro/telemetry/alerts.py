@@ -56,7 +56,8 @@ alert log (one ``multinoc-alert/1`` line per transition), stderr
 notices, structured telemetry events (track ``alerts``), an ``ALERTS``
 gauge plus transition counter in the metrics registry, the
 ``/alerts`` endpoint of :class:`~repro.telemetry.server.
-TelemetryServer`, and the banner in ``multinoc top``.
+TelemetryServer`, and the banner of the in-process dashboard
+(``multinoc system --top``).
 
 Post-hoc, the same rules replay over stored artifacts:
 
@@ -883,20 +884,6 @@ class AlertEngine:
             "transitions": list(self.transitions),
             "transitions_total": self.transitions_total,
         }
-
-    def summary(self) -> Dict[str, Any]:
-        """Compact per-session roll-up for the fleet document."""
-        out = {
-            "rules": len(self.rules),
-            "firing": len(self.firing()),
-            "pending": len(self.pending()),
-            "transitions": self.transitions_total,
-        }
-        slos = self.slo_status()
-        if slos:
-            out["slo_worst_burn"] = max(s["burn_rate"] for s in slos)
-            out["slo_unhealthy"] = sum(1 for s in slos if not s["healthy"])
-        return out
 
     def report(self) -> str:
         """Multi-line verdict report (``multinoc alerts check``)."""

@@ -1,7 +1,7 @@
 """Localhost HTTP endpoint for the live observation plane.
 
-:class:`TelemetryServer` bridges one — or a *fleet* of — live streams
-to anything that speaks HTTP, using only the standard library:
+:class:`TelemetryServer` bridges one session's live stream to anything
+that speaks HTTP, using only the standard library:
 
 * ``/metrics`` — Prometheus exposition text
   (:meth:`~repro.telemetry.metrics.MetricsRegistry.prometheus_text`),
@@ -12,40 +12,27 @@ to anything that speaks HTTP, using only the standard library:
   ``?limit=N`` closes the stream after N frames (handy for ``curl`` in
   CI).  A newly connected client immediately receives the latest frame,
   so a scrape that lands after the run finished still sees data.
-* ``/runs`` — the fleet document (``multinoc-fleet/1``): the latest
-  frame of every attached session (in-process via :meth:`add_stream`,
-  remote via :meth:`add_remote`) plus the newest records of an attached
-  :class:`~repro.telemetry.registry.RunRegistry` (``?limit=N`` bounds
-  the record tail); sessions with an alert engine attached carry an
-  ``alerts`` roll-up (rules/firing/pending counts), and a dead remote
-  degrades to an ``error`` row instead of failing the whole document;
 * ``/alerts`` — the alert engine's ``multinoc-alerts/1`` document
   (firing/pending instances, SLO budgets, transition history) when one
-  is attached via :meth:`attach_alerts`;
-* ``/healthz`` — liveness: uptime, frames seen, attached sessions;
+  is attached via :meth:`TelemetryServer.attach_alerts`;
+* ``/healthz`` — liveness: status, uptime and frames seen;
 * ``/`` — a JSON endpoint directory for discoverability.
+
+Served frames are the stream's frames verbatim.  Comparing runs is the
+run registry's job (``multinoc runs list|trend``), not the server's.
 
 All error bodies — including stdlib-generated ones like 501 for an
 unsupported method — are JSON with ``Content-Type: application/json``.
-
-**Aggregator mode** is the multi-tenant substrate: construct with no
-primary stream (``TelemetryServer()``) and :meth:`add_stream` each
-in-process session (or :meth:`add_remote` another server's URL); the
-``multinoc top --fleet`` dashboard renders one row per session from
-``/runs``.  Frames from named sessions are tagged with a ``session``
-key so stream consumers can demultiplex.
-
 Every response carries a ``Server: multinoc/<version>`` header, and
 unknown paths return a JSON error body with status 404.
 
 Thread-safety: the HTTP server runs on daemon threads, but *all*
 telemetry state is read on the simulation thread — the server
-subscribes to the stream and snapshots each frame (and the registry's
-exposition text) into immutable byte strings at frame time.  Handler
-threads only ever serve those snapshots, so the simulator's hot-path
-dicts are never iterated concurrently with mutation.  (``/runs`` also
-reads the run registry's index and polls remotes, but those live
-outside the simulator.)
+subscribes to the stream and snapshots each frame (with the registry's
+exposition text and the alert document) into immutable byte strings at
+frame time.  Handler threads only ever serve those snapshots, so the
+simulator's hot-path dicts are never iterated concurrently with
+mutation.
 
 Every send to a slow client goes through a bounded per-client queue
 with drop-oldest semantics: a stalled dashboard loses intermediate
@@ -67,12 +54,6 @@ from .live import LiveStream
 #: frames buffered per streaming client before drop-oldest kicks in
 CLIENT_QUEUE_DEPTH = 16
 
-#: schema of the ``/runs`` fleet document
-FLEET_SCHEMA = "multinoc-fleet/1"
-
-#: registry records returned by ``/runs`` when ``?limit=`` is absent
-DEFAULT_RUNS_LIMIT = 20
-
 
 def server_version() -> str:
     """The ``Server:`` header value (lazy: avoids an import cycle)."""
@@ -84,44 +65,32 @@ def server_version() -> str:
 
 
 class TelemetryServer:
-    """Serve live stream(s) and their metrics over localhost HTTP."""
+    """Serve one live stream and its metrics over localhost HTTP."""
 
     def __init__(
         self,
-        live: Optional[LiveStream] = None,
+        live: LiveStream,
         registry=None,
         *,
         host: str = "127.0.0.1",
         port: int = 0,
-        name: str = "default",
-        run_registry=None,
     ):
-        """*registry* is the metrics registry scraped at ``/metrics``;
-        *run_registry* is a :class:`~repro.telemetry.registry.RunRegistry`
-        whose history tail is served at ``/runs``.  *live* may be None
-        for a pure aggregator — attach sessions with :meth:`add_stream`
-        / :meth:`add_remote` instead."""
+        """*registry* is the metrics registry scraped at ``/metrics``."""
         self.live = live
         self.registry = registry
-        self.run_registry = run_registry
         self._lock = threading.Lock()
         self._latest_frame: Optional[bytes] = None
         self._metrics_text = b"# no frames emitted yet\n"
         self._clients: List["queue.Queue[bytes]"] = []
-        self._streams: Dict[str, tuple] = {}  # name -> (live, callback)
-        self._remotes: Dict[str, str] = {}  # name -> base URL
-        self._session_frames: Dict[str, bytes] = {}
-        self._alert_engines: Dict[str, Any] = {}  # session -> AlertEngine
-        self._alert_docs: Dict[str, bytes] = {}  # session -> doc snapshot
+        self._alerts = None
+        self._alerts_doc: Optional[bytes] = None
         self._frames_seen = 0
         self._started_wall = time.time()
         self._httpd = ThreadingHTTPServer((host, port), _Handler)
         self._httpd.daemon_threads = True
         self._httpd.telemetry = self  # type: ignore[attr-defined]
         self._thread: Optional[threading.Thread] = None
-        self._name = name
-        if live is not None:
-            live.subscribe(self._on_frame)
+        live.subscribe(self._on_frame)
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -146,16 +115,14 @@ class TelemetryServer:
         return self
 
     def close(self) -> None:
-        if self.live is not None:
-            self.live.unsubscribe(self._on_frame)
-        for stream, callback in self._streams.values():
-            stream.unsubscribe(callback)
-        self._streams.clear()
-        self._httpd.shutdown()
-        self._httpd.server_close()
+        self.live.unsubscribe(self._on_frame)
+        # shutdown() waits for a serve_forever loop, so only stop one
+        # that was started
         if self._thread is not None:
+            self._httpd.shutdown()
             self._thread.join(timeout=5)
             self._thread = None
+        self._httpd.server_close()
 
     def __enter__(self) -> "TelemetryServer":
         return self.start()
@@ -163,77 +130,23 @@ class TelemetryServer:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    # -- fleet wiring ------------------------------------------------------
-
-    def add_stream(self, name: str, live: LiveStream) -> "TelemetryServer":
-        """Multiplex another in-process session under *name*.
-
-        Its frames are tagged ``{"session": name}`` and fan out to the
-        same ``/frames`` clients; its latest frame appears in ``/runs``.
-        """
-        if name in self._streams or name in self._remotes:
-            raise ValueError(f"session name {name!r} already attached")
-
-        def callback(frame: Dict[str, Any], _name=name) -> None:
-            tagged = dict(frame)
-            tagged["session"] = _name
-            self._publish(_name, tagged)
-
-        self._streams[name] = (live, callback)
-        live.subscribe(callback)
-        return self
-
-    def remove_stream(self, name: str) -> None:
-        entry = self._streams.pop(name, None)
-        if entry is not None:
-            entry[0].unsubscribe(entry[1])
-        with self._lock:
-            self._session_frames.pop(name, None)
-
-    def add_remote(self, name: str, url: str) -> "TelemetryServer":
-        """Multiplex a session served by *another* telemetry server.
-
-        Remote sessions are polled lazily — their ``/frame`` is fetched
-        when ``/runs`` is requested, never on the simulation thread.
-        """
-        if name in self._streams or name in self._remotes:
-            raise ValueError(f"session name {name!r} already attached")
-        self._remotes[name] = url.rstrip("/")
-        return self
-
-    def attach_alerts(self, engine, name: Optional[str] = None) -> "TelemetryServer":
-        """Serve *engine*'s document at ``/alerts`` (and roll it up into
-        ``/runs``) for session *name* (default: the primary session).
+    def attach_alerts(self, engine) -> "TelemetryServer":
+        """Serve *engine*'s document at ``/alerts``.
 
         Like frames, the document is snapshotted to bytes on the
-        simulation thread each time that session publishes a frame —
+        simulation thread each time the stream publishes a frame —
         the engine evaluates on frames, so its state only changes at
         frame boundaries and handler threads never race it.
         """
-        session = name if name is not None else self._name
         doc = json.dumps(engine.document(), separators=(",", ":")).encode()
         with self._lock:
-            self._alert_engines[session] = engine
-            self._alert_docs[session] = doc
+            self._alerts = engine
+            self._alerts_doc = doc
         return self
-
-    @property
-    def session_names(self) -> List[str]:
-        names = list(self._streams) + list(self._remotes)
-        if self.live is not None:
-            names.insert(0, self._name)
-        return names
 
     # -- frame intake (simulation thread) ----------------------------------
 
     def _on_frame(self, frame: Dict[str, Any]) -> None:
-        """Primary-stream frames; runs on the sim thread."""
-        # copy before tagging: the dict is shared with other subscribers
-        tagged = dict(frame)
-        tagged["session"] = self._name
-        self._publish(self._name, tagged)
-
-    def _publish(self, name: Optional[str], frame: Dict[str, Any]) -> None:
         """Snapshot a frame (and metrics text) and fan out to clients."""
         payload = json.dumps(frame, separators=(",", ":")).encode()
         metrics = (
@@ -241,21 +154,18 @@ class TelemetryServer:
             if self.registry is not None
             else None
         )
-        engine = self._alert_engines.get(name) if name is not None else None
         alerts_doc = (
-            json.dumps(engine.document(), separators=(",", ":")).encode()
-            if engine is not None
+            json.dumps(self._alerts.document(), separators=(",", ":")).encode()
+            if self._alerts is not None
             else None
         )
         with self._lock:
             self._latest_frame = payload
             self._frames_seen += 1
-            if name is not None:
-                self._session_frames[name] = payload
             if metrics is not None:
                 self._metrics_text = metrics
             if alerts_doc is not None:
-                self._alert_docs[name] = alerts_doc
+                self._alerts_doc = alerts_doc
             clients = list(self._clients)
         for q in clients:
             _offer(q, payload)
@@ -270,101 +180,19 @@ class TelemetryServer:
         with self._lock:
             return self._metrics_text
 
-    def alerts_document(self) -> Optional[Dict[str, Any]]:
-        """The ``/alerts`` document, or None when no engine is attached.
-
-        With one engine attached this is its ``multinoc-alerts/1``
-        document verbatim; with several (aggregator mode) the primary
-        session's document — if any — gains a ``sessions`` map of
-        per-session documents.
-        """
+    def alerts_document(self) -> Optional[bytes]:
+        """The ``/alerts`` document, or None when no engine is attached."""
         with self._lock:
-            docs = {
-                name: json.loads(snapshot)
-                for name, snapshot in self._alert_docs.items()
-            }
-        if not docs:
-            return None
-        if len(docs) == 1:
-            return next(iter(docs.values()))
-        primary = docs.get(self._name) or {"schema": "multinoc-alerts/1"}
-        primary["sessions"] = docs
-        return primary
-
-    @staticmethod
-    def _alerts_summary(document: Dict[str, Any]) -> Dict[str, Any]:
-        """Compact roll-up of an alerts document for the fleet view."""
-        out = {
-            "rules": len(document.get("rules") or []),
-            "firing": len(document.get("firing") or []),
-            "pending": len(document.get("pending") or []),
-            "transitions": document.get("transitions_total", 0),
-        }
-        slos = document.get("slos") or []
-        if slos:
-            out["slo_unhealthy"] = sum(1 for s in slos if not s.get("healthy"))
-        return out
+            return self._alerts_doc
 
     def health_document(self) -> Dict[str, Any]:
         with self._lock:
             frames = self._frames_seen
-            sessions = len(self._session_frames)
         return {
             "status": "ok",
             "uptime_seconds": round(time.time() - self._started_wall, 3),
             "frames_seen": frames,
-            "sessions_with_frames": sessions,
-            "sessions": self.session_names,
         }
-
-    def runs_document(self, limit: int = DEFAULT_RUNS_LIMIT) -> Dict[str, Any]:
-        """The ``/runs`` fleet document: session frames + record tail."""
-        with self._lock:
-            sessions: Dict[str, Any] = {
-                name: json.loads(payload)
-                for name, payload in self._session_frames.items()
-            }
-            alert_docs = {
-                name: json.loads(snapshot)
-                for name, snapshot in self._alert_docs.items()
-            }
-        for name, doc in alert_docs.items():
-            if name in sessions:
-                sessions[name]["alerts"] = self._alerts_summary(doc)
-        for name, url in self._remotes.items():
-            sessions[name] = self._poll_remote(name, url)
-        document: Dict[str, Any] = {
-            "schema": FLEET_SCHEMA,
-            "wall_unix": time.time(),
-            "sessions": sessions,
-            "records": [],
-        }
-        if self.run_registry is not None:
-            try:
-                document["records"] = self.run_registry.index()[-limit:]
-            except (OSError, ValueError) as exc:
-                document["registry_error"] = str(exc)
-        return document
-
-    @classmethod
-    def _poll_remote(cls, name: str, url: str) -> Dict[str, Any]:
-        import urllib.error
-        import urllib.request
-
-        try:
-            with urllib.request.urlopen(url + "/frame", timeout=2) as resp:
-                frame = json.loads(resp.read())
-            frame.setdefault("session", name)
-        except (OSError, ValueError) as exc:
-            return {"session": name, "error": str(exc)}
-        # the alert roll-up is best-effort: a frame without alert state
-        # is a healthy row, not a degraded one
-        try:
-            with urllib.request.urlopen(url + "/alerts", timeout=2) as resp:
-                frame["alerts"] = cls._alerts_summary(json.loads(resp.read()))
-        except (OSError, ValueError):
-            pass
-        return frame
 
     def add_client(self) -> "queue.Queue[bytes]":
         q: "queue.Queue[bytes]" = queue.Queue(maxsize=CLIENT_QUEUE_DEPTH)
@@ -436,15 +264,6 @@ class _Handler(BaseHTTPRequestHandler):
                 self._send(200, "application/json", frame + b"\n")
         elif route == "/frames":
             self._stream_frames(params)
-        elif route == "/runs":
-            limit = DEFAULT_RUNS_LIMIT
-            if "limit" in params:
-                try:
-                    limit = max(int(params["limit"][0]), 1)
-                except ValueError:
-                    self._send_json(400, {"error": "limit must be an integer"})
-                    return
-            self._send_json(200, self.telemetry.runs_document(limit))
         elif route == "/alerts":
             document = self.telemetry.alerts_document()
             if document is None:
@@ -452,7 +271,7 @@ class _Handler(BaseHTTPRequestHandler):
                     404, {"error": "no alert engine attached", "status": 404}
                 )
             else:
-                self._send_json(200, document)
+                self._send(200, "application/json", document + b"\n")
         elif route == "/healthz":
             self._send_json(200, self.telemetry.health_document())
         elif route == "/":
@@ -464,7 +283,6 @@ class _Handler(BaseHTTPRequestHandler):
                         "/metrics": "Prometheus exposition text",
                         "/frame": "latest multinoc-live/1 frame (JSON)",
                         "/frames": "frame stream (SSE; ?format=jsonl, ?limit=N)",
-                        "/runs": "fleet document: session frames + run records",
                         "/alerts": "alert/SLO engine state (multinoc-alerts/1)",
                         "/healthz": "server liveness",
                     },

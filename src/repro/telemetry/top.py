@@ -11,7 +11,7 @@ Two attachment modes:
 
 * **in-process** — ``MeshTop().attach(live)`` subscribes to a
   :class:`~repro.telemetry.live.LiveStream` and repaints on every frame
-  (``multinoc run ... --top`` wires this up);
+  (``multinoc system ... --top`` wires this up);
 * **remote** — :func:`stream_frames` consumes a
   :mod:`~repro.telemetry.server` ``/frames?format=jsonl`` stream over
   plain :mod:`urllib`, so ``multinoc top --url http://127.0.0.1:9777``
@@ -20,12 +20,6 @@ Two attachment modes:
   the server is up but no frame has been folded yet (HTTP 404), the
   fetch retries with a short exponential backoff instead of erroring,
   so attaching *while* a run warms up just works.
-
-**Fleet mode** (``multinoc top --fleet``) renders the aggregator's
-``/runs`` document instead of a single mesh: one row per session —
-cycle, simulation rate, health, a link-utilisation sparkline — plus the
-newest run-registry records.  This is the operator's view of a
-multi-session service.
 
 Colour / glyph policy follows the rest of the telemetry layer: unicode
 block ramps and ANSI colour only when the output is a real terminal and
@@ -50,7 +44,7 @@ import urllib.request
 from collections import deque
 from typing import Any, Deque, Dict, Iterable, Iterator, List, Optional, Tuple
 
-from .live import FRAME_FIELDS, frame_fields
+from .live import frame_fields
 
 _CLEAR = "\x1b[2J\x1b[H"
 _RESET = "\x1b[0m"
@@ -237,7 +231,6 @@ class MeshTop:
         self.ramp = glyph_ramp(ascii_only=not self.color)
         self.sparkline_width = sparkline_width
         self._series: Optional[FrameSeries] = None
-        self._fleet_series: Dict[str, FrameSeries] = {}
         self._live = None
         self._alerts = None
 
@@ -298,7 +291,7 @@ class MeshTop:
         host = frame.get("host")
         if host:
             lines.append(self._host_line(host))
-        lines.extend(self._alerts_section(frame))
+        lines.extend(self._alerts_section())
         checkpoints = frame.get("checkpoints")
         if checkpoints:
             marks = "  ".join(f"@{c}" for c in checkpoints[-6:])
@@ -432,55 +425,32 @@ class MeshTop:
         text = f"health: OK  ({health.get('checks_run', 0)} checks run)"
         return f"{_GREEN}{text}{_RESET}" if self.color else text
 
-    def _alerts_section(self, frame: Dict[str, Any]) -> List[str]:
-        """The alert banner: firing (red) and pending (yellow) series.
-
-        Sources, in preference order: an in-process engine attached via
-        :meth:`attach_alerts`, else an ``alerts`` roll-up embedded in
-        the frame (fleet documents carry one per session).
-        """
+    def _alerts_section(self) -> List[str]:
+        """The alert banner of an engine attached via
+        :meth:`attach_alerts`: firing (red) and pending (yellow) series."""
         engine = self._alerts
-        if engine is not None:
-            firing = engine.firing()
-            pending = engine.pending()
-            if not firing and not pending:
-                return [
-                    self._dim(
-                        f"alerts: none firing ({len(engine.rules)} rule(s))"
-                    )
-                ]
-            lines = []
-            for a in firing:
-                text = (
-                    f"ALERT firing   {a['series']}"
-                    f"  since cycle {a['since_cycle']} [{a['severity']}]"
-                )
-                lines.append(
-                    f"{_RED}{_BOLD}{text}{_RESET}" if self.color else text
-                )
-            for a in pending:
-                text = (
-                    f"ALERT pending  {a['series']}"
-                    f"  since cycle {a['since_cycle']} [{a['severity']}]"
-                )
-                lines.append(
-                    f"{_YELLOW}{text}{_RESET}" if self.color else text
-                )
-            return lines
-        summary = frame.get("alerts")
-        if not summary:
+        if engine is None:
             return []
-        firing = summary.get("firing", 0)
-        pending = summary.get("pending", 0)
-        text = (
-            f"alerts: {firing} firing, {pending} pending"
-            f" ({summary.get('rules', 0)} rule(s))"
-        )
-        if firing:
-            return [f"{_RED}{_BOLD}{text}{_RESET}" if self.color else text]
-        if pending:
-            return [f"{_YELLOW}{text}{_RESET}" if self.color else text]
-        return [self._dim(text)]
+        firing = engine.firing()
+        pending = engine.pending()
+        if not firing and not pending:
+            return [
+                self._dim(f"alerts: none firing ({len(engine.rules)} rule(s))")
+            ]
+        lines = []
+        for a in firing:
+            text = (
+                f"ALERT firing   {a['series']}"
+                f"  since cycle {a['since_cycle']} [{a['severity']}]"
+            )
+            lines.append(f"{_RED}{_BOLD}{text}{_RESET}" if self.color else text)
+        for a in pending:
+            text = (
+                f"ALERT pending  {a['series']}"
+                f"  since cycle {a['since_cycle']} [{a['severity']}]"
+            )
+            lines.append(f"{_YELLOW}{text}{_RESET}" if self.color else text)
+        return lines
 
     def _host_line(self, host: Dict[str, Any]) -> str:
         """Host observatory panel: RSS, GC pressure, phase shares and
@@ -519,103 +489,6 @@ class MeshTop:
             if spark:
                 lines.append(f"  {label} {spark}")
         return lines
-
-    # -- fleet view --------------------------------------------------------
-
-    def display_fleet(self, document: Dict[str, Any]) -> None:
-        """Clear the screen (when interactive) and paint a fleet table."""
-        text = self.render_fleet(document)
-        if self.color:
-            self.stream.write(_CLEAR)
-        self.stream.write(text + "\n")
-        self.stream.flush()
-
-    def render_fleet(self, document: Dict[str, Any]) -> str:
-        """One ``multinoc-fleet/1`` document as a session table.
-
-        One row per session — cycle, simulation rate, health status and
-        a link-utilisation sparkline accumulated across the documents
-        this dashboard has seen — followed by the newest run-registry
-        records the aggregator is serving.
-        """
-        sessions = document.get("sessions", {})
-        lines = [
-            self._bold(f"MultiNoC fleet  {len(sessions)} session(s)")
-        ]
-        if not sessions:
-            lines.append(self._dim("  (no sessions attached)"))
-        else:
-            width = max(len("SESSION"), *(len(n) for n in sessions)) + 2
-            lines.append(
-                self._cyan(
-                    f"  {'SESSION':<{width}}{'CYCLE':>12}  {'RATE':>10}"
-                    f"  {'HEALTH':<8} {'ALERTS':<9} UTIL"
-                )
-            )
-            for name in sorted(sessions):
-                lines.append(self._fleet_row(name, sessions[name], width))
-        records = document.get("records") or []
-        if records:
-            lines.append("")
-            lines.append(self._cyan("recent runs:"))
-            for entry in records[-6:]:
-                status = entry.get("status", "?")
-                text = (
-                    f"  {entry.get('run_id', '?'):<34}"
-                    f" {entry.get('kind', '?'):<8} {status}"
-                )
-                lines.append(
-                    text if status == "ok" or not self.color
-                    else f"{_RED}{text}{_RESET}"
-                )
-        return "\n".join(lines)
-
-    def _fleet_row(
-        self, name: str, frame: Dict[str, Any], width: int
-    ) -> str:
-        if "error" in frame:
-            text = f"  {name:<{width}}{'—':>12}  {'—':>10}  unreachable"
-            return f"{_RED}{text}{_RESET}" if self.color else text
-        rate = frame.get("sim_rate_hz", 0.0)
-        rate_text = (
-            f"{rate / 1000:.1f} kHz" if rate >= 1000 else f"{rate:.1f} Hz"
-        )
-        health = frame.get("health") or {}
-        if not health.get("attached"):
-            health_text = "-"
-        elif health.get("violations"):
-            health_text = f"{health['violations']} viol"
-        else:
-            health_text = "OK"
-        alerts = frame.get("alerts")
-        if not alerts:
-            alert_text = "-"
-        elif alerts.get("firing"):
-            alert_text = f"{alerts['firing']} firing"
-        elif alerts.get("pending"):
-            alert_text = f"{alerts['pending']} pend"
-        else:
-            alert_text = "ok"
-        util = max(FRAME_FIELDS["link_util"].read(frame).values(), default=0.0)
-        series = self._fleet_series.get(name)
-        if series is None:
-            series = self._fleet_series[name] = FrameSeries(
-                1, window=self.sparkline_width
-            )
-        series.append("util", frame.get("cycle", 0), util)
-        spark = series.sparkline(
-            "util", width=min(self.sparkline_width, 24),
-            ascii=not self.color,
-        )
-        row = (
-            f"  {name:<{width}}{frame.get('cycle', 0):>12,}"
-            f"  {rate_text:>10}  {health_text:<8} {alert_text:<9} {spark}"
-        )
-        if self.color and (
-            health.get("violations") or (alerts and alerts.get("firing"))
-        ):
-            row = f"{_RED}{row}{_RESET}"
-        return row
 
     # -- tiny style helpers ------------------------------------------------
 
@@ -675,17 +548,6 @@ def fetch_frame(
                 raise
             time.sleep(backoff * (2 ** attempt))
             attempt += 1
-
-
-def fetch_runs(
-    url: str, *, timeout: float = 5.0, limit: Optional[int] = None
-) -> Dict[str, Any]:
-    """GET the fleet document from a telemetry server's ``/runs``."""
-    target = url.rstrip("/") + "/runs"
-    if limit is not None:
-        target += f"?limit={limit}"
-    with urllib.request.urlopen(target, timeout=timeout) as resp:
-        return json.loads(resp.read())
 
 
 def stream_frames(
@@ -762,31 +624,6 @@ def watch(
         else:
             print(f"multinoc top: {url} answered {exc.code}", file=sys.stderr)
         return 1
-    except OSError as exc:
-        print(f"multinoc top: cannot reach {url}: {exc}", file=sys.stderr)
-        return 1
-
-
-def watch_fleet(
-    url: str,
-    *,
-    once: bool = False,
-    frames: Optional[int] = None,
-    interval: float = 1.0,
-    top: Optional[MeshTop] = None,
-) -> int:
-    """Poll ``/runs`` and render the fleet table; returns exit code."""
-    top = top if top is not None else MeshTop()
-    rendered = 0
-    try:
-        while True:
-            top.display_fleet(fetch_runs(url))
-            rendered += 1
-            if once or (frames is not None and rendered >= frames):
-                return 0
-            time.sleep(interval)
-    except KeyboardInterrupt:
-        return 0
     except OSError as exc:
         print(f"multinoc top: cannot reach {url}: {exc}", file=sys.stderr)
         return 1

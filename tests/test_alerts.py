@@ -502,13 +502,6 @@ class TestLiveIntegration:
         text = MeshTop(color=False).attach_alerts(engine).render(frame(0))
         assert "alerts: none firing (1 rule(s))" in text
 
-    def test_top_banner_falls_back_to_frame_rollup(self):
-        # a fleet frame carries a per-session roll-up, not an engine
-        shown = frame(0)
-        shown["alerts"] = {"rules": 3, "firing": 1, "pending": 0}
-        text = MeshTop(color=False).render(shown)
-        assert "alerts: 1 firing, 0 pending (3 rule(s))" in text
-
     def test_live_and_replayed_verdicts_identical(self, tmp_path):
         """Acceptance: `multinoc alerts check` over the stored trace of
         a run reports exactly what the live engine reported."""
@@ -592,27 +585,6 @@ class TestServerAlerts:
         assert excinfo.value.code == 404
         assert excinfo.value.headers["Content-Type"] == "application/json"
         assert "no alert engine" in json.loads(excinfo.value.read())["error"]
-        server.close()
-
-    def test_fleet_document_carries_alert_rollup(self):
-        from repro.telemetry import TelemetryServer
-        from repro.telemetry.top import fetch_runs
-
-        session, engine = launch_alerted()
-        server = TelemetryServer(None, name="hub")
-        server.add_stream("alpha", session.live)
-        server.attach_alerts(engine, "alpha")
-        server.start()
-        session.host.sync()
-        session.run(1, PRINTF_LOOP)
-        session.live.force()
-        doc = fetch_runs(server.address)
-        rollup = doc["sessions"]["alpha"]["alerts"]
-        assert rollup["rules"] == 2
-        assert rollup["transitions"] > 0
-        assert "slo_unhealthy" in rollup
-        text = MeshTop(color=False).render_fleet(doc)
-        assert "ALERTS" in text  # fleet table header column
         server.close()
 
 

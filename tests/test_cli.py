@@ -467,6 +467,14 @@ class TestSystem:
         assert record["status"] == "failed" and record["exit_code"] == 1
 
 
+class TestTop:
+    def test_fleet_flag_is_rejected(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["top", "--url", "http://127.0.0.1:9", "--fleet"])
+        assert excinfo.value.code == 2
+        assert "--fleet" in capsys.readouterr().err
+
+
 class TestPrototype:
     def test_report(self, capsys):
         assert main(["prototype", "--iterations", "300"]) == 0

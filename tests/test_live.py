@@ -20,7 +20,6 @@ import pytest
 from repro.core import MultiNoCPlatform
 from repro.sim import stride_points
 from repro.telemetry import (
-    FLEET_SCHEMA,
     LIVE_SCHEMA,
     LIVE_TRACKS,
     LiveStream,
@@ -28,14 +27,7 @@ from repro.telemetry import (
     TelemetryServer,
     TelemetrySink,
 )
-from repro.telemetry.registry import RunRegistry
-from repro.telemetry.top import (
-    fetch_frame,
-    fetch_runs,
-    stream_frames,
-    watch,
-    watch_fleet,
-)
+from repro.telemetry.top import fetch_frame, stream_frames, watch
 
 PRINTF_LOOP = """
         CLR  R0
@@ -362,7 +354,6 @@ class TestServerHardening:
             doc = json.loads(resp.read())
         assert doc["status"] == "ok"
         assert doc["frames_seen"] == 0
-        assert doc["sessions"] == ["default"]
         assert doc["uptime_seconds"] >= 0
         session.host.sync()
         session.run(1, PRINTF_LOOP)
@@ -392,6 +383,38 @@ class TestServerHardening:
             "status": 404,
         }
         server.close()
+
+    def test_runs_is_an_unknown_endpoint(self):
+        session, live, server = self.serve()
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            urllib.request.urlopen(server.address + "/runs")
+        assert excinfo.value.code == 404
+        assert json.loads(excinfo.value.read()) == {
+            "error": "unknown endpoint",
+            "path": "/runs",
+            "status": 404,
+        }
+        server.close()
+
+    def test_frame_is_the_stream_frame_verbatim(self):
+        session, live, server = self.serve()
+        received = []
+        live.subscribe(received.append)
+        session.host.sync()
+        session.run(1, PRINTF_LOOP)
+        live.force()
+        served = fetch_frame(server.address)
+        assert "session" not in served
+        assert served == json.loads(json.dumps(received[-1]))
+        server.close()
+
+    def test_close_never_started_server_returns(self):
+        session = MultiNoCPlatform.standard().launch()
+        server = TelemetryServer(session.live_stream(stride=256))
+        closer = threading.Thread(target=server.close, daemon=True)
+        closer.start()
+        closer.join(timeout=3)
+        assert not closer.is_alive()
 
     def test_frame_404_is_json_too(self):
         session, live, server = self.serve()
@@ -486,9 +509,9 @@ class TestServerHardening:
             assert resp.headers["Content-Type"] == "application/json"
             doc = json.loads(resp.read())
         assert doc["server"].startswith("multinoc/")
-        for path in ("/metrics", "/frame", "/frames", "/runs", "/alerts",
-                     "/healthz"):
-            assert path in doc["endpoints"]
+        assert set(doc["endpoints"]) == {
+            "/metrics", "/frame", "/frames", "/alerts", "/healthz"
+        }
         server.close()
 
     def test_unsupported_method_error_is_json(self):
@@ -523,132 +546,3 @@ class TestServerHardening:
             server.close()
         assert code == 0
         assert "MultiNoC live" in out.getvalue()
-
-
-class TestFleet:
-    PROGRAM = PRINTF_LOOP
-
-    def launch_pair(self):
-        """Two concurrent sessions multiplexed through one aggregator."""
-        s1 = MultiNoCPlatform.standard().launch()
-        s2 = MultiNoCPlatform.standard().launch()
-        l1 = s1.live_stream(stride=256)
-        l2 = s2.live_stream(stride=256)
-        server = TelemetryServer(l1, name="alpha")
-        server.add_stream("beta", l2)
-        server.start()
-        return (s1, s2), server
-
-    def run_both(self, sessions):
-        for session in sessions:
-            session.host.sync()
-            session.run(1, self.PROGRAM)
-
-    def test_runs_document_multiplexes_sessions(self):
-        sessions, server = self.launch_pair()
-        self.run_both(sessions)
-        doc = fetch_runs(server.address)
-        assert doc["schema"] == FLEET_SCHEMA
-        assert sorted(doc["sessions"]) == ["alpha", "beta"]
-        for name, frame in doc["sessions"].items():
-            assert frame["session"] == name
-            assert frame["cycle"] > 0
-        server.close()
-
-    def test_fleet_view_renders_two_sessions(self):
-        sessions, server = self.launch_pair()
-        self.run_both(sessions)
-        top = MeshTop(color=False)
-        text = top.render_fleet(fetch_runs(server.address))
-        assert "MultiNoC fleet  2 session(s)" in text
-        rows = [l for l in text.splitlines() if l.startswith("  alpha")
-                or l.startswith("  beta")]
-        assert len(rows) == 2
-        server.close()
-
-    def test_watch_fleet_loop(self):
-        sessions, server = self.launch_pair()
-        self.run_both(sessions)
-        out = io.StringIO()
-        code = watch_fleet(
-            server.address,
-            frames=2,
-            interval=0.01,
-            top=MeshTop(color=False, stream=out),
-        )
-        assert code == 0
-        assert out.getvalue().count("MultiNoC fleet") == 2
-        server.close()
-
-    def test_remove_stream_detaches(self):
-        sessions, server = self.launch_pair()
-        server.remove_stream("beta")
-        self.run_both(sessions)
-        doc = fetch_runs(server.address)
-        assert sorted(doc["sessions"]) == ["alpha"]
-        server.close()
-
-    def test_runs_endpoint_serves_registry_tail(self, tmp_path):
-        registry = RunRegistry(tmp_path / "runs")
-        for i in range(3):
-            registry.record(
-                kind="bench", timestamp=1_700_000_000 + i, git_rev=None
-            )
-        session = MultiNoCPlatform.standard().launch()
-        server = session.serve_telemetry(run_registry=registry)
-        doc = fetch_runs(server.address, limit=2)
-        assert len(doc["records"]) == 2
-        assert doc["records"][-1]["run_id"] == registry.latest()["run_id"]
-        text = MeshTop(color=False).render_fleet(doc)
-        assert "recent runs:" in text
-        server.close()
-
-    def test_aggregator_polls_remote_servers(self):
-        """A fleet aggregator can multiplex another server over HTTP."""
-        s1 = MultiNoCPlatform.standard().launch()
-        l1 = s1.live_stream(stride=256)
-        worker = TelemetryServer(l1, name="worker").start()
-        aggregator = TelemetryServer(None, name="hub")
-        aggregator.add_remote("remote-1", worker.address)
-        aggregator.start()
-        s1.host.sync()
-        s1.run(1, self.PROGRAM)
-        doc = fetch_runs(aggregator.address)
-        assert "remote-1" in doc["sessions"]
-        assert doc["sessions"]["remote-1"]["cycle"] > 0
-        aggregator.close()
-        worker.close()
-
-    def test_unreachable_remote_is_reported_not_fatal(self):
-        aggregator = TelemetryServer(None, name="hub")
-        aggregator.add_remote("gone", "http://127.0.0.1:1")
-        aggregator.start()
-        doc = fetch_runs(aggregator.address)
-        assert "error" in doc["sessions"]["gone"]
-        text = MeshTop(color=False).render_fleet(doc)
-        assert "unreachable" in text
-        aggregator.close()
-
-    def test_dead_remote_degrades_row_without_failing_scrape(self):
-        """One dead remote among live sessions degrades its own row;
-        the healthy sessions still scrape and render normally."""
-        s1 = MultiNoCPlatform.standard().launch()
-        l1 = s1.live_stream(stride=256)
-        worker = TelemetryServer(l1, name="worker").start()
-        aggregator = TelemetryServer(None, name="hub")
-        aggregator.add_remote("live-remote", worker.address)
-        aggregator.add_remote("dead-remote", "http://127.0.0.1:1")
-        aggregator.start()
-        s1.host.sync()
-        s1.run(1, self.PROGRAM)
-        doc = fetch_runs(aggregator.address)
-        assert doc["schema"] == FLEET_SCHEMA
-        assert doc["sessions"]["live-remote"]["cycle"] > 0
-        assert "error" in doc["sessions"]["dead-remote"]
-        text = MeshTop(color=False).render_fleet(doc)
-        rows = [l for l in text.splitlines() if "-remote" in l]
-        assert len(rows) == 2
-        assert any("unreachable" in row for row in rows)
-        assert not all("unreachable" in row for row in rows)
-        aggregator.close()
-        worker.close()
