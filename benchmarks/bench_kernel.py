@@ -11,8 +11,13 @@ regimes that bound its behaviour:
   orders of magnitude higher).
 * **saturated** — a mesh under heavy synthetic traffic: nothing can
   sleep, so the quiescent path must not cost materially more than
-  lock-step (its overhead is the per-unit awake check).
+  lock-step (its overhead is a few checks per cycle and per awake
+  unit; the run list is only rebuilt in cycles where a unit slept or
+  woke).
 * **mixed** — bursty traffic with idle gaps, the realistic middle.
+* **sea** — one busy unit among 10 or among 1,000 sleeping ones: the
+  kernel walks only awake units, so per-cycle cost must not grow with
+  the number of sleepers (CI gate: at most 2x).
 
 All three scenarios also double as equivalence checks: delivered packet
 counts and final cycle numbers must match bit-for-bit across modes.
@@ -24,8 +29,10 @@ from conftest import report
 from repro.apps.workloads import TrafficConfig, drive_traffic
 from repro.core import MultiNoCPlatform
 from repro.noc.network import HermesNetwork
+from repro.sim import Component, Simulator
 
 IDLE_CYCLES = 100_000
+SEA_CYCLES = 20_000
 
 
 def _rate(cycles, seconds):
@@ -133,3 +140,59 @@ def test_kernel_mixed_duty_cycle(benchmark):
         ],
     )
     assert speedup > 1.0, "idle gaps must make the quiescent path faster"
+
+
+class _Busy(Component):
+    """Never quiescent: evaluated every cycle."""
+
+    def eval(self, cycle):
+        self.last = cycle
+
+
+class _Asleep(Component):
+    """Quiescent from its first eval on, with no wake booked."""
+
+    def eval(self, cycle):
+        pass
+
+    def is_quiescent(self):
+        return True
+
+
+def _us_per_cycle(n_sleeping, repeats=3):
+    """Best-of-*repeats* host microseconds per ``step`` cycle with one
+    busy unit and *n_sleeping* sleeping ones."""
+    sim = Simulator()
+    sim.add(_Busy("busy"))
+    for i in range(n_sleeping):
+        sim.add(_Asleep(f"idle{i}"))
+    sim.step(1)  # elaborate; every sleeper goes to sleep at its eval
+    best = float("inf")
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        sim.step(SEA_CYCLES)
+        best = min(best, time.perf_counter() - t0)
+    return best / SEA_CYCLES * 1e6
+
+
+def test_kernel_cost_independent_of_sleeping_units(benchmark):
+    """One busy unit: 1,000 sleepers may cost at most 2x what 10 do."""
+
+    def both():
+        return _us_per_cycle(10), _us_per_cycle(1000)
+
+    few, many = benchmark(both)
+    ratio = many / few
+    report(
+        benchmark,
+        "Kernel per-cycle cost, 1 busy unit among N sleeping",
+        [
+            ("N=10 (us/cycle)", "(baseline)", f"{few:.2f}"),
+            ("N=1000 (us/cycle)", "~N=10", f"{many:.2f}"),
+            ("N=1000 / N=10", "<=2x (CI gate)", f"{ratio:.2f}x"),
+        ],
+    )
+    assert ratio <= 2.0, (
+        f"per-cycle kernel cost must not grow with sleeping units, "
+        f"got {ratio:.2f}x from 10 to 1000"
+    )

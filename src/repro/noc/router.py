@@ -419,7 +419,14 @@ class HermesRouter(Component):
 
     @property
     def busy(self) -> bool:
-        """True while any buffer holds flits or any connection is open."""
+        """True while any buffer holds flits or any connection is open.
+
+        A router asleep as its own kernel unit answers at once: it only
+        sleeps when :meth:`is_quiescent` held (empty buffers, no open
+        connection, idle control), and nothing changes while it sleeps.
+        """
+        if not self._awake and self._sched is self:
+            return False
         return (
             any(not f.is_empty for f in self.fifos)
             or any(c is not None for c in self.in_conn)

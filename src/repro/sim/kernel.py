@@ -15,6 +15,17 @@ it, or a scheduled ``wake_at`` fires.  When *every* unit sleeps, the
 kernel fast-forwards ``self.cycle`` straight to the earliest scheduled
 wake (or the step/run budget) instead of spinning.
 
+Per-cycle kernel cost depends only on the units that are awake.  The
+loop walks a *run list*: the awake units in elaboration order.  Each
+unit's ``_awake`` flag stays the truth (``wake()`` only flips it and
+queues the unit); the list is rebuilt from the flags at elaboration,
+``reset`` and ``restore``, and patched only in cycles where some unit
+slept or woke.  A unit woken during another unit's eval runs in that
+same cycle when it comes later in elaboration order and in the next
+cycle when it comes earlier, exactly as in lock-step.  ``step`` and
+``run_until`` drive the same loop, which re-elaborates as soon as the
+wiring is invalidated, even in the middle of a run.
+
 The results are cycle-exact with respect to the legacy schedule: a
 quiescent component's eval is by contract a no-op, and skipped idle
 evals are credited through ``on_wake`` so per-cycle counters (CPU stall
@@ -38,6 +49,7 @@ watchdogs and live frames keep their cadence.  The
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
+from operator import attrgetter
 from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
 
 from .component import Component, SnapshotError
@@ -55,6 +67,9 @@ def stride_points(start: int, end: int, stride: int) -> Iterator[int]:
     while c < end:
         yield c
         c += stride
+
+
+_UIDX = attrgetter("_uidx")
 
 
 class SimulationTimeout(Exception):
@@ -125,7 +140,12 @@ class Simulator:
         # -- quiescence machinery (built lazily by _elaborate) ------------
         self._units: List[Component] = []
         self._unit_set: Set[Component] = set()
-        self._n_awake = 0
+        #: awake units in elaboration order (the loop's run list)
+        self._run: List[Component] = []
+        #: units woken since the run list was last patched
+        self._woken: List[Component] = []
+        #: units woken mid-cycle by a later unit, run from next cycle
+        self._later: List[Component] = []
         self._wake_heap: list = []  # (cycle, seq, unit)
         self._wake_seq = 0
         self._driven: list = []  # wires driven since the last commit
@@ -203,9 +223,11 @@ class Simulator:
         units: List[Component] = []
         self._tracked_wires = tracked
         self._units = units
+        self._run = []
+        self._woken.clear()
+        self._later.clear()
         if self.strict_lockstep:
             self._unit_set = set()
-            self._n_awake = 0
             return
         pending = self._driven
         default_eval = Component.eval
@@ -214,6 +236,7 @@ class Simulator:
         def walk(comp: Component, unit: Optional[Component]) -> None:
             if unit is None and type(comp).eval is not default_eval:
                 unit = comp
+                comp._uidx = len(units)
                 units.append(comp)
                 comp._can_sleep = (
                     type(comp).is_quiescent is not default_quiescent
@@ -249,7 +272,7 @@ class Simulator:
 
         for top in self._components:
             wire_sinks(top)
-        self._n_awake = sum(1 for u in units if u._awake)
+        self._run = [u for u in units if u._awake]
 
     # -- wake management -------------------------------------------------
 
@@ -257,7 +280,7 @@ class Simulator:
         """Mark a sleeping unit runnable (external mutation arrived)."""
         if not unit._awake and unit in self._unit_set:
             unit._awake = True
-            self._n_awake += 1
+            self._woken.append(unit)
 
     def schedule_wake(self, unit: Component, cycle: int) -> None:
         """Wake *unit* at *cycle* (processed before that cycle's evals)."""
@@ -280,7 +303,8 @@ class Simulator:
         for u in self._units:
             u._awake = True
             u._slept_since = None
-        self._n_awake = len(self._units)
+        self._run = list(self._units)
+        self._woken.clear()
 
     # -- checkpointing ---------------------------------------------------
 
@@ -400,8 +424,10 @@ class Simulator:
             ):
                 u._awake = awake
                 u._slept_since = slept
-            self._n_awake = sum(1 for u in units if u._awake)
-            self._wake_heap = [
+            self._run = [u for u in units if u._awake]
+            self._woken.clear()
+            # in place: a running loop holds the heap by reference
+            self._wake_heap[:] = [
                 (cyc, seq, units[i])
                 for cyc, seq, i in sched.get("wake_heap", [])
             ]
@@ -420,7 +446,8 @@ class Simulator:
             for u in units:
                 u._awake = True
                 u._slept_since = None
-            self._n_awake = len(units)
+            self._run = list(units)
+            self._woken.clear()
         for cc in comps:
             cc._last_wake_req = None
 
@@ -428,43 +455,73 @@ class Simulator:
         """Advance the simulation by *cycles* clock cycles."""
         if self.strict_lockstep:
             return self._step_lockstep(cycles)
+        self._advance(self.cycle + cycles, None)
+        return self.cycle
+
+    def _advance(
+        self, target: int, predicate: Optional[Callable[[], bool]]
+    ) -> bool:
+        """The quiescent loop behind :meth:`step` and :meth:`run_until`.
+
+        Runs up to cycle *target*.  With a *predicate*, tests it before
+        every cycle with activity and at *target*, and returns True as
+        soon as it holds (False: *target* was reached first).
+        """
         if self._needs_elab:
             self._elaborate()
-        units = self._units
         heap = self._wake_heap
         driven = self._driven
-        unit_set = self._unit_set
-        target = self.cycle + cycles
-        while self.cycle < target:
+        woken = self._woken
+        while True:
+            # hostperf: run_until
+            if predicate is not None and predicate():
+                return True
             cyc = self.cycle
+            if cyc >= target:
+                return False
             # hostperf: wake_heap
+            if self._needs_elab:
+                self._elaborate()
+            popped = False
             while heap and heap[0][0] <= cyc:
                 unit = heappop(heap)[2]
-                if not unit._awake and unit in unit_set:
+                popped = True
+                if not unit._awake and unit in self._unit_set:
                     unit._awake = True
-                    self._n_awake += 1
-            if self._n_awake == 0 and units:
+                    woken.append(unit)
+            run = self._run
+            if woken:
+                run.extend(woken)
+                run.sort(key=_UIDX)
+                woken.clear()
+            if not run and self._units:
                 land = heap[0][0] if heap else target
                 if land > target:
                     land = target
+                if popped and predicate is not None:
+                    # wakes fell due but woke nobody: a predicate loop
+                    # re-tests at the next cycle, like the one after it
+                    land = cyc + 1
                 self._fast_forward(cyc, land)
                 continue
             # hostperf: eval
-            for u in units:
-                if u._awake:
-                    s = u._slept_since
-                    if s is not None:
-                        u._slept_since = None
-                        if cyc > s:
-                            u.on_wake(cyc - s)
-                    u.eval(cyc)
-                    if u._can_sleep and u.is_quiescent():
-                        u._awake = False
-                        u._slept_since = cyc + 1
-                        self._n_awake -= 1
+            changed = False
+            for u in run:
+                s = u._slept_since
+                if s is not None:
+                    u._slept_since = None
+                    if cyc > s:
+                        u.on_wake(cyc - s)
+                u.eval(cyc)
+                if u._can_sleep and u.is_quiescent():
+                    u._awake = False
+                    u._slept_since = cyc + 1
+                    changed = True
+                if woken:
+                    self._admit_mid_cycle(run, u._uidx)
+                    changed = True
             # hostperf: commit
             if driven:
-                n_awake = self._n_awake
                 for w in driven:
                     w._queued = False
                     nxt = w._next
@@ -473,15 +530,47 @@ class Simulator:
                         for su in w._sinks:
                             if not su._awake:
                                 su._awake = True
-                                n_awake += 1
-                self._n_awake = n_awake
+                                woken.append(su)
                 driven.clear()
+            # hostperf: kernel
+            if changed or woken:
+                self._patch_run(run, cyc + 1)
             self.cycle = cyc + 1
             # hostperf: watchers
             for fn, stride in self._watcher_pass:
                 if stride is None or self.cycle % stride == 0:
                     fn(self.cycle)
-        return self.cycle
+
+    def _admit_mid_cycle(self, run: List[Component], current: int) -> None:
+        """Place units woken during the eval of unit index *current*.
+
+        A unit later in elaboration order joins this cycle's pass: the
+        stable sort leaves the evaluated prefix in place, so the loop's
+        iterator reaches it.  An earlier one waits for the next cycle,
+        as in lock-step.
+        """
+        for w in self._woken:
+            (run if w._uidx > current else self._later).append(w)
+        self._woken.clear()
+        run.sort(key=_UIDX)
+
+    def _patch_run(self, run: List[Component], nxt: int) -> None:
+        """Rebuild the run list for cycle *nxt* after sleeps or wakes.
+
+        Survivors keep their places.  A woken unit whose ``_slept_since``
+        is *nxt* slept at its own eval this cycle, so it is still in
+        *run* and survives there; every other woken unit is added.
+        """
+        new = [u for u in run if u._awake]
+        later, woken = self._later, self._woken
+        if later or woken:
+            extra = [w for w in later + woken if w._slept_since != nxt]
+            if extra:
+                new.extend(extra)
+                new.sort(key=_UIDX)
+            later.clear()
+            woken.clear()
+        self._run = new
 
     def _step_lockstep(self, cycles: int) -> int:
         """The legacy loop: evaluate and commit everything, every cycle."""
@@ -539,36 +628,31 @@ class Simulator:
         """
         start = self.cycle
         budget = start + max_cycles
-        fast = not self.strict_lockstep
-        while not predicate():
-            if self.cycle >= budget:
-                what = label or getattr(predicate, "__name__", "condition")
-                message = (
-                    f"{what} not reached within {max_cycles} cycles "
-                    f"(at cycle {self.cycle})"
-                )
-                diagnostics = None
-                if self.health is not None:
-                    diagnostics = self.health.diagnostics()
-                    message += "\n" + self.health.describe(diagnostics)
-                raise SimulationTimeout(message, diagnostics=diagnostics)
-            if fast:
-                if self._needs_elab:
-                    self._elaborate()
-                heap = self._wake_heap
-                if (
-                    self._n_awake == 0
-                    and self._units
-                    and not (heap and heap[0][0] <= self.cycle)
-                ):
-                    land = heap[0][0] if heap else budget
-                    if land > budget:
-                        land = budget
-                    if land > self.cycle:
-                        self._fast_forward(self.cycle, land)
-                        continue
-            self.step()
+        if self.strict_lockstep:
+            while not predicate():
+                if self.cycle >= budget:
+                    self._timeout(predicate, max_cycles, label)
+                self._step_lockstep(1)
+        elif not self._advance(budget, predicate):
+            self._timeout(predicate, max_cycles, label)
         return self.cycle - start
+
+    def _timeout(
+        self,
+        predicate: Callable[[], bool],
+        max_cycles: int,
+        label: Optional[str],
+    ) -> None:
+        what = label or getattr(predicate, "__name__", "condition")
+        message = (
+            f"{what} not reached within {max_cycles} cycles "
+            f"(at cycle {self.cycle})"
+        )
+        diagnostics = None
+        if self.health is not None:
+            diagnostics = self.health.diagnostics()
+            message += "\n" + self.health.describe(diagnostics)
+        raise SimulationTimeout(message, diagnostics=diagnostics)
 
     # -- reporting ---------------------------------------------------------
 

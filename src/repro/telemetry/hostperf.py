@@ -133,7 +133,7 @@ def _kernel_region_table() -> Dict[str, Tuple[List[int], List[str]]]:
     from ..sim.kernel import Simulator
 
     table: Dict[str, Tuple[List[int], List[str]]] = {}
-    for fn in (Simulator.step, Simulator._step_lockstep):
+    for fn in (Simulator._advance, Simulator._step_lockstep):
         lines, start = inspect.getsourcelines(fn)
         marks: List[Tuple[int, str]] = []
         for offset, line in enumerate(lines):

@@ -48,8 +48,8 @@ done:   HALT
 class TestClassification:
     def test_kernel_markers_cover_both_loops(self):
         table = _kernel_region_table()
-        assert list(table["step"][1]) == [
-            "wake_heap", "eval", "commit", "watchers"
+        assert list(table["_advance"][1]) == [
+            "run_until", "wake_heap", "eval", "commit", "kernel", "watchers"
         ]
         assert list(table["_step_lockstep"][1]) == [
             "eval", "commit", "watchers"
@@ -59,12 +59,19 @@ class TestClassification:
             assert linenos == sorted(linenos)
 
     def test_region_by_line_number(self):
-        linenos, regions = _kernel_region_table()["step"]
-        # a line inside the eval block maps to eval, lines before the
-        # first marker (loop setup) fall back to "kernel"
-        assert _region_for_kernel_frame("step", linenos[1] + 1) == "eval"
-        assert _region_for_kernel_frame("step", linenos[0] - 1) == "kernel"
-        assert _region_for_kernel_frame("step", None) == "kernel"
+        linenos, regions = _kernel_region_table()["_advance"]
+        # a line inside the eval block maps to eval, the predicate test
+        # to run_until, lines before the first marker (loop setup) fall
+        # back to "kernel"
+        assert _region_for_kernel_frame("_advance", linenos[2] + 1) == "eval"
+        assert (
+            _region_for_kernel_frame("_advance", linenos[0] + 1)
+            == "run_until"
+        )
+        assert (
+            _region_for_kernel_frame("_advance", linenos[0] - 1) == "kernel"
+        )
+        assert _region_for_kernel_frame("_advance", None) == "kernel"
         assert _region_for_kernel_frame("_fast_forward", 1) == "fast_forward"
         assert _region_for_kernel_frame("run_until", 1) == "run_until"
         assert _region_for_kernel_frame("schedule_wake", 1) == "kernel"

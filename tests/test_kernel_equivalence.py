@@ -241,6 +241,91 @@ class TestContendedTrafficEquivalence:
 
 
 # ---------------------------------------------------------------------------
+# Scenario 6: a small sea of processors (mostly asleep, run_until heavy)
+# ---------------------------------------------------------------------------
+
+SEA_RESULT = 0x80
+
+
+def _sea_worker(pid, n_procs, chunk, successor_base):
+    """Chain-reduction worker: sum this worker's chunk, add the
+    successor's accumulated total read through the NUMA window, and
+    pass the baton down the chain (P1 prints the grand total)."""
+    first = 1 + (pid - 1) * chunk
+    last = first + chunk - 1
+    reduce_part = ""
+    if pid < n_procs:
+        reduce_part = f"""
+        LDI  R3, {pid + 1}
+        LDI  R2, 0xFFFE
+        ST   R3, R2, R0      ; wait for P{pid + 1}
+        LDI  R2, {successor_base + SEA_RESULT}
+        LD   R4, R2, R0      ; successor's accumulated total (NUMA read)
+        ADD  R5, R5, R4
+        LDI  R2, {SEA_RESULT}
+        ST   R5, R2, R0      ; re-publish the accumulated total
+"""
+    if pid == 1:
+        finish = """
+        LDI  R2, 0xFFFF
+        ST   R5, R2, R0      ; P1 announces the grand total
+        HALT
+"""
+    else:
+        finish = f"""
+        LDI  R3, {pid - 1}
+        LDI  R2, 0xFFFD
+        ST   R3, R2, R0      ; pass the baton to P{pid - 1}
+        HALT
+"""
+    return f"""
+        CLR  R0
+        LDI  R1, {first}
+        LDI  R6, {last}
+        LDL  R7, 1
+        CLR  R5
+sum:    ADD  R5, R5, R1
+        SUB  R8, R6, R1
+        JMPZD summed
+        ADD  R1, R1, R7
+        JMP  sum
+summed: LDI  R2, {SEA_RESULT}
+        ST   R5, R2, R0      ; publish the partial for my predecessor
+{reduce_part}{finish}
+"""
+
+
+def _run_sea(strict, n_procs=8, chunk=10):
+    session = MultiNoCPlatform(
+        topology="mesh:4x4", n_processors=n_procs
+    ).launch(strict_lockstep=strict)
+    system = session.system
+    session.host.sync()
+    for pid in range(1, n_procs + 1):
+        base = system.numa_base(pid, pid + 1) if pid < n_procs else None
+        session.start(pid, _sea_worker(pid, n_procs, chunk, base))
+    session.wait_all_halted(max_cycles=2_000_000)
+    session.sim.step(2000)
+    return {
+        "cycle": session.sim.cycle,
+        "results": {
+            pid: system.processors[pid].dump(SEA_RESULT, 1)[0]
+            for pid in range(1, n_procs + 1)
+        },
+        "printf": session.host.monitor(1).printf_values,
+        "noc": system.stats.snapshot(),
+    }
+
+
+class TestSeaOfProcessorsEquivalence:
+    def test_bit_identical_run(self):
+        strict = _run_sea(strict=True)
+        quiescent = _run_sea(strict=False)
+        assert quiescent == strict
+        assert strict["printf"] == [sum(range(1, 81)) & 0xFFFF]
+
+
+# ---------------------------------------------------------------------------
 # Kernel mechanics: fast-forward, wake_at, strided watchers, credits
 # ---------------------------------------------------------------------------
 
@@ -373,3 +458,150 @@ class TestElaborationInvalidation:
         sim.step(1)
         parent.remove_child(other)
         assert sim._needs_elab
+
+
+class Ticker(Component):
+    """Never quiescent: logs every cycle it is evaluated."""
+
+    def __init__(self, name="ticker"):
+        super().__init__(name)
+        self.evals = []
+
+    def eval(self, cycle):
+        self.evals.append(cycle)
+
+
+class TestMidRunElaboration:
+    """Wiring invalidated inside a run takes effect at the next cycle."""
+
+    @pytest.mark.parametrize("strict", [True, False])
+    def test_component_added_by_watcher_mid_step(self, strict):
+        sim = Simulator(strict_lockstep=strict)
+        sim.add(Ticker())
+        late = Ticker("late")
+
+        def add_late(cycle):
+            if cycle == 5:
+                sim.add(late)
+
+        sim.add_watcher(add_late)
+        sim.step(20)
+        assert late.evals == list(range(5, 20))
+
+    @pytest.mark.parametrize("strict", [True, False])
+    def test_child_added_by_watcher_mid_run_until(self, strict):
+        sim = Simulator(strict_lockstep=strict)
+        parent = Component("parent")
+        parent.add_child(Ticker())
+        sim.add(parent)
+        late = Ticker("late")
+
+        def add_late(cycle):
+            if cycle == 5:
+                parent.add_child(late)
+
+        sim.add_watcher(add_late)
+        sim.run_until(lambda: len(late.evals) >= 3, max_cycles=100)
+        assert late.evals == [5, 6, 7]
+        assert sim.cycle == 8
+
+
+# ---------------------------------------------------------------------------
+# Wake order: the run list must keep lock-step's mid-cycle semantics
+# ---------------------------------------------------------------------------
+
+
+class Poker(Component):
+    """Works one cycle per poke, and pokes other units on a plan.
+
+    ``plan`` maps a cycle to the units this one pokes during its eval
+    there; ``log`` collects ``(cycle, name)`` for every cycle of work.
+    Sleeps whenever no poke is pending, booking its next planned cycle.
+    """
+
+    def __init__(self, name, log):
+        super().__init__(name)
+        self.log = log
+        self.plan = {}
+        self.pending = 1  # evaluate the first cycle like everyone else
+        self.evals = []
+        self._cycle = 0
+
+    def poke(self):
+        self.pending += 1
+        self.wake()
+
+    def eval(self, cycle):
+        self._cycle = cycle
+        self.evals.append(cycle)
+        if self.pending:
+            self.pending -= 1
+            self.log.append((cycle, self.name))
+        for unit in self.plan.get(cycle, ()):
+            unit.poke()
+
+    def is_quiescent(self):
+        if self.pending:
+            return False
+        later = [c for c in self.plan if c > self._cycle]
+        if later:
+            self.wake_at(min(later))
+        return True
+
+
+def _poke_run(strict, plan, cycles=14, watcher=None):
+    """Four pokers; *plan* maps (poker, cycle) to the pokers it pokes.
+    Returns the work log and each poker's eval cycles."""
+    sim = Simulator(strict_lockstep=strict)
+    log = []
+    units = [Poker(f"u{i}", log) for i in range(4)]
+    for unit in units:
+        sim.add(unit)
+    for (src, cycle), targets in plan.items():
+        units[src].plan[cycle] = [units[t] for t in targets]
+    if watcher is not None:
+        sim.add_watcher(lambda cycle: watcher(sim, cycle))
+    sim.step(cycles)
+    return log, [u.evals for u in units]
+
+
+WAKE_PLANS = {
+    "later": {(0, 10): [2]},
+    "earlier": {(3, 10): [1]},
+    # u1 works at 10 (poked at 9), sleeps at its own eval, and u3 pokes
+    # it again later in cycle 10
+    "rewoken": {(3, 9): [1], (3, 10): [1]},
+}
+
+
+class TestWakeOrder:
+    def _both(self, plan):
+        strict_log, _ = _poke_run(True, plan)
+        log, evals = _poke_run(False, plan)
+        assert log == strict_log
+        return log, evals
+
+    def test_later_unit_woken_mid_cycle_works_that_cycle(self):
+        log, _ = self._both(WAKE_PLANS["later"])
+        assert (10, "u2") in log and (11, "u2") not in log
+
+    def test_earlier_unit_woken_mid_cycle_works_next_cycle(self):
+        log, _ = self._both(WAKE_PLANS["earlier"])
+        assert (11, "u1") in log and (10, "u1") not in log
+
+    def test_unit_asleep_and_woken_in_one_cycle_runs_once_next(self):
+        log, evals = self._both(WAKE_PLANS["rewoken"])
+        assert (10, "u1") in log and (11, "u1") in log
+        assert evals[1].count(10) == evals[1].count(11) == 1
+
+    @pytest.mark.parametrize("plan", sorted(WAKE_PLANS))
+    def test_run_list_matches_awake_flags_at_every_boundary(self, plan):
+        mismatches = []
+
+        def check(sim, cycle):
+            awake = [u for u in sim._units if u._awake]
+            if sim._run + sim._woken != awake:
+                mismatches.append(cycle)
+
+        _poke_run(False, WAKE_PLANS[plan], watcher=check)
+        assert mismatches == []

@@ -125,3 +125,66 @@ class TestUtilisationReporting:
         net.run_to_drain(sim, max_cycles=10_000)
         art = net.stats.heatmap(3, 3, sim.cycle)
         assert len(art.splitlines()) == 3
+
+
+def _scan_busy(router):
+    """The full scan ``HermesRouter.busy`` may skip for a sleeping
+    router: any buffered flit, open connection or routing in progress."""
+    probe = router.probe_state()
+    return (
+        any(probe["occupancy"])
+        or any(c is not None for c in probe["in_conn"])
+        or probe["ctrl"] != "idle"
+    )
+
+
+@st.composite
+def fabric_case(draw):
+    topology = draw(
+        st.sampled_from(
+            ["mesh:1x3", "mesh:2x2", "mesh:3x2", "torus:3x2", "torus:3x3"]
+        )
+    )
+    n_nodes = {"1x3": 3, "2x2": 4, "3x2": 6, "3x3": 9}[topology.split(":")[1]]
+    sends = draw(
+        st.lists(
+            st.tuples(
+                st.integers(0, 120),  # injection cycle
+                st.integers(0, n_nodes - 1),  # source
+                st.integers(0, n_nodes - 1),  # target
+                st.integers(0, 10),  # payload flits
+            ),
+            min_size=1,
+            max_size=10,
+        )
+    )
+    split = draw(st.integers(1, 200))
+    return topology, sorted(sends), split
+
+
+@settings(max_examples=25, deadline=None)
+@given(fabric_case())
+def test_idle_matches_full_router_scan(case):
+    """In quiescent mode ``busy`` answers sleeping routers without a
+    scan; at every cycle it, and ``mesh.idle``, must equal the scan.
+    The run is split by a checkpoint restored into a fresh fabric."""
+    import json
+
+    topology, sends, split = case
+    net = HermesNetwork(topology=topology)
+    sim = net.make_simulator()
+    nodes = net.mesh.addresses()
+    for cycle in range(300):
+        if cycle == split:
+            doc = json.loads(json.dumps(sim.snapshot()))
+            net = HermesNetwork(topology=topology)
+            sim = net.make_simulator()
+            sim.restore(doc)
+        for at, src, dst, n in sends:
+            if at == cycle:
+                net.send(nodes[src], nodes[dst], list(range(n)))
+        sim.step(1)
+        routers = net.mesh.routers.values()
+        assert [r.busy for r in routers] == [_scan_busy(r) for r in routers]
+        assert net.mesh.idle == (not any(_scan_busy(r) for r in routers))
+    assert net.drained
