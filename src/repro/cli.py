@@ -530,8 +530,8 @@ def cmd_analyze(args) -> int:
             threshold_pct=args.threshold_pct,
             threshold_cycles=args.threshold_cycles,
         )
+        diff.baseline_id, diff.current_id = args.baseline, args.trace
         print()
-        print(f"diff vs {args.baseline}:")
         print(diff.report())
         document["diff"] = diff.to_dict()
         meta = {"baseline": args.baseline, "diff_ok": diff.ok}

@@ -215,9 +215,8 @@ class PlatformSession:
     def profile_host(self, *, start: bool = True, **kwargs):
         """Attach a sampling host profiler (the mode-preserving one).
 
-        Keyword arguments are forwarded to
-        :class:`~repro.telemetry.hostperf.HostPerfProfiler`
-        (``interval``, ``history``, ``trace_memory``, ...).  The
+        Keyword arguments (``interval``, ``history``) are forwarded to
+        :class:`~repro.telemetry.hostperf.HostPerfProfiler`.  The
         profiler is attached to the simulator, bound to the system's
         metrics registry (so ``/metrics`` carries host gauges), started
         on the calling thread unless ``start=False``, stored as

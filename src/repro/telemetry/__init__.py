@@ -38,7 +38,6 @@ from .analysis import (
     HopBreakdown,
     PacketTrace,
     TraceAnalysis,
-    TraceDiff,
     analyze_trace,
     diff_traces,
 )
@@ -58,7 +57,7 @@ from .hostperf import (
     HostPerfProfiler,
     read_rss_bytes,
 )
-from .live import LIVE_SCHEMA, LIVE_TRACKS, LiveStream
+from .live import LIVE_SCHEMA, LiveStream
 from .metrics import Counter, Gauge, Histogram, MetricError, MetricsRegistry
 from .registry import (
     RUN_SCHEMA,
@@ -73,10 +72,11 @@ from .server import TelemetryServer
 from .top import MeshTop, fetch_frame, stream_frames
 from .trend import (
     TREND_SCHEMA,
-    RunDiff,
+    MetricDiff,
     TrendEntry,
     TrendReport,
     compute_trend,
+    diff_metrics,
     diff_records,
     metric_arrow,
 )
@@ -100,9 +100,9 @@ __all__ = [
     "HopBreakdown",
     "HostPerfProfiler",
     "LIVE_SCHEMA",
-    "LIVE_TRACKS",
     "LiveStream",
     "MeshTop",
+    "MetricDiff",
     "MetricError",
     "MetricsRegistry",
     "PacketTrace",
@@ -110,7 +110,6 @@ __all__ = [
     "RegistryError",
     "RuleError",
     "RuleSet",
-    "RunDiff",
     "RunRegistry",
     "SloObjective",
     "Span",
@@ -118,7 +117,6 @@ __all__ = [
     "TelemetryServer",
     "TelemetrySink",
     "TraceAnalysis",
-    "TraceDiff",
     "TrendEntry",
     "TrendReport",
     "analyze_trace",
@@ -127,6 +125,7 @@ __all__ = [
     "chrome_trace",
     "compute_trend",
     "config_digest",
+    "diff_metrics",
     "diff_records",
     "diff_traces",
     "fetch_frame",

@@ -46,9 +46,10 @@ resolved against the program's symbol table (``symbols`` events stashed
 by the host loader) into function reports, folded stacks for
 ``flamegraph.pl``/Speedscope, and annotated disassembly listings.
 
-**Diffing.**  :func:`diff_traces` aligns two analyses flow-by-flow,
-link-by-link and function-by-function and reports regressions beyond a
-relative + absolute threshold.
+**Diffing.**  :meth:`TraceAnalysis.metrics` flattens an analysis into
+per-flow, per-link and per-function numbers; :func:`diff_traces` zero-fills
+two of them over the union of names and hands them to the platform's one
+comparator, :func:`~repro.telemetry.trend.diff_metrics`.
 """
 
 from __future__ import annotations
@@ -61,6 +62,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from ..noc.routing import OPPOSITE, PORT_DELTA, Port
 from ..noc.topology import from_descriptor, port_index
 from .events import TelemetrySink
+from .trend import MetricDiff, diff_metrics
 
 #: schema tag carried by every exported analysis document
 SCHEMA = "multinoc-analysis/1"
@@ -338,6 +340,21 @@ class TraceAnalysis:
         out: Dict[str, Dict[str, int]] = {}
         for (victim, blocker), cycles in sorted(self.contention.items()):
             out.setdefault(victim, {})[blocker] = cycles
+        return out
+
+    def metrics(self) -> Dict[str, float]:
+        """Flat ``{name: value}`` view that :func:`diff_traces` compares:
+        ``flow <f> latency_mean|latency_max|blocked``,
+        ``link <l> blocked_cycles`` and ``cpu <track>:<func> cycles``."""
+        out: Dict[str, float] = {}
+        for flow, f in self.flows().items():
+            for metric in ("latency_mean", "latency_max", "blocked"):
+                out[f"flow {flow} {metric}"] = f[metric]
+        for name, link in self.links.items():
+            out[f"link {name} blocked_cycles"] = link.blocked_cycles
+        for track, profile in self.profiles.items():
+            for func, cycles in profile.functions().items():
+                out[f"cpu {track}:{func} cycles"] = cycles
         return out
 
     def folded_stacks(self) -> List[str]:
@@ -653,163 +670,25 @@ def analyze_trace(sink: TelemetrySink) -> TraceAnalysis:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class DiffEntry:
-    """One metric compared between two runs."""
-
-    kind: str  # flow | link | cpu
-    name: str
-    metric: str
-    baseline: float
-    current: float
-
-    @property
-    def delta(self) -> float:
-        return self.current - self.baseline
-
-    @property
-    def pct(self) -> float:
-        if self.baseline == 0:
-            return float("inf") if self.current else 0.0
-        return 100.0 * self.delta / self.baseline
-
-    def as_dict(self) -> Dict[str, Any]:
-        return {
-            "kind": self.kind,
-            "name": self.name,
-            "metric": self.metric,
-            "baseline": self.baseline,
-            "current": self.current,
-            "delta": self.delta,
-        }
-
-    def render(self) -> str:
-        pct = self.pct
-        pct_text = "new" if pct == float("inf") else f"{pct:+.1f}%"
-        return (
-            f"{self.kind} {self.name} {self.metric}: "
-            f"{self.baseline:g} -> {self.current:g} ({pct_text})"
-        )
-
-
-@dataclass
-class TraceDiff:
-    """Result of :func:`diff_traces`: regressions and improvements."""
-
-    threshold_pct: float
-    threshold_cycles: float
-    regressions: List[DiffEntry] = field(default_factory=list)
-    improvements: List[DiffEntry] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.regressions
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "schema": SCHEMA,
-            "threshold_pct": self.threshold_pct,
-            "threshold_cycles": self.threshold_cycles,
-            "ok": self.ok,
-            "regressions": [e.as_dict() for e in self.regressions],
-            "improvements": [e.as_dict() for e in self.improvements],
-        }
-
-    def report(self) -> str:
-        lines = []
-        if self.regressions:
-            lines.append(f"{len(self.regressions)} regression(s):")
-            lines += [f"  REGRESSED {e.render()}" for e in self.regressions]
-        else:
-            lines.append("no regressions")
-        if self.improvements:
-            lines.append(f"{len(self.improvements)} improvement(s):")
-            lines += [f"  improved  {e.render()}" for e in self.improvements]
-        return "\n".join(lines)
-
-
-def classify_change(
-    current: float, baseline: float, threshold_pct: float, threshold_abs: float
-) -> int:
-    """The dual-threshold rule of :func:`diff_traces` and the run trends.
-
-    ``1`` (regressed) when *current* exceeds *baseline* by more than
-    *threshold_abs* **and** by more than *threshold_pct* percent of the
-    baseline; ``-1`` (improved) when it falls short by both margins;
-    ``0`` otherwise.  Both directions measure against the baseline, and
-    a zero baseline trips the percent margin on any change.
-    """
-    delta = current - baseline
-    for sign in (1, -1):
-        margin = sign * delta
-        if margin > threshold_abs and (
-            baseline == 0 or margin / baseline * 100.0 > threshold_pct
-        ):
-            return sign
-    return 0
-
-
 def diff_traces(
     current: TraceAnalysis,
     baseline: TraceAnalysis,
     threshold_pct: float = 10.0,
     threshold_cycles: float = 5.0,
-) -> TraceDiff:
-    """Compare *current* against *baseline* metric-by-metric.
+) -> MetricDiff:
+    """Compare *current* against *baseline* metric by metric.
 
-    A metric regresses when it grew by more than *threshold_cycles*
-    **and** by more than *threshold_pct* percent (both must trip, so tiny
-    absolute wobbles on tiny baselines don't alarm).  The same margins,
-    mirrored, classify improvements (:func:`classify_change`).
+    A flow, link or function present on one side only counts as zero on
+    the other, so new and vanished traffic is compared too.  A metric
+    regresses when it grew by more than *threshold_cycles* **and** by
+    more than *threshold_pct* percent
+    (:func:`~repro.telemetry.trend.classify_change`).
     """
-    diff = TraceDiff(threshold_pct, threshold_cycles)
-
-    def compare(kind: str, name: str, metric: str, base, cur) -> None:
-        entry = DiffEntry(kind, name, metric, float(base), float(cur))
-        verdict = classify_change(
-            entry.current, entry.baseline, threshold_pct, threshold_cycles
-        )
-        if verdict > 0:
-            diff.regressions.append(entry)
-        elif verdict < 0:
-            diff.improvements.append(entry)
-
-    cur_flows, base_flows = current.flows(), baseline.flows()
-    for flow in sorted(set(cur_flows) | set(base_flows)):
-        cur = cur_flows.get(flow, {})
-        base = base_flows.get(flow, {})
-        for metric in ("latency_mean", "latency_max", "blocked"):
-            compare(
-                "flow", flow, metric, base.get(metric, 0), cur.get(metric, 0)
-            )
-
-    for link in sorted(set(current.links) | set(baseline.links)):
-        cur_link = current.links.get(link)
-        base_link = baseline.links.get(link)
-        compare(
-            "link",
-            link,
-            "blocked_cycles",
-            base_link.blocked_cycles if base_link else 0,
-            cur_link.blocked_cycles if cur_link else 0,
-        )
-
-    cur_funcs: Dict[str, Dict[str, int]] = {
-        t: p.functions() for t, p in current.profiles.items()
-    }
-    base_funcs: Dict[str, Dict[str, int]] = {
-        t: p.functions() for t, p in baseline.profiles.items()
-    }
-    for track in sorted(set(cur_funcs) | set(base_funcs)):
-        cur_f = cur_funcs.get(track, {})
-        base_f = base_funcs.get(track, {})
-        for func in sorted(set(cur_f) | set(base_f)):
-            compare(
-                "cpu",
-                f"{track}:{func}",
-                "cycles",
-                base_f.get(func, 0),
-                cur_f.get(func, 0),
-            )
-
-    return diff
+    cur, base = current.metrics(), baseline.metrics()
+    names = cur.keys() | base.keys()
+    return diff_metrics(
+        {name: cur.get(name, 0) for name in names},
+        {name: base.get(name, 0) for name in names},
+        threshold_pct=threshold_pct,
+        threshold_abs=threshold_cycles,
+    )

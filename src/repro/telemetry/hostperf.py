@@ -27,10 +27,8 @@ Three pieces:
   --hostperf`` reports and CI gates.
 
 * memory telemetry — RSS (``/proc/self/status``, with a
-  :mod:`resource` fallback), GC pause counts/durations via
-  :data:`gc.callbacks`, and optional :mod:`tracemalloc` attribution of
-  allocations by subsystem (off by default: tracing allocations is
-  itself expensive).
+  :mod:`resource` fallback) and GC pause counts/durations via
+  :data:`gc.callbacks`.
 
 * :class:`FlightRecorder` — keeps the last N live frames in a ring and,
   when the run dies (:class:`~repro.sim.kernel.SimulationTimeout`,
@@ -75,6 +73,9 @@ REGIONS = (
     "kernel",
     "host",
 )
+
+#: frames kept per folded stack for the flamegraph output
+MAX_STACK_DEPTH = 40
 
 #: module-path fragment -> subsystem, most specific first (first match
 #: wins, so ``noc/router`` must precede ``noc/``)
@@ -209,12 +210,6 @@ class HostPerfProfiler:
     history:
         Recent samples kept for the flight recorder's black box, each a
         ``(wall, cycle, region, subsystem)`` tuple.
-    trace_memory:
-        Start :mod:`tracemalloc` and attribute allocations by subsystem
-        in the snapshot.  Off by default — allocation tracing costs far
-        more than the ``<=5%`` sampling budget.
-    max_stack_depth:
-        Frames kept per folded stack for the flamegraph output.
 
     Attaching this profiler does **not** change the kernel's execution
     mode: the quiescent fast path, idle fast-forward and watcher cadence
@@ -226,14 +221,10 @@ class HostPerfProfiler:
         *,
         interval: float = 0.005,
         history: int = 512,
-        trace_memory: bool = False,
-        max_stack_depth: int = 40,
     ):
         if interval <= 0:
             raise ValueError("sampling interval must be positive")
         self.interval = interval
-        self.trace_memory = trace_memory
-        self.max_stack_depth = max_stack_depth
 
         #: (region, subsystem) -> attributed host seconds
         self.seconds: Dict[Tuple[str, str], float] = {}
@@ -265,7 +256,6 @@ class HostPerfProfiler:
         self.gc_pause_s = 0.0
         self._gc_t0: Optional[float] = None
         self._gc_hooked = False
-        self._tracemalloc_started = False
 
     # -- wiring ------------------------------------------------------------
 
@@ -315,22 +305,22 @@ class HostPerfProfiler:
         if self._thread is not None:
             return self
         self._ident = threading.get_ident()
-        self._start_wall = perf_counter()
         self._start_cycle = self.sim.cycle if self.sim is not None else 0
         self._stop.clear()
         if not self._gc_hooked:
             gc.callbacks.append(self._on_gc)
             self._gc_hooked = True
-        if self.trace_memory:
-            import tracemalloc
-
-            if not tracemalloc.is_tracing():
-                tracemalloc.start()
-                self._tracemalloc_started = True
         self.rss_bytes = read_rss_bytes()
         self.rss_peak_bytes = max(self.rss_peak_bytes, self.rss_bytes)
+        # the window opens here, and the sampler's first interval opens
+        # at the same stamp: time before the OS schedules the sampler
+        # thread is attributed, not lost
+        self._start_wall = perf_counter()
         self._thread = threading.Thread(
-            target=self._run, name="hostperf-sampler", daemon=True
+            target=self._run,
+            args=(self._start_wall,),
+            name="hostperf-sampler",
+            daemon=True,
         )
         self._thread.start()
         return self
@@ -357,8 +347,7 @@ class HostPerfProfiler:
         self.rss_peak_bytes = max(self.rss_peak_bytes, self.rss_bytes)
         return self
 
-    def _run(self) -> None:
-        last = perf_counter()
+    def _run(self, last: float) -> None:
         ticks = 0
         while not self._stop.wait(self.interval):
             now = perf_counter()
@@ -427,7 +416,7 @@ class HostPerfProfiler:
             subsystem = fallback or "other"
         folded = ";".join(
             _frame_label(f)
-            for f in reversed(chain[: self.max_stack_depth])
+            for f in reversed(chain[:MAX_STACK_DEPTH])
         )
         return region, subsystem, folded
 
@@ -501,7 +490,7 @@ class HostPerfProfiler:
             }
             for name, s in self.by_subsystem().items()
         }
-        doc: Dict[str, Any] = {
+        return {
             "schema": HOSTPERF_SCHEMA,
             "interval_s": self.interval,
             "samples": self.samples,
@@ -526,31 +515,6 @@ class HostPerfProfiler:
                 "gc_pauses": self.gc_pauses,
                 "gc_pause_s": round(self.gc_pause_s, 6),
             },
-        }
-        allocs = self._tracemalloc_by_subsystem()
-        if allocs is not None:
-            doc["memory"]["tracemalloc_kb"] = allocs
-        return doc
-
-    def _tracemalloc_by_subsystem(self) -> Optional[Dict[str, float]]:
-        if not self.trace_memory:
-            return None
-        import tracemalloc
-
-        if not tracemalloc.is_tracing():
-            return None
-        totals: Dict[str, float] = {}
-        for stat in tracemalloc.take_snapshot().statistics("filename"):
-            subsystem = (
-                _subsystem_for_filename(stat.traceback[0].filename)
-                or "other"
-            )
-            totals[subsystem] = totals.get(subsystem, 0.0) + stat.size
-        return {
-            name: round(size / 1024, 1)
-            for name, size in sorted(
-                totals.items(), key=lambda kv: kv[1], reverse=True
-            )
         }
 
     def report(self, top: int = 12) -> str:

@@ -55,13 +55,6 @@ Address = Tuple[int, int]
 
 LIVE_SCHEMA = "multinoc-live/1"
 
-#: every track a frame can carry; construct with ``tracks=`` to restrict
-#: (the ``host`` track only materialises when a HostPerfProfiler is
-#: attached to the simulator, so unprofiled frames are unchanged)
-LIVE_TRACKS = frozenset(
-    {"packets", "links", "routers", "cpus", "health", "checkpoints", "host"}
-)
-
 
 # -- reading frames ----------------------------------------------------------
 
@@ -199,9 +192,6 @@ class LiveStream:
     stride:
         Cycles between frames.  Each frame's rates are computed over the
         cycles since the previous frame ("the window").
-    tracks:
-        Subset of :data:`LIVE_TRACKS` to include; ``None`` means all.
-        Dropping tracks is the coarse overhead knob for big meshes.
     max_links:
         Keep only the busiest N links per frame (by flit rate); the
         number of elided active links is reported as ``links_elided``;
@@ -212,22 +202,13 @@ class LiveStream:
         self,
         *,
         stride: int = 1024,
-        tracks: Optional[Iterable[str]] = None,
         max_links: int = 64,
     ):
         if stride < 1:
             raise ValueError("live stream stride must be at least 1 cycle")
         if max_links < 1:
             raise ValueError("max_links must keep at least 1 link")
-        tracks = LIVE_TRACKS if tracks is None else frozenset(tracks)
-        unknown = tracks - LIVE_TRACKS
-        if unknown:
-            raise ValueError(
-                f"unknown live tracks {sorted(unknown)}; "
-                f"choose from {sorted(LIVE_TRACKS)}"
-            )
         self.stride = stride
-        self.tracks = tracks
         self.max_links = max_links
 
         self.sim = None
@@ -291,8 +272,7 @@ class LiveStream:
         self._last_cycle = sim.cycle
         self._last_wall = time.perf_counter()
         if stats is not None:
-            if "links" in self.tracks or "routers" in self.tracks:
-                self._prev_links = dict(stats.flits_sent)
+            self._prev_links = dict(stats.flits_sent)
             self._prev_injected = stats.packets_injected
             self._prev_delivered = stats.packets_delivered
             self._prev_flits = stats.delivered_flits
@@ -393,33 +373,26 @@ class LiveStream:
 
         router_rate: Dict[Address, float] = {}
         if self.stats is not None:
-            if "links" in self.tracks or "routers" in self.tracks:
-                links, elided = self._link_rates(window, router_rate)
-                if "links" in self.tracks:
-                    frame["links"] = links
-                    frame["links_elided"] = elided
-            if "packets" in self.tracks:
-                frame["packets"] = self._packet_counters(window)
-                frame["latency"] = self._window_latency()
-        if "routers" in self.tracks and self.mesh is not None:
-            frame["routers"] = self._router_states(router_rate)
-        if "cpus" in self.tracks and self.processors:
-            frame["cpus"] = self._cpu_states(window)
-        if "health" in self.tracks:
-            frame["health"] = self._health_status()
-        if "checkpoints" in self.tracks:
-            ring = self.ring
-            if ring is None and self.sim is not None:
-                ring = getattr(self.sim, "checkpoint_ring", None)
-            frame["checkpoints"] = (
-                [entry.cycle for entry in ring.entries]
-                if ring is not None
-                else []
+            frame["links"], frame["links_elided"] = self._link_rates(
+                window, router_rate
             )
-        if "host" in self.tracks:
-            hostperf = getattr(self.sim, "hostperf", None)
-            if hostperf is not None:
-                frame["host"] = hostperf.frame_fields()
+            frame["packets"] = self._packet_counters(window)
+            frame["latency"] = self._window_latency()
+        if self.mesh is not None:
+            frame["routers"] = self._router_states(router_rate)
+        if self.processors:
+            frame["cpus"] = self._cpu_states(window)
+        frame["health"] = self._health_status()
+        ring = self.ring
+        if ring is None and self.sim is not None:
+            ring = getattr(self.sim, "checkpoint_ring", None)
+        frame["checkpoints"] = (
+            [entry.cycle for entry in ring.entries] if ring is not None else []
+        )
+        # the host track appears only while a HostPerfProfiler is attached
+        hostperf = getattr(self.sim, "hostperf", None)
+        if hostperf is not None:
+            frame["host"] = hostperf.frame_fields()
 
         self._last_cycle = cycle
         self._last_wall = wall

@@ -1,17 +1,26 @@
-"""Perf-trajectory trends over the run registry.
+"""Run comparison: the one dual-threshold rule, two-run diffs and trends.
 
-``diff_traces`` compares a run against *one* pinned baseline; this
-module compares a run against its *history*.  For every numeric metric
-in the registry's records it builds the chronological series, takes a
-**rolling median of the preceding window** as the baseline at each
-point, and classifies the point with the one dual-threshold rule
-:func:`~repro.telemetry.analysis.diff_traces` uses
-(:func:`~repro.telemetry.analysis.classify_change`): a point regresses
-only when it grew by more than ``threshold_abs`` **and** by more than
-``threshold_pct`` percent of its baseline (both must trip, so absolute
-wobbles on tiny baselines and relative wobbles on large ones stay
-quiet); improvements mirror the same margins, also against the
-baseline.
+Every "what changed?" question in the platform is answered by
+:func:`classify_change`: a value regresses only when it grew by more
+than ``threshold_abs`` **and** by more than ``threshold_pct`` percent of
+its baseline (both must trip, so absolute wobbles on tiny baselines and
+relative wobbles on large ones stay quiet); improvements mirror the same
+margins, also against the baseline.
+
+**Two runs.**  :func:`diff_metrics` applies the rule to two flat
+``{name: number}`` maps and returns one :class:`MetricDiff`.  Its
+callers only build the maps: :func:`diff_records` (``multinoc runs
+diff``) compares two registry records' ``metrics`` and notes machine or
+config mismatches, and :func:`~repro.telemetry.analysis.diff_traces`
+(``multinoc analyze --baseline``) compares two trace analyses'
+:meth:`~repro.telemetry.analysis.TraceAnalysis.metrics`.
+
+**A history.**  :func:`compute_trend` compares a run against its
+*history*.  For every numeric metric in the registry's records it
+builds the chronological series, takes a **rolling median of the
+preceding window** as the baseline at each point, and classifies the
+point with :func:`classify_change`.  :func:`metric_arrow` is the same
+comparison for the last point only, as one glyph.
 
 A metric is **flagged** — ``multinoc runs trend`` exits nonzero — only
 when the regression is *sustained*: the latest ``sustain`` consecutive
@@ -35,12 +44,47 @@ from dataclasses import dataclass, field
 from statistics import median
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
-from .analysis import classify_change
-
 TREND_SCHEMA = "multinoc-trend/1"
 
 #: metrics needing fewer points than this are reported, never flagged
 MIN_HISTORY = 4
+
+
+def classify_change(
+    current: float, baseline: float, threshold_pct: float, threshold_abs: float
+) -> int:
+    """The dual-threshold rule behind every run comparison.
+
+    ``1`` (regressed) when *current* exceeds *baseline* by more than
+    *threshold_abs* **and** by more than *threshold_pct* percent of the
+    baseline; ``-1`` (improved) when it falls short by both margins;
+    ``0`` otherwise.  Both directions measure against the baseline, and
+    a zero baseline trips the percent margin on any change.
+    """
+    delta = current - baseline
+    for sign in (1, -1):
+        margin = sign * delta
+        if margin > threshold_abs and (
+            baseline == 0 or margin / baseline * 100.0 > threshold_pct
+        ):
+            return sign
+    return 0
+
+
+def _pct_text(baseline: float, current: float) -> str:
+    """The change as ``+x.y%`` of the baseline; ``new`` from zero."""
+    if baseline:
+        return f"{(current - baseline) / baseline * 100.0:+.1f}%"
+    return "new" if current else "+0.0%"
+
+
+def _is_number(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _rolling_median(values: List[float], i: int, window: int) -> float:
+    """Median of the up to *window* values before index *i*."""
+    return median(values[max(0, i - window): i])
 
 
 @dataclass
@@ -57,22 +101,12 @@ class TrendEntry:
     flagged: bool
     change_point: Optional[str] = None  # run_id where the streak began
 
-    @property
-    def delta(self) -> float:
-        return self.current - self.baseline
-
-    @property
-    def pct(self) -> float:
-        if self.baseline == 0:
-            return float("inf") if self.current else 0.0
-        return self.delta / self.baseline * 100.0
-
     def as_dict(self) -> Dict[str, Any]:
         return {
             "metric": self.metric,
             "baseline": self.baseline,
             "current": self.current,
-            "delta": self.delta,
+            "delta": self.current - self.baseline,
             "points": self.points,
             "regressed": self.regressed,
             "improved": self.improved,
@@ -82,11 +116,9 @@ class TrendEntry:
         }
 
     def render(self) -> str:
-        pct = self.pct
-        pct_text = "new" if pct == float("inf") else f"{pct:+.1f}%"
         text = (
             f"{self.metric}: median {self.baseline:g} -> {self.current:g} "
-            f"({pct_text}, n={self.points})"
+            f"({_pct_text(self.baseline, self.current)}, n={self.points})"
         )
         if self.flagged:
             text += (
@@ -163,7 +195,7 @@ def metric_series(
     series = []
     for record in records:
         value = (record.get("metrics") or {}).get(metric)
-        if isinstance(value, (int, float)) and not isinstance(value, bool):
+        if _is_number(value):
             series.append((record.get("run_id", "?"), float(value)))
     return series
 
@@ -266,12 +298,14 @@ def compute_trend(
             continue
         values = [v for _, v in series]
         last = len(values) - 1
-        baseline = median(values[max(0, last - window): last])
+        baseline = _rolling_median(values, last, window)
 
         def verdict(i: int) -> int:
-            base = median(values[max(0, i - window): i])
             return classify_change(
-                values[i], base, threshold_pct, threshold_abs
+                values[i],
+                _rolling_median(values, i, window),
+                threshold_pct,
+                threshold_abs,
             )
 
         sustained = 0
@@ -316,37 +350,35 @@ def metric_arrow(
 ) -> str:
     """One trend glyph for a metric series: ``↑`` ``↓`` or ``→``.
 
-    The last value is compared to the rolling median of the preceding
-    ``window`` values; moves within ``threshold_pct`` percent are flat.
+    :func:`classify_change` of the last value against the rolling
+    median of the preceding ``window`` values, with no absolute margin.
     This is the at-a-glance column ``multinoc runs list --metric``
     renders — ``↑`` only says "grew", whether that is a regression
     (latency) or an improvement (throughput) depends on the metric.
     """
     if len(values) < 2:
         return "→"
-    baseline = median(values[max(0, len(values) - 1 - window): -1])
-    current = values[-1]
-    if baseline == 0:
-        return "↑" if current > 0 else ("↓" if current < 0 else "→")
-    pct = (current - baseline) / abs(baseline) * 100.0
-    if pct > threshold_pct:
-        return "↑"
-    if pct < -threshold_pct:
-        return "↓"
-    return "→"
+    last = len(values) - 1
+    verdict = classify_change(
+        values[last], _rolling_median(values, last, window), threshold_pct, 0
+    )
+    return {1: "↑", -1: "↓", 0: "→"}[verdict]
 
 
-# -- two-record diff ---------------------------------------------------------
+# -- two-run diff ------------------------------------------------------------
 
 
 @dataclass
-class RunDiff:
-    """``multinoc runs diff``: record-vs-record metric comparison."""
+class MetricDiff:
+    """Two flat metric maps compared name by name (:func:`diff_metrics`).
 
-    baseline_id: str
-    current_id: str
+    Rows are ``(name, baseline, current)`` tuples sorted by name.
+    """
+
     threshold_pct: float
     threshold_abs: float
+    baseline_id: str = "baseline"
+    current_id: str = "current"
     regressions: List[Tuple[str, float, float]] = field(default_factory=list)
     improvements: List[Tuple[str, float, float]] = field(default_factory=list)
     unchanged: int = 0
@@ -359,7 +391,7 @@ class RunDiff:
     def to_dict(self) -> Dict[str, Any]:
         def rows(entries):
             return [
-                {"metric": m, "baseline": b, "current": c}
+                {"metric": m, "baseline": b, "current": c, "delta": c - b}
                 for m, b, c in entries
             ]
 
@@ -377,30 +409,54 @@ class RunDiff:
         }
 
     def report(self) -> str:
+        def render(metric, base, cur):
+            return f"{metric}: {base:g} -> {cur:g} ({_pct_text(base, cur)})"
+
         lines = [f"diff {self.baseline_id} -> {self.current_id}:"]
         lines += [f"note: {n}" for n in self.notes]
-
-        def render(metric, base, cur):
-            pct = (
-                (cur - base) / base * 100.0 if base else float("inf")
-            )
-            pct_text = "new" if pct == float("inf") else f"{pct:+.1f}%"
-            return f"{metric}: {base:g} -> {cur:g} ({pct_text})"
-
         if self.regressions:
             lines.append(f"{len(self.regressions)} regression(s):")
-            lines += [
-                f"  REGRESSED {render(*row)}" for row in self.regressions
-            ]
+            lines += [f"  REGRESSED {render(*r)}" for r in self.regressions]
         else:
             lines.append("no regressions")
         if self.improvements:
             lines.append(f"{len(self.improvements)} improvement(s):")
-            lines += [
-                f"  improved  {render(*row)}" for row in self.improvements
-            ]
+            lines += [f"  improved  {render(*r)}" for r in self.improvements]
         lines.append(f"{self.unchanged} metric(s) within thresholds")
         return "\n".join(lines)
+
+
+def diff_metrics(
+    current: Dict[str, Any],
+    baseline: Dict[str, Any],
+    *,
+    threshold_pct: float,
+    threshold_abs: float,
+) -> MetricDiff:
+    """Classify every numeric metric both maps carry.
+
+    Non-numeric values and booleans are skipped; names found on one
+    side only are counted in the notes, never compared.
+    """
+    diff = MetricDiff(threshold_pct, threshold_abs)
+    for name in sorted(current.keys() & baseline.keys()):
+        cur, base = current[name], baseline[name]
+        if not (_is_number(cur) and _is_number(base)):
+            continue
+        verdict = classify_change(cur, base, threshold_pct, threshold_abs)
+        if verdict > 0:
+            diff.regressions.append((name, float(base), float(cur)))
+        elif verdict < 0:
+            diff.improvements.append((name, float(base), float(cur)))
+        else:
+            diff.unchanged += 1
+    only_cur = len(current.keys() - baseline.keys())
+    only_base = len(baseline.keys() - current.keys())
+    if only_cur:
+        diff.notes.append(f"{only_cur} metric(s) only in current")
+    if only_base:
+        diff.notes.append(f"{only_base} metric(s) only in baseline")
+    return diff
 
 
 def diff_records(
@@ -409,14 +465,17 @@ def diff_records(
     *,
     threshold_pct: float = 10.0,
     threshold_abs: float = 0.0,
-) -> RunDiff:
-    """Compare two run records metric-by-metric (dual thresholds)."""
-    diff = RunDiff(
-        baseline_id=baseline.get("run_id", "?"),
-        current_id=current.get("run_id", "?"),
+) -> MetricDiff:
+    """``multinoc runs diff``: two run records' metrics, plus notes on
+    machine and config mismatches."""
+    diff = diff_metrics(
+        current.get("metrics") or {},
+        baseline.get("metrics") or {},
         threshold_pct=threshold_pct,
         threshold_abs=threshold_abs,
     )
+    diff.baseline_id = baseline.get("run_id", "?")
+    diff.current_id = current.get("run_id", "?")
     cur_fp = (current.get("machine") or {}).get("fingerprint")
     base_fp = (baseline.get("machine") or {}).get("fingerprint")
     if cur_fp != base_fp:
@@ -426,27 +485,4 @@ def diff_records(
         )
     if current.get("config_digest") != baseline.get("config_digest"):
         diff.notes.append("records have different config digests")
-
-    cur_metrics = current.get("metrics") or {}
-    base_metrics = baseline.get("metrics") or {}
-    for name in sorted(set(cur_metrics) & set(base_metrics)):
-        cur, base = cur_metrics[name], base_metrics[name]
-        if not all(
-            isinstance(v, (int, float)) and not isinstance(v, bool)
-            for v in (cur, base)
-        ):
-            continue
-        verdict = classify_change(cur, base, threshold_pct, threshold_abs)
-        if verdict > 0:
-            diff.regressions.append((name, float(base), float(cur)))
-        elif verdict < 0:
-            diff.improvements.append((name, float(base), float(cur)))
-        else:
-            diff.unchanged += 1
-    only_cur = set(cur_metrics) - set(base_metrics)
-    only_base = set(base_metrics) - set(cur_metrics)
-    if only_cur:
-        diff.notes.append(f"{len(only_cur)} metric(s) only in current")
-    if only_base:
-        diff.notes.append(f"{len(only_base)} metric(s) only in baseline")
     return diff

@@ -13,6 +13,7 @@ one in both kernel modes.
 import gc
 import io
 import json
+import time
 
 import pytest
 
@@ -191,6 +192,23 @@ class TestHostPerfProfiler:
         assert metrics["host_s_per_kcycle"] > 0
         assert metrics["host_rss_peak_mb"] > 1
         assert metrics["host_sample_coverage"] >= 0.9
+
+    def test_late_sampler_start_is_still_attributed(self, monkeypatch):
+        """The window opens before the sampler thread runs; the time the
+        OS takes to schedule it must land in the first interval."""
+        original = HostPerfProfiler._run
+
+        def late_run(self, *args):
+            time.sleep(0.02)
+            original(self, *args)
+
+        monkeypatch.setattr(HostPerfProfiler, "_run", late_run)
+        prof = HostPerfProfiler(interval=0.001).start()
+        t0 = time.perf_counter()
+        while time.perf_counter() - t0 < 0.06:
+            pass
+        prof.stop()
+        assert prof.attributed_seconds >= 0.9 * prof.wall_seconds
 
     def test_bound_metrics_appear_in_prometheus_text(self):
         session, prof = run_profiled()

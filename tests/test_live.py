@@ -21,7 +21,6 @@ from repro.core import MultiNoCPlatform
 from repro.sim import stride_points
 from repro.telemetry import (
     LIVE_SCHEMA,
-    LIVE_TRACKS,
     LiveStream,
     MeshTop,
     TelemetryServer,
@@ -67,8 +66,6 @@ class TestLiveStream:
             LiveStream(stride=0)
         with pytest.raises(ValueError, match="max_links"):
             LiveStream(max_links=0)
-        with pytest.raises(ValueError, match="unknown live tracks"):
-            LiveStream(tracks={"packets", "nonsense"})
 
     def test_frames_fire_on_stride(self):
         session, live, frames = launch_observed(stride=256)
@@ -115,17 +112,6 @@ class TestLiveStream:
         assert q_end == l_end
         assert quiescent == lockstep
         assert quiescent == [c for c in range(512, q_end + 1, 512)]
-
-    def test_track_filtering(self):
-        session, live, frames = launch_observed(
-            stride=256, tracks={"packets", "health"}
-        )
-        session.host.sync()
-        session.run(1, PRINTF_LOOP)
-        frame = live.force()
-        assert "packets" in frame and "health" in frame
-        for absent in ("links", "routers", "cpus", "checkpoints"):
-            assert absent not in frame
 
     def test_max_links_bounds_frame_size(self):
         session, live, frames = launch_observed(stride=64, max_links=1)

@@ -1,6 +1,5 @@
 """Observability satellites: VCD well-formedness, telemetry-disabled
-equivalence, NetworkStats in-flight bookkeeping, and the Tracer ring
-buffer / CSV export."""
+equivalence and NetworkStats in-flight bookkeeping."""
 
 import re
 
@@ -10,7 +9,7 @@ from repro import MultiNoCPlatform
 from repro.noc import HermesNetwork
 from repro.noc.packet import Packet
 from repro.noc.stats import NetworkStats
-from repro.sim import Component, Simulator, Tracer, VcdWriter
+from repro.sim import Component, Simulator, VcdWriter
 from repro.telemetry import TelemetrySink
 
 PROGRAM = """
@@ -210,48 +209,6 @@ class TestInFlightBookkeeping:
         assert gauge.read() == 0
         stats.packet_injected(self._packet([5]))
         assert gauge.read() == 1
-
-
-class TestTracerRingAndCsv:
-    def _traced(self, max_events=None, cycles=20):
-        sim = Simulator()
-        t = sim.add(Toggler())
-        tracer = Tracer([t.bit, t.bus], max_events=max_events)
-        sim.add_watcher(tracer.sample)
-        sim.step(cycles)
-        return tracer
-
-    def test_unbounded_keeps_everything(self):
-        tracer = self._traced()
-        assert tracer.dropped == 0
-        assert len(tracer.events) > 20  # two wires toggling
-
-    def test_ring_buffer_keeps_newest(self):
-        tracer = self._traced(max_events=5)
-        assert len(tracer.events) == 5
-        assert tracer.dropped > 0
-        cycles = [e.cycle for e in tracer.events]
-        assert cycles == sorted(cycles)
-        assert cycles[-1] == 20
-
-    def test_as_csv_round_trips(self):
-        tracer = self._traced(max_events=8)
-        text = tracer.as_csv()
-        lines = text.split("\r\n")
-        assert lines[0] == "cycle,wire,value"
-        rows = [l.split(",") for l in lines[1:] if l]
-        assert len(rows) == 8
-        for cycle, wire, value in rows:
-            assert cycle.isdigit() and value.isdigit()
-            assert wire.startswith("toggler.")
-
-    def test_as_csv_quotes_awkward_names(self):
-        from repro.sim.trace import TraceEvent
-
-        tracer = Tracer([])
-        tracer.events.append(TraceEvent(1, 'a,"b"', 3))
-        line = tracer.as_csv().split("\r\n")[1]
-        assert line == '1,"a,""b""",3'
 
 
 class TestNetworkRunStats:

@@ -13,8 +13,8 @@ from repro.telemetry.registry import (
     flatten_metrics,
     machine_fingerprint,
 )
-from repro.telemetry.analysis import classify_change
 from repro.telemetry.trend import (
+    classify_change,
     compute_trend,
     diff_records,
     metric_arrow,

@@ -45,6 +45,32 @@ def _contended_run():
     return sink, net
 
 
+def _contended_and_alone():
+    """Analyses of the contended run and of its 0,0>1,1 flow alone."""
+    base_sink = TelemetrySink()
+    net = HermesNetwork(2, 2, telemetry=base_sink)
+    sim = net.make_simulator()
+    sim.reset()
+    for i in range(3):
+        net.send((0, 0), (1, 1), [10 + i, 20, 30])
+    net.run_to_drain(sim)
+    return analyze_trace(_contended_run()[0]), analyze_trace(base_sink)
+
+
+#: ``diff_traces(contended, alone)`` regressions, ``(name, base, cur)``
+CONTENTION_ROWS = [
+    ("flow 0,0>1,1 blocked", 0.0, 24.0),
+    ("flow 0,0>1,1 latency_max", 44.0, 52.0),
+    ("flow 0,0>1,1 latency_mean", 125 / 3, 149 / 3),
+    ("flow 0,1>0,0 latency_max", 0.0, 23.0),
+    ("flow 0,1>0,0 latency_mean", 0.0, 23.0),
+    ("flow 1,0>1,1 blocked", 0.0, 32.0),
+    ("flow 1,0>1,1 latency_max", 0.0, 45.0),
+    ("flow 1,0>1,1 latency_mean", 0.0, 113 / 3),
+    ("link router10>NORTH blocked_cycles", 0.0, 56.0),
+]
+
+
 class TestCriticalPaths:
     @pytest.fixture(scope="class")
     def run(self):
@@ -166,26 +192,36 @@ class TestDiffing:
     def test_contention_regression_detected(self):
         """Baseline: the 0,0>1,1 flow alone.  Current: the same flow with
         an interfering flow added.  The diff must flag the slowdown."""
-        base_sink = TelemetrySink()
-        net = HermesNetwork(2, 2, telemetry=base_sink)
-        sim = net.make_simulator()
-        sim.reset()
-        for i in range(3):
-            net.send((0, 0), (1, 1), [10 + i, 20, 30])
-        net.run_to_drain(sim)
-        baseline = analyze_trace(base_sink)
-
-        cur_sink, _ = _contended_run()
-        current = analyze_trace(cur_sink)
-
+        current, baseline = _contended_and_alone()
         diff = diff_traces(current, baseline)
         assert not diff.ok
         flow_regressions = [
-            e for e in diff.regressions
-            if e.kind == "flow" and e.name == "0,0>1,1"
+            row for row in diff.regressions
+            if row[0].startswith("flow 0,0>1,1 ")
         ]
         assert flow_regressions, diff.report()
         assert any("REGRESSED" in line for line in diff.report().splitlines())
+
+    def test_contention_verdicts_are_pinned(self):
+        """The exact regression and improvement rows, both directions."""
+        current, baseline = _contended_and_alone()
+        forward = diff_traces(current, baseline)
+        assert forward.regressions == CONTENTION_ROWS
+        assert forward.improvements == []
+        backward = diff_traces(baseline, current)
+        assert backward.regressions == []
+        assert backward.improvements == [
+            (name, cur, base) for name, base, cur in CONTENTION_ROWS
+        ]
+        for analysis in (current, baseline):
+            self_diff = diff_traces(analysis, analysis)
+            assert self_diff.regressions == self_diff.improvements == []
+        lines = forward.report().splitlines()
+        assert "  REGRESSED flow 0,0>1,1 latency_max: 44 -> 52 (+18.2%)" in lines
+        assert (
+            "  REGRESSED link router10>NORTH blocked_cycles: 0 -> 56 (new)"
+            in lines
+        )
 
     def test_thresholds_suppress_noise(self):
         sink, _ = _contended_run()
