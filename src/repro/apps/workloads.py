@@ -148,6 +148,14 @@ class TrafficSource(Component):
         self._index = 0
         self.injected = 0
 
+    def snapshot_state(self) -> dict:
+        # the schedule itself is drawn again at construction
+        return {"index": self._index, "injected": self.injected}
+
+    def restore_state(self, state: dict) -> None:
+        self._index = state["index"]
+        self.injected = state["injected"]
+
 
 def drive_traffic(network, config: TrafficConfig) -> List[TrafficSource]:
     """Attach a traffic source to every NI of *network*.

@@ -6,6 +6,10 @@ same tx/data/ack handshake the routers use among themselves.  The
 :class:`~repro.noc.packet.Packet` for injection, collect fully reassembled
 packets on reception — while still exercising the exact flit-level timing
 (two cycles per flit, blocking on a busy network).
+
+An NI sleeps whenever its next eval would do nothing: no packet to
+start, a presented flit waiting for the router's ack, and a silent
+from-router link.  The ack and the incoming tx/data wake it.
 """
 
 from __future__ import annotations
@@ -57,9 +61,9 @@ class NetworkInterface(Component):
         self.to_router = to_router
         self.from_router = from_router
         self.adopt_wires([to_router.tx, to_router.data, from_router.ack])
-        # Incoming flits must wake a sleeping NI; the send side needs no
-        # watch because pending TX work keeps the NI awake by itself.
-        self.watch_wires([from_router.tx, from_router.data])
+        # Incoming flits, and the ack a presented flit waits for, must
+        # wake a sleeping NI.
+        self.watch_wires([from_router.tx, from_router.data, to_router.ack])
         self.wake()
 
     def detach(self) -> None:
@@ -74,6 +78,7 @@ class NetworkInterface(Component):
             self.disown_wires(
                 [self.to_router.tx, self.to_router.data]
             )
+            self.unwatch_wires([self.to_router.ack])
         if self.from_router is not None:
             self.from_router.ack.reset()
             self.disown_wires([self.from_router.ack])
@@ -125,12 +130,17 @@ class NetworkInterface(Component):
         self._eval_receiver(cycle)
 
     def is_quiescent(self) -> bool:
-        """Idle when nothing is queued for injection, no packet is half
-        reassembled, and the from-router link is silent (tx low, our ack
-        pulse already back to zero).  Delivered packets sitting in
-        ``received`` do not keep the NI itself busy — the parent that
-        drains them tracks that in its own quiescence predicate."""
-        if self._tx_packet is not None or self._tx_queue:
+        """True when the next eval would do nothing: no packet waits to
+        start, a packet being injected has its flit presented and waits
+        for an ack, no packet is half reassembled, and the from-router
+        link is silent (tx low, our ack pulse already back to zero).
+        Delivered packets sitting in ``received`` do not keep the NI
+        itself busy — the parent that drains them tracks that in its own
+        quiescence predicate."""
+        if self._tx_packet is not None:
+            if not self._tx_in_flight or self.to_router.ack.value:
+                return False
+        elif self._tx_queue:
             return False
         if self._rx_state != _RX_HEADER:
             return False

@@ -24,6 +24,19 @@ Timing model
 Each cycle walks only the attached ports and does work only where a
 port's state changes (see the comments in the sender and receiver
 loops), so a saturated fabric spends host time on flits that move.
+
+Sleeping
+--------
+A router sleeps whenever its next eval would only count: every input
+is silent or stalled behind a full FIFO, every owned output waits for
+an ack or for its FIFO to fill, and the control logic is idle with no
+request or counting down a routing service (it books a kernel wake for
+the decision cycle).  A committed change on an input's tx/data or an
+output's ack wakes it.  :meth:`HermesRouter.on_wake` credits what the
+skipped evals would have counted: the routing countdown and one stall
+cycle per skipped cycle for each input stalled at sleep.
+:meth:`~repro.sim.kernel.Simulator.snapshot` settles that credit, so a
+sleeping router's stall counters lag only between snapshots.
 """
 
 from __future__ import annotations
@@ -94,10 +107,14 @@ class HermesRouter(Component):
 
         self.in_ch: List[Optional[HandshakeTx]] = [None] * self.N_PORTS
         self.out_ch: List[Optional[HandshakeTx]] = [None] * self.N_PORTS
-        #: attached ports in port order: (port, channel) plus, for
-        #: inputs, the port's FIFO and its stall-counter key
+        #: attached ports in port order: (port, channel, stats key) plus,
+        #: for inputs, the port's FIFO
         self._in_ports: list = []
         self._out_ports: list = []
+        #: stats keys of the inputs stalled when the router fell asleep
+        self._stalled: list = []
+        #: the router fell asleep idle (no flits, no connection)
+        self._slept_idle = False
 
         self.fifos = [CircularFifo(buffer_depth) for _ in range(self.N_PORTS)]
         # Input-side connection state.
@@ -124,17 +141,17 @@ class HermesRouter(Component):
             (port, channel, self.fifos[port], (self.address, port)),
         )
         self.adopt_wires([channel.ack])
-        # A committed change on the neighbour's tx/data must wake us; the
-        # output-side ack only matters while a connection is open, and an
-        # open connection keeps the router awake via `busy`.
+        # a committed change on the neighbour's tx/data must wake us
         self.watch_wires([channel.tx, channel.data])
 
     def attach_output(self, port: Port, channel: HandshakeTx) -> None:
         """Attach the send side of *channel* to *port* (we drive tx/data)."""
         port = int(port)
         self.out_ch[port] = channel
-        insort(self._out_ports, (port, channel))
+        insort(self._out_ports, (port, channel, (self.address, port)))
         self.adopt_wires([channel.tx, channel.data])
+        # a router asleep with a flit in flight wakes on the ack
+        self.watch_wires([channel.ack])
 
     # -- simulation ----------------------------------------------------------
 
@@ -146,16 +163,66 @@ class HermesRouter(Component):
         self._eval_receivers()
 
     def is_quiescent(self) -> bool:
-        """Idle when no buffered flits, no open connections, the control
-        logic is idle, and every attached input link is silent (tx low and
-        our own ack pulse already dropped back to zero)."""
-        if self._ctrl_state != _CTRL_IDLE:
-            return False
+        """True when the next eval would only count stalls or the routing
+        countdown (see the module docstring).
+
+        Runs after this cycle's eval and before commit, so our own input
+        ack is read in both phases: a pulse raised this cycle (``_next``)
+        must be dropped by the next eval, and the sender answers a pulse
+        being dropped (``value``) at this commit.  A neighbour's wire
+        whose ``_next`` differs from its value changes at this commit and
+        would wake us at once, so it keeps us awake instead.
+        """
+        routing = self._ctrl_state != _CTRL_IDLE
+        if routing and not self._ctrl_counter:
+            return False  # the next eval is the routing decision
         in_conn = self.in_conn
-        for p, ch, fifo, _ in self._in_ports:
-            if in_conn[p] is not None or fifo or ch.tx.value or ch.ack.value:
-                return False
+        idle = not routing
+        stalled = []
+        for p, ch, fifo, key in self._in_ports:
+            ack = ch.ack
+            if ack._next or ack.value:
+                return False  # our ack pulse is up, or ends now
+            tx = ch.tx
+            if fifo._count:
+                if in_conn[p] is None and not routing:
+                    return False  # a request the next eval grants
+                idle = False
+                if tx.value:
+                    if fifo._count != fifo.capacity:
+                        return False  # a flit the next eval accepts
+                    stalled.append(key)
+            elif tx.value or tx._next:
+                return False  # a flit the next eval accepts
+            elif in_conn[p] is not None:
+                idle = False
+        if not idle:
+            out_owner = self.out_owner
+            in_flight = self._in_flight
+            fifos = self.fifos
+            for out, ch, _ in self._out_ports:
+                owner = out_owner[out]
+                if owner is not None:
+                    if in_flight[out]:
+                        if ch.ack.value or ch.ack._next:
+                            return False  # a pop, or a wake at this commit
+                    elif fifos[owner]:
+                        return False  # a first flit to present
+            if routing:
+                self.wake_at(self._kernel.cycle + 1 + self._ctrl_counter)
+        self._stalled = stalled
+        self._slept_idle = idle
         return True
+
+    def on_wake(self, skipped_cycles: int) -> None:
+        """Credit the skipped evals: the routing countdown and one stall
+        cycle each for the inputs stalled at sleep."""
+        if self._ctrl_state != _CTRL_IDLE:
+            self._ctrl_counter -= skipped_cycles
+        if self._stalled and self.stats is not None:
+            stall_cycles = self.stats.stall_cycles
+            for key in self._stalled:
+                stall_cycles[key] += skipped_cycles
 
     def reset(self) -> None:
         super().reset()
@@ -174,6 +241,8 @@ class HermesRouter(Component):
         self._rx_left = [0] * self.N_PORTS
         self._conn_opened = [0] * self.N_PORTS
         self._now = 0
+        self._stalled = []
+        self._slept_idle = False
 
     # -- checkpointing -----------------------------------------------------
 
@@ -195,6 +264,7 @@ class HermesRouter(Component):
             "rx_left": list(self._rx_left),
             "conn_opened": list(self._conn_opened),
             "now": self._now,
+            "stalled": [port for (_, port) in self._stalled],
         }
 
     def restore_state(self, state: dict) -> None:
@@ -213,6 +283,10 @@ class HermesRouter(Component):
         self._rx_left = list(state["rx_left"])
         self._conn_opened = list(state["conn_opened"])
         self._now = state["now"]
+        self._stalled = [
+            (self.address, port) for port in state.get("stalled", [])
+        ]
+        self._slept_idle = False
 
     # -- output ports (handshake senders) -----------------------------------
 
@@ -223,7 +297,7 @@ class HermesRouter(Component):
         # FIFO head, which only this sender pops.  Neither needs a drive.
         out_owner = self.out_owner
         in_flight = self._in_flight
-        for out, ch in self._out_ports:
+        for out, ch, key in self._out_ports:
             owner = out_owner[out]
             if owner is None:
                 continue
@@ -233,7 +307,7 @@ class HermesRouter(Component):
                     continue
                 flit = fifo.pop()
                 if self.stats is not None:
-                    self.stats.flit_sent(self.address, out)
+                    self.stats.flits_sent[key] += 1
                 self._advance_packet(owner, out, flit)
                 if out_owner[out] == owner and fifo:
                     ch.data.drive(fifo.head)
@@ -347,20 +421,20 @@ class HermesRouter(Component):
     def _eval_receivers(self) -> None:
         # Only this router drives an input's ack, so outside its
         # single-cycle pulse ack is already low and needs no drive.
-        for p, ch, fifo, stall_key in self._in_ports:
+        for p, ch, fifo, key in self._in_ports:
             ack = ch.ack
             if ack.value:
                 ack.drive(0)
             elif ch.tx.value:
                 if fifo.is_full:
                     if self.stats is not None:
-                        self.stats.stall_cycles[stall_key] += 1
+                        self.stats.stall_cycles[key] += 1
                     continue
                 flit = ch.data.value
                 fifo.push(flit)
                 ack.drive(1)
                 if self.stats is not None:
-                    self.stats.flit_received(self.address, p)
+                    self.stats.flits_received[key] += 1
                 if self.sink is not None:
                     self._rx_track(p, flit)
 
@@ -421,11 +495,12 @@ class HermesRouter(Component):
     def busy(self) -> bool:
         """True while any buffer holds flits or any connection is open.
 
-        A router asleep as its own kernel unit answers at once: it only
-        sleeps when :meth:`is_quiescent` held (empty buffers, no open
-        connection, idle control), and nothing changes while it sleeps.
+        A router that fell asleep idle (empty buffers, no open
+        connection, idle control) as its own kernel unit answers at
+        once: nothing changes while it sleeps.  One asleep while blocked
+        still holds flits, so it takes the full check.
         """
-        if not self._awake and self._sched is self:
+        if self._slept_idle and not self._awake and self._sched is self:
             return False
         return (
             any(not f.is_empty for f in self.fifos)

@@ -29,8 +29,8 @@ class NetworkStats:
     def __init__(self, registry: Optional[MetricsRegistry] = None):
         self.registry = registry if registry is not None else MetricsRegistry()
         r = self.registry
-        # Per-flit hooks run on every handshake, so the hook methods
-        # mutate the counters' label dicts directly (zero extra cost).
+        # Per-flit counters change on every handshake, so routers bump
+        # these label dicts directly, through keys built at attach time.
         self.flits_received = r.counter(
             "noc_flits_received_total", "flits accepted per (router, port)"
         ).samples
@@ -141,15 +141,6 @@ class NetworkStats:
         }
 
     # -- hooks called by the models ---------------------------------------
-
-    def flit_received(self, router: Address, port: int) -> None:
-        self.flits_received[(router, port)] += 1
-
-    def flit_sent(self, router: Address, port: int) -> None:
-        self.flits_sent[(router, port)] += 1
-
-    def stall(self, router: Address, port: int) -> None:
-        self.stall_cycles[(router, port)] += 1
 
     def routing_blocked(self, router: Address) -> None:
         self.blocked_routings[router] += 1

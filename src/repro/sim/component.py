@@ -27,7 +27,8 @@ class Component:
     *schedulable unit*.  A unit may opt into idle-skipping by:
 
     * overriding :meth:`is_quiescent` to report when its next ``eval``
-      would be a no-op given unchanged inputs,
+      would only count (advance per-cycle counters) given unchanged
+      inputs, and :meth:`on_wake` to credit those counts,
     * declaring the wires it reads with :meth:`watch_wires` so a
       committed change on any of them wakes it, and
     * calling :meth:`wake` from every externally callable method that
@@ -125,22 +126,26 @@ class Component:
     # -- activity protocol ----------------------------------------------
 
     def is_quiescent(self) -> bool:
-        """True when the next ``eval`` is a no-op given unchanged inputs.
+        """True when the next ``eval`` would only count, given unchanged
+        inputs.
 
         The default (``False``) keeps legacy components evaluated every
-        cycle.  Overriders must guarantee that a quiescent component's
-        ``eval`` neither changes internal state nor drives new wire
-        values until an input wire changes, :meth:`wake`/:meth:`wake_at`
-        fires, or an external call mutates it.
+        cycle.  Overriders must guarantee that, until an input wire
+        changes, :meth:`wake`/:meth:`wake_at` fires, or an external call
+        mutates it, a quiescent component's ``eval`` drives no new wire
+        value and changes no state except per-cycle counts that
+        :meth:`on_wake` can credit (stall cycles, a countdown).
         """
         return False
 
     def on_wake(self, skipped_cycles: int) -> None:
-        """Called once before the first ``eval`` after a quiescent span.
+        """Credit *skipped_cycles* evals the kernel skipped while quiescent.
 
-        *skipped_cycles* is the number of evals the kernel skipped.
-        Override to credit per-cycle accounting (e.g. stall counters)
-        that lock-step evaluation would have accumulated.
+        Called before the first ``eval`` after a quiescent span, and by
+        :meth:`~repro.sim.kernel.Simulator.snapshot` for the part of a
+        span that has passed, so one span may be credited in pieces.
+        Override to add what lock-step evaluation would have counted
+        (stall counters, phase counters, countdowns).
         """
 
     def wake(self) -> None:

@@ -27,8 +27,9 @@ cycle when it comes earlier, exactly as in lock-step.  ``step`` and
 wiring is invalidated, even in the middle of a run.
 
 The results are cycle-exact with respect to the legacy schedule: a
-quiescent component's eval is by contract a no-op, and skipped idle
-evals are credited through ``on_wake`` so per-cycle counters (CPU stall
+quiescent component's eval would by contract only count, and skipped
+evals are credited through ``on_wake`` (by the next eval, or by
+:meth:`Simulator.snapshot`) so per-cycle counters (CPU and router stall
 accounting, PC samples) match bit for bit.  ``Simulator(
 strict_lockstep=True)`` keeps the original evaluate-everything loop as
 the reference the A/B equivalence tests compare against.  Host time is
@@ -339,14 +340,25 @@ class Simulator:
         returned dict is JSON-serialisable and kernel-mode portable:
         a snapshot taken under either scheduling mode restores into
         either mode with bit-identical continuation.
+
+        It first settles pending idle credit: every unit with skipped
+        evals (asleep, or woken at the last commit) gets ``on_wake`` for
+        them now.  The snapshot, and any counter read after it, then
+        holds exactly what lock-step evaluation would have counted.
         """
         if not self.strict_lockstep and self._needs_elab:
             self._elaborate()
+        units = self._units if not self.strict_lockstep else []
+        cycle = self.cycle
+        for u in units:
+            s = u._slept_since
+            if s is not None and cycle > s:
+                u.on_wake(cycle - s)
+                u._slept_since = cycle
         doc: dict = {
             "cycle": self.cycle,
             "components": [c.snapshot() for c in self._components],
         }
-        units = self._units if not self.strict_lockstep else []
         if units:
             index = {u: i for i, u in enumerate(units)}
             heap = sorted(
@@ -397,8 +409,9 @@ class Simulator:
     def _restore_scheduler(self, sched: Optional[dict]) -> None:
         if self.strict_lockstep:
             # Lock-step evaluates everything anyway; the only snapshot
-            # state that matters is pending idle credit from a quiescent
-            # source — materialise it so per-cycle counters stay exact.
+            # state that matters is pending idle credit, which only a
+            # snapshot from before settling carries — materialise it so
+            # per-cycle counters stay exact.
             if sched is not None:
                 units = self._flat_units()
                 slept = sched.get("slept_since", [])

@@ -1,6 +1,8 @@
 """Tests for the application layer: canned programs, edge detection,
 synthetic workloads."""
 
+import json
+
 import pytest
 
 from repro.apps import programs, reference_sobel, worker_program
@@ -172,6 +174,32 @@ class TestTrafficSources:
         injected = sum(s.injected for s in sources)
         assert injected > 0
         assert net.stats.packets_delivered == injected
+
+    def test_schedule_position_survives_checkpoint(self):
+        cfg = TrafficConfig(
+            pattern="uniform", rate=0.05, duration=600, seed=11
+        )
+
+        def build():
+            net = HermesNetwork(4, 4)
+            sources = drive_traffic(net, cfg)
+            return net, net.make_simulator(), sources
+
+        net, sim, sources = build()
+        scheduled = sum(len(s.schedule) for s in sources)
+        sim.step(300)
+        doc = json.loads(json.dumps(sim.snapshot()))
+        stats = json.loads(json.dumps(net.stats.snapshot()))
+        net, sim, sources = build()
+        sim.restore(doc)
+        net.stats.restore(stats)
+        sim.run_until(
+            lambda: all(s.done for s in sources) and net.drained,
+            max_cycles=100_000,
+        )
+        assert sum(s.injected for s in sources) == scheduled
+        assert net.stats.packets_delivered == scheduled
+        assert sim.cycle == 3410  # the unsplit run's drain cycle
 
     def test_injection_rate_roughly_matches(self):
         net = HermesNetwork(2, 2)

@@ -1,0 +1,129 @@
+"""Blocked routers and NIs sleep without changing a single counter.
+
+A router sleeps while its next eval would only count stalls or the
+routing countdown, and an NI while its presented flit waits for an ack.
+``on_wake`` credits the skipped evals and ``Simulator.snapshot`` settles
+pending credit, so the quiescent kernel must match strict lock-step on
+every per-key NoC counter, at every checkpoint and across kernel modes.
+"""
+
+import json
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.apps.workloads import TrafficConfig, drive_traffic
+from repro.noc.network import HermesNetwork
+
+
+def _json(doc):
+    return json.loads(json.dumps(doc))
+
+
+def _build(topology, config, strict):
+    net = HermesNetwork(topology=topology)
+    sources = drive_traffic(net, config)
+    sim = net.make_simulator(strict_lockstep=strict)
+    sim.reset()
+    return net, sim, sources
+
+
+def _drain(net, sim, sources, config):
+    sim.run_until(
+        lambda: all(s.done for s in sources) and net.drained,
+        max_cycles=config.duration * 200,
+        label="traffic drain",
+    )
+    return sim.cycle, _json(net.stats.snapshot())
+
+
+@st.composite
+def blocked_case(draw):
+    topology = "{}:{}".format(
+        draw(st.sampled_from(["mesh", "torus"])),
+        draw(st.sampled_from(["3x3", "4x4"])),
+    )
+    hot = draw(st.booleans())
+    config = TrafficConfig(
+        rate=draw(st.sampled_from([0.01, 0.03, 0.06, 0.1])),
+        duration=draw(st.integers(50, 250)),
+        seed=draw(st.integers(0, 10_000)),
+        hotspot_node=(0, 0) if hot else None,
+    )
+    split = draw(st.integers(1, 1500))
+    # strict_lockstep of the run before and after the split: both
+    # cross-mode directions, and quiescent into quiescent, which
+    # resumes sleepers in the middle of their span
+    modes = draw(
+        st.sampled_from([(False, True), (True, False), (False, False)])
+    )
+    return topology, config, split, modes
+
+
+@settings(max_examples=30, deadline=None)
+@given(blocked_case())
+def test_split_runs_match_lockstep_counter_for_counter(case):
+    topology, config, split, (first, second) = case
+    net, sim, sources = _build(topology, config, strict=True)
+    sim.step(split)
+    ref_at_split = _json(net.stats.snapshot())
+    ref_cycle, ref_stats = _drain(net, sim, sources, config)
+
+    net, sim, sources = _build(topology, config, strict=first)
+    sim.step(split)
+    doc = _json(sim.snapshot())
+    # the kernel snapshot settled every sleeper's credit
+    assert _json(net.stats.snapshot()) == ref_at_split
+    stats = _json(net.stats.snapshot())
+    net, sim, sources = _build(topology, config, strict=second)
+    sim.restore(doc)
+    net.stats.restore(stats)
+    cycle, final = _drain(net, sim, sources, config)
+    assert cycle == ref_cycle
+    assert final == ref_stats
+    assert final["latencies"] == ref_stats["latencies"]
+
+
+def _equal_byte_run(strict, depth, length):
+    # Every node streams equal payload bytes into node (0, 0).  Routers
+    # on the way fill their FIFOs while their outputs wait, and
+    # consecutive flits present the same data, so a receiver with room
+    # sees no wire toggle: only staying awake makes it take the flit.
+    net = HermesNetwork(3, 3, buffer_depth=depth)
+    for addr in net.interfaces:
+        if addr != (0, 0):
+            net.send(addr, (0, 0), [0x5A] * length)
+    sim = net.make_simulator(strict_lockstep=strict)
+    net.run_to_drain(sim, max_cycles=100_000)
+    payloads = sorted(tuple(p.payload) for p in net.collect_received())
+    return sim.cycle, _json(net.stats.snapshot()), payloads
+
+
+@pytest.mark.parametrize("length", [4, 12])
+@pytest.mark.parametrize("depth", [2, 4, 8])
+def test_equal_bytes_into_a_full_fifo_match_lockstep(depth, length):
+    cycle, stats, payloads = _equal_byte_run(False, depth, length)
+    assert (cycle, stats, payloads) == _equal_byte_run(True, depth, length)
+    assert payloads == [(0x5A,) * length] * 8
+    assert sum(v for _, v in stats["stall_cycles"]) > 0, "no FIFO filled"
+
+
+def test_saturated_hotspot_skips_blocked_evals():
+    """The pinned saturation hotspot run: lock-step makes 109,419 router
+    and NI evals; sleeping only when idle left all of them."""
+    config = TrafficConfig(
+        rate=0.02, duration=600, hotspot_node=(0, 0), seed=5
+    )
+    net, sim, sources = _build("mesh:4x4", config, strict=False)
+    evals = [0]
+    for unit in [*net.mesh.routers.values(), *net.interfaces.values()]:
+
+        def counted(cycle, _eval=unit.eval):
+            evals[0] += 1
+            _eval(cycle)
+
+        unit.eval = counted
+    cycle, _ = _drain(net, sim, sources, config)
+    assert cycle == 5810
+    assert evals[0] <= 55_000, evals[0]

@@ -51,20 +51,11 @@ SPLIT = {"uniform": 450, "hotspot": 2000}
 CONFIGS = {"uniform": UNIFORM, "hotspot": HOTSPOT}
 
 
-class _Source(TrafficSource):
-    """A traffic source whose schedule position survives a checkpoint."""
-
-    def snapshot_state(self):
-        return {"index": self._index, "injected": self.injected}
-
-    def restore_state(self, state):
-        self._index = state["index"]
-        self.injected = state["injected"]
-
-
 def _build(strict, config):
     net = HermesNetwork(4, 4)
-    sources = [_Source(ni, 4, 4, config) for ni in net.interfaces.values()]
+    sources = [
+        TrafficSource(ni, 4, 4, config) for ni in net.interfaces.values()
+    ]
     for source in sources:
         net.add_child(source)
     sim = net.make_simulator(strict_lockstep=strict)
