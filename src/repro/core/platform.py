@@ -133,7 +133,7 @@ class PlatformSession:
         """Attach a :class:`~repro.telemetry.live.LiveStream`.
 
         Keyword arguments are forwarded to the stream's constructor
-        (``stride``, ``tracks``, ``max_links``, ...).  The stream is
+        (``stride``, ``max_links``).  The stream is
         wired to the system, simulator and host, stored as
         ``session.live`` and returned; subscribe callbacks or pass it to
         :meth:`serve_telemetry` / :class:`~repro.telemetry.top.MeshTop`.

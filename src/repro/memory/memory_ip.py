@@ -1,17 +1,27 @@
-"""The Memory IP core (paper Section 2.3).
+"""The Memory IP core (paper Section 2.3, Figure 4).
 
-Storage (four BlockRAM nibble banks, 1K x 16 bit) with two interfaces:
+:class:`MemoryBlock` is Figure 4's memory: four BlockRAM nibble banks
+(1K x 16 bit) and the small server that answers ``write in memory`` and
+``read from memory`` packets, the latter with ``read return``.  Every
+memory in the system is one such block:
 
-* the **processor interface** — direct, single-cycle word access used by
-  the local R8 core (absent on the stand-alone remote memory), and
-* the **NoC interface** — a network interface plus a small FSM that
-  serves ``write in memory`` and ``read from memory`` service packets,
-  answering reads with ``read return``.
+* :class:`MemoryIp`, the stand-alone remote memory, is a network
+  interface plus one block, and drops every other service;
+* :class:`~repro.system.processor_ip.ProcessorIp` embeds one block as
+  its R8's local memory (Figure 5).
 
 "The highest priority to access the memory banks is given to the
-processor": when the processor touched the banks in a cycle, the NoC-side
-FSM skips that cycle.  The ``busyNoCMem``/``busyNoCR8`` interlocks of
-Figure 4 map onto :attr:`noc_busy` and the per-cycle arbitration flag.
+processor": a cycle in which the processor port touched the banks sets
+:attr:`MemoryBlock.proc_used`, and the server does not step in that
+cycle.  That flag and :attr:`MemoryBlock.idle` are the
+``busyNoCR8``/``busyNoCMem`` interlocks of Figure 4.  Addresses wrap at
+the bank depth, the 10-bit address decode of a 1K-word memory.
+
+The owning IP's ``eval`` decides when the block starts and steps a
+request, which is where the two IPs' timings differ by one cycle: the
+Processor IP starts and serves a request in the cycle it arrives, and
+the Memory IP starts one in the cycle it pops the request from its NI
+and serves it from the next cycle.
 """
 
 from __future__ import annotations
@@ -22,7 +32,7 @@ from ..noc import services
 from ..noc.flit import decode_address
 from ..noc.ni import NetworkInterface
 from ..noc.packet import Packet
-from ..sim import Component
+from ..sim import Component, SnapshotError
 from .blockram import MemoryBanks
 
 _IDLE = 0
@@ -30,8 +40,125 @@ _WRITING = 1
 _READING = 2
 
 
+class MemoryBlock(MemoryBanks):
+    """Four nibble banks plus the NoC read/write server behind *ni*.
+
+    The server runs one request at a time; :meth:`accept` queues a
+    request that arrives while another runs.  Reads are answered through
+    *ni* with a ``read return`` packet.
+    """
+
+    def __init__(self, ni: NetworkInterface, depth: int = 1024):
+        super().__init__(depth)
+        self.ni = ni
+        self.reset()
+
+    def reset(self) -> None:
+        """Park the server (the stored words are kept)."""
+        #: the processor port used the banks this cycle; the owning IP
+        #: clears it once per cycle
+        self.proc_used = False
+        self._state = _IDLE
+        self._addr = 0
+        self._words: List[int] = []
+        self._remaining = 0
+        self._reply_to: Optional[int] = None
+        self._backlog: List = []
+
+    @property
+    def idle(self) -> bool:
+        """No request running or queued."""
+        return self._state == _IDLE and not self._backlog
+
+    # -- processor port (highest priority) -----------------------------------
+
+    def proc_read(self, addr: int) -> int:
+        self.proc_used = True
+        return self.read_word(addr % self.depth)
+
+    def proc_write(self, addr: int, value: int) -> None:
+        self.proc_used = True
+        self.write_word(addr % self.depth, value)
+
+    # -- NoC server ----------------------------------------------------------------
+
+    def accept(self, message) -> None:
+        """Start a decoded ``WriteRequest``/``ReadRequest``, or queue it
+        behind the running one."""
+        if self._state != _IDLE:
+            self._backlog.append(message)
+            return
+        self._addr = message.address
+        if isinstance(message, services.WriteRequest):
+            self._state = _WRITING
+            self._words = list(message.words)
+        else:
+            self._state = _READING
+            self._remaining = message.count
+            self._words = []
+            self._reply_to = message.reply_to
+
+    def step(self) -> None:
+        """One server cycle: start the next queued request, or advance
+        the running one by a word unless the processor used the banks."""
+        if self._state == _IDLE:
+            if self._backlog:
+                self.accept(self._backlog.pop(0))
+            return
+        if self.proc_used:
+            return
+        if self._state == _WRITING:
+            if self._words:
+                self.write_word(self._addr % self.depth, self._words.pop(0))
+                self._addr += 1
+            if not self._words:
+                self._state = _IDLE
+        elif self._remaining > 0:
+            self._words.append(
+                self.read_word((self._addr + len(self._words)) % self.depth)
+            )
+            self._remaining -= 1
+        else:
+            self.ni.send_packet(
+                services.encode_read_return(
+                    decode_address(self._reply_to), self._addr, self._words
+                )
+            )
+            self._state = _IDLE
+            self._words = []
+
+    # -- checkpointing -------------------------------------------------------------
+
+    def snapshot_state(self) -> dict:
+        return {
+            "mem": self.dump(),
+            "proc_used": self.proc_used,
+            "state": self._state,
+            "addr": self._addr,
+            "words": list(self._words),
+            "remaining": self._remaining,
+            "reply_to": self._reply_to,
+            "backlog": [services.message_to_state(m) for m in self._backlog],
+        }
+
+    def restore_state(self, state: dict) -> None:
+        self.load(state["mem"])
+        self.proc_used = state["proc_used"]
+        self._state = state["state"]
+        self._addr = state["addr"]
+        self._words = list(state["words"])
+        self._remaining = state["remaining"]
+        self._reply_to = state["reply_to"]
+        try:
+            self._backlog = [
+                services.message_from_state(m) for m in state["backlog"]
+            ]
+        except services.ServiceError as exc:
+            raise SnapshotError(str(exc)) from exc
+
+
 class MemoryIp(Component):
-    """1K-word memory with processor-priority NoC access."""
+    """The stand-alone remote memory: an NI plus a :class:`MemoryBlock`."""
 
     def __init__(
         self,
@@ -42,36 +169,27 @@ class MemoryIp(Component):
     ):
         super().__init__(name)
         self.noc_address = address
-        self.banks = MemoryBanks(depth)
         self.ni = NetworkInterface(f"{name}.ni", address, stats=stats)
         self.add_child(self.ni)
-
-        self._proc_used = False  # processor touched the banks this cycle
-        self._state = _IDLE
-        self._op_addr = 0
-        self._op_words: List[int] = []
-        self._op_remaining = 0
-        self._op_reply_to: Optional[int] = None
+        self.banks = MemoryBlock(self.ni, depth)
         self.dropped_packets: List[Packet] = []
 
     # -- processor interface (direct port, highest priority) ------------------
 
     def proc_read(self, addr: int) -> int:
         """Single-cycle word read from the processor side."""
-        self._proc_used = True
         self.wake()
-        return self.banks.read_word(addr)
+        return self.banks.proc_read(addr)
 
     def proc_write(self, addr: int, value: int) -> None:
         """Single-cycle word write from the processor side."""
-        self._proc_used = True
         self.wake()
-        self.banks.write_word(addr, value)
+        self.banks.proc_write(addr, value)
 
     @property
     def noc_busy(self) -> bool:
         """The busyNoCMem signal: a NoC-side operation is under way."""
-        return self._state != _IDLE or self.ni.tx_busy
+        return not self.banks.idle or self.ni.tx_busy
 
     # -- direct loading (testbench convenience) --------------------------------
 
@@ -85,109 +203,51 @@ class MemoryIp(Component):
 
     def eval(self, cycle: int) -> None:
         super().eval(cycle)  # evaluates the NI
-        # Processor priority: if the core used the banks this cycle, the
-        # NoC-side FSM pauses.
-        if self._proc_used:
-            self._proc_used = False
-            return
-        if self._state == _IDLE:
-            self._start_next_operation()
-        elif self._state == _WRITING:
-            self._step_write()
-        elif self._state == _READING:
-            self._step_read()
+        banks = self.banks
+        if banks.proc_used:
+            banks.proc_used = False
+        elif not banks.idle:
+            banks.step()
+        elif self.ni.has_received():
+            packet = self.ni.pop_received()
+            try:
+                message = services.decode(packet)
+            except services.ServiceError:
+                message = None
+            if isinstance(
+                message, (services.WriteRequest, services.ReadRequest)
+            ):
+                banks.accept(message)
+            else:
+                # A plain memory has no processor to activate or notify.
+                self.dropped_packets.append(packet)
 
     def is_quiescent(self) -> bool:
-        """Idle when the NoC-side FSM is parked, the processor port was
+        """Idle when the server is parked, the processor port was
         untouched, and the NI is silent with nothing undelivered."""
+        banks = self.banks
         return (
-            self._state == _IDLE
-            and not self._proc_used
+            banks.idle
+            and not banks.proc_used
             and not self.ni.received
             and self.ni.is_quiescent()
         )
 
     def reset(self) -> None:
         super().reset()
-        self._proc_used = False
-        self._state = _IDLE
-        self._op_words = []
-        self._op_remaining = 0
+        self.banks.reset()
         self.dropped_packets = []
 
     # -- checkpointing ---------------------------------------------------------------
 
     def snapshot_state(self) -> dict:
         return {
-            "mem": self.banks.dump(),
-            "proc_used": self._proc_used,
-            "state": self._state,
-            "op_addr": self._op_addr,
-            "op_words": list(self._op_words),
-            "op_remaining": self._op_remaining,
-            "op_reply_to": self._op_reply_to,
+            "memory": self.banks.snapshot_state(),
             "dropped": [p.to_state() for p in self.dropped_packets],
         }
 
     def restore_state(self, state: dict) -> None:
-        self.banks.load(state["mem"])
-        self._proc_used = state["proc_used"]
-        self._state = state["state"]
-        self._op_addr = state["op_addr"]
-        self._op_words = list(state["op_words"])
-        self._op_remaining = state["op_remaining"]
-        self._op_reply_to = state["op_reply_to"]
+        self.banks.restore_state(state["memory"])
         self.dropped_packets = [
             Packet.from_state(p) for p in state["dropped"]
         ]
-
-    # -- NoC-side FSM ----------------------------------------------------------------
-
-    def _start_next_operation(self) -> None:
-        if not self.ni.has_received():
-            return
-        packet = self.ni.pop_received()
-        try:
-            message = services.decode(packet)
-        except services.ServiceError:
-            self.dropped_packets.append(packet)
-            return
-        if isinstance(message, services.WriteRequest):
-            self._state = _WRITING
-            self._op_addr = message.address
-            self._op_words = list(message.words)
-        elif isinstance(message, services.ReadRequest):
-            self._state = _READING
-            self._op_addr = message.address
-            self._op_remaining = message.count
-            self._op_words = []
-            self._op_reply_to = message.reply_to
-        else:
-            # A plain memory has no processor to activate or notify.
-            self.dropped_packets.append(packet)
-
-    def _step_write(self) -> None:
-        """Store one word per (non-preempted) cycle."""
-        if not self._op_words:
-            self._state = _IDLE
-            return
-        self.banks.write_word(self._op_addr, self._op_words.pop(0))
-        self._op_addr += 1
-        if not self._op_words:
-            self._state = _IDLE
-
-    def _step_read(self) -> None:
-        """Fetch one word per cycle, then answer with a read-return packet."""
-        if self._op_remaining > 0:
-            self._op_words.append(
-                self.banks.read_word(self._op_addr + len(self._op_words))
-            )
-            self._op_remaining -= 1
-            return
-        assert self._op_reply_to is not None
-        reply = services.encode_read_return(
-            decode_address(self._op_reply_to), self._op_addr, self._op_words
-        )
-        self.ni.send_packet(reply)
-        self._state = _IDLE
-        self._op_words = []

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import List, Optional, Union
 
-from .component import SnapshotError
+from .component import MALFORMED_STATE, SnapshotError
 from .kernel import Simulator
 
 #: Version tag written into (and required from) every checkpoint file.
@@ -111,7 +111,9 @@ def restore_checkpoint(
     tree with the same topology the checkpoint was taken from; pass the
     live system's topology (plugin or descriptor dict) to have that
     checked against the checkpoint's ``topology`` stamp before any
-    state is touched.
+    state is touched.  State that does not fit the component tree, or
+    lacks a key or has a mistyped value, raises :class:`CheckpointError`
+    (naming the component where one is at fault).
     """
     if not isinstance(doc, dict):
         doc = load_checkpoint(doc)
@@ -126,6 +128,10 @@ def restore_checkpoint(
         sim.restore(doc["state"])
     except SnapshotError as exc:
         raise CheckpointError(str(exc)) from exc
+    except MALFORMED_STATE as exc:
+        raise CheckpointError(
+            f"malformed checkpoint state ({type(exc).__name__}: {exc})"
+        ) from exc
     return sim.cycle
 
 

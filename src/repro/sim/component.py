@@ -11,6 +11,10 @@ class SnapshotError(Exception):
     """A snapshot does not match the component tree it is restored into."""
 
 
+#: what reading a snapshot with a missing key or a mistyped value raises
+MALFORMED_STATE = (KeyError, TypeError, ValueError, IndexError, AttributeError)
+
+
 class Component:
     """A synchronous block evaluated once per clock cycle.
 
@@ -228,6 +232,9 @@ class Component:
         :meth:`restore_state`, so a parent override can re-link shared
         objects (e.g. an in-flight bus transaction aliased between a CPU
         and its IP) after the child state exists.
+
+        Local state that is missing a key or has a value of the wrong
+        type raises :class:`SnapshotError` naming the component.
         """
         wires = state.get("wires", [])
         if len(wires) != len(self._wires):
@@ -247,7 +254,13 @@ class Component:
             )
         for child, child_state in zip(self._children, children):
             child.restore(child_state)
-        self.restore_state(state.get("state", {}))
+        try:
+            self.restore_state(state.get("state", {}))
+        except MALFORMED_STATE as exc:
+            raise SnapshotError(
+                f"{self.name}: malformed snapshot state "
+                f"({type(exc).__name__}: {exc})"
+            ) from exc
 
     def snapshot_state(self) -> Optional[dict]:
         """Component-local registers as a JSON-serialisable dict.

@@ -1,16 +1,17 @@
 """The Processor IP core (paper Section 2.4, Figure 5).
 
-One Processor IP bundles an R8 core, its 1K-word local memory (four
-BlockRAM nibble banks) and the control logic gluing both to a single
-Hermes network interface.  The control logic:
+One Processor IP bundles an R8 core, a Memory IP block as its local
+memory (:class:`~repro.memory.memory_ip.MemoryBlock`: four BlockRAM
+nibble banks and the NoC read/write server) and the control logic
+gluing both to a single Hermes network interface.  The control logic:
 
 * decodes R8 load/store addresses (local / other processor / remote
   memory / I/O / wait / notify) per the address map,
 * turns remote accesses into NoC service packets, stalling the core
   until completion (the ``waitR8`` mechanism — a pending bus
   transaction),
-* serves incoming read/write packets against the local memory with
-  *lower* priority than the core ("The highest priority to access the
+* hands incoming read/write packets to the local memory's server, which
+  yields the banks to the core ("The highest priority to access the
   memory banks is given to the processor"),
 * handles activate / notify / wait packets.
 """
@@ -19,19 +20,15 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from ..memory.blockram import MemoryBanks
+from ..memory.memory_ip import MemoryBlock
 from ..noc import services
 from ..noc.flit import decode_address, encode_address
 from ..noc.ni import NetworkInterface
 from ..noc.packet import Packet
 from ..r8.bus import Transaction
 from ..r8.cpu import R8Cpu
-from ..sim import Component
+from ..sim import Component, SnapshotError
 from .address_map import Access, AccessKind, AddressMap
-
-_SRV_IDLE = 0
-_SRV_WRITING = 1
-_SRV_READING = 2
 
 
 class ProcessorIp(Component):
@@ -67,9 +64,9 @@ class ProcessorIp(Component):
         self.id_to_flit = id_to_flit
         self.serial_flit = serial_flit
 
-        self.banks = MemoryBanks(local_words)
         self.cpu = R8Cpu(f"{name}.r8", bus=self)
         self.ni = NetworkInterface(f"{name}.ni", address, stats=stats)
+        self.banks = MemoryBlock(self.ni, local_words)
         self.add_child(self.cpu)
         self.add_child(self.ni)
 
@@ -79,14 +76,6 @@ class ProcessorIp(Component):
         self._wait_source: Optional[int] = None
         # buffered notifies (a notify may land before the wait executes)
         self._notify_counts: Dict[int, int] = {}
-        # local-memory packet server
-        self._srv_state = _SRV_IDLE
-        self._srv_addr = 0
-        self._srv_words: List[int] = []
-        self._srv_remaining = 0
-        self._srv_reply_to: Optional[int] = None
-        self._srv_backlog: List = []
-        self._proc_mem_used = False
         self.dropped_packets: List[Packet] = []
         self.activations = 0
         #: symbol table of the last program loaded into this processor
@@ -125,15 +114,15 @@ class ProcessorIp(Component):
         Uses the hook-free ``fetch_word`` path so debugger data
         watchpoints never fire on instruction streaming.
         """
-        self._proc_mem_used = True
-        return self.banks.fetch_word(addr % self.banks.depth)
+        banks = self.banks
+        banks.proc_used = True
+        return banks.fetch_word(addr % banks.depth)
 
     def read(self, addr: int) -> Transaction:
         access = self.address_map.classify(addr)
         txn = Transaction(False, addr)
         if access.kind == AccessKind.LOCAL:
-            self._proc_mem_used = True
-            txn.complete(self.banks.read_word(access.offset))
+            txn.complete(self.banks.proc_read(access.offset))
         elif access.kind == AccessKind.REMOTE:
             self.ni.send_packet(
                 services.encode_read(
@@ -169,8 +158,7 @@ class ProcessorIp(Component):
         access = self.address_map.classify(addr)
         txn = Transaction(True, addr, value)
         if access.kind == AccessKind.LOCAL:
-            self._proc_mem_used = True
-            self.banks.write_word(access.offset, value)
+            self.banks.proc_write(access.offset, value)
             txn.complete()
         elif access.kind == AccessKind.REMOTE:
             self.ni.send_packet(
@@ -246,8 +234,9 @@ class ProcessorIp(Component):
         self.ni.eval(cycle)
         self._complete_posted_ops()
         self._handle_incoming(cycle)
-        self._serve_local_memory()
-        self._proc_mem_used = False
+        banks = self.banks
+        banks.step()
+        banks.proc_used = False
 
     def is_quiescent(self) -> bool:
         """The whole IP sleeps only when the core cannot advance on its
@@ -259,7 +248,7 @@ class ProcessorIp(Component):
         until they land."""
         if not self.cpu.sleepable:
             return False
-        if self._srv_state != _SRV_IDLE or self._srv_backlog:
+        if not self.banks.idle:
             return False
         p = self._pending
         if p is not None and not p.done:
@@ -282,11 +271,7 @@ class ProcessorIp(Component):
         self._pending_kind = None
         self._wait_source = None
         self._notify_counts = {}
-        self._srv_state = _SRV_IDLE
-        self._srv_words = []
-        self._srv_remaining = 0
-        self._srv_backlog = []
-        self._proc_mem_used = False
+        self.banks.reset()
         self.dropped_packets = []
         self.activations = 0
         self._wait_start = None
@@ -336,7 +321,7 @@ class ProcessorIp(Component):
                 self.cpu.paused = True
                 self._wait_source = message.source
             elif isinstance(message, (services.ReadRequest, services.WriteRequest)):
-                self._enqueue_memory_op(message)
+                self.banks.accept(message)
             else:
                 self.dropped_packets.append(packet)
 
@@ -403,68 +388,11 @@ class ProcessorIp(Component):
             return
         self._notify_counts[source] = self._notify_counts.get(source, 0) + 1
 
-    # -- serving the local memory to the NoC ---------------------------------------
-
-    def _enqueue_memory_op(self, message) -> None:
-        if self._srv_state != _SRV_IDLE:
-            # One operation at a time; hardware applies backpressure by
-            # not consuming flits, we emulate with a tiny queue.
-            self._srv_backlog.append(message)
-            return
-        self._start_memory_op(message)
-
-    def _start_memory_op(self, message) -> None:
-        if isinstance(message, services.WriteRequest):
-            self._srv_state = _SRV_WRITING
-            self._srv_addr = message.address
-            self._srv_words = list(message.words)
-        else:
-            self._srv_state = _SRV_READING
-            self._srv_addr = message.address
-            self._srv_remaining = message.count
-            self._srv_words = []
-            self._srv_reply_to = message.reply_to
-
-    def _serve_local_memory(self) -> None:
-        if self._srv_state == _SRV_IDLE:
-            if self._srv_backlog:
-                self._start_memory_op(self._srv_backlog.pop(0))
-            return
-        if self._proc_mem_used:
-            return  # processor has priority over the banks
-        if self._srv_state == _SRV_WRITING:
-            if self._srv_words:
-                self.banks.write_word(
-                    self._srv_addr % self.banks.depth, self._srv_words.pop(0)
-                )
-                self._srv_addr += 1
-            if not self._srv_words:
-                self._srv_state = _SRV_IDLE
-        elif self._srv_state == _SRV_READING:
-            if self._srv_remaining > 0:
-                self._srv_words.append(
-                    self.banks.read_word(
-                        (self._srv_addr + len(self._srv_words)) % self.banks.depth
-                    )
-                )
-                self._srv_remaining -= 1
-                return
-            assert self._srv_reply_to is not None
-            self.ni.send_packet(
-                services.encode_read_return(
-                    decode_address(self._srv_reply_to),
-                    self._srv_addr,
-                    self._srv_words,
-                )
-            )
-            self._srv_state = _SRV_IDLE
-            self._srv_words = []
-
     # -- checkpointing -------------------------------------------------------
 
     def snapshot_state(self) -> dict:
         return {
-            "mem": self.banks.dump(),
+            "memory": self.banks.snapshot_state(),
             # the pending transaction itself lives in the CPU snapshot
             # (self._pending aliases cpu._txn); record only the kind.
             "pending_kind": (
@@ -476,15 +404,6 @@ class ProcessorIp(Component):
             "notify_counts": sorted(
                 [src, n] for src, n in self._notify_counts.items()
             ),
-            "srv_state": self._srv_state,
-            "srv_addr": self._srv_addr,
-            "srv_words": list(self._srv_words),
-            "srv_remaining": self._srv_remaining,
-            "srv_reply_to": self._srv_reply_to,
-            "srv_backlog": [
-                services.message_to_state(m) for m in self._srv_backlog
-            ],
-            "proc_mem_used": self._proc_mem_used,
             "dropped": [p.to_state() for p in self.dropped_packets],
             "activations": self.activations,
             "symbols": self.symbols,
@@ -495,7 +414,7 @@ class ProcessorIp(Component):
         }
 
     def restore_state(self, state: dict) -> None:
-        self.banks.load(state["mem"])
+        self.banks.restore_state(state["memory"])
         kind = state["pending_kind"]
         if kind is None:
             self._pending = None
@@ -507,7 +426,7 @@ class ProcessorIp(Component):
             self._pending = self.cpu._txn
             self._pending_kind = AccessKind(kind)
             if self._pending is None:
-                raise RuntimeError(
+                raise SnapshotError(
                     f"{self.name}: pending {kind} access without a CPU "
                     f"transaction in the snapshot"
                 )
@@ -515,15 +434,6 @@ class ProcessorIp(Component):
         self._notify_counts = {
             src: n for src, n in state["notify_counts"]
         }
-        self._srv_state = state["srv_state"]
-        self._srv_addr = state["srv_addr"]
-        self._srv_words = list(state["srv_words"])
-        self._srv_remaining = state["srv_remaining"]
-        self._srv_reply_to = state["srv_reply_to"]
-        self._srv_backlog = [
-            services.message_from_state(m) for m in state["srv_backlog"]
-        ]
-        self._proc_mem_used = state["proc_mem_used"]
         self.dropped_packets = [
             Packet.from_state(p) for p in state["dropped"]
         ]
@@ -537,7 +447,7 @@ class ProcessorIp(Component):
     @property
     def server_idle(self) -> bool:
         """True when no NoC-initiated local-memory operation is in flight."""
-        return self._srv_state == _SRV_IDLE and not self._srv_backlog
+        return self.banks.idle
 
     def probe_state(self) -> dict:
         """Cheap introspection snapshot for health monitoring/diagnostics."""

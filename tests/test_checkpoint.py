@@ -204,6 +204,32 @@ class TestCheckpointErrors:
         with pytest.raises(CheckpointError):
             restore_checkpoint(other.sim, path)
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("memory", None), ("notify_counts", 5), ("activations", None)],
+        ids=["old-layout", "mistyped", "missing"],
+    )
+    def test_restore_malformed_component_state(self, tmp_path, key, value):
+        """A processor state with a key missing or mistyped fails with
+        CheckpointError naming the processor, not a bare KeyError."""
+        path = save_checkpoint(_launch(False).sim, tmp_path / "a.ckpt")
+        doc = json.loads(path.read_text())
+        proc1 = doc["state"]["components"][0]["children"][2]["state"]
+        assert "activations" in proc1  # the first Processor IP's state
+        if value is None:
+            del proc1[key]
+        else:
+            proc1[key] = value
+        with pytest.raises(CheckpointError, match="proc1"):
+            restore_checkpoint(_launch(False).sim, doc)
+
+    def test_restore_state_without_cycle(self, tmp_path):
+        path = save_checkpoint(_launch(False).sim, tmp_path / "a.ckpt")
+        doc = json.loads(path.read_text())
+        del doc["state"]["cycle"]
+        with pytest.raises(CheckpointError, match="malformed"):
+            restore_checkpoint(_launch(False).sim, doc)
+
 
 class TestCheckpointRing:
     def _sim(self):

@@ -120,6 +120,20 @@ class TestMemoryIpNoC:
         reply = services.decode(ni.pop_received())
         assert reply.words == [1, 2]
 
+    def test_request_wraps_past_last_word(self):
+        """A request that runs past word 1023 wraps to word 0, the
+        10-bit address decode of a 1K-word memory."""
+        net, mem, sim = memory_on_network()
+        ni = net.interfaces[(0, 0)]
+        ni.send_packet(services.encode_write((1, 0), 0x3FE, [1, 2, 3, 4]))
+        ni.send_packet(
+            services.encode_read((1, 0), encode_address(0, 0), 0x3FE, 4)
+        )
+        sim.run_until(lambda: ni.has_received(), max_cycles=10_000)
+        reply = services.decode(ni.pop_received())
+        assert (reply.address, reply.words) == (0x3FE, [1, 2, 3, 4])
+        assert mem.dump(0x3FE, 2) + mem.dump(0, 2) == [1, 2, 3, 4]
+
     def test_unsupported_service_dropped(self):
         net, mem, sim = memory_on_network()
         net.interfaces[(0, 0)].send_packet(services.encode_activate((1, 0)))

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import MultiNoCPlatform
 from repro.host import SerialSoftware
 from repro.noc import services
 from repro.noc.flit import encode_address
@@ -84,6 +85,15 @@ class TestLocalMemoryServer:
         sim.step(50)
         assert host.read_memory((0, 1), 0x200, 1) == [0x5A5A]
         assert not system.processor(1).cpu.halted  # still running
+
+    def test_request_wraps_past_last_word(self):
+        """Host words written past word 1023 wrap to word 0, as at the
+        Memory IP: both serve requests with the same block."""
+        session = MultiNoCPlatform.standard().launch()
+        session.host.sync()
+        session.write(1, 0x3FE, [1, 2, 3, 4])
+        assert session.read(1, 0x3FE, 2) == [1, 2]
+        assert session.read(1, 0x000, 2) == [3, 4]
 
     def test_unknown_service_recorded_not_fatal(self):
         system, sim, host = make_session()
