@@ -37,15 +37,6 @@ def mesh_port_counts(width: int, height: int) -> List[int]:
     return counts
 
 
-def topology_port_counts(topology) -> List[int]:
-    """Instantiated ports per router for any topology plugin or spec.
-
-    Torus routers pay for their wrap-link ports; concentrated-mesh
-    routers pay for each of their C local ports.
-    """
-    return parse_topology(topology).port_counts()
-
-
 @dataclass
 class AreaModel:
     """Block-level resource estimator.

@@ -40,7 +40,6 @@ class Mesh(Component):
         height: Optional[int] = None,
         buffer_depth: int = 2,
         routing_cycles: int = 7,
-        flit_bits: int = FLIT_BITS,
         stats=None,
         topology: Optional[Topology] = None,
     ):
@@ -74,8 +73,8 @@ class Mesh(Component):
             neighbour = self.routers[nb]
             opposite = OPPOSITE[Port(port)]
             here, there = topology.label((x, y)), topology.label(nb)
-            fwd = HandshakeTx(f"link{here}>{there}", data_width=flit_bits)
-            rev = HandshakeTx(f"link{there}>{here}", data_width=flit_bits)
+            fwd = HandshakeTx(f"link{here}>{there}", data_width=FLIT_BITS)
+            rev = HandshakeTx(f"link{there}>{here}", data_width=FLIT_BITS)
             router.attach_output(port, fwd)
             neighbour.attach_input(opposite, fwd)
             neighbour.attach_output(opposite, rev)
@@ -86,8 +85,8 @@ class Mesh(Component):
             lbl = topology.label(node)
             router = self.routers[topology.node_router(node)]
             port = topology.local_port(node)
-            into = HandshakeTx(f"local{lbl}.in", data_width=flit_bits)
-            out = HandshakeTx(f"local{lbl}.out", data_width=flit_bits)
+            into = HandshakeTx(f"local{lbl}.in", data_width=FLIT_BITS)
+            out = HandshakeTx(f"local{lbl}.out", data_width=FLIT_BITS)
             router.attach_input(port, into)
             router.attach_output(port, out)
             self.local_ports[node] = (into, out)

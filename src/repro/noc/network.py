@@ -75,6 +75,16 @@ class HermesNetwork(Component):
             sink.track(ni.name, process="noc")
             ni.sink = sink
 
+    # -- checkpointing -----------------------------------------------------
+
+    def snapshot_state(self) -> dict:
+        # the shared NetworkStats, as in MultiNoC: routers and NIs only
+        # hold references to it
+        return {"stats": self.stats.snapshot()}
+
+    def restore_state(self, state: dict) -> None:
+        self.stats.restore(state["stats"])
+
     # -- convenience -------------------------------------------------------
 
     def send(self, source: Address, target: Address, payload: List[int]) -> Packet:

@@ -17,7 +17,6 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from ..telemetry.metrics import MetricsRegistry
-from .flit import FLIT_BITS
 from .packet import Packet
 
 Address = Tuple[int, int]
@@ -186,15 +185,6 @@ class NetworkStats:
         """Injected packets whose delivery has not (yet) been matched."""
         return sum(len(stamps) for stamps in self._in_flight.values())
 
-    @property
-    def flits_moved_total(self) -> int:
-        """Total flit handshakes observed (received + sent, all ports).
-
-        A strictly monotone activity counter: health watchdogs compare
-        successive readings to detect a network that stopped moving.
-        """
-        return sum(self.flits_received.values()) + sum(self.flits_sent.values())
-
     def per_router_movement(self) -> Dict[Address, int]:
         """Per-router flit handshake totals (received + sent).
 
@@ -290,12 +280,6 @@ class NetworkStats:
             count for (addr, _), count in self.flits_sent.items() if addr == router
         )
 
-    def accepted_throughput(self, cycles: int) -> float:
-        """Delivered payload in flits per cycle over *cycles*."""
-        if cycles <= 0:
-            return 0.0
-        return self.delivered_flits / cycles
-
     def link_load(self, router: Address, port: int, cycles: int) -> float:
         """Utilisation of one output link in [0, 1] (1.0 = the 2-cycle
         handshake bound: one flit every two cycles)."""
@@ -337,17 +321,3 @@ class NetworkStats:
                 cells.append(ramp[level] * 3)
             lines.append(" ".join(cells))
         return "\n".join(lines)
-
-    def router_throughput_bps(
-        self, router: Address, cycles: int, clock_hz: float
-    ) -> float:
-        """A single router's aggregate bandwidth in bits per second.
-
-        At 50 MHz with 8-bit flits and the 2-cycle handshake each port
-        moves 200 Mbit/s, so a fully loaded five-port router reaches the
-        paper's 1 Gbit/s peak figure.
-        """
-        if cycles <= 0:
-            return 0.0
-        flits = self.router_flits_sent(router)
-        return flits * FLIT_BITS * clock_hz / cycles

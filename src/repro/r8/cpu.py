@@ -165,6 +165,10 @@ class R8Cpu(Component):
             return
         self.cycles_active += n
         self.cycles_stalled += n
+        if self.sink is not None and self._stall_start is None:
+            # the core slept from the cycle after its last eval, and
+            # lock-step's stall span opens there
+            self._stall_start = self._now + 1
         if self.pc_samples is not None:
             pc = self.state.pc if self._fsm == S_FETCH else self._cur_pc
             key = (self._call_key, pc)

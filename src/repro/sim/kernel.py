@@ -389,16 +389,28 @@ class Simulator:
         snapshot was taken from (same construction order, wires and
         children) — a mismatch raises
         :class:`~repro.sim.component.SnapshotError`.
+
+        All or nothing: if the document fails part-way, the simulator is
+        put back to the state it had before the call and the error is
+        re-raised.
         """
-        if not self.strict_lockstep and self._needs_elab:
-            self._elaborate()
         components = doc.get("components", [])
         if len(components) != len(self._components):
             raise SnapshotError(
                 f"snapshot has {len(components)} top-level components, "
                 f"simulator has {len(self._components)}"
             )
-        for comp, state in zip(self._components, components):
+        before = self.snapshot()
+        try:
+            self._load(doc)
+        except BaseException:
+            self._load(before)
+            raise
+
+    def _load(self, doc: dict) -> None:
+        if not self.strict_lockstep and self._needs_elab:
+            self._elaborate()
+        for comp, state in zip(self._components, doc.get("components", [])):
             comp.restore(state)
         for w in self._driven:
             w._queued = False

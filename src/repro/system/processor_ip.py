@@ -250,14 +250,9 @@ class ProcessorIp(Component):
             return False
         if not self.banks.idle:
             return False
-        p = self._pending
-        if p is not None and not p.done:
-            k = self._pending_kind
-            if k == AccessKind.NOTIFY or (
-                k in (AccessKind.REMOTE, AccessKind.IO) and p.is_write
-            ):
-                # fire-and-forget: completes locally on a later eval
-                return False
+        if self._posted_op_pending():
+            # fire-and-forget: completes locally on a later eval
+            return False
         ni = self.ni
         return not ni.received and ni.is_quiescent()
 
@@ -278,15 +273,24 @@ class ProcessorIp(Component):
 
     # -- posted operations (writes, printf, notify) complete on injection ----
 
-    def _complete_posted_ops(self) -> None:
-        if self._pending is None or self._pending.done:
-            return
-        fire_and_forget = (
-            self._pending_kind == AccessKind.NOTIFY
-            or (self._pending_kind == AccessKind.REMOTE and self._pending.is_write)
-            or (self._pending_kind == AccessKind.IO and self._pending.is_write)
+    def _posted_op_pending(self) -> bool:
+        """A fire-and-forget access (notify, remote or I/O write) is
+        waiting to complete locally once its packet leaves the NI."""
+        p = self._pending
+        if p is None or p.done:
+            return False
+        k = self._pending_kind
+        return k == AccessKind.NOTIFY or (
+            p.is_write and k in (AccessKind.REMOTE, AccessKind.IO)
         )
-        if fire_and_forget and not self.ni.tx_busy:
+
+    def _complete_posted_ops(self) -> None:
+        # the None test first: this runs every active cycle
+        if (
+            self._pending is not None
+            and self._posted_op_pending()
+            and not self.ni.tx_busy
+        ):
             self._pending.complete()
             self._clear_pending()
 

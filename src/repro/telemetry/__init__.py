@@ -41,7 +41,7 @@ from .analysis import (
     analyze_trace,
     diff_traces,
 )
-from .events import Event, Span, TelemetrySink
+from .events import Event, TelemetrySink
 from .export import (
     chrome_trace,
     load_jsonl,
@@ -112,7 +112,6 @@ __all__ = [
     "RuleSet",
     "RunRegistry",
     "SloObjective",
-    "Span",
     "TREND_SCHEMA",
     "TelemetryServer",
     "TelemetrySink",

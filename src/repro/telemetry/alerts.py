@@ -93,6 +93,10 @@ ALERT_TRACK = "alerts"
 FRAME_TRACK = "live"
 FRAME_EVENT = "frame"
 
+#: ring bound on an engine's kept transition history (the JSONL log is
+#: never truncated)
+MAX_TRANSITIONS = 1024
+
 #: comparison operators, longest first so ``>=`` wins over ``>``
 _OPS: Tuple[Tuple[str, Callable[[Any, Any], bool]], ...] = (
     (">=", lambda a, b: a >= b),
@@ -496,9 +500,6 @@ class AlertEngine:
         registers the ``ALERTS`` gauge (currently-firing count), an
         ``alerts_pending`` gauge and an ``alerts_transitions`` counter
         labelled ``(rule, state)``.
-    max_transitions:
-        Ring bound on the kept transition history (the JSONL log is
-        never truncated).
     """
 
     def __init__(
@@ -509,7 +510,6 @@ class AlertEngine:
         notify=None,
         sink=None,
         registry=None,
-        max_transitions: int = 1024,
     ):
         self.rules = rules
         self.sink = sink
@@ -522,7 +522,7 @@ class AlertEngine:
             self._log_path = Path(log)
             self._log_path.parent.mkdir(parents=True, exist_ok=True)
             self._log_fh = open(self._log_path, "a")
-        self.transitions: deque = deque(maxlen=max_transitions)
+        self.transitions: deque = deque(maxlen=MAX_TRANSITIONS)
         self.transitions_total = 0
         self.frames_seen = 0
         self.last_cycle = 0

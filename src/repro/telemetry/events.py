@@ -13,8 +13,6 @@ phase  meaning
 =====  =========================================================
 ``X``  complete span: ``ts`` .. ``ts + dur`` (packet hop, stall,
        instruction burst, host transaction)
-``B``  span begin (paired with a later ``E`` on the same track)
-``E``  span end
 ``i``  instant event (printf trap, route decision, activation)
 ``C``  counter sample (queue depth over time)
 =====  =========================================================
@@ -71,29 +69,6 @@ class Event:
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         dur = f"+{self.dur}" if self.dur is not None else ""
         return f"<Event {self.ph} {self.name}@{self.track} #{self.ts}{dur}>"
-
-
-class Span:
-    """An open interval on a track; call :meth:`end` to close it.
-
-    Returned by :meth:`TelemetrySink.begin`.  Ending a span emits a
-    matching ``E`` event; the begin ``B`` event was already emitted.
-    """
-
-    __slots__ = ("_sink", "track", "name", "start", "closed")
-
-    def __init__(self, sink: "TelemetrySink", track: str, name: str, start: int):
-        self._sink = sink
-        self.track = track
-        self.name = name
-        self.start = start
-        self.closed = False
-
-    def end(self, ts: int, **args: Any) -> None:
-        if self.closed:
-            return
-        self.closed = True
-        self._sink.emit(Event("E", self.name, self.track, ts, args=args or None))
 
 
 class TelemetrySink:
@@ -154,10 +129,6 @@ class TelemetrySink:
     ) -> None:
         """A finished span: the workhorse for hops, stalls and bursts."""
         self.emit(Event("X", name, track, ts, dur, args=args or None))
-
-    def begin(self, track: str, name: str, ts: int, **args: Any) -> Span:
-        self.emit(Event("B", name, track, ts, args=args or None))
-        return Span(self, track, name, ts)
 
     def counter(self, track: str, name: str, ts: int, value: float) -> None:
         self.emit(Event("C", name, track, ts, args={"value": value}))

@@ -39,8 +39,8 @@ Three pieces:
 
 The profiler only *reads* simulator state: a profiled run is
 architecturally bit-identical to an unprofiled one, in both kernel
-modes (guarded by ``tests/test_hostperf.py`` exactly like the live
-plane's equivalence test).
+modes (the ``hostperf`` observer of the equivalence oracle in
+``tests/test_equivalence.py``).
 """
 
 from __future__ import annotations
@@ -57,6 +57,7 @@ from collections import deque
 from contextlib import contextmanager
 from pathlib import Path
 from time import perf_counter
+from types import FrameType
 from typing import Any, Dict, List, Optional, Tuple
 
 HOSTPERF_SCHEMA = "multinoc-hostperf/1"
@@ -385,7 +386,9 @@ class HostPerfProfiler:
         fallback: Optional[str] = None
         chain = []
         f = frame
-        while f is not None:
+        # the chain belongs to a thread that keeps running while we walk
+        # it; a link read mid-update need not be a frame
+        while isinstance(f, FrameType):
             chain.append(f)
             f = f.f_back
         # innermost first: the leaf component wins the subsystem, the

@@ -31,8 +31,9 @@ reads numbers out of them through :func:`frame_fields` and the
 the health report's series (:class:`~repro.telemetry.top.FrameSeries`).
 
 The stream only *reads* simulator state — an observed run is
-bit-identical to an unobserved one (``tests/test_live.py`` guards this
-in both kernel modes, like the health monitor's equivalence test).
+bit-identical to an unobserved one (the ``live`` observer of the
+equivalence oracle in ``tests/test_equivalence.py`` guards this in both
+kernel modes).
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from typing import (
     Tuple,
 )
 
-from ..noc.routing import Port
+from ..noc.topology import port_label
 
 Address = Tuple[int, int]
 
@@ -319,8 +320,8 @@ class LiveStream:
         same rule engine for verdicts identical to the live run's.
 
         Opt-in (never wired by default): mirroring adds events to the
-        sink, and the observed-vs-unobserved equivalence guard compares
-        event streams like for like.
+        sink, and the equivalence oracle compares observed and
+        unobserved event streams like for like.
         """
         sink.track("live", process="sim")
 
@@ -417,7 +418,7 @@ class LiveStream:
             router_rate[addr] = router_rate.get(addr, 0.0) + rate
             # 2-cycle handshake bound: rate*2 is utilisation in [0, 1]
             active.append(
-                (rate * 2, f"{self._router_name(addr)}.{Port(port).name}")
+                (rate * 2, f"{self._router_name(addr)}.{port_label(port)}")
             )
         self._prev_links = dict(current)
         active.sort(key=lambda item: (-item[0], item[1]))

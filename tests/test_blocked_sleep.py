@@ -4,14 +4,14 @@ A router sleeps while its next eval would only count stalls or the
 routing countdown, and an NI while its presented flit waits for an ack.
 ``on_wake`` credits the skipped evals and ``Simulator.snapshot`` settles
 pending credit, so the quiescent kernel must match strict lock-step on
-every per-key NoC counter, at every checkpoint and across kernel modes.
+every per-key NoC counter.  Generated traffic, split at a checkpoint in
+any mode direction, is part of the oracle in ``tests/test_equivalence.py``;
+this file keeps the equal-bytes FIFO corner and the hotspot eval cap.
 """
 
 import json
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.apps.workloads import TrafficConfig, drive_traffic
 from repro.noc.network import HermesNetwork
@@ -36,53 +36,6 @@ def _drain(net, sim, sources, config):
         label="traffic drain",
     )
     return sim.cycle, _json(net.stats.snapshot())
-
-
-@st.composite
-def blocked_case(draw):
-    topology = "{}:{}".format(
-        draw(st.sampled_from(["mesh", "torus"])),
-        draw(st.sampled_from(["3x3", "4x4"])),
-    )
-    hot = draw(st.booleans())
-    config = TrafficConfig(
-        rate=draw(st.sampled_from([0.01, 0.03, 0.06, 0.1])),
-        duration=draw(st.integers(50, 250)),
-        seed=draw(st.integers(0, 10_000)),
-        hotspot_node=(0, 0) if hot else None,
-    )
-    split = draw(st.integers(1, 1500))
-    # strict_lockstep of the run before and after the split: both
-    # cross-mode directions, and quiescent into quiescent, which
-    # resumes sleepers in the middle of their span
-    modes = draw(
-        st.sampled_from([(False, True), (True, False), (False, False)])
-    )
-    return topology, config, split, modes
-
-
-@settings(max_examples=30, deadline=None)
-@given(blocked_case())
-def test_split_runs_match_lockstep_counter_for_counter(case):
-    topology, config, split, (first, second) = case
-    net, sim, sources = _build(topology, config, strict=True)
-    sim.step(split)
-    ref_at_split = _json(net.stats.snapshot())
-    ref_cycle, ref_stats = _drain(net, sim, sources, config)
-
-    net, sim, sources = _build(topology, config, strict=first)
-    sim.step(split)
-    doc = _json(sim.snapshot())
-    # the kernel snapshot settled every sleeper's credit
-    assert _json(net.stats.snapshot()) == ref_at_split
-    stats = _json(net.stats.snapshot())
-    net, sim, sources = _build(topology, config, strict=second)
-    sim.restore(doc)
-    net.stats.restore(stats)
-    cycle, final = _drain(net, sim, sources, config)
-    assert cycle == ref_cycle
-    assert final == ref_stats
-    assert final["latencies"] == ref_stats["latencies"]
 
 
 def _equal_byte_run(strict, depth, length):

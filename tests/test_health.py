@@ -249,27 +249,6 @@ class TestHealthyRuns:
         assert monitor.violations == []
         assert monitor.checks_run > 0
 
-    def test_monitor_does_not_perturb_results(self):
-        """Bit-identical behaviour with and without the monitor."""
-
-        def run(observers):
-            session = MultiNoCPlatform.standard().launch()
-            if "monitor" in observers:
-                session.monitor_health(check_interval=1, invariants=True)
-            if "series" in observers:
-                series = FrameSeries(50)
-                session.live_stream(stride=50).subscribe(series.observe)
-            session.host.sync()
-            session.run(1, PRINTF_LOOP)
-            return (
-                session.sim.cycle,
-                session.host.monitor(1).printf_values,
-                session.system.stats.packets_injected,
-                session.system.stats.latencies,
-            )
-
-        assert run(()) == run(("monitor",)) == run(("monitor", "series"))
-
     def test_detach_stops_checking(self):
         sim, mesh, stats, source, sink = build_wedged_mesh()
         monitor = HealthMonitor(deadlock_cycles=200, check_interval=16)

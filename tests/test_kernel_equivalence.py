@@ -1,328 +1,15 @@
-"""Strict lock-step vs quiescence-aware kernel equivalence.
+"""Kernel mechanics of the quiescence-aware scheduler.
 
-The quiescent scheduler skips evals that are provably no-ops and
-fast-forwards fully idle spans, so every architecturally visible result
-— cycle counts, memory images, printf transcripts, telemetry event
-streams — must match the legacy evaluate-everything loop bit for bit.
-These tests run the same workload under ``Simulator(strict_lockstep=
-True)`` (the CLI's ``--no-idle-skip``) and the default quiescent path
-and diff everything.
+Fast-forward, booked wakes, strided watchers, idle credit, mid-run
+elaboration and wake order, each checked on tiny hand-built components
+against strict lock-step (``Simulator(strict_lockstep=True)``).
+Workload-level bit-identity across kernel modes, observers and
+checkpoint splits is the oracle in ``tests/test_equivalence.py``.
 """
-
-import random
 
 import pytest
 
-from repro.apps import EdgeDetectionApp, reference_sobel
-from repro.apps.workloads import TrafficConfig, drive_traffic
-from repro.core import MultiNoCPlatform
-from repro.noc.network import HermesNetwork
 from repro.sim import Component, Simulator
-
-
-def _events(sink):
-    """Telemetry events as a comparable list (order-preserving)."""
-    return [(e.ph, e.name, e.track, e.ts, e.dur, e.args) for e in sink.events]
-
-
-# ---------------------------------------------------------------------------
-# Scenario 1: edge detection (host I/O + remote memory + compute)
-# ---------------------------------------------------------------------------
-
-
-def _edge_image(height=4, width=16, seed=7):
-    rng = random.Random(seed)
-    return [[rng.randrange(256) for _ in range(width)] for _ in range(height)]
-
-
-def _run_edge(strict):
-    session = MultiNoCPlatform.standard().launch(
-        telemetry=True, strict_lockstep=strict
-    )
-    app = EdgeDetectionApp(session.host, processors=[1, 2])
-    app.deploy()
-    result = app.run(_edge_image())
-    state = {"cycle": session.sim.cycle, "output": result.output}
-    for pid in (1, 2):
-        proc = session.system.processor(pid)
-        state[f"mem{pid}"] = proc.banks.dump()
-        cpu = proc.cpu
-        state[f"cpu{pid}"] = (
-            cpu.instructions_retired,
-            cpu.cycles_active,
-            cpu.cycles_stalled,
-            cpu.state.pc,
-            list(cpu.state.regs),
-        )
-    state["events"] = _events(session.telemetry)
-    return state
-
-
-class TestEdgeDetectionEquivalence:
-    def test_bit_identical_run(self):
-        strict = _run_edge(strict=True)
-        quiescent = _run_edge(strict=False)
-        assert strict["output"] == reference_sobel(_edge_image())
-        for key in strict:
-            assert strict[key] == quiescent[key], f"{key} diverged"
-
-
-# ---------------------------------------------------------------------------
-# Scenario 2: wait/notify producer-consumer synchronisation
-# ---------------------------------------------------------------------------
-
-BATCHES = 2
-BATCH_WORDS = 4
-BUFFER = 0x300
-
-PRODUCER = f"""
-        CLR  R0
-        LDL  R9, 0
-        LDI  R10, {BATCHES}
-        LDL  R4, 1
-outer:  CLR  R1
-        LDI  R2, {1024 + BUFFER}
-        LDI  R3, {BATCH_WORDS}
-fill:   MOV  R6, R9
-        SL0  R6, R6
-        SL0  R6, R6
-        ADD  R6, R6, R1
-        ST   R6, R2, R1        ; remote store into P2's memory
-        ADD  R1, R1, R4
-        SUB  R8, R3, R1
-        JMPZD batch_done
-        JMP  fill
-batch_done:
-        LDI  R5, 2
-        LDI  R6, 0xFFFD
-        ST   R5, R6, R0        ; notify P2: batch ready
-        LDI  R5, 2
-        LDI  R6, 0xFFFE
-        ST   R5, R6, R0        ; wait until P2 consumed it
-        ADD  R9, R9, R4
-        SUB  R8, R10, R9
-        JMPZD all_done
-        JMP  outer
-all_done:
-        HALT
-"""
-
-CONSUMER = f"""
-        CLR  R0
-        LDL  R9, 0
-        LDI  R10, {BATCHES}
-        LDL  R4, 1
-outer:  LDI  R5, 1
-        LDI  R6, 0xFFFE
-        ST   R5, R6, R0        ; wait for P1's batch
-        CLR  R1
-        CLR  R5
-        LDI  R2, {BUFFER}
-        LDI  R3, {BATCH_WORDS}
-sum:    LD   R7, R2, R1
-        ADD  R5, R5, R7
-        ADD  R1, R1, R4
-        SUB  R8, R3, R1
-        JMPZD consumed
-        JMP  sum
-consumed:
-        LDI  R6, 0xFFFF
-        ST   R5, R6, R0        ; printf(checksum)
-        LDI  R5, 1
-        LDI  R6, 0xFFFD
-        ST   R5, R6, R0        ; notify P1: buffer free
-        ADD  R9, R9, R4
-        SUB  R8, R10, R9
-        JMPZD all_done
-        JMP  outer
-all_done:
-        HALT
-"""
-
-
-def _run_sync(strict):
-    session = MultiNoCPlatform.standard().launch(strict_lockstep=strict)
-    session.host.sync()
-    session.start(2, CONSUMER)
-    session.start(1, PRODUCER)
-    session.wait_all_halted(max_cycles=5_000_000)
-    session.sim.step(3000)  # drain the serial link
-    p1, p2 = (session.system.processor(n).cpu for n in (1, 2))
-    return {
-        "cycle": session.sim.cycle,
-        # the cycle-stamped printf transcript, not just the values
-        "printfs": list(session.host.monitor(2).printfs),
-        "stalls": (p1.cycles_stalled, p2.cycles_stalled),
-        "retired": (p1.instructions_retired, p2.instructions_retired),
-    }
-
-
-class TestWaitNotifyEquivalence:
-    def test_bit_identical_run(self):
-        strict = _run_sync(strict=True)
-        quiescent = _run_sync(strict=False)
-        expected = [
-            sum(b * BATCH_WORDS + i for i in range(BATCH_WORDS)) & 0xFFFF
-            for b in range(BATCHES)
-        ]
-        assert [v for _, v in strict["printfs"]] == expected
-        assert strict == quiescent
-
-
-PRINTF_PROG = """
-        CLR  R0
-        LDI  R1, 40
-        LDL  R2, 1
-loop:   SUB  R1, R1, R2
-        JMPZD done
-        JMP  loop
-done:   LDI  R4, 0xFFFF
-        ST   R1, R4, R0
-        HALT
-"""
-
-
-class TestHostDrainEquivalence:
-    """Regression: the host's I/O-drain predicate probes ``UartTx.busy``
-    between cycles.  A transmitter sleeping through its final stop bit
-    used to report stale busy state one cycle longer than lock-step,
-    shifting every subsequent host transaction by a cycle."""
-
-    def _run(self, strict):
-        session = MultiNoCPlatform.standard().launch(strict_lockstep=strict)
-        session.host.sync()
-        session.run(1, PRINTF_PROG)
-        session.sim.step(2000)
-        return session.sim.cycle, list(session.host.monitor(1).printfs)
-
-    def test_drain_cycle_exact(self):
-        assert self._run(strict=True) == self._run(strict=False)
-
-
-# ---------------------------------------------------------------------------
-# Scenario 3: contended synthetic traffic on a bare mesh
-# ---------------------------------------------------------------------------
-
-
-def _run_traffic(strict, **cfg):
-    net = HermesNetwork(3, 3)
-    sim = net.make_simulator(strict_lockstep=strict)
-    config = TrafficConfig(**cfg)
-    sources = drive_traffic(net, config)
-    sim.reset()
-    sim.run_until(
-        lambda: all(s.done for s in sources) and net.drained,
-        max_cycles=config.duration * 100,
-        label="traffic drain",
-    )
-    received = net.collect_received()
-    return {
-        "cycle": sim.cycle,
-        "injected": sum(s.injected for s in sources),
-        "delivered": len(received),
-        "latencies": sorted(net.stats.latencies),
-    }
-
-
-class TestContendedTrafficEquivalence:
-    def test_hotspot_contention(self):
-        cfg = dict(rate=0.08, duration=3000, hotspot_node=(0, 0), seed=3)
-        strict = _run_traffic(True, **cfg)
-        quiescent = _run_traffic(False, **cfg)
-        assert strict["delivered"] > 0
-        assert strict == quiescent
-
-    def test_bursty_uniform_with_idle_gaps(self):
-        cfg = dict(rate=0.004, duration=12_000, pattern="uniform", seed=9)
-        strict = _run_traffic(True, **cfg)
-        quiescent = _run_traffic(False, **cfg)
-        assert strict["delivered"] > 0
-        assert strict == quiescent
-
-
-# ---------------------------------------------------------------------------
-# Scenario 6: a small sea of processors (mostly asleep, run_until heavy)
-# ---------------------------------------------------------------------------
-
-SEA_RESULT = 0x80
-
-
-def _sea_worker(pid, n_procs, chunk, successor_base):
-    """Chain-reduction worker: sum this worker's chunk, add the
-    successor's accumulated total read through the NUMA window, and
-    pass the baton down the chain (P1 prints the grand total)."""
-    first = 1 + (pid - 1) * chunk
-    last = first + chunk - 1
-    reduce_part = ""
-    if pid < n_procs:
-        reduce_part = f"""
-        LDI  R3, {pid + 1}
-        LDI  R2, 0xFFFE
-        ST   R3, R2, R0      ; wait for P{pid + 1}
-        LDI  R2, {successor_base + SEA_RESULT}
-        LD   R4, R2, R0      ; successor's accumulated total (NUMA read)
-        ADD  R5, R5, R4
-        LDI  R2, {SEA_RESULT}
-        ST   R5, R2, R0      ; re-publish the accumulated total
-"""
-    if pid == 1:
-        finish = """
-        LDI  R2, 0xFFFF
-        ST   R5, R2, R0      ; P1 announces the grand total
-        HALT
-"""
-    else:
-        finish = f"""
-        LDI  R3, {pid - 1}
-        LDI  R2, 0xFFFD
-        ST   R3, R2, R0      ; pass the baton to P{pid - 1}
-        HALT
-"""
-    return f"""
-        CLR  R0
-        LDI  R1, {first}
-        LDI  R6, {last}
-        LDL  R7, 1
-        CLR  R5
-sum:    ADD  R5, R5, R1
-        SUB  R8, R6, R1
-        JMPZD summed
-        ADD  R1, R1, R7
-        JMP  sum
-summed: LDI  R2, {SEA_RESULT}
-        ST   R5, R2, R0      ; publish the partial for my predecessor
-{reduce_part}{finish}
-"""
-
-
-def _run_sea(strict, n_procs=8, chunk=10):
-    session = MultiNoCPlatform(
-        topology="mesh:4x4", n_processors=n_procs
-    ).launch(strict_lockstep=strict)
-    system = session.system
-    session.host.sync()
-    for pid in range(1, n_procs + 1):
-        base = system.numa_base(pid, pid + 1) if pid < n_procs else None
-        session.start(pid, _sea_worker(pid, n_procs, chunk, base))
-    session.wait_all_halted(max_cycles=2_000_000)
-    session.sim.step(2000)
-    return {
-        "cycle": session.sim.cycle,
-        "results": {
-            pid: system.processors[pid].dump(SEA_RESULT, 1)[0]
-            for pid in range(1, n_procs + 1)
-        },
-        "printf": session.host.monitor(1).printf_values,
-        "noc": system.stats.snapshot(),
-    }
-
-
-class TestSeaOfProcessorsEquivalence:
-    def test_bit_identical_run(self):
-        strict = _run_sea(strict=True)
-        quiescent = _run_sea(strict=False)
-        assert quiescent == strict
-        assert strict["printf"] == [sum(range(1, 81)) & 0xFFFF]
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,11 @@ keep their own, looser asserts.
 
 import pytest
 
+from repro.apps import programs
+from repro.core import Program
 from repro.host import SerialSoftware
-from repro.r8 import assemble
+from repro.r8 import LocalBus, R8Cpu, assemble
+from repro.sim import Simulator
 from repro.system import MultiNoC
 
 MODES = pytest.mark.parametrize(
@@ -98,3 +101,54 @@ def test_e9b_serial_load_cost(strict):
     system, sim, host = _session(strict)
     obj = assemble(".word " + ", ".join(["7"] * 64))
     assert _cycles(sim, lambda: host.load_program((0, 1), obj)) == 5673
+
+
+#: E11's instruction mixes (benchmarks/bench_r8_cpi.py) and their pinned
+#: (active cycles, instructions retired)
+E11_MIXES = {
+    "pure ALU": (
+        "LDL R1, 1\n" + "ADD R2, R2, R1\nXOR R3, R2, R1\n" * 40 + "HALT",
+        (164, 82),
+    ),
+    "memory heavy": (
+        "CLR R0\nLDI R6, 0x80\n"
+        + "ST R2, R6, R0\nLD R3, R6, R0\n" * 40
+        + "HALT",
+        (288, 84),
+    ),
+    "call heavy": (
+        "CLR R0\nJSRD sub\nLDI R1, 40\nLDL R2, 1\n"
+        "loop: JSRD sub\nSUB R1, R1, R2\nJMPZD done\nJMP loop\n"
+        "done: HALT\nsub: RTS",
+        (535, 206),
+    ),
+    "balanced": (programs.instruction_mix(reps=24), (490, 174)),
+}
+
+
+def _core_run(source, strict):
+    bus = LocalBus()
+    bus.load(assemble(source).memory_image())
+    cpu = R8Cpu("cpu", bus)
+    sim = Simulator(strict_lockstep=strict)
+    sim.add(cpu)
+    cpu.activate()
+    sim.run_until(lambda: cpu.halted, max_cycles=200_000)
+    return cpu
+
+
+@MODES
+@pytest.mark.parametrize("mix", sorted(E11_MIXES))
+def test_e11_cpi_per_mix(mix, strict):
+    """E11: cycles and instructions of each mix on the cycle core."""
+    source, pinned = E11_MIXES[mix]
+    cpu = _core_run(source, strict)
+    assert (cpu.cycles_active, cpu.instructions_retired) == pinned
+
+
+@MODES
+def test_e11b_iss_matches_the_core(strict):
+    """E11b: the ISS and the cycle core both take 332 cycles."""
+    source = programs.instruction_mix(reps=16)
+    iss = Program.from_source(source).simulate()
+    assert iss.cycles == _core_run(source, strict).cycles_active == 332

@@ -77,38 +77,6 @@ class TestDump:
         path = traced.write(tmp_path / "wave.vcd")
         assert path.read_text().startswith("$date")
 
-    def test_cross_mode_dump_identity(self):
-        """The waveform must not depend on the kernel's scheduling mode.
-
-        Idle fast-forward skips quiet spans, but nothing toggles inside
-        a quiet span by construction, so sampling at active cycles (and
-        once at each landing cycle) captures the identical change list
-        the strict lock-step kernel records cycle by cycle.
-        """
-        from repro import MultiNoCPlatform
-
-        def run(strict):
-            session = MultiNoCPlatform.standard().launch(
-                strict_lockstep=strict
-            )
-            vcd = VcdWriter([session.system.rxd, session.system.txd])
-            session.sim.add_watcher(vcd.sample)
-            session.host.sync()
-            session.run(
-                1,
-                """
-                CLR  R0
-                LDI  R1, 42
-                LDI  R2, 0xFFFF
-                ST   R1, R2, R0
-                HALT
-                """,
-            )
-            session.sim.step(500)
-            return vcd.dump()
-
-        assert run(True) == run(False)
-
     def test_handshake_trace_from_real_network(self, tmp_path):
         net = HermesNetwork(2, 1)
         sim = net.make_simulator()

@@ -7,7 +7,7 @@ import pytest
 from repro import MultiNoCPlatform, SystemDebugger, TelemetrySink
 from repro.r8.debugger import DebuggerError
 
-from .test_kernel_equivalence import CONSUMER, PRODUCER
+from .test_equivalence import CONSUMER, PRODUCER
 
 PRINTER = """
 start:  CLR  R0

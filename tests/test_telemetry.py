@@ -37,15 +37,6 @@ class TestSink:
         assert (ping.ph, ping.ts, ping.args) == ("i", 5, {"detail": 1})
         assert (work.ph, work.ts, work.dur) == ("X", 10, 7)
 
-    def test_begin_end_span(self):
-        sink = TelemetrySink()
-        span = sink.begin("t", "load", 3)
-        span.end(9)
-        span.end(99)  # double-end is ignored
-        phases = [e.ph for e in sink.events]
-        assert phases == ["B", "E"]
-        assert sink.events[1].ts == 9
-
     def test_ring_buffer_drops_oldest(self):
         sink = TelemetrySink(max_events=3)
         for i in range(10):
