@@ -7,8 +7,9 @@ fan-out sink (JSONL log, notify stream, telemetry events, metrics
 registry, ``/alerts`` endpoint, ``multinoc top`` banner), the post-hoc
 replay paths (``alerts check`` over mirrored traces and registry
 records) — and live verdicts identical to replayed verdicts.  That an
-alerted run is bit-identical to an unalerted one is the ``alerts``
-observer of the equivalence oracle in ``tests/test_equivalence.py``.
+alerted run is bit-identical to an unalerted one is checked by the
+``alerts`` observer of the equivalence oracle in
+``tests/test_equivalence.py``, pinned here on the printf loop.
 """
 
 import io
@@ -36,6 +37,8 @@ from repro.telemetry import (
     write_jsonl,
 )
 from repro.telemetry.live import FRAME_FIELDS
+
+from .test_equivalence import PRINTF_BOARD, Draw, assert_matches_lockstep
 
 PRINTF_LOOP = """
         CLR  R0
@@ -667,3 +670,13 @@ class TestCliAlerts:
         bad = tmp_path / "bad.alerts"
         bad.write_text("nonsense\n")
         assert main(["system", str(asm), "--alerts", str(bad)]) == 2
+
+
+class TestEquivalence:
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_alerted_run_is_bit_identical(self, strict):
+        """A live stream with a firing rule must not perturb the printf loop's
+        run in either kernel mode: the oracle's whole digest matches."""
+        assert_matches_lockstep(
+            Draw(PRINTF_BOARD, (strict,), frozenset({"alerts"}))
+        )

@@ -4,17 +4,20 @@ A router sleeps while its next eval would only count stalls or the
 routing countdown, and an NI while its presented flit waits for an ack.
 ``on_wake`` credits the skipped evals and ``Simulator.snapshot`` settles
 pending credit, so the quiescent kernel must match strict lock-step on
-every per-key NoC counter.  Generated traffic, split at a checkpoint in
-any mode direction, is part of the oracle in ``tests/test_equivalence.py``;
-this file keeps the equal-bytes FIFO corner and the hotspot eval cap.
+every per-key NoC counter.  Generated traffic split at a checkpoint in
+any mode direction runs through the oracle in ``tests/test_equivalence.py``.
 """
 
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.apps.workloads import TrafficConfig, drive_traffic
 from repro.noc.network import HermesNetwork
+
+from .test_equivalence import Draw, assert_matches_lockstep, noc_workload
 
 
 def _json(doc):
@@ -51,6 +54,24 @@ def _equal_byte_run(strict, depth, length):
     net.run_to_drain(sim, max_cycles=100_000)
     payloads = sorted(tuple(p.payload) for p in net.collect_received())
     return sim.cycle, _json(net.stats.snapshot()), payloads
+
+
+@st.composite
+def split_traffic(draw):
+    # strict_lockstep of the run before and after the split: both
+    # cross-mode directions, and quiescent into quiescent, which
+    # resumes sleepers in the middle of their span
+    return Draw(
+        draw(noc_workload()),
+        draw(st.sampled_from([(False, True), (True, False), (False, False)])),
+        split=draw(st.integers(1, 1500)),
+    )
+
+
+@settings(max_examples=30, deadline=None)
+@given(split_traffic())
+def test_split_runs_match_lockstep_counter_for_counter(draw):
+    assert_matches_lockstep(draw)
 
 
 @pytest.mark.parametrize("length", [4, 12])

@@ -1,8 +1,10 @@
-"""Checkpoint files, errors, the ring and the resumed telemetry tail.
+"""Checkpoint determinism, files, errors, the ring and the resumed
+telemetry tail.
 
-Bit-identity of a run split at a checkpoint, in every combination of
-kernel modes on each side, is part of the oracle in
-``tests/test_equivalence.py``.
+A run split at a checkpoint, JSON round-tripped and resumed in a fresh
+build must be bit-identical to the uninterrupted run, under every
+combination of kernel modes on each side; the comparison is the oracle
+in ``tests/test_equivalence.py``.
 """
 
 import json
@@ -22,7 +24,14 @@ from repro.sim import (
     save_checkpoint,
 )
 
-from .test_equivalence import CONSUMER, PRODUCER, _events
+from .test_equivalence import (
+    CONSUMER,
+    PRODUCER,
+    SYNC_BOARD,
+    Draw,
+    _events,
+    assert_matches_lockstep,
+)
 
 #: absolute final cycle both sides of every comparison run to; well past
 #: the wait/notify workload's last HALT (~7.5k cycles)
@@ -79,6 +88,14 @@ def _run_resumed(strict, path):
 class TestSyncWorkloadDeterminism:
     """Wait/notify (edge cases: remote stores, notify/wait, printf)."""
 
+    @pytest.mark.parametrize("snap_strict", [False, True])
+    @pytest.mark.parametrize("resume_strict", [False, True])
+    def test_resume_bit_identical(self, snap_strict, resume_strict):
+        """Split mid-activity, 1000 cycles after the programs start."""
+        assert_matches_lockstep(
+            Draw(SYNC_BOARD, (snap_strict, resume_strict), split=1000)
+        )
+
     def test_resumed_telemetry_matches_straight_tail(self, tmp_path):
         path = tmp_path / "sync.ckpt"
         straight, mark = _run_straight(False, 5_500, path)
@@ -94,6 +111,22 @@ class TestSyncWorkloadDeterminism:
         assert doc["meta"] == {"workload": "sync"}
         assert doc["cycle"] >= 5_500
         assert load_checkpoint(path)["cycle"] == doc["cycle"]
+
+
+class TestEdgeWorkloadDeterminism:
+    """Edge detection: the image app exercises scanf/printf streaming.
+
+    The app run is host-driven (Python in the loop), so the checkpoint
+    is taken at the landing cycle after the run; the restored build
+    must continue stepping bit-identically from there.
+    """
+
+    @pytest.mark.parametrize("snap_strict,resume_strict",
+                             [(False, True), (True, False)])
+    def test_post_run_restore_cross_mode(self, snap_strict, resume_strict):
+        assert_matches_lockstep(
+            Draw(("edge", 4, 16, 7), (snap_strict, resume_strict), split=0)
+        )
 
 
 class TestCheckpointErrors:

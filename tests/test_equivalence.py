@@ -19,7 +19,7 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.apps import EdgeDetectionApp, reference_sobel
@@ -517,9 +517,22 @@ def _go(sim, leg, stop=None):
         sim.run_until(lambda: leg() or sim.cycle >= stop, max_cycles=5_000_000)
 
 
+#: reference digests by (workload, split): lock-step without observers
+#: depends on nothing else, so draws that differ only in mode, observers
+#: or check interval share one reference run
+_REFERENCES = {}
+
+
 def _reference(draw):
     """Strict lock-step, no observers, no split; pauses at the split
     cycle only to take a digest there."""
+    key = (repr(draw.workload), draw.split)
+    if key not in _REFERENCES:
+        _REFERENCES[key] = _run_reference(draw)
+    return _REFERENCES[key]
+
+
+def _run_reference(draw):
     rig, vcd = _build(draw, strict=True)
     facts = rig.setup()
     start = rig.sim.cycle
@@ -638,8 +651,12 @@ def _mesh3x3(**config):
     return ("noc", "mesh:3x3", TrafficConfig(**config))
 
 
-# the heavy hand-picked scenarios, once each with their exact workload
-# parameters, each split while busy
+#: the printf loop and the wait/notify pair on the standard board
+PRINTF_BOARD = ("board", None, 2, "printf", None)
+SYNC_BOARD = ("board", None, 2, "sync", None)
+
+# the heavy hand-picked scenarios with their exact workload parameters,
+# each split while busy; the kernel-equivalence tests run them
 EDGE = Draw(("edge", 4, 16, 7), (False, True), split=500)
 SEA = Draw(("board", "mesh:4x4", 8, "sea", 10), (False, False), split=2000)
 HOTSPOT = Draw(
@@ -654,18 +671,10 @@ BURSTY = Draw(
 )
 
 
-@settings(
-    max_examples=8,
-    deadline=None,
-    derandomize=True,
-    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
-)
-@given(draws())
-@example(EDGE)
-@example(SEA)
-@example(HOTSPOT)
-@example(BURSTY)
-def test_every_run_of_a_draw_matches_lockstep(draw):
+def assert_matches_lockstep(draw):
+    """Run *draw* as asked and as the unobserved, unsplit lock-step
+    reference; every entry of the two digests must match, and every
+    drawn observer must have acted."""
     start, mid, ref = _reference(draw)
     FABRICS[draw.workload[0]].expect(draw.workload, ref)
     halves = []
@@ -676,3 +685,14 @@ def test_every_run_of_a_draw_matches_lockstep(draw):
             half.close()
     _same(got, ref, "at the end")
     _Observed.assert_acted(draw, halves)
+
+
+@settings(
+    max_examples=8,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+@given(draws())
+def test_every_run_of_a_draw_matches_lockstep(draw):
+    assert_matches_lockstep(draw)

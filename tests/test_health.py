@@ -25,6 +25,8 @@ from repro.telemetry.health import HealthMonitor, HealthViolation
 from repro.telemetry.live import frame_fields
 from repro.telemetry.top import FrameSeries
 
+from .test_equivalence import PRINTF_BOARD, Draw, assert_matches_lockstep
+
 PRINTF_LOOP = """
         CLR  R0
         LDI  R2, 0xFFFF
@@ -248,6 +250,14 @@ class TestHealthyRuns:
         assert session.host.monitor(1).printf_values == [5, 4, 3, 2, 1]
         assert monitor.violations == []
         assert monitor.checks_run > 0
+
+    def test_monitor_does_not_perturb_results(self):
+        """Bit-identical behaviour with and without the monitor checking
+        every cycle beside a live frame series."""
+        assert_matches_lockstep(
+            Draw(PRINTF_BOARD, observers=frozenset({"health", "live"}),
+                 check_interval=1)
+        )
 
     def test_detach_stops_checking(self):
         sim, mesh, stats, source, sink = build_wedged_mesh()

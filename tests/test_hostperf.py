@@ -6,8 +6,9 @@ wall-clock attribution contract, memory telemetry (RSS, GC pauses),
 metrics-registry and live-frame surfacing, run-registry metrics, the
 crash flight recorder's ``multinoc-crash/1`` bundles, the profiling
 flags of ``multinoc system``.  That a sampled run is bit-identical to
-an unsampled one is the ``hostperf`` observer of the equivalence oracle
-in ``tests/test_equivalence.py``.
+an unsampled one is checked by the ``hostperf`` observer of the
+equivalence oracle in ``tests/test_equivalence.py``, pinned here on the
+printf loop.
 """
 
 import gc
@@ -32,6 +33,8 @@ from repro.telemetry.hostperf import (
     _region_for_kernel_frame,
     _subsystem_for_filename,
 )
+
+from .test_equivalence import PRINTF_BOARD, Draw, assert_matches_lockstep
 
 PRINTF_LOOP = """
         CLR  R0
@@ -418,3 +421,13 @@ class TestProfileCli:
         manifest = json.loads((bundles[0] / "manifest.json").read_text())
         assert manifest["schema"] == CRASH_SCHEMA
         assert (bundles[0] / "hostperf.json").exists()
+
+
+class TestEquivalence:
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_sampled_run_is_bit_identical(self, strict):
+        """The sampling profiler must not perturb the printf loop's
+        run in either kernel mode: the oracle's whole digest matches."""
+        assert_matches_lockstep(
+            Draw(PRINTF_BOARD, (strict,), frozenset({"hostperf"}))
+        )

@@ -4,12 +4,24 @@ Fast-forward, booked wakes, strided watchers, idle credit, mid-run
 elaboration and wake order, each checked on tiny hand-built components
 against strict lock-step (``Simulator(strict_lockstep=True)``).
 Workload-level bit-identity across kernel modes, observers and
-checkpoint splits is the oracle in ``tests/test_equivalence.py``.
+checkpoint splits is the oracle in ``tests/test_equivalence.py``; the
+workload scenarios at the end of this file are its pinned draws.
 """
 
 import pytest
 
 from repro.sim import Component, Simulator
+
+from .test_equivalence import (
+    BURSTY,
+    EDGE,
+    HOTSPOT,
+    PRINTF_BOARD,
+    SEA,
+    SYNC_BOARD,
+    Draw,
+    assert_matches_lockstep,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -292,3 +304,45 @@ class TestWakeOrder:
 
         _poke_run(False, WAKE_PLANS[plan], watcher=check)
         assert mismatches == []
+
+
+# ---------------------------------------------------------------------------
+# Workload scenarios: pinned draws of the equivalence oracle
+# ---------------------------------------------------------------------------
+
+
+class TestEdgeDetectionEquivalence:
+    def test_bit_identical_run(self):
+        """Host I/O, remote memory and compute; output == reference Sobel."""
+        assert_matches_lockstep(EDGE)
+
+
+class TestWaitNotifyEquivalence:
+    def test_bit_identical_run(self):
+        """Producer/consumer wait/notify: stalls, retired counts and the
+        cycle-stamped checksum transcript."""
+        assert_matches_lockstep(Draw(SYNC_BOARD))
+
+
+class TestHostDrainEquivalence:
+    """Regression: the host's I/O-drain predicate probes ``UartTx.busy``
+    between cycles.  A transmitter sleeping through its final stop bit
+    used to report stale busy state one cycle longer than lock-step,
+    shifting every subsequent host transaction by a cycle."""
+
+    def test_drain_cycle_exact(self):
+        assert_matches_lockstep(Draw(PRINTF_BOARD))
+
+
+class TestContendedTrafficEquivalence:
+    def test_hotspot_contention(self):
+        assert_matches_lockstep(HOTSPOT)
+
+    def test_bursty_uniform_with_idle_gaps(self):
+        assert_matches_lockstep(BURSTY)
+
+
+class TestSeaOfProcessorsEquivalence:
+    def test_bit_identical_run(self):
+        """Eight chain-reduction workers on mesh:4x4, mostly asleep."""
+        assert_matches_lockstep(SEA)

@@ -5,8 +5,9 @@ the kernel's idle fast-forward (frames must land on the same cycles in
 both kernel modes), track filtering and link top-N bounding, the HTTP
 endpoints (Prometheus scrape, latest frame, SSE/JSONL stream), the
 terminal dashboard's ASCII and colour renderings.  That an observed
-run is bit-identical to an unobserved one is the ``live`` observer of
-the equivalence oracle in ``tests/test_equivalence.py``.
+run is bit-identical to an unobserved one is checked by the ``live``
+observer of the equivalence oracle in ``tests/test_equivalence.py``,
+pinned here on the printf loop.
 """
 
 import io
@@ -27,6 +28,8 @@ from repro.telemetry import (
     TelemetrySink,
 )
 from repro.telemetry.top import fetch_frame, stream_frames, watch
+
+from .test_equivalence import PRINTF_BOARD, Draw, assert_matches_lockstep
 
 PRINTF_LOOP = """
         CLR  R0
@@ -499,3 +502,14 @@ class TestServerHardening:
             server.close()
         assert code == 0
         assert "MultiNoC live" in out.getvalue()
+
+
+class TestEquivalence:
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_observed_run_is_bit_identical(self, strict):
+        """The full observation stack (stream + dashboard + HTTP
+        server) must not perturb the printf loop's
+        run in either kernel mode: the oracle's whole digest matches."""
+        assert_matches_lockstep(
+            Draw(PRINTF_BOARD, (strict,), frozenset({"live"}))
+        )

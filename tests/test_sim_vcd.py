@@ -6,6 +6,8 @@ from repro.noc import HermesNetwork
 from repro.sim import Component, Simulator, VcdWriter, Wire
 from repro.sim.vcd import _identifier
 
+from .test_equivalence import PRINTF_BOARD, Draw, assert_matches_lockstep
+
 
 class Toggler(Component):
     def __init__(self):
@@ -96,3 +98,14 @@ class TestDump:
             1 for line in body.splitlines() if line == f"1{ack_id}"
         )
         assert rises == 4
+
+    def test_cross_mode_dump_identity(self):
+        """The waveform must not depend on the kernel's scheduling mode.
+
+        Idle fast-forward skips quiet spans, but nothing toggles inside
+        a quiet span by construction, so sampling at active cycles (and
+        once at each landing cycle) captures the identical change list
+        the strict lock-step kernel records cycle by cycle; the oracle
+        compares the serial line's dump without its ``$comment`` lines.
+        """
+        assert_matches_lockstep(Draw(PRINTF_BOARD, (False,)))
