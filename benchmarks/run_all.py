@@ -149,24 +149,19 @@ def run_one(path: Path, preset: str) -> dict:
 
 
 def trend_metrics(entries: list) -> dict:
-    """Flatten per-test means and numeric extra_info into metric names."""
-    metrics = {}
+    """Flatten per-test means and numeric extra_info into metric names
+    ``<stem>.<test>.<key>`` (``bench_noc_scaling.py`` -> ``noc_scaling``)."""
+    from repro.telemetry.registry import flatten_metrics
+
+    nested = {}
     for entry in entries:
-        stem = entry["file"]
-        if stem.startswith("bench_"):
-            stem = stem[len("bench_"):]
-        if stem.endswith(".py"):
-            stem = stem[: -len(".py")]
+        stem = entry["file"].removeprefix("bench_").removesuffix(".py")
         for test in entry["tests"]:
-            base = f"{stem}.{test['name']}"
-            if isinstance(test.get("mean_seconds"), (int, float)):
-                metrics[f"{base}.mean_seconds"] = test["mean_seconds"]
-            for key, value in (test.get("extra_info") or {}).items():
-                if isinstance(value, (int, float)) and not isinstance(
-                    value, bool
-                ):
-                    metrics[f"{base}.{key}"] = value
-    return metrics
+            nested.setdefault(stem, {})[test["name"]] = {
+                "mean_seconds": test.get("mean_seconds"),
+                **(test.get("extra_info") or {}),
+            }
+    return flatten_metrics(nested)
 
 
 def main(argv=None) -> int:

@@ -164,3 +164,4 @@ class SharedBusNetwork(Component):
         self._state = _IDLE
         self._current = None
         self.total_transfers = 0
+        self.stats.restore(NetworkStats().snapshot())

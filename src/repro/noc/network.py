@@ -77,6 +77,11 @@ class HermesNetwork(Component):
 
     # -- checkpointing -----------------------------------------------------
 
+    def reset(self) -> None:
+        super().reset()
+        # in place: routers and NIs hold the stats' counter dicts
+        self.stats.restore(NetworkStats().snapshot())
+
     def snapshot_state(self) -> dict:
         # the shared NetworkStats, as in MultiNoC: routers and NIs only
         # hold references to it

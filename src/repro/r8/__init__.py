@@ -1,9 +1,10 @@
 """The R8 soft-core processor: ISA, assembler, simulators, debugger.
 
-Two execution models are provided and kept equivalent by differential
-tests: :class:`R8Simulator` (fast, functional, with debugging aids —
-the paper's "R8 Simulator" tool) and :class:`R8Cpu` (cycle-accurate
-multicycle FSM used inside the MultiNoC system model).
+Two execution models are provided: :class:`R8Simulator` (fast,
+functional, with debugging aids — the paper's "R8 Simulator" tool) and
+:class:`R8Cpu` (cycle-accurate multicycle FSM used inside the MultiNoC
+system model).  Both run every instruction through :mod:`.semantics`;
+differential tests check that they also agree on cycle counts.
 """
 
 from . import alu, isa, semantics

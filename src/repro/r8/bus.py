@@ -52,9 +52,10 @@ class MemoryBus(Protocol):
 class LocalBus:
     """A bus backed by a flat local word memory; every access is immediate.
 
-    Used by stand-alone CPU tests and as the storage behind the
-    instruction-set simulator.  Addresses wrap at the memory size, which
-    mirrors partial address decoding of a small memory.
+    The memory of a stand-alone :class:`~repro.r8.cpu.R8Cpu`, as in the
+    CPU tests and benchmarks (the instruction-set simulator keeps its own
+    word list).  Addresses wrap at the memory size, which mirrors partial
+    address decoding of a small memory.
     """
 
     def __init__(self, size_words: int = 1024):

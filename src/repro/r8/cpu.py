@@ -13,6 +13,14 @@ JSRR, JSRD
 LD, POP, RTS   FETCH, EXEC, MEM, MEM(latch)           4
 =============  ====================================  ===
 
+What an instruction does is defined once, in :mod:`repro.r8.semantics`,
+which the instruction-set simulator runs too.  The core adds only the
+timing: EXEC runs a register-only instruction through
+:func:`~repro.r8.semantics.execute`; a memory instruction (the
+``reads_mem``/``writes_mem`` flags of :data:`repro.r8.isa.SPECS`) gets
+its address from the semantics helpers, goes out as a bus transaction,
+and a read lands through :func:`~repro.r8.semantics.land_read` in MEM.
+
 A data access that the environment cannot complete immediately (remote
 memory, I/O, wait/notify — anything crossing the NoC) leaves its
 :class:`~repro.r8.bus.Transaction` pending, and the core simply stays in
@@ -24,10 +32,9 @@ from __future__ import annotations
 from typing import Optional
 
 from ..sim import Component
-from . import alu, isa
+from . import isa, semantics
 from .alu import MASK16
 from .bus import MemoryBus, Transaction
-from .semantics import condition_met
 from .state import R8State
 
 S_HALT = 0
@@ -44,8 +51,8 @@ _STATE_NAMES = {
     S_WRITE: "WRITE",
 }
 
-#: mnemonics whose MEM-state result lands in PC instead of a register
-_MEM_TO_PC = frozenset(["RTS"])
+#: mnemonics that push a frame onto the PC-sample call stack (RTS pops)
+_CALLS = frozenset(["JSRR", "JSRD"])
 
 
 class R8Cpu(Component):
@@ -372,105 +379,20 @@ class R8Cpu(Component):
     def _do_exec(self) -> None:
         instr = self._instr
         assert instr is not None
+        spec = instr.spec
         st = self.state
-        regs = st.regs
-        flags = st.flags
-        m = instr.mnemonic
-
-        if m == "ADD":
-            st.set_reg(instr.rt, alu.add(regs[instr.rs1], regs[instr.rs2], flags))
-        elif m == "ADDC":
-            st.set_reg(
-                instr.rt,
-                alu.add(regs[instr.rs1], regs[instr.rs2], flags, carry_in=int(flags.c)),
-            )
-        elif m == "SUB":
-            st.set_reg(instr.rt, alu.sub(regs[instr.rs1], regs[instr.rs2], flags))
-        elif m == "SUBC":
-            st.set_reg(
-                instr.rt,
-                alu.sub(regs[instr.rs1], regs[instr.rs2], flags, borrow_in=int(flags.c)),
-            )
-        elif m == "AND":
-            st.set_reg(instr.rt, alu.logic_and(regs[instr.rs1], regs[instr.rs2], flags))
-        elif m == "OR":
-            st.set_reg(instr.rt, alu.logic_or(regs[instr.rs1], regs[instr.rs2], flags))
-        elif m == "XOR":
-            st.set_reg(instr.rt, alu.logic_xor(regs[instr.rs1], regs[instr.rs2], flags))
-        elif m == "LDL":
-            st.set_reg(instr.rt, (regs[instr.rt] & 0xFF00) | instr.imm)
-        elif m == "LDH":
-            st.set_reg(instr.rt, (instr.imm << 8) | (regs[instr.rt] & 0x00FF))
-        elif m == "NOT":
-            st.set_reg(instr.rt, alu.logic_not(regs[instr.rs1], flags))
-        elif m == "SL0":
-            st.set_reg(instr.rt, alu.shift_left(regs[instr.rs1], 0, flags))
-        elif m == "SL1":
-            st.set_reg(instr.rt, alu.shift_left(regs[instr.rs1], 1, flags))
-        elif m == "SR0":
-            st.set_reg(instr.rt, alu.shift_right(regs[instr.rs1], 0, flags))
-        elif m == "SR1":
-            st.set_reg(instr.rt, alu.shift_right(regs[instr.rs1], 1, flags))
-        elif m == "MOV":
-            st.set_reg(instr.rt, regs[instr.rs1])
-        elif m == "LDSP":
-            st.sp = regs[instr.rs1]
-        elif m == "RDSP":
-            st.set_reg(instr.rt, st.sp)
-        elif m == "NOP":
-            pass
-        elif m == "HALT":
-            st.halted = True
-            self._retire(S_HALT)
-            return
-        elif m in ("JMPR", "JMPNR", "JMPZR", "JMPCR", "JMPVR"):
-            if condition_met(st, instr.spec.sub):
-                st.pc = regs[instr.rs1]
-        elif m in ("JMPD", "JMPND", "JMPZD", "JMPCD", "JMPVD"):
-            if condition_met(st, instr.spec.sub):
-                st.pc = (st.pc + instr.disp) & MASK16
-        elif m == "LD":
-            addr = (regs[instr.rs1] + regs[instr.rs2]) & MASK16
-            self._txn = self.bus.read(addr)
+        if spec.reads_mem:
+            self._txn = self.bus.read(semantics.read_address(st, instr))
             self._mem_settle = 1
             self._fsm = S_MEM
-            return
-        elif m == "POP":
-            st.sp = (st.sp + 1) & MASK16
-            self._txn = self.bus.read(st.sp)
-            self._mem_settle = 1
-            self._fsm = S_MEM
-            return
-        elif m == "RTS":
-            st.sp = (st.sp + 1) & MASK16
-            self._txn = self.bus.read(st.sp)
-            self._mem_settle = 1
-            self._fsm = S_MEM
-            return
-        elif m == "ST":
-            addr = (regs[instr.rs1] + regs[instr.rs2]) & MASK16
-            self._txn = self.bus.write(addr, regs[instr.rt])
-            self._fsm = S_WRITE
-            return
-        elif m == "PUSH":
-            self._txn = self.bus.write(st.sp, regs[instr.rs1])
-            st.sp = (st.sp - 1) & MASK16
-            self._fsm = S_WRITE
-            return
-        elif m in ("JSRR", "JSRD"):
-            if self.pc_samples is not None:
+        elif spec.writes_mem:
+            if self.pc_samples is not None and spec.mnemonic in _CALLS:
                 self._call_key = self._call_key + (self._cur_pc,)
-            self._txn = self.bus.write(st.sp, st.pc)
-            st.sp = (st.sp - 1) & MASK16
-            if m == "JSRR":
-                st.pc = regs[instr.rs1]
-            else:
-                st.pc = (st.pc + instr.disp) & MASK16
+            self._txn = self.bus.write(*semantics.write_access(st, instr))
             self._fsm = S_WRITE
-            return
-        else:  # pragma: no cover - the spec table is closed
-            raise NotImplementedError(m)
-        self._retire()
+        else:
+            semantics.execute(st, instr, None, None)
+            self._retire(S_HALT if st.halted else S_FETCH)
 
     def _do_mem(self) -> None:
         if self._mem_settle > 0:
@@ -483,12 +405,13 @@ class R8Cpu(Component):
             return
         instr = self._instr
         assert instr is not None
-        if instr.mnemonic in _MEM_TO_PC:
-            self.state.pc = txn.value & MASK16
-            if self.pc_samples is not None and self._call_key:
-                self._call_key = self._call_key[:-1]
-        else:
-            self.state.set_reg(instr.rt, txn.value)
+        semantics.land_read(self.state, instr, txn.value)
+        if (
+            self.pc_samples is not None
+            and self._call_key
+            and instr.mnemonic == "RTS"
+        ):
+            self._call_key = self._call_key[:-1]
         self._retire()
 
     def _do_write(self) -> None:

@@ -14,7 +14,7 @@ multiprocessed application" — for that, use the full
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Set
 
 from . import isa, semantics
@@ -23,8 +23,9 @@ from .disassembler import format_instruction
 from .state import R8State
 
 #: Memory-mapped addresses implemented by the Processor IP control logic
-#: (paper Section 2.4).  The stand-alone simulator honours the I/O address
-#: so single-processor programs with printf/scanf run unmodified; wait and
+#: (paper Section 2.4); the Processor IP's address map decodes the same
+#: constants.  The stand-alone simulator honours the I/O address so
+#: single-processor programs with printf/scanf run unmodified; wait and
 #: notify need the real multiprocessor system.
 IO_ADDRESS = 0xFFFF
 WAIT_ADDRESS = 0xFFFE
@@ -47,27 +48,18 @@ class ExecutionTrace:
 class R8Simulator:
     """Functional R8 simulator with debugging support.
 
-    Parameters
-    ----------
-    memory_words:
-        Local memory size (1K 16-bit words on MultiNoC).
-    on_printf / on_scanf:
-        I/O hooks: a store to FFFF calls ``on_printf(value)``; a load from
-        FFFF returns ``on_scanf()``.
+    A store to FFFF (printf) appends the value to :attr:`printed`; a
+    load from FFFF (scanf) returns ``on_scanf()``.
     """
 
-    def __init__(
-        self,
-        memory_words: int = 1024,
-        on_printf: Optional[Callable[[int], None]] = None,
-        on_scanf: Optional[Callable[[], int]] = None,
-    ):
-        self.memory: List[int] = [0] * memory_words
-        self.memory_words = memory_words
+    #: local memory size: 1K 16-bit words, as on MultiNoC
+    memory_words = 1024
+
+    def __init__(self, on_scanf: Optional[Callable[[], int]] = None):
+        self.memory: List[int] = [0] * self.memory_words
         self.state = R8State()
         self.cycles = 0
         self.instructions = 0
-        self.on_printf = on_printf
         self.on_scanf = on_scanf
         self.printed: List[int] = []
         self.breakpoints: Set[int] = set()
@@ -115,10 +107,7 @@ class R8Simulator:
 
     def _write(self, addr: int, value: int) -> None:
         if addr == IO_ADDRESS:
-            value &= MASK16
-            self.printed.append(value)
-            if self.on_printf is not None:
-                self.on_printf(value)
+            self.printed.append(value & MASK16)
             return
         if addr in (WAIT_ADDRESS, NOTIFY_ADDRESS):
             raise SimulatorError(

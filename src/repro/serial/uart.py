@@ -26,7 +26,7 @@ class UartTx(Component):
         if divisor < 2:
             raise ValueError("UART divisor must be at least 2 cycles per bit")
         self.line = line
-        self.divisor = divisor
+        self.divisor = self._reset_divisor = divisor
         self.adopt_wires([line])
         self.queue: Deque[int] = deque()
         self._bits: list = []
@@ -110,6 +110,10 @@ class UartTx(Component):
         super().reset()
         self.queue.clear()
         self._bits = []
+        self._bit_index = 0
+        self._phase = 0
+        self._cycle = 0
+        self.divisor = self._reset_divisor
 
     def snapshot_state(self) -> dict:
         return {
@@ -139,7 +143,7 @@ class UartRx(Component):
         if divisor < 2:
             raise ValueError("UART divisor must be at least 2 cycles per bit")
         self.line = line
-        self.divisor = divisor
+        self.divisor = self._reset_divisor = divisor
         # The receiver wakes on any committed change of the serial line
         # (a start-bit or sync edge); while sampling it stays awake.
         self.watch_wires([line])
@@ -215,6 +219,10 @@ class UartRx(Component):
         self.received.clear()
         self.framing_errors = 0
         self._sampling = False
+        self._count = 0
+        self._bits = []
+        self._cycle = 0
+        self.divisor = self._reset_divisor
 
     def snapshot_state(self) -> dict:
         return {

@@ -24,9 +24,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import List, Optional, Tuple
 
-IO_ADDRESS = 0xFFFF
-WAIT_ADDRESS = 0xFFFE
-NOTIFY_ADDRESS = 0xFFFD
+from ..r8 import IO_ADDRESS, NOTIFY_ADDRESS, WAIT_ADDRESS
 
 
 class AccessKind(Enum):

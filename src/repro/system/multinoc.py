@@ -197,6 +197,11 @@ class MultiNoC(Component):
 
     # -- checkpointing -------------------------------------------------------
 
+    def reset(self) -> None:
+        super().reset()
+        # in place: routers and NIs hold the stats' counter dicts
+        self.stats.restore(NetworkStats().snapshot())
+
     def snapshot_state(self) -> dict:
         # the shared NetworkStats is system-level state (latency matching
         # keys in-flight packets); routers/NIs only hold references to it

@@ -114,11 +114,22 @@ class TestClassification:
         assert rss > 1_000_000
 
 
-def run_profiled(interval=0.001, strict=False):
+#: profiled wall time of the runs that assert sample coverage: a few
+#: milliseconds of scheduling delay at ``stop()`` must stay a small
+#: share of the window
+COVERAGE_WINDOW_S = 0.3
+
+
+def run_profiled(interval=0.001, strict=False, min_seconds=0.0):
+    """Profile sync plus the printf loop, rerun until *min_seconds*
+    of wall time have passed."""
     session = MultiNoCPlatform.standard().launch(strict_lockstep=strict)
     prof = session.profile_host(interval=interval)
+    start = time.perf_counter()
     session.host.sync()
     session.run(1, PRINTF_LOOP)
+    while time.perf_counter() - start < min_seconds:
+        session.run(1, PRINTF_LOOP)
     prof.stop()
     return session, prof
 
@@ -129,7 +140,8 @@ class TestHostPerfProfiler:
             HostPerfProfiler(interval=0)
 
     def test_snapshot_schema_and_coverage(self):
-        session, prof = run_profiled()
+        session, prof = run_profiled(min_seconds=COVERAGE_WINDOW_S)
+        assert prof.wall_seconds >= COVERAGE_WINDOW_S
         snap = prof.snapshot()
         assert snap["schema"] == HOSTPERF_SCHEMA
         assert snap["samples"] >= 1
@@ -197,7 +209,8 @@ class TestHostPerfProfiler:
         prof.detach()
 
     def test_run_metrics_flow_into_registry(self, tmp_path):
-        session, prof = run_profiled()
+        session, prof = run_profiled(min_seconds=COVERAGE_WINDOW_S)
+        assert prof.wall_seconds >= COVERAGE_WINDOW_S
         record = session.record_run(registry=tmp_path)
         metrics = record["metrics"]
         assert metrics["host_s_per_kcycle"] > 0

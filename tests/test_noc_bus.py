@@ -3,7 +3,7 @@
 import pytest
 
 from repro.apps.workloads import TrafficConfig, drive_traffic
-from repro.noc import HermesNetwork, Packet, SharedBusNetwork
+from repro.noc import HermesNetwork, NetworkStats, Packet, SharedBusNetwork
 
 
 class TestBusBasics:
@@ -54,6 +54,15 @@ class TestBusBasics:
         assert not bus.drained
         bus.reset()
         assert bus.drained
+
+    def test_reset_clears_the_statistics(self):
+        bus = SharedBusNetwork(2, 2)
+        sim = bus.make_simulator()
+        bus.send((0, 0), (1, 1), [5, 6])
+        bus.run_to_drain(sim, max_cycles=1000)
+        assert bus.stats.packets_delivered == 1
+        sim.reset()
+        assert bus.stats.snapshot() == NetworkStats().snapshot()
 
     def test_stats_latencies_recorded(self):
         bus = SharedBusNetwork(2, 2)

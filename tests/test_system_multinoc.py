@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import MultiNoCPlatform
 from repro.host import SerialSoftware
 from repro.r8 import assemble
 from repro.system import MultiNoC, SystemConfig
@@ -234,3 +235,33 @@ class TestLargerPlatforms:
             "CLR R0\nLDI R1, 55\nLDI R2, 1030\nST R1, R2, R0\nHALT"
         ))
         assert host.read_memory((2, 0), 6, 1) == [55]
+
+
+class TestReset:
+    def test_reset_board_equals_a_fresh_launch(self):
+        """After a printf run, reset returns the whole board to its
+        power-on state: NoC statistics, UART framing and the auto-baud
+        divisor included.  Memory words and the loaded program's
+        symbols stay, as BlockRAM contents do."""
+
+        def board(session):
+            def strip(node):
+                if isinstance(node, dict):
+                    return {
+                        k: strip(v)
+                        for k, v in node.items()
+                        if k not in ("mem", "symbols")
+                    }
+                if isinstance(node, list):
+                    return [strip(v) for v in node]
+                return node
+
+            return strip(session.system.snapshot())
+
+        session = MultiNoCPlatform.standard().launch()
+        session.host.sync()
+        session.run(1, "CLR R0\nLDI R1, 42\nLDI R2, 0xFFFF\nST R1, R2, R0\nHALT")
+        assert session.host.monitor(1).printf_values == [42]
+        assert session.system.stats.packets_delivered > 0
+        session.sim.reset()
+        assert board(session) == board(MultiNoCPlatform.standard().launch())
