@@ -92,7 +92,12 @@ class TrafficConfig:
 
 
 class TrafficSource(Component):
-    """Injects randomly generated packets into one NI on a schedule."""
+    """Injects randomly generated packets into one NI on a schedule.
+
+    :attr:`done` turns true once every scheduled packet is injected.  It
+    is a plain attribute, kept by every change of the schedule position,
+    because run predicates test it for every source on every cycle.
+    """
 
     def __init__(
         self,
@@ -112,41 +117,49 @@ class TrafficSource(Component):
         rng = random.Random(config.seed * 1_000_003 + x * 131 + y)
         # Pre-draw the schedule so runs are reproducible regardless of
         # evaluation order.
-        self.schedule: List[Tuple[int, Address]] = []
+        schedule: List[Tuple[int, Address]] = []
         for cycle in range(config.duration):
             if rng.random() < config.rate:
-                self.schedule.append(
-                    (cycle, pick(ni.address, width, height, rng))
-                )
+                schedule.append((cycle, pick(ni.address, width, height, rng)))
         self._index = 0
+        self.schedule = schedule
         self.injected = 0
 
+    @property
+    def schedule(self) -> List[Tuple[int, Address]]:
+        """``(cycle, target)`` injections in cycle order.  Assign a new
+        list to replace it; :attr:`done` follows the assignment."""
+        return self._schedule
+
+    @schedule.setter
+    def schedule(self, schedule: List[Tuple[int, Address]]) -> None:
+        self._schedule = schedule
+        self.done = self._index >= len(schedule)
+
     def eval(self, cycle: int) -> None:
+        schedule = self._schedule
         while (
-            self._index < len(self.schedule)
-            and self.schedule[self._index][0] <= cycle
+            self._index < len(schedule) and schedule[self._index][0] <= cycle
         ):
-            _, target = self.schedule[self._index]
+            _, target = schedule[self._index]
             payload = [self._index & 0xFF] * self.config.payload_flits
             self.ni.send_packet(Packet(target=target, payload=payload))
             self._index += 1
             self.injected += 1
+        self.done = self._index >= len(schedule)
 
     def is_quiescent(self) -> bool:
         """A source is pure timed work: between injections it sleeps and
         books a kernel wake at its next scheduled cycle."""
-        if self._index < len(self.schedule):
-            self.wake_at(self.schedule[self._index][0])
+        if not self.done:
+            self.wake_at(self._schedule[self._index][0])
         return True
-
-    @property
-    def done(self) -> bool:
-        return self._index >= len(self.schedule)
 
     def reset(self) -> None:
         super().reset()
         self._index = 0
         self.injected = 0
+        self.done = not self._schedule
 
     def snapshot_state(self) -> dict:
         # the schedule itself is drawn again at construction
@@ -155,6 +168,7 @@ class TrafficSource(Component):
     def restore_state(self, state: dict) -> None:
         self._index = state["index"]
         self.injected = state["injected"]
+        self.done = self._index >= len(self._schedule)
 
 
 def drive_traffic(network, config: TrafficConfig) -> List[TrafficSource]:

@@ -6,6 +6,7 @@
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import Optional, Sequence
 
 
@@ -22,6 +23,23 @@ class RoundRobinArbiter:
         self.n = n_requesters
         self._last_grant = n_requesters - 1
 
+    def turn(self, requesters: Sequence[int], k: int = 1) -> int:
+        """The requester the *k*-th next grant serves, without granting.
+
+        *requesters* are the indices of the requesting inputs in
+        ascending order (not empty) and keep requesting: the scan starts
+        just after the last grant and wraps around.
+        """
+        i = bisect_right(requesters, self._last_grant) + k - 1
+        return requesters[i % len(requesters)]
+
+    def grant_among(self, requesters: Sequence[int], k: int = 1) -> int:
+        """Make *k* successive grants among *requesters* (see :meth:`turn`)
+        and return the last one."""
+        granted = self.turn(requesters, k)
+        self._last_grant = granted
+        return granted
+
     def grant(self, requests: Sequence[bool]) -> Optional[int]:
         """Return the granted requester index, or None if nothing requests.
 
@@ -31,12 +49,8 @@ class RoundRobinArbiter:
             raise ValueError(
                 f"expected {self.n} request lines, got {len(requests)}"
             )
-        for offset in range(1, self.n + 1):
-            idx = (self._last_grant + offset) % self.n
-            if requests[idx]:
-                self._last_grant = idx
-                return idx
-        return None
+        requesters = [i for i, r in enumerate(requests) if r]
+        return self.grant_among(requesters) if requesters else None
 
     def reset(self) -> None:
         self._last_grant = self.n - 1

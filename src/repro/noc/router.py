@@ -21,22 +21,39 @@ Timing model
   one flit per two cycles until the payload count (snooped from the size
   flit) is exhausted, then the connection closes.
 
-Each cycle walks only the attached ports and does work only where a
-port's state changes (see the comments in the sender and receiver
-loops), so a saturated fabric spends host time on flits that move.
+Each cycle is one eval that walks the attached outputs (senders), the
+control logic, and the attached inputs (receivers) once each, and does
+work only where a port's state changes (see the comments in the sender
+and receiver loops), so a saturated fabric spends host time on flits
+that move.  The receivers' walk also reaches the sleep verdict.
 
 Sleeping
 --------
 A router sleeps whenever its next eval would only count: every input
 is silent or stalled behind a full FIFO, every owned output waits for
 an ack or for its FIFO to fill, and the control logic is idle with no
-request or counting down a routing service (it books a kernel wake for
-the decision cycle).  A committed change on an input's tx/data or an
-output's ack wakes it.  :meth:`HermesRouter.on_wake` credits what the
-skipped evals would have counted: the routing countdown and one stall
-cycle per skipped cycle for each input stalled at sleep.
-:meth:`~repro.sim.kernel.Simulator.snapshot` settles that credit, so a
-sleeping router's stall counters lag only between snapshots.
+request, counting down a routing service (it books a kernel wake for
+the decision cycle), or has just made a blocked decision.  A committed
+change on an input's tx/data or an output's ack wakes it.
+
+A blocked decision repeats while the inputs are frozen: every
+``routing_cycles + 1`` cycles the control grants the next request in
+round-robin order, counts down and finds its output busy again.  So a
+router without a telemetry sink sleeps through these re-arbitrations
+and books a wake for the decision cycle of the first request whose
+output is free (none if all are busy).  With a sink it stays awake
+for each decision, which records a ``route_blocked`` instant.
+
+:meth:`HermesRouter.on_wake` credits what the skipped evals would have
+counted: one stall cycle per skipped cycle for each input stalled at
+sleep, the routing countdown, and the replayed grants and blocked
+decisions (arbiter priority, control state and ``blocked_routings``).
+:meth:`~repro.sim.kernel.Simulator.settle` (which
+:meth:`~repro.sim.kernel.Simulator.snapshot` calls) settles that credit
+at any cycle, so a sleeping router's counters and control state lag
+only between settlements.  On the ledger's ``noc_hotspot_8x8`` run
+this leaves 59,935 router evals, where sleeping only at stalls and
+countdowns left 124,438.
 """
 
 from __future__ import annotations
@@ -115,6 +132,10 @@ class HermesRouter(Component):
         self._stalled: list = []
         #: the router fell asleep idle (no flits, no connection)
         self._slept_idle = False
+        #: the last eval's sleep verdict, and whether it was a blocked
+        #: decision the router may sleep through (see is_quiescent)
+        self._quiet = False
+        self._planned = False
 
         self.fifos = [CircularFifo(buffer_depth) for _ in range(self.N_PORTS)]
         # Input-side connection state.
@@ -156,73 +177,204 @@ class HermesRouter(Component):
     # -- simulation ----------------------------------------------------------
 
     def eval(self, cycle: int) -> None:
+        """One cycle: senders, then control, then receivers, in one walk
+        each.  The receivers' walk also reaches the sleep verdict that
+        :meth:`is_quiescent` returns, reading our acks and FIFO counts
+        after this eval's drives and pushes."""
+        stats = self.stats
         if self.sink is not None:
             self._now = cycle
-        self._eval_senders()
-        self._eval_control()
-        self._eval_receivers()
-
-    def is_quiescent(self) -> bool:
-        """True when the next eval would only count stalls or the routing
-        countdown (see the module docstring).
-
-        Runs after this cycle's eval and before commit, so our own input
-        ack is read in both phases: a pulse raised this cycle (``_next``)
-        must be dropped by the next eval, and the sender answers a pulse
-        being dropped (``value``) at this commit.  A neighbour's wire
-        whose ``_next`` differs from its value changes at this commit and
-        would wake us at once, so it keeps us awake instead.
-        """
-        routing = self._ctrl_state != _CTRL_IDLE
-        if routing and not self._ctrl_counter:
-            return False  # the next eval is the routing decision
+        fifos = self.fifos
         in_conn = self.in_conn
+        out_owner = self.out_owner
+        in_flight = self._in_flight
+
+        # Senders.  An output with no owner, or owned but not in flight,
+        # already holds tx low: whatever ended its last flit drove tx=0.
+        # An in-flight output waiting for ack already presents tx=1 and
+        # its FIFO head, which only this sender pops.  Neither needs a
+        # drive.
+        for out, ch, key in self._out_ports:
+            owner = out_owner[out]
+            if owner is None:
+                continue
+            fifo = fifos[owner]
+            if in_flight[out]:
+                if not ch.ack.value:
+                    continue
+                flit = fifo.pop()
+                if stats is not None:
+                    stats.flits_sent[key] += 1
+                self._advance_packet(owner, out, flit)
+                if out_owner[out] == owner and fifo:
+                    ch.data.drive(fifo.head)
+                else:
+                    ch.tx.drive(0)
+                    in_flight[out] = False
+            elif fifo:
+                ch.tx.drive(1)
+                ch.data.drive(fifo.head)
+                in_flight[out] = True
+
+        # Control: grant a request, count a routing service down, or
+        # decide.  A request is an unconnected input with a flit at its
+        # head; with none, arbitration grants nothing and changes nothing.
+        planned = False
+        if self._ctrl_state == _CTRL_IDLE:
+            requesters = self._requesters()
+            if requesters:
+                self._ctrl_input = self.arbiter.grant_among(requesters)
+                self._ctrl_state = _CTRL_ROUTING
+                self._ctrl_counter = self.routing_cycles - 1
+        elif self._ctrl_counter:
+            self._ctrl_counter -= 1
+        else:
+            # a blocked decision repeats while the inputs stay frozen, so
+            # the router may sleep through its re-arbitrations (unless a
+            # sink wants an instant for each)
+            planned = self._decide() and self.sink is None
+        routing = self._ctrl_state != _CTRL_IDLE
+        # the next eval grants a pending request: stay awake for it
+        grant_next = not routing and not planned
+
+        # Receivers.  Only this router drives an input's ack, so outside
+        # its single-cycle pulse ack is already low and needs no drive.
+        # The verdict: our ack pulse raised or dropped now (the sender
+        # answers it at this commit), a flit the next eval accepts, or a
+        # request it grants keeps us awake; a full FIFO stalls.
+        quiet = not (routing and not self._ctrl_counter)
         idle = not routing
         stalled = []
         for p, ch, fifo, key in self._in_ports:
             ack = ch.ack
-            if ack._next or ack.value:
-                return False  # our ack pulse is up, or ends now
-            tx = ch.tx
-            if fifo._count:
-                if in_conn[p] is None and not routing:
-                    return False  # a request the next eval grants
-                idle = False
-                if tx.value:
-                    if fifo._count != fifo.capacity:
-                        return False  # a flit the next eval accepts
-                    stalled.append(key)
-            elif tx.value or tx._next:
-                return False  # a flit the next eval accepts
-            elif in_conn[p] is not None:
-                idle = False
-        if not idle:
-            out_owner = self.out_owner
-            in_flight = self._in_flight
-            fifos = self.fifos
+            if ack.value:
+                ack.drive(0)
+                quiet = False
+            elif ch.tx.value:
+                if fifo._count == fifo.capacity:
+                    if stats is not None:
+                        stats.stall_cycles[key] += 1
+                    if quiet:
+                        if grant_next and in_conn[p] is None:
+                            quiet = False
+                        else:
+                            idle = False
+                            stalled.append(key)
+                    continue
+                flit = ch.data.value
+                fifo.push(flit)
+                ack.drive(1)
+                quiet = False
+                if stats is not None:
+                    stats.flits_received[key] += 1
+                if self.sink is not None:
+                    self._rx_track(p, flit)
+            elif quiet:
+                if fifo._count:
+                    if grant_next and in_conn[p] is None:
+                        quiet = False
+                    idle = False
+                elif ch.tx._next:
+                    quiet = False  # a flit the next eval accepts
+                elif in_conn[p] is not None:
+                    idle = False
+        if quiet and not idle:
+            # An owned output waits for an ack or for its FIFO to fill.
+            # A neighbour's ack whose _next differs from its value
+            # changes at this commit and would wake us at once.
             for out, ch, _ in self._out_ports:
                 owner = out_owner[out]
                 if owner is not None:
                     if in_flight[out]:
                         if ch.ack.value or ch.ack._next:
-                            return False  # a pop, or a wake at this commit
-                    elif fifos[owner]:
-                        return False  # a first flit to present
-            if routing:
-                self.wake_at(self._kernel.cycle + 1 + self._ctrl_counter)
+                            quiet = False  # a pop, or a wake now
+                            break
+                    elif fifos[owner]._count:
+                        quiet = False  # a first flit to present
+                        break
+        self._quiet = quiet
+        self._planned = planned
         self._stalled = stalled
-        self._slept_idle = idle
+        self._slept_idle = quiet and idle
+
+    def is_quiescent(self) -> bool:
+        """The verdict of this cycle's eval: True when the next eval
+        would only count stalls, the routing countdown or blocked
+        re-arbitrations (see the module docstring).
+
+        A router counting down books a kernel wake for its decision
+        cycle.  One that slept at a blocked decision books the decision
+        cycle of the first request whose output is free (or missing, so
+        that :class:`RoutingError` raises in step with lock-step), and
+        no wake when every request is blocked: only a wire change can
+        free an output then.
+        """
+        if not self._quiet:
+            return False
+        cycle = self._kernel.cycle
+        if self._ctrl_state != _CTRL_IDLE:
+            self.wake_at(cycle + 1 + self._ctrl_counter)
+        elif self._planned:
+            requesters = self._requesters()
+            period = self.routing_cycles + 1
+            for k in range(1, len(requesters) + 1):
+                head = self.fifos[self.arbiter.turn(requesters, k)].head
+                out = self._route(self.address, self._decode(head))
+                if self.out_ch[out] is None or self.out_owner[out] is None:
+                    self.wake_at(cycle + k * period)
+                    break
         return True
 
     def on_wake(self, skipped_cycles: int) -> None:
-        """Credit the skipped evals: the routing countdown and one stall
-        cycle each for the inputs stalled at sleep."""
-        if self._ctrl_state != _CTRL_IDLE:
-            self._ctrl_counter -= skipped_cycles
+        """Credit the skipped evals: one stall cycle each for the inputs
+        stalled at sleep, and the control logic's countdown and blocked
+        re-arbitrations.
+
+        Every skipped decision was blocked (the wake was booked for the
+        first that is not), so the control replays as a cycle of
+        ``routing_cycles + 1`` evals: a grant to the next request in
+        round-robin order, ``routing_cycles - 1`` countdown evals and a
+        blocked decision.  The replay starts from whatever state the
+        last eval or credit left, so crediting a span in pieces equals
+        crediting it at once.
+        """
         if self._stalled and self.stats is not None:
             stall_cycles = self.stats.stall_cycles
             for key in self._stalled:
                 stall_cycles[key] += skipped_cycles
+        if self._slept_idle:
+            return
+        n = skipped_cycles
+        blocked = 0
+        if self._ctrl_state != _CTRL_IDLE:
+            if n <= self._ctrl_counter:
+                self._ctrl_counter -= n
+                return
+            n -= self._ctrl_counter + 1
+            self._ctrl_counter = 0
+            self._ctrl_state = _CTRL_IDLE
+            blocked = 1
+        if n:
+            requesters = self._requesters()
+            if requesters:
+                rounds, rest = divmod(n, self.routing_cycles + 1)
+                blocked += rounds
+                self._ctrl_input = self.arbiter.grant_among(
+                    requesters, rounds + (rest > 0)
+                )
+                if rest:
+                    self._ctrl_state = _CTRL_ROUTING
+                    self._ctrl_counter = self.routing_cycles - rest
+        if blocked and self.stats is not None:
+            self.stats.routing_blocked(self.address, blocked)
+
+    def _requesters(self) -> List[int]:
+        """Unconnected inputs with a flit at their head, ascending."""
+        in_conn = self.in_conn
+        return [
+            p for p, _, fifo, _ in self._in_ports
+            if fifo._count and in_conn[p] is None
+        ]
 
     def reset(self) -> None:
         super().reset()
@@ -243,6 +395,8 @@ class HermesRouter(Component):
         self._now = 0
         self._stalled = []
         self._slept_idle = False
+        self._quiet = False
+        self._planned = False
 
     # -- checkpointing -----------------------------------------------------
 
@@ -287,37 +441,10 @@ class HermesRouter(Component):
             (self.address, port) for port in state.get("stalled", [])
         ]
         self._slept_idle = False
+        self._quiet = False
+        self._planned = False
 
-    # -- output ports (handshake senders) -----------------------------------
-
-    def _eval_senders(self) -> None:
-        # An output with no owner, or owned but not in flight, already
-        # holds tx low: whatever ended its last flit drove tx=0.  An
-        # in-flight output waiting for ack already presents tx=1 and its
-        # FIFO head, which only this sender pops.  Neither needs a drive.
-        out_owner = self.out_owner
-        in_flight = self._in_flight
-        for out, ch, key in self._out_ports:
-            owner = out_owner[out]
-            if owner is None:
-                continue
-            fifo = self.fifos[owner]
-            if in_flight[out]:
-                if not ch.ack.value:
-                    continue
-                flit = fifo.pop()
-                if self.stats is not None:
-                    self.stats.flits_sent[key] += 1
-                self._advance_packet(owner, out, flit)
-                if out_owner[out] == owner and fifo:
-                    ch.data.drive(fifo.head)
-                else:
-                    ch.tx.drive(0)
-                    in_flight[out] = False
-            elif fifo:
-                ch.tx.drive(1)
-                ch.data.drive(fifo.head)
-                in_flight[out] = True
+    # -- packet framing and routing decisions -------------------------------
 
     def _advance_packet(self, in_port: int, out_port: int, flit: int) -> None:
         """Track packet framing as a flit leaves, closing on the last one."""
@@ -353,90 +480,51 @@ class HermesRouter(Component):
                 in_port=self._port_names[in_port],
             )
 
-    # -- control logic (arbitration + XY routing) ---------------------------
-
-    def _eval_control(self) -> None:
-        if self._ctrl_state == _CTRL_IDLE:
-            # A request is an unconnected input with a flit at its head;
-            # with none, arbitration would grant nothing and change nothing.
-            in_conn = self.in_conn
-            requests = [False] * self.N_PORTS
-            pending = False
-            for p, _, fifo, _ in self._in_ports:
-                if fifo and in_conn[p] is None:
-                    requests[p] = pending = True
-            if not pending:
-                return
-            grant = self.arbiter.grant(requests)
-            self._ctrl_state = _CTRL_ROUTING
-            self._ctrl_input = grant
-            self._ctrl_counter = self.routing_cycles - 1
-        else:
-            if self._ctrl_counter > 0:
-                self._ctrl_counter -= 1
-                return
-            self._ctrl_state = _CTRL_IDLE
-            in_port = self._ctrl_input
-            # The request may have vanished (it cannot in normal operation,
-            # but a reset mid-route keeps this safe).
-            if self.in_conn[in_port] is not None or self.fifos[in_port].is_empty:
-                return
-            target = self._decode(self.fifos[in_port].head)
-            out_port = self._route(self.address, target)
-            if self.out_ch[out_port] is None:
-                raise RoutingError(
-                    f"router {self.address}: packet for {target} needs "
-                    f"missing port {self._port_names[out_port]}"
+    def _decide(self) -> bool:
+        """The routing decision for the granted input: connect it to its
+        XY output, or count a blocked routing.  True when blocked."""
+        self._ctrl_state = _CTRL_IDLE
+        in_port = self._ctrl_input
+        fifo = self.fifos[in_port]
+        # The request may have vanished (it cannot in normal operation,
+        # but a reset mid-route keeps this safe).
+        if self.in_conn[in_port] is not None or not fifo._count:
+            return False
+        target = self._decode(fifo.head)
+        out_port = self._route(self.address, target)
+        if self.out_ch[out_port] is None:
+            raise RoutingError(
+                f"router {self.address}: packet for {target} needs "
+                f"missing port {self._port_names[out_port]}"
+            )
+        if self.out_owner[out_port] is None:
+            self.in_conn[in_port] = out_port
+            self.out_owner[out_port] = in_port
+            if self.stats is not None:
+                self.stats.connection_opened(self.address)
+            if self.sink is not None:
+                self._conn_opened[out_port] = self._now
+                self.sink.instant(
+                    self.name,
+                    "route",
+                    self._now,
+                    target=f"{target[0]},{target[1]}",
+                    out=self._port_names[out_port],
+                    port=self._port_names[in_port],
                 )
-            if self.out_owner[out_port] is None:
-                self.in_conn[in_port] = out_port
-                self.out_owner[out_port] = in_port
-                if self.stats is not None:
-                    self.stats.connection_opened(self.address)
-                if self.sink is not None:
-                    self._conn_opened[out_port] = self._now
-                    self.sink.instant(
-                        self.name,
-                        "route",
-                        self._now,
-                        target=f"{target[0]},{target[1]}",
-                        out=self._port_names[out_port],
-                        port=self._port_names[in_port],
-                    )
-            else:
-                if self.stats is not None:
-                    self.stats.routing_blocked(self.address)
-                if self.sink is not None:
-                    self.sink.instant(
-                        self.name,
-                        "route_blocked",
-                        self._now,
-                        out=self._port_names[out_port],
-                        port=self._port_names[in_port],
-                        target=f"{target[0]},{target[1]}",
-                    )
-
-    # -- input ports (handshake receivers) -----------------------------------
-
-    def _eval_receivers(self) -> None:
-        # Only this router drives an input's ack, so outside its
-        # single-cycle pulse ack is already low and needs no drive.
-        for p, ch, fifo, key in self._in_ports:
-            ack = ch.ack
-            if ack.value:
-                ack.drive(0)
-            elif ch.tx.value:
-                if fifo.is_full:
-                    if self.stats is not None:
-                        self.stats.stall_cycles[key] += 1
-                    continue
-                flit = ch.data.value
-                fifo.push(flit)
-                ack.drive(1)
-                if self.stats is not None:
-                    self.stats.flits_received[key] += 1
-                if self.sink is not None:
-                    self._rx_track(p, flit)
+            return False
+        if self.stats is not None:
+            self.stats.routing_blocked(self.address)
+        if self.sink is not None:
+            self.sink.instant(
+                self.name,
+                "route_blocked",
+                self._now,
+                out=self._port_names[out_port],
+                port=self._port_names[in_port],
+                target=f"{target[0]},{target[1]}",
+            )
+        return True
 
     def _rx_track(self, port: int, flit: int) -> None:
         """Telemetry-only receive-side framing: stamp the FIFO-entry cycle

@@ -141,8 +141,10 @@ class NetworkStats:
 
     # -- hooks called by the models ---------------------------------------
 
-    def routing_blocked(self, router: Address) -> None:
-        self.blocked_routings[router] += 1
+    def routing_blocked(self, router: Address, n: int = 1) -> None:
+        """Count *n* routing decisions at *router* that found their
+        output busy (a sleeping router credits its replayed ones)."""
+        self.blocked_routings[router] += n
 
     def connection_opened(self, router: Address) -> None:
         self.connections_opened[router] += 1

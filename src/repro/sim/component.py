@@ -146,10 +146,11 @@ class Component:
         """Credit *skipped_cycles* evals the kernel skipped while quiescent.
 
         Called before the first ``eval`` after a quiescent span, and by
-        :meth:`~repro.sim.kernel.Simulator.snapshot` for the part of a
-        span that has passed, so one span may be credited in pieces.
+        :meth:`~repro.sim.kernel.Simulator.settle` for the part of a
+        span that has passed, so one span may be credited in pieces;
+        ``on_wake(a)`` then ``on_wake(b)`` must equal ``on_wake(a + b)``.
         Override to add what lock-step evaluation would have counted
-        (stall counters, phase counters, countdowns).
+        (stall counters, phase counters, countdowns, replayed decisions).
         """
 
     def wake(self) -> None:

@@ -29,10 +29,11 @@ wiring is invalidated, even in the middle of a run.
 The results are cycle-exact with respect to the legacy schedule: a
 quiescent component's eval would by contract only count, and skipped
 evals are credited through ``on_wake`` (by the next eval, or by
-:meth:`Simulator.snapshot`) so per-cycle counters (CPU and router stall
-accounting, PC samples) match bit for bit.  ``Simulator(
-strict_lockstep=True)`` keeps the original evaluate-everything loop as
-the reference the A/B equivalence tests compare against.  Host time is
+:meth:`Simulator.settle`, which :meth:`Simulator.snapshot` calls) so
+per-cycle counters (CPU and router stall accounting, PC samples) match
+bit for bit.  ``Simulator(strict_lockstep=True)`` keeps the original
+evaluate-everything loop as the reference the A/B equivalence tests
+compare against.  Host time is
 attributed by the sampling :class:`~repro.telemetry.hostperf.
 HostPerfProfiler`, which observes this thread from the side and never
 alters which loop runs.
@@ -332,6 +333,25 @@ class Simulator:
             cc for c in self._components for cc in c.iter_components()
         ]
 
+    def settle(self) -> None:
+        """Credit pending idle spans now: every unit with skipped evals
+        (asleep, or woken at the last commit) gets ``on_wake`` for them.
+
+        Only valid at a cycle boundary, like :meth:`snapshot`.  A unit
+        stays asleep; its span goes on from this cycle, and the rest is
+        credited later, so settling at any cycle changes no result.
+        """
+        if self.strict_lockstep:
+            return
+        if self._needs_elab:
+            self._elaborate()
+        cycle = self.cycle
+        for u in self._units:
+            s = u._slept_since
+            if s is not None and cycle > s:
+                u.on_wake(cycle - s)
+                u._slept_since = cycle
+
     def snapshot(self) -> dict:
         """Capture the full simulation state (components + scheduler).
 
@@ -341,20 +361,12 @@ class Simulator:
         a snapshot taken under either scheduling mode restores into
         either mode with bit-identical continuation.
 
-        It first settles pending idle credit: every unit with skipped
-        evals (asleep, or woken at the last commit) gets ``on_wake`` for
-        them now.  The snapshot, and any counter read after it, then
-        holds exactly what lock-step evaluation would have counted.
+        It first settles pending idle credit (:meth:`settle`), so the
+        snapshot, and any counter read after it, holds exactly what
+        lock-step evaluation would have counted.
         """
-        if not self.strict_lockstep and self._needs_elab:
-            self._elaborate()
+        self.settle()
         units = self._units if not self.strict_lockstep else []
-        cycle = self.cycle
-        for u in units:
-            s = u._slept_since
-            if s is not None and cycle > s:
-                u.on_wake(cycle - s)
-                u._slept_since = cycle
         doc: dict = {
             "cycle": self.cycle,
             "components": [c.snapshot() for c in self._components],

@@ -602,6 +602,10 @@ class HealthMonitor:
 
     def diagnostics(self) -> Dict[str, Any]:
         """The full diagnostic dump attached to diagnosed failures."""
+        if self.sim is not None:
+            # a sleeping unit's counters and control state lag until its
+            # idle credit is settled
+            self.sim.settle()
         cycle = self.sim.cycle if self.sim is not None else 0
         out: Dict[str, Any] = {"cycle": cycle}
         if self.stats is not None:

@@ -201,6 +201,30 @@ class TestTrafficSources:
         assert net.stats.packets_delivered == scheduled
         assert sim.cycle == 3410  # the unsplit run's drain cycle
 
+    def test_done_follows_the_schedule_position(self):
+        """``done`` is a plain attribute: it must equal "every scheduled
+        packet injected" before the first eval, after the schedule is
+        replaced, and after reset and restore."""
+        net = HermesNetwork(2, 2)
+        sources = drive_traffic(net, TrafficConfig(rate=0.0, duration=50))
+        sim = net.make_simulator()
+        assert all(s.schedule == [] and s.done for s in sources)
+        source = sources[0]
+        target = sources[1].ni.address
+        source.schedule = [(3, target), (9, target)]
+        assert not source.done
+        sim.step(5)
+        assert source.injected == 1 and not source.done
+        doc = json.loads(json.dumps(sim.snapshot()))
+        sim.step(5)
+        assert source.done
+        sim.restore(doc)
+        assert source.injected == 1 and not source.done
+        sim.reset()
+        assert source.injected == 0 and not source.done
+        sim.step(10)
+        assert source.done
+
     def test_injection_rate_roughly_matches(self):
         net = HermesNetwork(2, 2)
         cfg = TrafficConfig(rate=0.05, duration=2000, seed=3)

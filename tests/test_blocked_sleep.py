@@ -1,10 +1,11 @@
 """Blocked routers and NIs sleep without changing a single counter.
 
-A router sleeps while its next eval would only count stalls or the
-routing countdown, and an NI while its presented flit waits for an ack.
-``on_wake`` credits the skipped evals and ``Simulator.snapshot`` settles
-pending credit, so the quiescent kernel must match strict lock-step on
-every per-key NoC counter.  Generated traffic split at a checkpoint in
+A router sleeps while its next eval would only count stalls, the
+routing countdown or blocked re-arbitrations, and an NI while its
+presented flit waits for an ack.  ``on_wake`` credits the skipped evals
+and ``Simulator.settle`` settles pending credit at any cycle, so the
+quiescent kernel must match strict lock-step on every per-key NoC
+counter.  Generated traffic split at a checkpoint in
 any mode direction runs through the oracle in ``tests/test_equivalence.py``.
 """
 
@@ -84,8 +85,11 @@ def test_equal_bytes_into_a_full_fifo_match_lockstep(depth, length):
 
 
 def test_saturated_hotspot_skips_blocked_evals():
-    """The pinned saturation hotspot run: lock-step makes 109,419 router
-    and NI evals; sleeping only when idle left all of them."""
+    """The pinned saturation hotspot run: lock-step makes 185,920 router
+    and NI evals (32 units for 5,810 cycles).  Sleeping while blocked
+    left 32,788 of them; sleeping through blocked re-arbitrations left
+    26,965, and the replayed decisions count as many blocked routings
+    as lock-step's."""
     config = TrafficConfig(
         rate=0.02, duration=600, hotspot_node=(0, 0), seed=5
     )
@@ -98,6 +102,82 @@ def test_saturated_hotspot_skips_blocked_evals():
             _eval(cycle)
 
         unit.eval = counted
-    cycle, _ = _drain(net, sim, sources, config)
+    cycle, stats = _drain(net, sim, sources, config)
     assert cycle == 5810
-    assert evals[0] <= 55_000, evals[0]
+    assert evals[0] <= 27_500, evals[0]
+    _, ref = _drain(*_build("mesh:4x4", config, strict=True), config)
+    assert stats["blocked_routings"] == ref["blocked_routings"]
+
+
+#: an untraced hotspot, where routers sleep through blocked
+#: re-arbitrations, with their credit settled at every cycle: right
+#: after a blocked decision the control is idle with a request pending,
+#: and the first skipped eval is a re-grant that the replay must not drop
+SETTLED_HOTSPOT = Draw(
+    (
+        "noc",
+        "mesh:4x4",
+        TrafficConfig(
+            rate=0.03,
+            duration=300,
+            payload_flits=8,
+            hotspot_node=(0, 0),
+            seed=3,
+        ),
+        False,
+    ),
+    observers=frozenset({"settle"}),
+    settle_every=1,
+)
+
+
+def test_blocked_replay_settled_at_every_cycle_matches_lockstep():
+    assert_matches_lockstep(SETTLED_HOTSPOT)
+
+
+@pytest.fixture(scope="module")
+def blocked_router():
+    """A router of the settled hotspot, run in lock-step, whose eval
+    just made a blocked decision it may sleep through, with at least
+    two requests and every one of them blocked (so any span is a valid
+    replay)."""
+    net, sim, _ = _build("mesh:4x4", SETTLED_HOTSPOT.workload[2], True)
+
+    def all_blocked(router):
+        requesters = router._requesters()
+        outs = [
+            router._route(router.address, router._decode(router.fifos[p].head))
+            for p in requesters
+        ]
+        return len(requesters) > 1 and all(
+            router.out_owner[out] is not None for out in outs
+        )
+
+    found = []
+
+    def at_blocked_decision():
+        found[:] = [
+            r for r in net.mesh.routers.values()
+            if r._quiet and r._planned and all_blocked(r)
+        ]
+        return bool(found)
+
+    sim.run_until(at_blocked_decision, max_cycles=10_000)
+    return net, found[0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 40), st.integers(0, 40))
+def test_replay_in_pieces_equals_replay_at_once(blocked_router, a, b):
+    net, router = blocked_router
+    state, stats = router.snapshot_state(), net.stats.snapshot()
+
+    def credit(*spans):
+        router.restore_state(state)
+        net.stats.restore(stats)
+        for n in spans:
+            router.on_wake(n)
+        return router.snapshot_state(), _json(net.stats.snapshot())
+
+    assert credit(a, b) == credit(a + b)
+    assert credit(a, 0, b) == credit(a + b)

@@ -217,6 +217,8 @@ def _edge_image(height=4, width=16, seed=7):
 
 def _events(sink):
     """Telemetry events as a comparable list (order-preserving)."""
+    if sink is None:
+        return []
     return [(e.ph, e.name, e.track, e.ts, e.dur, e.args) for e in sink.events]
 
 
@@ -248,11 +250,13 @@ def _scrub(node):
 
 
 class _Noc:
-    """A bare Hermes fabric under synthetic traffic."""
+    """A bare Hermes fabric under synthetic traffic, traced or not (a
+    router with a telemetry sink wakes for every blocked decision to
+    record it; one without sleeps through them)."""
 
     def __init__(self, workload, strict):
-        _, topology, config = workload
-        self.sink = TelemetrySink()
+        _, topology, config, traced = workload
+        self.sink = TelemetrySink() if traced else None
         self.net = net = HermesNetwork(topology=topology, telemetry=self.sink)
         self.sources = drive_traffic(net, config)
         self.sim = net.make_simulator(strict_lockstep=strict)
@@ -395,7 +399,12 @@ FABRICS = {"noc": _Noc, "board": _Board, "edge": _Edge}
 # Observers: attached to the candidate only, each must show it acted
 # ---------------------------------------------------------------------------
 
-OBSERVERS = ("live", "alerts", "hostperf", "health", "ring")
+OBSERVERS = ("live", "alerts", "hostperf", "health", "ring", "settle")
+
+#: the routers' default routing time: settling every 1 to
+#: ``ROUTING_CYCLES + 2`` cycles lands on every phase of a blocked
+#: router's re-arbitration cycle
+ROUTING_CYCLES = 7
 
 #: fires on the first frame of any run
 ALWAYS = """
@@ -409,6 +418,7 @@ class _Observed:
         obs, sim = draw.observers, rig.sim
         self.live = self.alerts = self.server = self.prof = None
         self.health = self.ring = None
+        self.settled = None
         if obs & {"live", "alerts"}:
             self.live = LiveStream(stride=max(8, span // 16))
             self.live.attach(sim, **rig.parts)
@@ -431,6 +441,15 @@ class _Observed:
         if "ring" in obs:
             self.ring = CheckpointRing(sim, interval=max(1, span // 4))
             self.ring.attach()
+        if "settle" in obs:
+            # credit sleepers' idle spans in pieces, at any cycle
+            self.settled = 0
+
+            def settle(cycle):
+                sim.settle()
+                self.settled += 1
+
+            sim.add_watcher(settle, stride=draw.settle_every)
 
     def close(self):
         if self.server is not None:
@@ -461,6 +480,8 @@ class _Observed:
             assert [v for m in monitors for v in m.violations] == []
         if "ring" in obs:
             assert max(len(r.entries) for r in some(lambda h: h.ring)) >= 2
+        if "settle" in obs:
+            assert sum(some(lambda h: h.settled)) > 0
 
 
 # ---------------------------------------------------------------------------
@@ -477,6 +498,8 @@ class Draw:
     #: split this many cycles into the first leg after the host's setup
     split: Optional[int] = None
     check_interval: int = 64
+    #: the settle observer's stride
+    settle_every: int = 1
 
 
 def _digest(rig, vcd, events):
@@ -563,7 +586,8 @@ def _candidate(draw, start, mid_ref, span, halves):
         rig = FABRICS[draw.workload[0]](draw.workload, draw.modes[-1])
         # the fresh build's construction events precede the restored
         # timeline; the first half already recorded them
-        del rig.sink.events[:]
+        if rig.sink is not None:
+            del rig.sink.events[:]
         rig.sim.restore(doc)
         vcd.wires = rig.wires
         rig.sim.add_watcher(vcd.sample)
@@ -593,7 +617,7 @@ def noc_workload(draw):
         seed=draw(st.integers(0, 10_000)),
         hotspot_node=(0, 0) if draw(st.booleans()) else None,
     )
-    return ("noc", topology, config)
+    return ("noc", topology, config, draw(st.booleans()))
 
 
 @st.composite
@@ -644,11 +668,12 @@ def draws(draw):
         draw(st.frozensets(st.sampled_from(OBSERVERS))),
         split,
         draw(st.sampled_from([1, 16, 64, 500])),
+        draw(st.integers(1, ROUTING_CYCLES + 2)),
     )
 
 
 def _mesh3x3(**config):
-    return ("noc", "mesh:3x3", TrafficConfig(**config))
+    return ("noc", "mesh:3x3", TrafficConfig(**config), True)
 
 
 #: the printf loop and the wait/notify pair on the standard board

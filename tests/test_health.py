@@ -12,9 +12,11 @@ import json
 
 import pytest
 
+from repro.apps.workloads import TrafficConfig, drive_traffic
 from repro.core import MultiNoCPlatform
 from repro.host.serial_software import HostTimeout
 from repro.noc.mesh import Mesh
+from repro.noc.network import HermesNetwork
 from repro.noc.ni import NetworkInterface
 from repro.noc.packet import Packet
 from repro.noc.routing import Port
@@ -258,6 +260,36 @@ class TestHealthyRuns:
             Draw(PRINTF_BOARD, observers=frozenset({"health", "live"}),
                  check_interval=1)
         )
+
+    def test_diagnostics_of_sleeping_routers_match_lockstep(self):
+        """A router asleep through blocked re-arbitrations lags in its
+        control state and blocked count until its credit is settled;
+        the diagnostic dump settles first, so it reads like lock-step's
+        at every cycle."""
+        config = TrafficConfig(
+            rate=0.03,
+            duration=300,
+            payload_flits=8,
+            hotspot_node=(0, 0),
+            seed=3,
+        )
+        monitors = []
+        for strict in (True, False):
+            net = HermesNetwork(topology="mesh:4x4")
+            drive_traffic(net, config)
+            sim = net.make_simulator(strict_lockstep=strict)
+            sim.reset()
+            monitors.append(
+                HealthMonitor(deadlock_cycles=None, invariants=False).attach(
+                    sim, mesh=net.mesh, stats=net.stats
+                )
+            )
+        for _ in range(300):
+            dumps = []
+            for monitor in monitors:
+                monitor.sim.step(1)
+                dumps.append(monitor.diagnostics())
+            assert dumps[0] == dumps[1], monitors[0].sim.cycle
 
     def test_detach_stops_checking(self):
         sim, mesh, stats, source, sink = build_wedged_mesh()
