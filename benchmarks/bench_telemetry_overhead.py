@@ -1,29 +1,31 @@
-"""Live observation plane overhead on the edge detection workload.
+"""Observer overhead on the edge detection workload.
 
-The observation plane's contract is "watchable for (nearly) free": a
-:class:`~repro.telemetry.live.LiveStream` folding frames every stride
-must not meaningfully slow the simulation it observes.  This benchmark
-runs the full parallel edge detection flow (launch + deploy + Sobel on
-two processors) unobserved and again with a live stream, an in-process
-subscriber and a rendering :class:`~repro.telemetry.top.MeshTop`
-attached, and gates the wall-clock overhead at 15% — the same bound CI
-enforces through the benchmarks job.
+The observers' contract is "watchable for (nearly) free": a live stream
+with its subscribers, the sampling host profiler, the alert engine and
+the run registry must not meaningfully slow the simulation they observe.
+Each gate runs the full parallel edge detection flow (launch + deploy +
+Sobel on two processors) with and without one observer and bounds the
+wall-clock overhead — the same bounds CI enforces through the
+benchmarks job.
 
-The two sides run as interleaved pairs and each takes its minimum, so
-neither a single scheduler hiccup nor slow machine-wide drift (thermal,
-noisy CI neighbours) lands on one side only.  The observed run's results
-are asserted bit-identical to the unobserved run (cycle count and
-output image), so the overhead being measured cannot come from
-divergent behaviour.
+The live-stream and host-profiler gates run the two sides as
+alternating pairs (which side runs first swaps every pair) and read the
+median of the per-pair time ratios, so neither a single scheduler
+hiccup nor slow machine-wide drift (thermal, noisy CI neighbours) lands
+on one side only.  The alert and run-record gates count their
+observer's own seconds inside the flow instead.  Cycle counts are
+asserted identical between the sides and each flow's output is checked
+against the golden Sobel image, so the overhead being measured cannot
+come from divergent behaviour.
 """
 
 import io
-import random
+import statistics
 import tempfile
 import time
 
 from conftest import report
-from repro.apps import EdgeDetectionApp, reference_sobel
+from repro import experiments
 from repro.core import MultiNoCPlatform
 from repro.telemetry import MeshTop, RunRegistry
 
@@ -40,6 +42,9 @@ MAX_ALERT_OVERHEAD = 0.03
 #: CI gate: the sampling host profiler may cost at most this fraction
 #: (ISSUE 10 acceptance criterion: <= 5% wall-clock overhead)
 MAX_HOSTPERF_OVERHEAD = 0.05
+
+#: alternating pairs per gate
+PAIRS = 16
 
 #: frame cadence: the LiveStream default, still dozens of frames here
 STRIDE = 1024
@@ -75,48 +80,76 @@ slo delivery_latency
 """
 
 
-def make_image(height=6, width=16, seed=11):
-    rng = random.Random(seed)
-    return [[rng.randrange(256) for _ in range(width)] for _ in range(height)]
+def edge_flow(observe=None):
+    """Time one full edge detection flow on a fresh session.
 
-
-def run_flow(observe: bool):
-    """One full edge detection flow; returns (seconds, cycles, frames)."""
-    image = make_image()
+    *observe(session)* attaches one side's observers after launch and
+    may return a telemetry server.  A host profiler it started is
+    stopped inside the timed region; the server is closed after it.
+    Returns (seconds, cycles, session).
+    """
     t0 = time.perf_counter()
     session = MultiNoCPlatform.standard().launch()
-    frames = 0
-    server = None
-    if observe:
-        live = session.live_stream(stride=STRIDE)
-        top = MeshTop(color=False, stream=io.StringIO())
-        top.attach(live)
-        live.subscribe(lambda frame: None)
-        server = session.serve_telemetry()
-    app = EdgeDetectionApp(session.host, processors=[1, 2])
-    app.deploy()
-    result = app.run(image)
-    elapsed = time.perf_counter() - t0
+    server = observe(session) if observe is not None else None
+    cycles = experiments.edge_detection(session, [1, 2]).cycles
+    if session.hostperf is not None:
+        session.hostperf.stop()
+    seconds = time.perf_counter() - t0
     if server is not None:
         server.close()
-    assert result.output == reference_sobel(image), "must match golden Sobel"
-    if observe:
-        frames = session.live.frames_emitted
-        assert frames > 0, "stride frames must fire during the flow"
-    return elapsed, result.cycles, frames
+    return seconds, cycles, session
+
+
+def paired_overhead(base, observed):
+    """The median over :data:`PAIRS` alternating pairs of the *observed*
+    flow's time over the *base* flow's, minus one, with the last pair's
+    two runs."""
+    ratios = []
+    for i in range(PAIRS):
+        order = (base, observed) if i % 2 == 0 else (observed, base)
+        runs = dict(zip(order, map(edge_flow, order)))
+        assert runs[observed][1] == runs[base][1], (
+            "observation must not perturb the run"
+        )
+        ratios.append(runs[observed][0] / runs[base][0])
+    return statistics.median(ratios) - 1, runs[base], runs[observed]
+
+
+def timed(fn, clock):
+    """*fn*, adding the seconds each call takes to ``clock[0]``."""
+
+    def wrapper(*args):
+        t0 = time.perf_counter()
+        try:
+            return fn(*args)
+        finally:
+            clock[0] += time.perf_counter() - t0
+
+    return wrapper
+
+
+def watch(session):
+    """A live stream with an in-process subscriber, a rendering
+    :class:`~repro.telemetry.top.MeshTop` and the HTTP server."""
+    live = session.live_stream(stride=STRIDE)
+    MeshTop(color=False, stream=io.StringIO()).attach(live)
+    live.subscribe(lambda frame: None)
+    return session.serve_telemetry()
+
+
+def profile(session):
+    session.profile_host()
+
+
+def stream(session):
+    session.live_stream(stride=STRIDE)
 
 
 def test_live_stream_overhead(benchmark):
-    def both():
-        # interleaved min-of-3 pairs: drift hits both sides equally
-        pairs = [
-            (run_flow(observe=False), run_flow(observe=True))
-            for _ in range(3)
-        ]
-        return min(p[0] for p in pairs), min(p[1] for p in pairs)
-
-    (base_s, base_cycles, _), (live_s, live_cycles, frames) = benchmark(both)
-    overhead = live_s / base_s - 1
+    overhead, (base_s, _, _), (live_s, cycles, live) = benchmark.pedantic(
+        paired_overhead, (None, watch), rounds=1
+    )
+    frames = live.live.frames_emitted
     report(
         benchmark,
         "Live observation plane overhead (edge detection)",
@@ -124,34 +157,14 @@ def test_live_stream_overhead(benchmark):
             ("unobserved flow (s)", "(baseline)", f"{base_s:.3f}"),
             ("observed flow (s)", "(+stream/top/HTTP)", f"{live_s:.3f}"),
             ("frames emitted", f"every {STRIDE} cycles", frames),
-            ("cycles identical", "bit-identical run", base_cycles == live_cycles),
+            ("cycles identical", "bit-identical run", True),
             ("overhead", f"<= {MAX_OVERHEAD:.0%}", f"{overhead:+.1%}"),
         ],
     )
-    assert base_cycles == live_cycles, "observation must not perturb the run"
+    assert frames > 0, "stride frames must fire during the flow"
     assert overhead <= MAX_OVERHEAD, (
         f"live observation costs {overhead:+.1%}, gate is {MAX_OVERHEAD:.0%}"
     )
-
-
-def run_hostperf_flow(profiled: bool):
-    """One edge detection flow, optionally under the sampling host
-    profiler; returns (seconds, cycles, samples)."""
-    image = make_image()
-    t0 = time.perf_counter()
-    session = MultiNoCPlatform.standard().launch()
-    prof = None
-    if profiled:
-        prof = session.profile_host()
-    app = EdgeDetectionApp(session.host, processors=[1, 2])
-    app.deploy()
-    result = app.run(image)
-    if prof is not None:
-        prof.stop()
-    elapsed = time.perf_counter() - t0
-    assert result.output == reference_sobel(image), "must match golden Sobel"
-    samples = prof.samples if prof is not None else 0
-    return elapsed, result.cycles, samples
 
 
 def test_hostperf_sampling_overhead(benchmark):
@@ -163,87 +176,68 @@ def test_hostperf_sampling_overhead(benchmark):
     ``sys._current_frames()`` walks — gated here at 5%.  Cycle counts
     are asserted identical: sampling only reads simulator state.
     """
-
-    def both():
-        pairs = [
-            (run_hostperf_flow(profiled=False), run_hostperf_flow(profiled=True))
-            for _ in range(3)
-        ]
-        return min(p[0] for p in pairs), min(p[1] for p in pairs)
-
-    (base_s, base_cycles, _), (prof_s, prof_cycles, samples) = benchmark(both)
-    overhead = prof_s / base_s - 1
+    overhead, (base_s, _, _), (prof_s, _, profiled) = benchmark.pedantic(
+        paired_overhead, (None, profile), rounds=1
+    )
     report(
         benchmark,
         "Host sampling-profiler overhead (edge detection)",
         [
             ("unprofiled flow (s)", "(baseline)", f"{base_s:.3f}"),
             ("profiled flow (s)", "(+stack sampler)", f"{prof_s:.3f}"),
-            ("stack samples", "5 ms interval", samples),
-            ("cycles identical", "bit-identical run", base_cycles == prof_cycles),
+            ("stack samples", "5 ms interval", profiled.hostperf.samples),
+            ("cycles identical", "bit-identical run", True),
             ("overhead", f"<= {MAX_HOSTPERF_OVERHEAD:.0%}", f"{overhead:+.1%}"),
         ],
     )
-    assert base_cycles == prof_cycles, "sampling must not perturb the run"
     assert overhead <= MAX_HOSTPERF_OVERHEAD, (
         f"host sampling costs {overhead:+.1%}, "
         f"gate is {MAX_HOSTPERF_OVERHEAD:.0%}"
     )
 
 
-def run_alert_flow(alerted: bool):
-    """One edge detection flow under a live stream; returns
-    (seconds, cycles, frames evaluated by the engine)."""
-    image = make_image()
-    t0 = time.perf_counter()
-    session = MultiNoCPlatform.standard().launch()
-    session.live_stream(stride=STRIDE)
-    if alerted:
-        session.alert_engine(ALERT_RULES)
-    app = EdgeDetectionApp(session.host, processors=[1, 2])
-    app.deploy()
-    result = app.run(image)
-    elapsed = time.perf_counter() - t0
-    assert result.output == reference_sobel(image), "must match golden Sobel"
-    frames = 0
-    if alerted:
-        frames = session.alerts.frames_seen
-        assert frames > 0, "the engine must evaluate stride frames"
-    return elapsed, result.cycles, frames
-
-
 def test_alert_engine_overhead(benchmark):
     """Evaluating a representative rule set must stay within 3%.
 
-    Both sides carry the same live stream; the alerted side adds an
+    The alerted flow carries a live stream and an
     :class:`~repro.telemetry.alerts.AlertEngine` with six rules across
     every expression shape (vector regex, scalar thresholds with
-    for-durations, string equality, an SLO with burn-rate alert), so
-    the 3% gate isolates pure rule-evaluation cost per frame.  Cycle
-    counts are asserted identical: alerting only reads frames.
+    for-durations, string equality, an SLO with burn-rate alert).  The
+    engine only runs inside its frame hook, so its cost is counted
+    there: the hook's seconds over the rest of the same flow, which
+    isolates pure rule-evaluation cost per frame.  (A paired wall-clock
+    median cannot resolve 3%: over 10 pairs it read from +0.3% to +7.8%
+    between invocations on a 2-vCPU VM.)  Cycle counts are asserted
+    identical to a streamed, unalerted flow: alerting only reads frames.
     """
+    hook_s = [0.0]
 
-    def both():
-        pairs = [
-            (run_alert_flow(alerted=False), run_alert_flow(alerted=True))
-            for _ in range(3)
-        ]
-        return min(p[0] for p in pairs), min(p[1] for p in pairs)
+    def alert(session):
+        stream(session)
+        engine = session.alert_engine(ALERT_RULES)
+        session.live.unsubscribe(engine.observe_frame)
+        session.live.subscribe(timed(engine.observe_frame, hook_s))
 
-    (base_s, base_cycles, _), (alert_s, alert_cycles, frames) = benchmark(both)
-    overhead = alert_s / base_s - 1
+    alert_s, alert_cycles, alerted = benchmark.pedantic(
+        edge_flow, (alert,), rounds=1
+    )
+    base_s, base_cycles, _ = edge_flow(stream)
+    overhead = hook_s[0] / (alert_s - hook_s[0])
+    frames = alerted.alerts.frames_seen
     report(
         benchmark,
         "Alert/SLO rule-engine overhead (edge detection)",
         [
             ("streamed flow (s)", "(baseline)", f"{base_s:.3f}"),
             ("alerted flow (s)", "(+6-rule engine)", f"{alert_s:.3f}"),
+            ("rule evaluation (s)", "(frame hook)", f"{hook_s[0]:.4f}"),
             ("frames evaluated", f"every {STRIDE} cycles", frames),
             ("cycles identical", "bit-identical run", base_cycles == alert_cycles),
             ("overhead", f"<= {MAX_ALERT_OVERHEAD:.0%}", f"{overhead:+.1%}"),
         ],
     )
     assert base_cycles == alert_cycles, "alerting must not perturb the run"
+    assert frames > 0, "the engine must evaluate stride frames"
     assert overhead <= MAX_ALERT_OVERHEAD, (
         f"rule evaluation costs {overhead:+.1%}, gate is {MAX_ALERT_OVERHEAD:.0%}"
     )
@@ -262,13 +256,7 @@ def test_run_record_overhead(benchmark):
     """
 
     def flow_then_record():
-        image = make_image()
-        t0 = time.perf_counter()
-        session = MultiNoCPlatform.standard().launch()
-        app = EdgeDetectionApp(session.host, processors=[1, 2])
-        app.deploy()
-        result = app.run(image)
-        flow_s = time.perf_counter() - t0
+        flow_s, _, session = edge_flow()
         with tempfile.TemporaryDirectory() as tmp:
             registry = RunRegistry(tmp)
             t1 = time.perf_counter()
@@ -277,7 +265,6 @@ def test_run_record_overhead(benchmark):
             )
             record_s = time.perf_counter() - t1
             loaded = registry.load(record["run_id"])
-        assert result.output == reference_sobel(image)
         assert loaded["metrics"]["cycles"] == float(session.sim.cycle)
         return flow_s, record_s
 

@@ -1,77 +1,12 @@
-"""Shared helpers for the paper-reproduction benchmarks.
+"""Shared helper for the benchmarks.
 
 Every benchmark prints a small "paper vs measured" table (visible with
 ``pytest -s`` and in captured output on failure) and stores the same
-numbers in ``benchmark.extra_info`` for the JSON report.  The platform
-construction/workload helpers used by the scaling benchmarks live here
-too, so ``bench_noc_scaling`` and ``bench_platform_scaling`` build
-fabrics the same way.
+numbers in ``benchmark.extra_info`` for the JSON report.  The workloads
+of the paper's experiments live in :mod:`repro.experiments`.
 """
 
 from __future__ import annotations
-
-#: the standard compute kernel for scaling runs: sum 200..1 = 20100
-WORK_PROGRAM = """
-        CLR  R0
-        LDI  R1, 200
-        LDL  R2, 1
-        CLR  R3
-loop:   ADD  R3, R3, R1
-        SUB  R1, R1, R2
-        JMPZD done
-        JMP  loop
-done:   LDI  R4, 0xFFFF
-        ST   R3, R4, R0
-        HALT
-"""
-
-WORK_RESULT = 20100
-
-
-def build_platform(n_processors, mesh=None, topology=None, n_memories=1):
-    """One construction path for every scaling benchmark."""
-    from repro.core import MultiNoCPlatform
-
-    kwargs = {"n_processors": n_processors, "n_memories": n_memories}
-    if topology is not None:
-        kwargs["topology"] = topology
-    elif mesh is not None:
-        kwargs["mesh"] = mesh
-    return MultiNoCPlatform(**kwargs)
-
-
-def run_compute_workload(
-    n_processors,
-    mesh=None,
-    topology=None,
-    n_memories=1,
-    max_cycles=5_000_000,
-):
-    """Run :data:`WORK_PROGRAM` on every processor; return run metrics."""
-    session = build_platform(
-        n_processors, mesh=mesh, topology=topology, n_memories=n_memories
-    ).launch()
-    session.host.sync()
-    for pid in range(1, n_processors + 1):
-        session.start(pid, WORK_PROGRAM)
-    start = session.sim.cycle
-    session.wait_all_halted(max_cycles=max_cycles)
-    elapsed = session.sim.cycle - start
-    session.sim.step(5000)  # drain printfs
-    for pid in range(1, n_processors + 1):
-        values = session.host.monitor(pid).printf_values
-        assert values == [WORK_RESULT], f"P{pid} computed {values}"
-    retired = sum(
-        p.cpu.instructions_retired for p in session.system.processors.values()
-    )
-    return {"elapsed": elapsed, "retired": retired}
-
-
-def noc_factory(topology, **kwargs):
-    """Factory-factory for load sweeps over arbitrary fabric specs."""
-    from repro.noc import HermesNetwork
-
-    return lambda: HermesNetwork(topology=topology, **kwargs)
 
 
 def report(benchmark, title: str, rows):

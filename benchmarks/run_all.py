@@ -1,16 +1,20 @@
 #!/usr/bin/env python
 """Run the whole benchmark suite and write ``BENCH_results.json``.
 
-Each ``bench_*.py`` file is executed in its own pytest subprocess (one
-crashing file cannot take down the rest) with ``--benchmark-json`` so
-pytest-benchmark's per-test statistics are captured, then everything is
-merged into a single machine-readable report.
+The suite is four files: ``bench_paper.py`` (one test per paper
+experiment, E1-E15, each timing its ``repro.experiments`` procedures),
+``bench_kernel.py``, ``bench_telemetry_overhead.py`` and
+``bench_trace_analysis.py``.  Each ``bench_*.py`` file is executed in
+its own pytest subprocess (one crashing file cannot take down the rest)
+with ``--benchmark-json`` so pytest-benchmark's per-test statistics are
+captured, then everything is merged into a single machine-readable
+report.
 
 Usage::
 
     python benchmarks/run_all.py                      # quick preset
     python benchmarks/run_all.py --preset full
-    python benchmarks/run_all.py --files noc,router   # substring filter
+    python benchmarks/run_all.py --files paper,kernel # substring filter
     python benchmarks/run_all.py --output out.json
     python benchmarks/run_all.py --history            # append to registry
 
@@ -43,12 +47,12 @@ Report schema ``multinoc-bench/1``::
       "total_wall_seconds": 12.34,       # whole-suite wall clock
       "benchmarks": [                    # one entry per bench file
         {
-          "file": "bench_latency_formula.py",
+          "file": "bench_paper.py",
           "status": "ok" | "failed",     # pytest exit status
           "wall_seconds": 1.23,          # subprocess wall clock
           "tests": [                     # one entry per benchmark test
             {
-              "name": "test_latency_formula",
+              "name": "test_paper[E1]",
               "mean_seconds": 0.0012,    # per-round mean
               "stddev_seconds": 0.0001,
               "rounds": 5,
@@ -150,7 +154,7 @@ def run_one(path: Path, preset: str) -> dict:
 
 def trend_metrics(entries: list) -> dict:
     """Flatten per-test means and numeric extra_info into metric names
-    ``<stem>.<test>.<key>`` (``bench_noc_scaling.py`` -> ``noc_scaling``)."""
+    ``<stem>.<test>.<key>`` (``bench_paper.py`` -> ``paper``)."""
     from repro.telemetry.registry import flatten_metrics
 
     nested = {}

@@ -273,16 +273,9 @@ def cmd_system(args) -> int:
 def _drive_system(session, args, scanf) -> None:
     """The run itself: the built-in workload, or FILE on ``--proc``."""
     if args.workload == "edge-detection":
-        import random
+        from .experiments import edge_detection
 
-        from .apps.edge_detection import EdgeDetectionApp, reference_sobel
-
-        rng = random.Random(11)
-        image = [[rng.randrange(256) for _ in range(16)] for _ in range(6)]
-        app = EdgeDetectionApp(session.host)
-        app.deploy()
-        if app.run(image).output != reference_sobel(image):
-            raise RuntimeError("edge-detection output mismatch")
+        edge_detection(session)
     else:
         session.host.sync()
         addr = session.processor_address(args.proc)

@@ -638,20 +638,22 @@ def board_workload(draw):
 BUSY_CYCLES = {"board": 3000, "edge": 2000}
 
 
+#: every workload the oracle draws: traffic, board programs, edge detection
+WORKLOADS = st.one_of(
+    noc_workload(),
+    board_workload(),
+    st.tuples(
+        st.just("edge"),
+        st.integers(3, 4),
+        st.integers(3, 16),
+        st.integers(0, 1000),
+    ),
+)
+
+
 @st.composite
-def draws(draw):
-    workload = draw(
-        st.one_of(
-            noc_workload(),
-            board_workload(),
-            st.tuples(
-                st.just("edge"),
-                st.integers(3, 4),
-                st.integers(3, 16),
-                st.integers(0, 1000),
-            ),
-        )
-    )
+def draws(draw, workloads=WORKLOADS):
+    workload = draw(workloads)
     # a split lands while the fabric is busy: inside the traffic window,
     # the programs' run or edge detection's tail
     kind = workload[0]
@@ -720,4 +722,17 @@ def assert_matches_lockstep(draw):
 )
 @given(draws())
 def test_every_run_of_a_draw_matches_lockstep(draw):
+    assert_matches_lockstep(draw)
+
+
+# the property above draws mostly board and edge runs; the bare fabric
+# (traced or not, mesh or torus, uniform or hotspot traffic) gets its own
+@settings(
+    max_examples=10,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+@given(draws(noc_workload()))
+def test_every_run_of_a_noc_draw_matches_lockstep(draw):
     assert_matches_lockstep(draw)
