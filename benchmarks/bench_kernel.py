@@ -173,18 +173,38 @@ def test_kernel_cost_independent_of_sleeping_units(benchmark):
     )
 
 
+def _evaluated(session):
+    """Every router the fabric evaluates and every other schedulable
+    unit (a component overriding ``eval`` with no such ancestor)."""
+    mesh = session.system.mesh
+    out = list(mesh.routers.values())
+
+    def walk(comp):
+        if comp is mesh:
+            return
+        if type(comp).eval is not Component.eval:
+            out.append(comp)
+            return
+        for child in comp._children:
+            walk(child)
+
+    for top in session.sim._components:
+        walk(top)
+    return out
+
+
 def edge_flow(strict, count_evals=False):
     """Launch, deploy and run the two-processor edge detection flow.
 
     Returns the final cycle, the output image, core 1's retirement and
-    stall counters, and — with *count_evals* — how many times the
-    kernel called a schedulable unit's ``eval``.  Counting wraps each
+    stall counters, and — with *count_evals* — how many times a router
+    or another schedulable unit was evaluated.  Counting wraps each
     unit's ``eval`` on the instance, so only counting runs pay for it.
     """
     session = MultiNoCPlatform.standard().launch(strict_lockstep=strict)
     evals = [0]
     if count_evals:
-        for unit in session.sim._flat_units():
+        for unit in _evaluated(session):
             def counted(cycle, _eval=unit.eval):
                 evals[0] += 1
                 _eval(cycle)

@@ -7,7 +7,8 @@
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Optional, Sequence
+from functools import lru_cache
+from typing import Optional, Sequence, Tuple
 
 
 class RoundRobinArbiter:
@@ -54,3 +55,29 @@ class RoundRobinArbiter:
 
     def reset(self) -> None:
         self._last_grant = self.n - 1
+
+
+@lru_cache(maxsize=None)
+def port_sets(n: int) -> Tuple[Tuple[int, ...], ...]:
+    """``port_sets(n)[mask]``: the ports whose bits *mask* sets, in
+    ascending order.  One table per port count, shared by every router
+    with that many ports."""
+    return tuple(
+        tuple(p for p in range(n) if mask >> p & 1) for mask in range(1 << n)
+    )
+
+
+@lru_cache(maxsize=None)
+def grant_table(n: int) -> Tuple[Tuple[int, ...], ...]:
+    """``grant_table(n)[last][mask]``: the requester a round-robin grant
+    among the request bits *mask* (not zero) serves after *last*, as
+    :meth:`RoundRobinArbiter.grant_among` would.  Entry 0 of each row
+    (no request) is unused."""
+    sets = port_sets(n)
+    return tuple(
+        (-1,) + tuple(
+            sets[mask][bisect_right(sets[mask], last) % len(sets[mask])]
+            for mask in range(1, 1 << n)
+        )
+        for last in range(n)
+    )

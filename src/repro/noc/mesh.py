@@ -10,19 +10,35 @@ mesh), wiring one handshake channel pair per link and one local
 channel pair per attachment node.  Building ``Mesh(2, 2)`` through the
 default plugin produces bit-identical hardware — same component and
 wire names, same creation order — as the original hand-coded mesh.
+
+The mesh is also the fabric: the one kernel unit for its routers.  It
+keeps its own list of awake routers and its own wake heap, evaluates
+the awake ones in router order, and commits the router-to-router wires
+itself, turning each rising ``tx`` into a mark on the receiving input
+and each rising ``ack`` into a mark on the sending output.  A change on
+a network interface's boundary wire reaches it through the kernel's
+member hook (:meth:`Mesh.member_input`).  A router stays awake while a
+port is marked for the next cycle; otherwise it sleeps until a mark or
+the control cycle :meth:`~repro.noc.router.HermesRouter.control_due`
+books.  Under strict lock-step (or with no kernel) the mesh examines
+every port of every router every cycle instead.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from heapq import heappop, heappush
+from operator import attrgetter
+from typing import Dict, List, Optional, Tuple
 
-from ..sim import Component, HandshakeTx
+from ..sim import Component, HandshakeTx, Wire
 from .flit import FLIT_BITS
 from .router import HermesRouter
 from .routing import OPPOSITE, Port
 from .topology import MeshTopology, Topology
 
 Address = Tuple[int, int]
+
+_FI = attrgetter("_fi")
 
 
 class Mesh(Component):
@@ -53,6 +69,23 @@ class Mesh(Component):
         #: channel pairs for the local port of each attachment node:
         #: (into-router channel, out-of-router channel)
         self.local_ports: Dict[Address, Tuple[HandshakeTx, HandshakeTx]] = {}
+        #: the routers in evaluation order
+        self._order: List[HermesRouter] = []
+        #: tx/ack wire -> (router, is an input, port bit) it marks
+        self._marks: Dict[Wire, tuple] = {}
+        #: router-to-router wires, committed by the fabric itself
+        self._link_wires: List[Wire] = []
+        #: fabric state: event-driven (the mesh is a kernel unit) or
+        #: every port every cycle; routers listed for the next cycle;
+        #: booked control wakes (cycle, router index); routers asleep
+        #: holding flits; wires driven since the fabric's last commit;
+        #: and whether the next eval examines every port of every router
+        self._event = False
+        self._next: List[HermesRouter] = []
+        self._heap: list = []
+        self._n_held = 0
+        self._driven: List[Wire] = []
+        self._all = True
 
         for (x, y) in topology.routers():
             router = HermesRouter(
@@ -63,6 +96,8 @@ class Mesh(Component):
                 stats=stats,
                 topology=topology,
             )
+            router._fi = len(self._order)
+            self._order.append(router)
             self.routers[(x, y)] = router
             self.add_child(router)
 
@@ -79,6 +114,8 @@ class Mesh(Component):
             neighbour.attach_input(opposite, fwd)
             neighbour.attach_output(opposite, rev)
             router.attach_input(port, rev)
+            self._link(fwd, router, port, neighbour, opposite)
+            self._link(rev, neighbour, opposite, router, port)
 
         # Local port channels (IP side attaches later), one per node.
         for node in topology.nodes():
@@ -90,6 +127,157 @@ class Mesh(Component):
             router.attach_input(port, into)
             router.attach_output(port, out)
             self.local_ports[node] = (into, out)
+            # the IP side is a kernel unit: its drives reach the router
+            # through the kernel's member hook
+            self._marks[into.tx] = (router, True, 1 << port)
+            self._marks[out.ack] = (router, False, 1 << port)
+            router.watch_wires([into.tx, out.ack])
+
+    def _link(
+        self, ch: HandshakeTx, sender, out: int, receiver, inp: int
+    ) -> None:
+        """Index a router-to-router channel for the fabric's commit."""
+        self._link_wires += ch.wires()
+        self._marks[ch.tx] = (receiver, True, 1 << int(inp))
+        self._marks[ch.ack] = (sender, False, 1 << int(out))
+
+    # -- the fabric ----------------------------------------------------------
+
+    def elaborated(self) -> None:
+        """Take the router-to-router wires back from the kernel's commit
+        queue when the mesh is a kernel unit; otherwise examine every
+        port of every router every cycle."""
+        event = self._sched is self
+        if event:
+            for w in self._link_wires:
+                w._queue = self._driven
+        if event != self._event:
+            self._event = event
+            for r in self._order:
+                r._sweep_in = 0 if event else r._in_mask
+                r._sweep_out = 0 if event else r._out_mask
+            self._all = True
+
+    def eval(self, cycle: int) -> None:
+        if not self._event:
+            for r in self._order:
+                r.eval(cycle)
+            return
+        nxt = cycle + 1
+        run = self._next
+        self._next = listed = []
+        heap = self._heap
+        if self._all:
+            self._all = False
+            heap.clear()
+            self._n_held = 0
+            run = list(self._order)
+            for r in run:
+                r._mi |= r._in_mask
+                r._mo |= r._out_mask
+                r._at = cycle
+                r._due = None
+                r._held = False
+        else:
+            while heap and heap[0][0] <= cycle:
+                due, i = heappop(heap)
+                r = self._order[i]
+                if r._due == due:
+                    r._due = None
+                    if r._at != cycle:
+                        r._at = cycle
+                        run.append(r)
+                        if r._held:
+                            r._held = False
+                            self._n_held -= 1
+            run.sort(key=_FI)
+        for r in run:
+            r.eval(cycle)
+            if r._mi or r._mo:
+                r._at = nxt
+                listed.append(r)
+                continue
+            if r._req:
+                # a request keeps the router holding flits
+                due = r.control_due(cycle)
+                if due == nxt:
+                    r._at = nxt
+                    listed.append(r)
+                    continue
+                if due != r._due:
+                    r._due = due
+                    if due is not None:
+                        heappush(heap, (due, r._fi))
+            else:
+                r._due = None
+                if not r._conns:
+                    continue  # asleep idle
+            r._held = True
+            self._n_held += 1
+        driven = self._driven
+        if driven:
+            marks = self._marks
+            for w in driven:
+                w._queued = False
+                v = w._next
+                if w.value != v:
+                    w.value = v
+                    if v:
+                        m = marks.get(w)
+                        if m is not None:
+                            self._mark(m, nxt)
+            driven.clear()
+
+    def _mark(self, mark: tuple, at: int) -> None:
+        """Mark a router port for the eval at cycle *at* and list it."""
+        r, is_input, bit = mark
+        if is_input:
+            r._mi |= bit
+        else:
+            r._mo |= bit
+        if r._at != at:
+            r._at = at
+            self._next.append(r)
+            if r._held:
+                r._held = False
+                self._n_held -= 1
+
+    def member_input(self, member, wire: Wire) -> None:
+        """A network interface's drive on a router's boundary wire
+        committed: a rising tx or ack marks the router's local port."""
+        if wire.value:
+            self._mark(self._marks[wire], self._kernel.cycle + 1)
+            if not self._awake:
+                self._kernel.wake_unit(self)
+
+    def is_quiescent(self) -> bool:
+        """No router is listed for the next cycle.  Books the earliest
+        control wake a sleeping router still holds."""
+        if self._next:
+            return False
+        heap, order = self._heap, self._order
+        while heap and order[heap[0][1]]._due != heap[0][0]:
+            heappop(heap)
+        if heap:
+            self.wake_at(heap[0][0])
+        return True
+
+    def reset(self) -> None:
+        super().reset()
+        self._restart()
+
+    def restore_state(self, state: dict) -> None:
+        # the routers restored every port marked and no control credit
+        # pending, so the fabric evaluates all of them at once
+        self._restart()
+        self.wake()
+
+    def _restart(self) -> None:
+        for w in self._driven:
+            w._queued = False
+        self._driven.clear()
+        self._next = []
+        self._all = True
 
     # -- telemetry -----------------------------------------------------------
 
@@ -129,8 +317,14 @@ class Mesh(Component):
 
     @property
     def idle(self) -> bool:
-        """True when no router holds flits or open connections."""
-        return not any(r.busy for r in self.routers.values())
+        """True when no router holds flits or open connections.
+
+        Under the fabric this looks only at the routers listed for the
+        next cycle and the count of those asleep holding flits.
+        """
+        if self._event and not self._all:
+            return not self._n_held and not any(r.busy for r in self._next)
+        return not any(r.busy for r in self._order)
 
     def addresses(self):
         """All attachment-node addresses in (y, x) raster order."""

@@ -53,10 +53,13 @@ class HermesNetwork(Component):
         )
         self.add_child(self.mesh)
         self.interfaces: Dict[Address, NetworkInterface] = {}
+        #: NIs with a packet queued or being injected (see drained)
+        self.busy_nis = 0
         for addr in self.mesh.addresses():
             ni = NetworkInterface(
                 f"ni{self.mesh.topology.label(addr)}", addr, stats=self.stats
             )
+            ni.network = self
             into, out = self.mesh.local_channels(addr)
             ni.attach(to_router=into, from_router=out)
             self.interfaces[addr] = ni
@@ -81,6 +84,7 @@ class HermesNetwork(Component):
         super().reset()
         # in place: routers and NIs hold the stats' counter dicts
         self.stats.restore(NetworkStats().snapshot())
+        self.busy_nis = 0
 
     def snapshot_state(self) -> dict:
         # the shared NetworkStats, as in MultiNoC: routers and NIs only
@@ -89,6 +93,8 @@ class HermesNetwork(Component):
 
     def restore_state(self, state: dict) -> None:
         self.stats.restore(state["stats"])
+        # the children are restored first
+        self.busy_nis = sum(ni.tx_busy for ni in self.interfaces.values())
 
     # -- convenience -------------------------------------------------------
 
@@ -99,11 +105,12 @@ class HermesNetwork(Component):
 
     @property
     def drained(self) -> bool:
-        """True when every NI queue is empty and the mesh is idle."""
-        return (
-            all(not ni.tx_busy for ni in self.interfaces.values())
-            and self.mesh.idle
-        )
+        """True when every NI queue is empty and the mesh is idle.
+
+        O(1) in the NIs: ``send_packet`` and the last flit of a packet
+        keep :attr:`busy_nis`.
+        """
+        return not self.busy_nis and self.mesh.idle
 
     def collect_received(self) -> List[Packet]:
         """Drain and return all packets delivered so far, any interface."""

@@ -53,6 +53,8 @@ class NetworkInterface(Component):
         #: optional debugger hook ``on_packet(ni, packet, cycle)`` called
         #: when a packet finishes reassembly at this NI.
         self.on_packet = None
+        #: optional HermesNetwork counting its busy NIs (see tx_busy)
+        self.network = None
 
     # -- wiring ------------------------------------------------------------
 
@@ -98,6 +100,12 @@ class NetworkInterface(Component):
         """Queue *packet* for injection; returns it for stamp inspection."""
         if packet.source is None:
             packet.source = self.address
+        if (
+            self.network is not None
+            and self._tx_packet is None
+            and not self._tx_queue
+        ):
+            self.network.busy_nis += 1
         self._tx_queue.append(packet)
         self.wake()
         return packet
@@ -255,6 +263,8 @@ class NetworkInterface(Component):
                 self._tx_packet = None
                 self._tx_in_flight = False
                 ch.tx.drive(0)
+                if self.network is not None and not self._tx_queue:
+                    self.network.busy_nis -= 1
                 return
             # tx stays high; present the next flit
             ch.data.drive(self._tx_flits[self._tx_index])

@@ -21,48 +21,58 @@ Timing model
   one flit per two cycles until the payload count (snooped from the size
   flit) is exhausted, then the connection closes.
 
-Each cycle is one eval that walks the attached outputs (senders), the
-control logic, and the attached inputs (receivers) once each, and does
-work only where a port's state changes (see the comments in the sender
-and receiver loops), so a saturated fabric spends host time on flits
-that move.  The receivers' walk also reaches the sleep verdict.
+An eval examines only the *marked* ports, in port order: the outputs
+(senders), then the control logic, then the inputs (receivers).  A port
+is marked when its handshake moved:
+
+* the fabric turns a committed rising ``ack`` into an output, or a
+  rising ``tx`` into an input, into a mark for the next eval;
+* a pop marks its input for the same eval (a stalled flit enters at
+  once);
+* the router's own ack pulse marks the input for the next eval, and
+  dropping the ack marks it again for the eval after (the sender's next
+  flit may carry the same data, so no wire need toggle);
+* an opened connection, or a push behind an owned output that is not in
+  flight, marks that output for the next eval.
+
+Every other port would do nothing, so a saturated fabric spends host
+time on flits that move.  A push into an unconnected input sets its bit
+in the request mask the arbiter grants from.  A full FIFO that refuses a
+flit opens a stall *span*; the push that ends it, or
+:meth:`~repro.sim.kernel.Simulator.settle`, credits its cycles to
+``stall_cycles``.  A router that is not driven by a fabric (or one whose
+fabric runs in strict lock-step) examines every attached port on every
+eval.  On the ledger's ``noc_uniform_8x8`` run (seed 1) an eval starts
+with 0.5 marked outputs and 1.0 marked inputs on average, where walking
+every attached port examined 9.2.
 
 Sleeping
 --------
-A router sleeps whenever its next eval would only count: every input
-is silent or stalled behind a full FIFO, every owned output waits for
-an ack or for its FIFO to fill, and the control logic is idle with no
-request, counting down a routing service (it books a kernel wake for
-the decision cycle), or has just made a blocked decision.  A committed
-change on an input's tx/data or an output's ack wakes it.
+The fabric (:class:`~repro.noc.mesh.Mesh`) evaluates a router only at a
+cycle where a port is marked or the control logic must act.  While the
+inputs are frozen the control logic is predictable: a grant, then
+``routing_cycles - 1`` countdown cycles, then a decision, and a blocked
+decision repeats this every ``routing_cycles + 1`` cycles with the next
+request in round-robin order.  So :meth:`HermesRouter.control_due` names
+the first decision that can connect (or raise :class:`RoutingError`),
+and a router with a telemetry sink the first decision of any kind,
+which records a ``route`` or ``route_blocked`` instant.  The fabric
+books that cycle.
 
-A blocked decision repeats while the inputs are frozen: every
-``routing_cycles + 1`` cycles the control grants the next request in
-round-robin order, counts down and finds its output busy again.  So a
-router without a telemetry sink sleeps through these re-arbitrations
-and books a wake for the decision cycle of the first request whose
-output is free (none if all are busy).  With a sink it stays awake
-for each decision, which records a ``route_blocked`` instant.
-
-:meth:`HermesRouter.on_wake` credits what the skipped evals would have
-counted: one stall cycle per skipped cycle for each input stalled at
-sleep, the routing countdown, and the replayed grants and blocked
-decisions (arbiter priority, control state and ``blocked_routings``).
-:meth:`~repro.sim.kernel.Simulator.settle` (which
-:meth:`~repro.sim.kernel.Simulator.snapshot` calls) settles that credit
-at any cycle, so a sleeping router's counters and control state lag
-only between settlements.  On the ledger's ``noc_hotspot_8x8`` run
-this leaves 59,935 router evals, where sleeping only at stalls and
-countdowns left 124,438.
+The next eval, or :meth:`~repro.sim.kernel.Simulator.settle` (which
+:meth:`~repro.sim.kernel.Simulator.snapshot` calls), credits the skipped
+control cycles with :meth:`HermesRouter.replay`: the countdown, the
+grants and the blocked decisions (arbiter priority, control state and
+``blocked_routings``).  A sleeping router's control state and stall
+counters therefore lag only between settlements.
 """
 
 from __future__ import annotations
 
-from bisect import insort
 from typing import List, Optional, Tuple
 
 from ..sim import Component, HandshakeTx
-from .arbiter import RoundRobinArbiter
+from .arbiter import RoundRobinArbiter, grant_table, port_sets
 from .fifo import CircularFifo
 from .routing import Port
 from .topology import port_label
@@ -106,47 +116,69 @@ class HermesRouter(Component):
             raise ValueError("routing_cycles must be at least 1")
         self.address = address
         self.topology = topology
-        self.N_PORTS = topology.router_ports
+        self.N_PORTS = n = topology.router_ports
         self._decode = topology.decode
         self._route = topology.route
-        self._port_names = [port_label(p) for p in range(self.N_PORTS)]
+        self._port_names = [port_label(p) for p in range(n)]
         self.buffer_depth = buffer_depth
         self.routing_cycles = routing_cycles
         self.stats = stats
         #: optional TelemetrySink; every hook is behind one None-check
         self.sink = None
         self._now = 0
-        self._conn_opened = [0] * self.N_PORTS
+        self._conn_opened = [0] * n
         # Receive-side packet framing (telemetry only): lets the receiver
         # hook recognise header flits and stamp their FIFO-entry cycle.
-        self._rx_phase = [_PH_HEADER] * self.N_PORTS
-        self._rx_left = [0] * self.N_PORTS
+        self._rx_phase = [_PH_HEADER] * n
+        self._rx_left = [0] * n
 
-        self.in_ch: List[Optional[HandshakeTx]] = [None] * self.N_PORTS
-        self.out_ch: List[Optional[HandshakeTx]] = [None] * self.N_PORTS
-        #: attached ports in port order: (port, channel, stats key) plus,
-        #: for inputs, the port's FIFO
-        self._in_ports: list = []
-        self._out_ports: list = []
-        #: stats keys of the inputs stalled when the router fell asleep
-        self._stalled: list = []
-        #: the router fell asleep idle (no flits, no connection)
-        self._slept_idle = False
-        #: the last eval's sleep verdict, and whether it was a blocked
-        #: decision the router may sleep through (see is_quiescent)
-        self._quiet = False
-        self._planned = False
+        self.in_ch: List[Optional[HandshakeTx]] = [None] * n
+        self.out_ch: List[Optional[HandshakeTx]] = [None] * n
+        #: stats key of each port
+        self._keys = [(address, p) for p in range(n)]
+        #: the ports of a mask, ascending, and the round-robin grant
+        #: among a request mask (tables shared by port count)
+        self._ports = port_sets(n)
+        self._grants = grant_table(n)
+        #: attached inputs and outputs, as port masks
+        self._in_mask = 0
+        self._out_mask = 0
+        #: ports examined on every eval besides the marked ones: all
+        #: attached ports unless a fabric marks them (see Mesh)
+        self._sweep_in = 0
+        self._sweep_out = 0
+        #: ports marked for the next eval
+        self._mi = 0
+        self._mo = 0
+        #: unconnected inputs with a flit at their head, and the output
+        #: each one's head routes to (None: not routed yet)
+        self._req = 0
+        self._dest: List[Optional[int]] = [None] * n
+        #: open connections
+        self._conns = 0
+        #: cycle each input's open stall span started (None: no stall)
+        self._stall_since: List[Optional[int]] = [None] * n
+        #: first cycle whose control step is not yet done or credited
+        #: (None: none pending, e.g. right after a restore)
+        self._ctrl_at: Optional[int] = None
+        # fabric bookkeeping (see Mesh): position in the router order,
+        # the cycle the router is listed for, the booked control wake,
+        # and whether it sleeps holding flits
+        self._fi = 0
+        self._at = -1
+        self._due: Optional[int] = None
+        self._held = False
 
-        self.fifos = [CircularFifo(buffer_depth) for _ in range(self.N_PORTS)]
+        self.fifos = [CircularFifo(buffer_depth) for _ in range(n)]
         # Input-side connection state.
-        self.in_conn: List[Optional[int]] = [None] * self.N_PORTS
-        self.in_phase = [_PH_HEADER] * self.N_PORTS
-        self.in_remaining = [0] * self.N_PORTS
+        self.in_conn: List[Optional[int]] = [None] * n
+        self.in_phase = [_PH_HEADER] * n
+        self.in_remaining = [0] * n
         # Output-side connection state.
-        self.out_owner: List[Optional[int]] = [None] * self.N_PORTS
-        self._in_flight = [False] * self.N_PORTS
+        self.out_owner: List[Optional[int]] = [None] * n
+        self._in_flight = [False] * n
 
-        self.arbiter = RoundRobinArbiter(self.N_PORTS)
+        self.arbiter = RoundRobinArbiter(n)
         self._ctrl_state = _CTRL_IDLE
         self._ctrl_input = 0
         self._ctrl_counter = 0
@@ -157,194 +189,178 @@ class HermesRouter(Component):
         """Attach the receive side of *channel* to *port* (we drive ack)."""
         port = int(port)  # a plain int: it is part of the stats keys
         self.in_ch[port] = channel
-        insort(
-            self._in_ports,
-            (port, channel, self.fifos[port], (self.address, port)),
-        )
+        self._in_mask |= 1 << port
+        self._sweep_in = self._in_mask
         self.adopt_wires([channel.ack])
-        # a committed change on the neighbour's tx/data must wake us
-        self.watch_wires([channel.tx, channel.data])
 
     def attach_output(self, port: Port, channel: HandshakeTx) -> None:
         """Attach the send side of *channel* to *port* (we drive tx/data)."""
         port = int(port)
         self.out_ch[port] = channel
-        insort(self._out_ports, (port, channel, (self.address, port)))
+        self._out_mask |= 1 << port
+        self._sweep_out = self._out_mask
         self.adopt_wires([channel.tx, channel.data])
-        # a router asleep with a flit in flight wakes on the ack
-        self.watch_wires([channel.ack])
 
     # -- simulation ----------------------------------------------------------
 
     def eval(self, cycle: int) -> None:
-        """One cycle: senders, then control, then receivers, in one walk
-        each.  The receivers' walk also reaches the sleep verdict that
-        :meth:`is_quiescent` returns, reading our acks and FIFO counts
-        after this eval's drives and pushes."""
+        """One cycle: credit the control cycles skipped since the last
+        eval, then examine the marked outputs, step the control logic,
+        and examine the marked inputs (see the module docstring)."""
+        at = self._ctrl_at
+        if at is not None and cycle > at:
+            self.replay(cycle - at)
+        self._ctrl_at = cycle + 1
         stats = self.stats
         if self.sink is not None:
             self._now = cycle
+        ports = self._ports
         fifos = self.fifos
-        in_conn = self.in_conn
-        out_owner = self.out_owner
         in_flight = self._in_flight
+        mo = self._mo | self._sweep_out
+        mi = self._mi | self._sweep_in
+        self._mo = self._mi = 0
 
         # Senders.  An output with no owner, or owned but not in flight,
         # already holds tx low: whatever ended its last flit drove tx=0.
         # An in-flight output waiting for ack already presents tx=1 and
         # its FIFO head, which only this sender pops.  Neither needs a
         # drive.
-        for out, ch, key in self._out_ports:
-            owner = out_owner[out]
-            if owner is None:
-                continue
-            fifo = fifos[owner]
-            if in_flight[out]:
-                if not ch.ack.value:
+        if mo:
+            out_owner = self.out_owner
+            out_ch = self.out_ch
+            for out in ports[mo]:
+                owner = out_owner[out]
+                if owner is None:
                     continue
-                flit = fifo.pop()
-                if stats is not None:
-                    stats.flits_sent[key] += 1
-                self._advance_packet(owner, out, flit)
-                if out_owner[out] == owner and fifo:
+                fifo = fifos[owner]
+                ch = out_ch[out]
+                if in_flight[out]:
+                    if not ch.ack.value:
+                        continue
+                    flit = fifo.pop()
+                    mi |= 1 << owner
+                    if stats is not None:
+                        stats.flits_sent[self._keys[out]] += 1
+                    self._advance_packet(owner, out, flit)
+                    if out_owner[out] == owner and fifo:
+                        ch.data.drive(fifo.head)
+                    else:
+                        ch.tx.drive(0)
+                        in_flight[out] = False
+                elif fifo:
+                    ch.tx.drive(1)
                     ch.data.drive(fifo.head)
-                else:
-                    ch.tx.drive(0)
-                    in_flight[out] = False
-            elif fifo:
-                ch.tx.drive(1)
-                ch.data.drive(fifo.head)
-                in_flight[out] = True
+                    in_flight[out] = True
 
         # Control: grant a request, count a routing service down, or
-        # decide.  A request is an unconnected input with a flit at its
-        # head; with none, arbitration grants nothing and changes nothing.
-        planned = False
-        if self._ctrl_state == _CTRL_IDLE:
-            requesters = self._requesters()
-            if requesters:
-                self._ctrl_input = self.arbiter.grant_among(requesters)
-                self._ctrl_state = _CTRL_ROUTING
-                self._ctrl_counter = self.routing_cycles - 1
-        elif self._ctrl_counter:
-            self._ctrl_counter -= 1
-        else:
-            # a blocked decision repeats while the inputs stay frozen, so
-            # the router may sleep through its re-arbitrations (unless a
-            # sink wants an instant for each)
-            planned = self._decide() and self.sink is None
-        routing = self._ctrl_state != _CTRL_IDLE
-        # the next eval grants a pending request: stay awake for it
-        grant_next = not routing and not planned
+        # decide.
+        if self._ctrl_state:
+            if self._ctrl_counter:
+                self._ctrl_counter -= 1
+            else:
+                self._decide()
+        elif self._req:
+            arbiter = self.arbiter
+            granted = self._grants[arbiter._last_grant][self._req]
+            arbiter._last_grant = granted
+            self._ctrl_input = granted
+            self._ctrl_state = _CTRL_ROUTING
+            self._ctrl_counter = self.routing_cycles - 1
 
         # Receivers.  Only this router drives an input's ack, so outside
         # its single-cycle pulse ack is already low and needs no drive.
-        # The verdict: our ack pulse raised or dropped now (the sender
-        # answers it at this commit), a flit the next eval accepts, or a
-        # request it grants keeps us awake; a full FIFO stalls.
-        quiet = not (routing and not self._ctrl_counter)
-        idle = not routing
-        stalled = []
-        for p, ch, fifo, key in self._in_ports:
-            ack = ch.ack
-            if ack.value:
-                ack.drive(0)
-                quiet = False
-            elif ch.tx.value:
-                if fifo._count == fifo.capacity:
+        if mi:
+            in_ch = self.in_ch
+            stalls = self._stall_since
+            marked = 0
+            for p in ports[mi]:
+                ch = in_ch[p]
+                ack = ch.ack
+                if ack.value:
+                    ack.drive(0)
+                    marked |= 1 << p
+                elif ch.tx.value:
+                    fifo = fifos[p]
+                    if fifo._count == fifo.capacity:
+                        if stalls[p] is None:
+                            stalls[p] = cycle
+                        continue
+                    since = stalls[p]
+                    if since is not None:
+                        stalls[p] = None
+                        if stats is not None:
+                            stats.stall_cycles[self._keys[p]] += cycle - since
+                    flit = ch.data.value
+                    fifo.push(flit)
+                    ack.drive(1)
+                    marked |= 1 << p
                     if stats is not None:
-                        stats.stall_cycles[key] += 1
-                    if quiet:
-                        if grant_next and in_conn[p] is None:
-                            quiet = False
-                        else:
-                            idle = False
-                            stalled.append(key)
-                    continue
-                flit = ch.data.value
-                fifo.push(flit)
-                ack.drive(1)
-                quiet = False
-                if stats is not None:
-                    stats.flits_received[key] += 1
-                if self.sink is not None:
-                    self._rx_track(p, flit)
-            elif quiet:
-                if fifo._count:
-                    if grant_next and in_conn[p] is None:
-                        quiet = False
-                    idle = False
-                elif ch.tx._next:
-                    quiet = False  # a flit the next eval accepts
-                elif in_conn[p] is not None:
-                    idle = False
-        if quiet and not idle:
-            # An owned output waits for an ack or for its FIFO to fill.
-            # A neighbour's ack whose _next differs from its value
-            # changes at this commit and would wake us at once.
-            for out, ch, _ in self._out_ports:
-                owner = out_owner[out]
-                if owner is not None:
-                    if in_flight[out]:
-                        if ch.ack.value or ch.ack._next:
-                            quiet = False  # a pop, or a wake now
-                            break
-                    elif fifos[owner]._count:
-                        quiet = False  # a first flit to present
-                        break
-        self._quiet = quiet
-        self._planned = planned
-        self._stalled = stalled
-        self._slept_idle = quiet and idle
+                        stats.flits_received[self._keys[p]] += 1
+                    if self.sink is not None:
+                        self._rx_track(p, flit)
+                    out = self.in_conn[p]
+                    if out is None:
+                        if not self._req >> p & 1:
+                            self._req |= 1 << p
+                            self._dest[p] = None  # a new head to route
+                    elif not in_flight[out]:
+                        self._mo |= 1 << out
+            self._mi = marked
 
-    def is_quiescent(self) -> bool:
-        """The verdict of this cycle's eval: True when the next eval
-        would only count stalls, the routing countdown or blocked
-        re-arbitrations (see the module docstring).
+    def control_due(self, cycle: int) -> Optional[int]:
+        """The first cycle after *cycle* (this eval's) whose control step
+        must be evaluated, or None while only a wire change can make the
+        control logic do more than count.
 
-        A router counting down books a kernel wake for its decision
-        cycle.  One that slept at a blocked decision books the decision
-        cycle of the first request whose output is free (or missing, so
-        that :class:`RoutingError` raises in step with lock-step), and
-        no wake when every request is blocked: only a wire change can
-        free an output then.
+        That is the decision cycle of the first request, in round-robin
+        order, whose output is free (or missing, so that
+        :class:`RoutingError` raises in step with lock-step): every
+        decision before it is blocked, and :meth:`replay` credits it.  A
+        router with a telemetry sink books its next decision of any
+        kind.
         """
-        if not self._quiet:
-            return False
-        cycle = self._kernel.cycle
+        period = self.routing_cycles + 1
+        traced = self.sink is not None
         if self._ctrl_state != _CTRL_IDLE:
-            self.wake_at(cycle + 1 + self._ctrl_counter)
-        elif self._planned:
-            requesters = self._requesters()
-            period = self.routing_cycles + 1
-            for k in range(1, len(requesters) + 1):
-                head = self.fifos[self.arbiter.turn(requesters, k)].head
-                out = self._route(self.address, self._decode(head))
-                if self.out_ch[out] is None or self.out_owner[out] is None:
-                    self.wake_at(cycle + k * period)
-                    break
-        return True
+            decision = cycle + 1 + self._ctrl_counter
+            if traced or self._free(self._ctrl_input):
+                return decision
+            base = decision
+        elif self._req:
+            base = cycle
+        else:
+            return None
+        if traced:
+            return base + period
+        requesters = self._ports[self._req]
+        for k in range(1, len(requesters) + 1):
+            if self._free(self.arbiter.turn(requesters, k)):
+                return base + k * period
+        return None
 
-    def on_wake(self, skipped_cycles: int) -> None:
-        """Credit the skipped evals: one stall cycle each for the inputs
-        stalled at sleep, and the control logic's countdown and blocked
-        re-arbitrations.
+    def _free(self, port: int) -> bool:
+        """The output the head flit of *port* routes to is free or
+        missing: its decision would not be blocked."""
+        out = self._dest[port]
+        if out is None:
+            target = self._decode(self.fifos[port].head)
+            out = self._dest[port] = self._route(self.address, target)
+        return self.out_ch[out] is None or self.out_owner[out] is None
 
-        Every skipped decision was blocked (the wake was booked for the
+    def replay(self, cycles: int) -> None:
+        """Credit *cycles* skipped control steps: the countdown, and the
+        grants and blocked decisions of frozen requests.
+
+        Every skipped decision was blocked (:meth:`control_due` names the
         first that is not), so the control replays as a cycle of
-        ``routing_cycles + 1`` evals: a grant to the next request in
-        round-robin order, ``routing_cycles - 1`` countdown evals and a
+        ``routing_cycles + 1`` steps: a grant to the next request in
+        round-robin order, ``routing_cycles - 1`` countdown steps and a
         blocked decision.  The replay starts from whatever state the
         last eval or credit left, so crediting a span in pieces equals
         crediting it at once.
         """
-        if self._stalled and self.stats is not None:
-            stall_cycles = self.stats.stall_cycles
-            for key in self._stalled:
-                stall_cycles[key] += skipped_cycles
-        if self._slept_idle:
-            return
-        n = skipped_cycles
+        n = cycles
         blocked = 0
         if self._ctrl_state != _CTRL_IDLE:
             if n <= self._ctrl_counter:
@@ -354,49 +370,68 @@ class HermesRouter(Component):
             self._ctrl_counter = 0
             self._ctrl_state = _CTRL_IDLE
             blocked = 1
-        if n:
-            requesters = self._requesters()
-            if requesters:
-                rounds, rest = divmod(n, self.routing_cycles + 1)
-                blocked += rounds
-                self._ctrl_input = self.arbiter.grant_among(
-                    requesters, rounds + (rest > 0)
-                )
-                if rest:
-                    self._ctrl_state = _CTRL_ROUTING
-                    self._ctrl_counter = self.routing_cycles - rest
+        if n and self._req:
+            rounds, rest = divmod(n, self.routing_cycles + 1)
+            blocked += rounds
+            self._ctrl_input = self.arbiter.grant_among(
+                self._ports[self._req], rounds + (rest > 0)
+            )
+            if rest:
+                self._ctrl_state = _CTRL_ROUTING
+                self._ctrl_counter = self.routing_cycles - rest
         if blocked and self.stats is not None:
             self.stats.routing_blocked(self.address, blocked)
 
-    def _requesters(self) -> List[int]:
-        """Unconnected inputs with a flit at their head, ascending."""
-        in_conn = self.in_conn
-        return [
-            p for p, _, fifo, _ in self._in_ports
-            if fifo._count and in_conn[p] is None
-        ]
+    def settle(self, cycle: int) -> None:
+        """Credit the control cycles skipped before *cycle* and the open
+        stall spans up to it; the spans stay open from *cycle* on."""
+        at = self._ctrl_at
+        if at is not None and cycle > at:
+            self.replay(cycle - at)
+            self._ctrl_at = cycle
+        stats = self.stats
+        for p, since in enumerate(self._stall_since):
+            if since is not None and cycle > since:
+                self._stall_since[p] = cycle
+                if stats is not None:
+                    stats.stall_cycles[self._keys[p]] += cycle - since
+
+    def _rescan(self) -> None:
+        """Rebuild the derived port state after a reset or restore: the
+        request mask, the open connections, every port marked, no open
+        span and no pending control credit."""
+        self._req = 0
+        self._dest = [None] * self.N_PORTS
+        for p, fifo in enumerate(self.fifos):
+            if fifo._count and self.in_conn[p] is None:
+                self._req |= 1 << p
+        self._conns = sum(c is not None for c in self.in_conn)
+        self._mi = self._in_mask
+        self._mo = self._out_mask
+        self._stall_since = [None] * self.N_PORTS
+        self._ctrl_at = None
+        self._due = None
+        self._held = False
 
     def reset(self) -> None:
         super().reset()
+        n = self.N_PORTS
         for fifo in self.fifos:
             fifo.clear()
-        self.in_conn = [None] * self.N_PORTS
-        self.in_phase = [_PH_HEADER] * self.N_PORTS
-        self.in_remaining = [0] * self.N_PORTS
-        self.out_owner = [None] * self.N_PORTS
-        self._in_flight = [False] * self.N_PORTS
+        self.in_conn = [None] * n
+        self.in_phase = [_PH_HEADER] * n
+        self.in_remaining = [0] * n
+        self.out_owner = [None] * n
+        self._in_flight = [False] * n
         self.arbiter.reset()
         self._ctrl_state = _CTRL_IDLE
         self._ctrl_input = 0
         self._ctrl_counter = 0
-        self._rx_phase = [_PH_HEADER] * self.N_PORTS
-        self._rx_left = [0] * self.N_PORTS
-        self._conn_opened = [0] * self.N_PORTS
+        self._rx_phase = [_PH_HEADER] * n
+        self._rx_left = [0] * n
+        self._conn_opened = [0] * n
         self._now = 0
-        self._stalled = []
-        self._slept_idle = False
-        self._quiet = False
-        self._planned = False
+        self._rescan()
 
     # -- checkpointing -----------------------------------------------------
 
@@ -418,7 +453,10 @@ class HermesRouter(Component):
             "rx_left": list(self._rx_left),
             "conn_opened": list(self._conn_opened),
             "now": self._now,
-            "stalled": [port for (_, port) in self._stalled],
+            "stalled": [
+                p for p, since in enumerate(self._stall_since)
+                if since is not None
+            ],
         }
 
     def restore_state(self, state: dict) -> None:
@@ -437,12 +475,9 @@ class HermesRouter(Component):
         self._rx_left = list(state["rx_left"])
         self._conn_opened = list(state["conn_opened"])
         self._now = state["now"]
-        self._stalled = [
-            (self.address, port) for port in state.get("stalled", [])
-        ]
-        self._slept_idle = False
-        self._quiet = False
-        self._planned = False
+        # A snapshot settled its stall spans, so the first eval, which
+        # examines every port, reopens each at the restored cycle.
+        self._rescan()
 
     # -- packet framing and routing decisions -------------------------------
 
@@ -468,6 +503,10 @@ class HermesRouter(Component):
         self.in_remaining[in_port] = 0
         self.out_owner[out_port] = None
         self._in_flight[out_port] = False
+        self._conns -= 1
+        if self.fifos[in_port]._count:
+            self._req |= 1 << in_port  # the next packet's header
+            self._dest[in_port] = None
         if self.stats is not None:
             self.stats.connection_closed(self.address)
         if self.sink is not None:
@@ -480,16 +519,16 @@ class HermesRouter(Component):
                 in_port=self._port_names[in_port],
             )
 
-    def _decide(self) -> bool:
+    def _decide(self) -> None:
         """The routing decision for the granted input: connect it to its
-        XY output, or count a blocked routing.  True when blocked."""
+        XY output, or count a blocked routing."""
         self._ctrl_state = _CTRL_IDLE
         in_port = self._ctrl_input
         fifo = self.fifos[in_port]
         # The request may have vanished (it cannot in normal operation,
         # but a reset mid-route keeps this safe).
         if self.in_conn[in_port] is not None or not fifo._count:
-            return False
+            return
         target = self._decode(fifo.head)
         out_port = self._route(self.address, target)
         if self.out_ch[out_port] is None:
@@ -500,6 +539,9 @@ class HermesRouter(Component):
         if self.out_owner[out_port] is None:
             self.in_conn[in_port] = out_port
             self.out_owner[out_port] = in_port
+            self._req &= ~(1 << in_port)
+            self._conns += 1
+            self._mo |= 1 << out_port  # present the first flit next eval
             if self.stats is not None:
                 self.stats.connection_opened(self.address)
             if self.sink is not None:
@@ -512,7 +554,7 @@ class HermesRouter(Component):
                     out=self._port_names[out_port],
                     port=self._port_names[in_port],
                 )
-            return False
+            return
         if self.stats is not None:
             self.stats.routing_blocked(self.address)
         if self.sink is not None:
@@ -524,7 +566,6 @@ class HermesRouter(Component):
                 port=self._port_names[in_port],
                 target=f"{target[0]},{target[1]}",
             )
-        return True
 
     def _rx_track(self, port: int, flit: int) -> None:
         """Telemetry-only receive-side framing: stamp the FIFO-entry cycle
@@ -583,15 +624,7 @@ class HermesRouter(Component):
     def busy(self) -> bool:
         """True while any buffer holds flits or any connection is open.
 
-        A router that fell asleep idle (empty buffers, no open
-        connection, idle control) as its own kernel unit answers at
-        once: nothing changes while it sleeps.  One asleep while blocked
-        still holds flits, so it takes the full check.
+        O(1): a buffered flit is either a request or behind an open
+        connection, and a routing service serves a request.
         """
-        if self._slept_idle and not self._awake and self._sched is self:
-            return False
-        return (
-            any(not f.is_empty for f in self.fifos)
-            or any(c is not None for c in self.in_conn)
-            or self._ctrl_state != _CTRL_IDLE
-        )
+        return bool(self._req or self._conns)

@@ -153,6 +153,33 @@ class Component:
         (stall counters, phase counters, countdowns, replayed decisions).
         """
 
+    def member_input(self, member: "Component", wire: Wire) -> None:
+        """A committed change on *wire*, which *member* (a component
+        inside this unit) watches.
+
+        A unit that overrides this routes its members' wakes itself: the
+        kernel calls it in O(1) from the commit phase instead of waking
+        the whole unit, and the override must call :meth:`wake` when the
+        change needs this unit evaluated (see
+        :class:`~repro.noc.mesh.Mesh`, whose routers are members).
+        """
+
+    def settle(self, cycle: int) -> None:
+        """Credit, at the cycle boundary *cycle*, what this component
+        counts lazily (spans it credits when they end).
+
+        :meth:`~repro.sim.kernel.Simulator.settle` calls every override,
+        in both kernel modes, after crediting sleeping units through
+        :meth:`on_wake`.  Settling in pieces must equal settling once.
+        """
+
+    def elaborated(self) -> None:
+        """Called after every (re-)elaboration, in both kernel modes,
+        once ``_kernel`` and ``_sched`` are set and the kernel has
+        installed its commit queue and wake sinks on every wire.  A unit
+        that commits some of its members' wires itself takes them back
+        here."""
+
     def wake(self) -> None:
         """Mark this component's schedulable unit as active.
 
@@ -190,13 +217,6 @@ class Component:
         for child in self._children:
             child.eval(cycle)
 
-    def commit(self) -> None:
-        """Latch all owned wires; recurses into children."""
-        for w in self._wires:
-            w.commit()
-        for child in self._children:
-            child.commit()
-
     def reset(self) -> None:
         """Return owned wires and children to their reset state."""
         for w in self._wires:
@@ -212,7 +232,7 @@ class Component:
         The generic walk records every owned wire (both phases) and
         recurses into children; component-local registers are contributed
         by :meth:`snapshot_state` overrides.  Valid only at a cycle
-        boundary (between :meth:`commit` and the next :meth:`eval`), when
+        boundary (between a commit phase and the next :meth:`eval`), when
         ``value == _next`` for every undriven wire and no drive is
         pending — exactly where :class:`~repro.sim.kernel.Simulator`
         watchers run.

@@ -26,6 +26,17 @@ cycle when it comes earlier, exactly as in lock-step.  ``step`` and
 ``run_until`` drive the same loop, which re-elaborates as soon as the
 wiring is invalidated, even in the middle of a run.
 
+Member wakes: a unit may route the wakes of the components inside it
+(its *members*) itself by overriding
+:meth:`~repro.sim.component.Component.member_input`.  A committed change
+on a wire a member watches then calls ``unit.member_input(member,
+wire)`` in O(1) instead of waking the whole unit, and the unit wakes
+itself when it needs the next cycle.  The Hermes fabric
+(:class:`~repro.noc.mesh.Mesh`) is one such unit: it turns a change on a
+network interface's boundary wire into a mark on its router's port, and
+commits the router-to-router wires itself (it takes them back from the
+kernel's commit queue in its ``elaborated`` hook).
+
 The results are cycle-exact with respect to the legacy schedule: a
 quiescent component's eval would by contract only count, and skipped
 evals are credited through ``on_wake`` (by the next eval, or by
@@ -33,7 +44,8 @@ evals are credited through ``on_wake`` (by the next eval, or by
 per-cycle counters (CPU and router stall accounting, PC samples) match
 bit for bit.  ``Simulator(strict_lockstep=True)`` keeps the original
 evaluate-everything loop as the reference the A/B equivalence tests
-compare against.  Host time is
+compare against; it latches one flat list of owned wires, built at
+elaboration and invalidated with it.  Host time is
 attributed by the sampling :class:`~repro.telemetry.hostperf.
 HostPerfProfiler`, which observes this thread from the side and never
 alters which loop runs.
@@ -99,9 +111,10 @@ class Simulator:
         after the clkdll division of the 50 MHz oscillator).
     strict_lockstep:
         When True, keep the legacy evaluate-everything-every-cycle loop
-        (recursive eval and commit, no idle skipping).  Architectural
-        results are identical either way; the flag exists for A/B
-        equivalence tests and as an escape hatch (CLI ``--no-idle-skip``).
+        (recursive eval, every owned wire latched, no idle skipping).
+        Architectural results are identical either way; the flag exists
+        for A/B equivalence tests and as an escape hatch (CLI
+        ``--no-idle-skip``).
     """
 
     def __init__(
@@ -152,6 +165,8 @@ class Simulator:
         self._wake_seq = 0
         self._driven: list = []  # wires driven since the last commit
         self._tracked_wires: list = []
+        #: components with a ``settle`` override (see settle)
+        self._settlers: List[Component] = []
         self._needs_elab = True
 
     # -- construction ----------------------------------------------------
@@ -215,36 +230,48 @@ class Simulator:
         descended through, so the flattened unit order exactly matches
         the legacy recursive evaluation order.  Re-elaboration preserves
         units' sleep state (new units start awake).
+
+        Under ``strict_lockstep`` it only collects the flat list of owned
+        wires the lock-step loop latches every cycle.  In both modes it
+        collects the components that settle lazily counted spans, and
+        finally calls every ``elaborated`` override.
         """
         self._needs_elab = False
         for w in self._tracked_wires:
             w._queue = None
             w._sinks = ()
+            w._members = ()
         tracked: list = []
         tracked_set: set = set()
         units: List[Component] = []
+        settlers: List[Component] = []
+        hooked: List[Component] = []
         self._tracked_wires = tracked
         self._units = units
+        self._settlers = settlers
         self._run = []
         self._woken.clear()
         self._later.clear()
-        if self.strict_lockstep:
-            self._unit_set = set()
-            return
-        pending = self._driven
+        strict = self.strict_lockstep
+        pending = None if strict else self._driven
         default_eval = Component.eval
         default_quiescent = Component.is_quiescent
+        default_settle = Component.settle
+        default_elaborated = Component.elaborated
 
         def walk(comp: Component, unit: Optional[Component]) -> None:
-            if unit is None and type(comp).eval is not default_eval:
+            cls = type(comp)
+            if not strict and unit is None and cls.eval is not default_eval:
                 unit = comp
                 comp._uidx = len(units)
                 units.append(comp)
-                comp._can_sleep = (
-                    type(comp).is_quiescent is not default_quiescent
-                )
+                comp._can_sleep = cls.is_quiescent is not default_quiescent
             comp._kernel = self
             comp._sched = unit
+            if cls.settle is not default_settle:
+                settlers.append(comp)
+            if cls.elaborated is not default_elaborated:
+                hooked.append(comp)
             for w in comp._wires:
                 if w not in tracked_set:
                     tracked_set.add(w)
@@ -256,25 +283,34 @@ class Simulator:
         for top in self._components:
             walk(top, None)
         self._unit_set = set(units)
+        default_member_input = Component.member_input
 
         def wire_sinks(comp: Component) -> None:
             unit = comp._sched
             if unit is not None:
+                routed = (
+                    unit is not comp
+                    and type(unit).member_input is not default_member_input
+                )
                 for w in comp._inputs:
-                    sinks = w._sinks
-                    if sinks == ():
+                    if w not in tracked_set:
+                        tracked_set.add(w)
+                        tracked.append(w)
+                    if routed:
+                        w._members += ((unit, comp),)
+                    elif w._sinks == ():
                         w._sinks = [unit]
-                        if w not in tracked_set:
-                            tracked_set.add(w)
-                            tracked.append(w)
-                    elif unit not in sinks:
-                        sinks.append(unit)
+                    elif unit not in w._sinks:
+                        w._sinks.append(unit)
             for child in comp._children:
                 wire_sinks(child)
 
-        for top in self._components:
-            wire_sinks(top)
-        self._run = [u for u in units if u._awake]
+        if not strict:
+            for top in self._components:
+                wire_sinks(top)
+            self._run = [u for u in units if u._awake]
+        for comp in hooked:
+            comp.elaborated()
 
     # -- wake management -------------------------------------------------
 
@@ -310,24 +346,6 @@ class Simulator:
 
     # -- checkpointing ---------------------------------------------------
 
-    def _flat_units(self) -> List[Component]:
-        """The schedulable-unit list in flattened evaluation order,
-        computed without touching elaboration state (usable even in
-        strict mode, where :meth:`_elaborate` builds no unit list)."""
-        default_eval = Component.eval
-        out: List[Component] = []
-
-        def walk(comp: Component, inside: bool) -> None:
-            if not inside and type(comp).eval is not default_eval:
-                out.append(comp)
-                inside = True
-            for child in comp._children:
-                walk(child, inside)
-
-        for top in self._components:
-            walk(top, False)
-        return out
-
     def _flat_components(self) -> List[Component]:
         return [
             cc for c in self._components for cc in c.iter_components()
@@ -337,12 +355,14 @@ class Simulator:
         """Credit pending idle spans now: every unit with skipped evals
         (asleep, or woken at the last commit) gets ``on_wake`` for them.
 
+        Then every component that counts spans lazily (a router's stall
+        spans and skipped control cycles) credits them up to this cycle
+        through its ``settle`` hook, in both kernel modes.
+
         Only valid at a cycle boundary, like :meth:`snapshot`.  A unit
         stays asleep; its span goes on from this cycle, and the rest is
         credited later, so settling at any cycle changes no result.
         """
-        if self.strict_lockstep:
-            return
         if self._needs_elab:
             self._elaborate()
         cycle = self.cycle
@@ -351,6 +371,8 @@ class Simulator:
             if s is not None and cycle > s:
                 u.on_wake(cycle - s)
                 u._slept_since = cycle
+        for comp in self._settlers:
+            comp.settle(cycle)
 
     def snapshot(self) -> dict:
         """Capture the full simulation state (components + scheduler).
@@ -366,7 +388,7 @@ class Simulator:
         lock-step evaluation would have counted.
         """
         self.settle()
-        units = self._units if not self.strict_lockstep else []
+        units = self._units
         doc: dict = {
             "cycle": self.cycle,
             "components": [c.snapshot() for c in self._components],
@@ -420,29 +442,22 @@ class Simulator:
             raise
 
     def _load(self, doc: dict) -> None:
-        if not self.strict_lockstep and self._needs_elab:
+        # The scheduler first: a component restored after it may wake
+        # its unit and read the restored cycle.
+        if self._needs_elab:
             self._elaborate()
-        for comp, state in zip(self._components, doc.get("components", [])):
-            comp.restore(state)
         for w in self._driven:
             w._queued = False
         self._driven.clear()
         self.cycle = doc["cycle"]
         self._restore_scheduler(doc.get("scheduler"))
+        for comp, state in zip(self._components, doc.get("components", [])):
+            comp.restore(state)
 
     def _restore_scheduler(self, sched: Optional[dict]) -> None:
         if self.strict_lockstep:
-            # Lock-step evaluates everything anyway; the only snapshot
-            # state that matters is pending idle credit, which only a
-            # snapshot from before settling carries — materialise it so
-            # per-cycle counters stay exact.
-            if sched is not None:
-                units = self._flat_units()
-                slept = sched.get("slept_since", [])
-                if len(slept) == len(units):
-                    for u, s in zip(units, slept):
-                        if s is not None and self.cycle > s:
-                            u.on_wake(self.cycle - s)
+            # Lock-step evaluates everything anyway, and a snapshot holds
+            # no pending idle credit: taking it settled every sleeper.
             for cc in self._flat_components():
                 cc._last_wake_req = None
                 cc._awake = True
@@ -568,6 +583,9 @@ class Simulator:
                             if not su._awake:
                                 su._awake = True
                                 woken.append(su)
+                        if w._members:
+                            for unit, member in w._members:
+                                unit.member_input(member, w)
                 driven.clear()
             # hostperf: kernel
             if changed or woken:
@@ -610,16 +628,19 @@ class Simulator:
         self._run = new
 
     def _step_lockstep(self, cycles: int) -> int:
-        """The legacy loop: evaluate and commit everything, every cycle."""
+        """The legacy loop: evaluate everything and latch every owned
+        wire, every cycle."""
         components = self._components
         for _ in range(cycles):
+            if self._needs_elab:
+                self._elaborate()
             cyc = self.cycle
             # hostperf: eval
             for c in components:
                 c.eval(cyc)
             # hostperf: commit
-            for c in components:
-                c.commit()
+            for w in self._tracked_wires:
+                w.value = w._next
             self.cycle = cyc + 1
             # hostperf: watchers
             for fn, stride in self._watcher_pass:

@@ -14,7 +14,9 @@ Two kernel-facing refinements keep the hot path flat:
   the first :meth:`drive` of a cycle enqueues the wire, so the commit
   phase touches only wires that were actually driven instead of walking
   the whole component tree.  ``_sinks`` holds the schedulable units that
-  declared the wire as an input — a committed value *change* wakes them.
+  declared the wire as an input — a committed value *change* wakes them
+  — and ``_members`` the ``(unit, member)`` pairs whose unit takes the
+  change for the member itself (``Component.member_input``).
 * **Drive-on-change.**  A drive equal to the pending ``_next`` returns
   at once: it cannot change what commit latches, so the wire is neither
   rewritten nor queued.  This is exact because every wire has exactly
@@ -58,6 +60,7 @@ class Wire:
         "_queue",
         "_queued",
         "_sinks",
+        "_members",
     )
 
     def __new__(cls, name: str, reset: Any = 0, width: int | None = None):
@@ -76,6 +79,9 @@ class Wire:
         self._queued = False
         #: schedulable units reading this wire (built at elaboration)
         self._sinks: Any = ()
+        #: (unit, member) pairs whose unit routes a member's wake itself
+        #: (see Component.member_input; built at elaboration)
+        self._members: Any = ()
         if width is not None:
             self._max = 1 << width
 
@@ -91,7 +97,8 @@ class Wire:
                 self._queued = True
 
     def commit(self) -> None:
-        """Latch the scheduled value (called by the kernel, once per cycle)."""
+        """Latch the scheduled value (the kernels' commit phases do this
+        inline for every driven wire)."""
         self.value = self._next
 
     def reset(self) -> None:

@@ -1,12 +1,13 @@
 """Blocked routers and NIs sleep without changing a single counter.
 
-A router sleeps while its next eval would only count stalls, the
-routing countdown or blocked re-arbitrations, and an NI while its
-presented flit waits for an ack.  ``on_wake`` credits the skipped evals
-and ``Simulator.settle`` settles pending credit at any cycle, so the
-quiescent kernel must match strict lock-step on every per-key NoC
-counter.  Generated traffic split at a checkpoint in
-any mode direction runs through the oracle in ``tests/test_equivalence.py``.
+A router sleeps while no port is marked and its control logic would
+only count down or replay blocked re-arbitrations, and an NI while its
+presented flit waits for an ack.  ``HermesRouter.replay`` credits the
+skipped control cycles, stall spans are credited when they end, and
+``Simulator.settle`` settles both at any cycle, so the quiescent kernel
+must match strict lock-step on every per-key NoC counter.  Generated
+traffic split at a checkpoint in any mode direction runs through the
+oracle in ``tests/test_equivalence.py``.
 """
 
 import json
@@ -88,8 +89,9 @@ def test_saturated_hotspot_skips_blocked_evals():
     """The pinned saturation hotspot run: lock-step makes 185,920 router
     and NI evals (32 units for 5,810 cycles).  Sleeping while blocked
     left 32,788 of them; sleeping through blocked re-arbitrations left
-    26,965, and the replayed decisions count as many blocked routings
-    as lock-step's."""
+    26,965, and waking routers only for marked ports or a decision that
+    can connect 25,418.  The replayed decisions count as many blocked
+    routings as lock-step's."""
     config = TrafficConfig(
         rate=0.02, duration=600, hotspot_node=(0, 0), seed=5
     )
@@ -125,6 +127,7 @@ SETTLED_HOTSPOT = Draw(
             seed=3,
         ),
         False,
+        2,
     ),
     observers=frozenset({"settle"}),
     settle_every=1,
@@ -137,29 +140,23 @@ def test_blocked_replay_settled_at_every_cycle_matches_lockstep():
 
 @pytest.fixture(scope="module")
 def blocked_router():
-    """A router of the settled hotspot, run in lock-step, whose eval
-    just made a blocked decision it may sleep through, with at least
-    two requests and every one of them blocked (so any span is a valid
-    replay)."""
+    """A router of the settled hotspot, run in lock-step, whose control
+    logic is idle with at least two requests, every one of them blocked
+    (so any span is a valid replay)."""
     net, sim, _ = _build("mesh:4x4", SETTLED_HOTSPOT.workload[2], True)
 
     def all_blocked(router):
-        requesters = router._requesters()
-        outs = [
-            router._route(router.address, router._decode(router.fifos[p].head))
-            for p in requesters
-        ]
-        return len(requesters) > 1 and all(
-            router.out_owner[out] is not None for out in outs
+        requesters = router._ports[router._req]
+        return (
+            len(requesters) > 1
+            and router.probe_state()["ctrl"] == "idle"
+            and router.control_due(sim.cycle - 1) is None
         )
 
     found = []
 
     def at_blocked_decision():
-        found[:] = [
-            r for r in net.mesh.routers.values()
-            if r._quiet and r._planned and all_blocked(r)
-        ]
+        found[:] = [r for r in net.mesh.routers.values() if all_blocked(r)]
         return bool(found)
 
     sim.run_until(at_blocked_decision, max_cycles=10_000)
@@ -176,7 +173,7 @@ def test_replay_in_pieces_equals_replay_at_once(blocked_router, a, b):
         router.restore_state(state)
         net.stats.restore(stats)
         for n in spans:
-            router.on_wake(n)
+            router.replay(n)
         return router.snapshot_state(), _json(net.stats.snapshot())
 
     assert credit(a, b) == credit(a + b)

@@ -251,13 +251,16 @@ def _scrub(node):
 
 class _Noc:
     """A bare Hermes fabric under synthetic traffic, traced or not (a
-    router with a telemetry sink wakes for every blocked decision to
-    record it; one without sleeps through them)."""
+    router with a telemetry sink wakes for every routing decision to
+    record it; one without sleeps through the blocked ones), with
+    2-flit or deeper input buffers."""
 
     def __init__(self, workload, strict):
-        _, topology, config, traced = workload
+        _, topology, config, traced, depth = workload
         self.sink = TelemetrySink() if traced else None
-        self.net = net = HermesNetwork(topology=topology, telemetry=self.sink)
+        self.net = net = HermesNetwork(
+            topology=topology, buffer_depth=depth, telemetry=self.sink
+        )
         self.sources = drive_traffic(net, config)
         self.sim = net.make_simulator(strict_lockstep=strict)
         self.sim.reset()
@@ -607,9 +610,18 @@ SHAPES = [(None, 2), ("mesh:4x4", 4), ("torus:4x4", 4), ("cmesh:2x2x2", 3)]
 
 @st.composite
 def noc_workload(draw):
-    topology = "{}:{}".format(
-        draw(st.sampled_from(["mesh", "torus"])),
-        draw(st.sampled_from(["3x3", "4x4"])),
+    # a concentrated mesh has several local ports per router
+    topology = draw(
+        st.sampled_from(
+            [
+                "mesh:3x3",
+                "mesh:4x4",
+                "torus:3x3",
+                "torus:4x4",
+                "cmesh:2x2x2",
+                "cmesh:3x3x2",
+            ]
+        )
     )
     config = TrafficConfig(
         rate=draw(st.sampled_from([0.01, 0.03, 0.06, 0.1])),
@@ -617,7 +629,13 @@ def noc_workload(draw):
         seed=draw(st.integers(0, 10_000)),
         hotspot_node=(0, 0) if draw(st.booleans()) else None,
     )
-    return ("noc", topology, config, draw(st.booleans()))
+    return (
+        "noc",
+        topology,
+        config,
+        draw(st.booleans()),
+        draw(st.sampled_from([2, 4])),
+    )
 
 
 @st.composite
@@ -675,7 +693,7 @@ def draws(draw, workloads=WORKLOADS):
 
 
 def _mesh3x3(**config):
-    return ("noc", "mesh:3x3", TrafficConfig(**config), True)
+    return ("noc", "mesh:3x3", TrafficConfig(**config), True, 2)
 
 
 #: the printf loop and the wait/notify pair on the standard board

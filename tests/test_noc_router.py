@@ -2,11 +2,16 @@
 
 A single router is exercised through raw handshake channels so the
 cycle-level behaviour (2 cycles/flit, routing occupancy, wormhole
-blocking) is visible.
+blocking) is visible.  Whole fabrics under synthetic traffic are pinned
+to digests of their per-key statistics (and traced event lists).
 """
+
+import hashlib
+import json
 
 import pytest
 
+from repro.apps.workloads import TrafficConfig, drive_traffic
 from repro.noc import (
     HermesNetwork,
     HermesRouter,
@@ -236,3 +241,69 @@ class TestReset:
         _, fresh = build()
 
         assert sim.snapshot()["components"] == fresh.snapshot()["components"]
+
+
+# ---------------------------------------------------------------------------
+# Pinned fabric runs
+# ---------------------------------------------------------------------------
+
+#: (topology, hotspot traffic, traced, buffer depth, routing cycles,
+#: payload flits) -> (drain cycle, digest).  The digests hash the drain
+#: cycle, every per-key ``NetworkStats.snapshot()`` entry and, for traced
+#: runs, the telemetry event list.  They were captured with the router
+#: that walked every port on every eval, so a change to the event-driven
+#: router that both kernel modes share still shows here.
+FABRIC_PINS = {
+    ("mesh:4x4", False, False, 2, 7, 8): (1427, "12b20f40f4b57c36"),
+    ("mesh:4x4", True, True, 4, 7, 8): (4255, "599db539b130c548"),
+    ("mesh:4x4", True, False, 2, 1, 0): (832, "de10523ffc47443e"),
+    ("mesh:4x4", False, True, 4, 1, 4): (454, "ea76ffcd0a66655f"),
+    ("mesh:5x3", False, True, 2, 7, 8): (1587, "421dcf04fd6a6893"),
+    ("mesh:5x3", True, False, 4, 7, 8): (3452, "6e7ad56373e82f36"),
+    ("mesh:5x3", True, True, 2, 7, 0): (1457, "37f81113b383520a"),
+    ("mesh:5x3", False, False, 4, 1, 8): (743, "a9ea0a7b8e2771db"),
+    ("torus:4x4", False, False, 4, 7, 8): (935, "a781beec9841712b"),
+    ("torus:4x4", True, True, 2, 7, 8): (4282, "3b03ab4c45e9632b"),
+    ("torus:4x4", True, False, 4, 1, 4): (2131, "217a9b016e3fd849"),
+    ("torus:4x4", False, True, 2, 7, 0): (496, "053a3dde12db69a7"),
+    ("cmesh:3x3x2", False, True, 4, 7, 8): (2267, "bb7db1e6d9cfba0d"),
+    ("cmesh:3x3x2", True, False, 2, 7, 8): (4855, "b64ea3f5e6c8a0d7"),
+    ("cmesh:3x3x2", True, True, 4, 1, 8): (3613, "c6411c26a01ae0a0"),
+    ("cmesh:3x3x2", False, False, 2, 7, 4): (2145, "67c1119d891cc524"),
+}
+
+
+def _fabric_digest(topology, hotspot, traced, depth, routing, payload):
+    sink = TelemetrySink() if traced else None
+    net = HermesNetwork(
+        topology=topology,
+        buffer_depth=depth,
+        routing_cycles=routing,
+        telemetry=sink,
+    )
+    config = TrafficConfig(
+        rate=0.08 if hotspot else 0.1,
+        duration=120,
+        payload_flits=payload,
+        seed=len(topology) + 3 * depth + routing,
+        hotspot_node=(0, 0) if hotspot else None,
+    )
+    sources = drive_traffic(net, config)
+    sim = net.make_simulator()
+    sim.reset()
+    sim.run_until(
+        lambda: all(s.done for s in sources) and net.drained,
+        max_cycles=100_000,
+    )
+    doc = {"cycle": sim.cycle, "stats": net.stats.snapshot()}
+    if sink is not None:
+        doc["events"] = [
+            [e.ph, e.name, e.track, e.ts, e.dur, e.args] for e in sink.events
+        ]
+    text = json.dumps(doc, sort_keys=True)
+    return sim.cycle, hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("run", sorted(FABRIC_PINS), ids=str)
+def test_fabric_run_matches_pinned_digest(run):
+    assert _fabric_digest(*run) == FABRIC_PINS[run]

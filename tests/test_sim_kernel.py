@@ -120,9 +120,11 @@ class TestDriveOnChange:
 
 class TestComponent:
     def test_owned_wires_commit_through_component(self):
+        # the lock-step loop latches every owned wire, queued or not
         c = Counter()
-        c.eval(0)
-        c.commit()
+        sim = Simulator(strict_lockstep=True)
+        sim.add(c)
+        sim.step()
         assert c.out.value == 1
 
     def test_children_evaluated_by_default_eval(self):
@@ -130,7 +132,7 @@ class TestComponent:
         child = Counter("child")
         parent.add_child(child)
         parent.eval(0)
-        parent.commit()
+        child.out.commit()
         assert child.out.value == 1
 
     def test_reset_recurses(self):
@@ -138,9 +140,19 @@ class TestComponent:
         child = Counter("child")
         parent.add_child(child)
         parent.eval(0)
-        parent.commit()
+        child.out.commit()
         parent.reset()
         assert child.out.value == 0
+
+    def test_lockstep_latches_wires_adopted_after_elaboration(self):
+        # the flat wire list is invalidated with the elaboration
+        parent = Component("parent")
+        sim = Simulator(strict_lockstep=True)
+        sim.add(parent)
+        sim.step()
+        child = parent.add_child(Counter("child"))
+        sim.step()
+        assert child.out.value == 1
 
     def test_iter_components_preorder(self):
         parent = Component("a")
