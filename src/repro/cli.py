@@ -507,19 +507,25 @@ def cmd_analyze(args) -> int:
     """Post-mortem analysis of a ``--trace-jsonl`` event log."""
     import json
 
-    from .telemetry import analyze_trace, diff_traces, load_jsonl
+    from .telemetry import TraceError, analyze_trace, diff_traces, load_jsonl
     from .telemetry.registry import RunRegistry
 
-    analysis = analyze_trace(load_jsonl(args.trace))
+    try:
+        trace = load_jsonl(args.trace)
+        baseline = load_jsonl(args.baseline) if args.baseline else None
+    except (OSError, TraceError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    analysis = analyze_trace(trace)
     print(analysis.report(top=args.top))
     document = analysis.to_dict()
     status = 0
     meta = {}
 
-    if args.baseline:
+    if baseline is not None:
         diff = diff_traces(
             analysis,
-            analyze_trace(load_jsonl(args.baseline)),
+            analyze_trace(baseline),
             threshold_pct=args.threshold_pct,
             threshold_cycles=args.threshold_cycles,
         )
@@ -746,9 +752,13 @@ def cmd_alerts(args) -> int:
             return 2
         engine_kwargs = {"log": args.log} if args.log else {}
         if args.trace:
-            from .telemetry import load_jsonl
+            from .telemetry import TraceError, load_jsonl
 
-            frames = frames_from_trace(load_jsonl(args.trace))
+            try:
+                frames = frames_from_trace(load_jsonl(args.trace))
+            except (OSError, TraceError) as exc:
+                print(f"error: {exc}", file=sys.stderr)
+                return 2
             if not frames:
                 print(
                     f"error: {args.trace} has no mirrored live frames; "

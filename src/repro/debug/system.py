@@ -238,6 +238,8 @@ class SystemDebugger:
         debugger)."""
         self.sim.remove_watcher(self._on_cycle)
         self.sim.remove_watcher(self.vcd.sample)
+        for proc in self.system.processors.values():
+            proc.observed = False
         self.ring.detach()
         if getattr(self.sim, "checkpoint_ring", None) is self.ring:
             self.sim.checkpoint_ring = None
@@ -256,9 +258,30 @@ class SystemDebugger:
             raise DebuggerError(
                 f"unknown command {name!r}; known: {sorted(self._commands)}"
             )
-        if name in ("regs", "dis", "where"):
-            return handler([name] + args)
-        return handler(args)
+        try:
+            if name in ("regs", "dis", "where"):
+                return handler([name] + args)
+            return handler(args)
+        finally:
+            self._observe()
+
+    def _observe(self) -> None:
+        """Mark the cores a break condition reads every cycle (a
+        breakpoint on the core, a watchpoint on its memory, or any
+        expression) as observed, so that they are evaluated through
+        their poll loops instead of sleeping in them; a core whose mark
+        changes is woken, to be evaluated under the new one."""
+        watched = {name for name, _ in self._watch_conds}
+        for pid, proc in self.system.processors.items():
+            dbg = self._cores.get(pid)
+            observed = (
+                bool(self._exprs)
+                or proc.name in watched
+                or (dbg is not None and bool(dbg.sim.breakpoints))
+            )
+            if observed != proc.observed:
+                proc.observed = observed
+                proc.wake()
 
     def run_script(self, script: str) -> List[str]:
         """Execute a newline-separated command script."""
@@ -393,7 +416,7 @@ class SystemDebugger:
             if not bps:
                 continue
             proc = self.system.processors[pid]
-            pc = proc.cpu.state.pc
+            pc = proc.cpu.pc
             if pc != self._last_pc.get(pid):
                 self._last_pc[pid] = pc
                 if armed and pc in bps and not proc.cpu.halted:
@@ -428,7 +451,7 @@ class SystemDebugger:
         """Reset every edge detector to the current state so resuming
         (after attach, restore or replay) never fires a stale edge."""
         for pid, proc in self.system.processors.items():
-            self._last_pc[pid] = proc.cpu.state.pc
+            self._last_pc[pid] = proc.cpu.pc
         for key in self._lbreaks:
             x, y, port = key
             self._lbreaks[key] = (
@@ -547,6 +570,9 @@ class SystemDebugger:
             raise DebuggerError(f"watch mode must be r, w or rw, not {mode!r}")
         name, banks, pid = self._banks(args[0])
         addr = self._resolve(args[0], args[1])
+        # credit sleep spans first: the condition must not see the reads
+        # of cycles already simulated
+        self.sim.settle()
         self._watch_conds[(name, addr)] = mode
         self._ensure_bank_hook(name, banks)
         if pid is not None:

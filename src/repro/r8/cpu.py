@@ -25,6 +25,15 @@ A data access that the environment cannot complete immediately (remote
 memory, I/O, wait/notify — anything crossing the NoC) leaves its
 :class:`~repro.r8.bus.Transaction` pending, and the core simply stays in
 its MEM/WRITE state: that *is* the ``waitR8`` stall of Figure 5.
+
+The enclosing unit may sleep through cycles in which the core only
+stalls or spins in a poll loop (see
+:class:`~repro.system.processor_ip.ProcessorIp`); the skipped cycles
+are credited later.  The public reads (the three counters, ``pc``,
+``progress``, ``fsm_state`` and ``state``) credit that span up to the
+kernel's cycle first, so they return what lock-step evaluation would
+show at any cycle boundary.  EXEC flags a taken backward jump in
+``back_jump`` for the spin detector.
 """
 
 from __future__ import annotations
@@ -65,7 +74,7 @@ class R8Cpu(Component):
     def __init__(self, name: str, bus: MemoryBus):
         super().__init__(name)
         self.bus = bus
-        self.state = R8State()
+        self._state = R8State()
         self._fsm = S_HALT
         self._instr: Optional[isa.Instruction] = None
         self._txn: Optional[Transaction] = None
@@ -73,10 +82,19 @@ class R8Cpu(Component):
         #: externally forced stall (the "wait" *packet* service): while
         #: True the core idles at its next fetch boundary.
         self.paused = False
-        # performance counters
-        self.cycles_active = 0
-        self.cycles_stalled = 0
-        self.instructions_retired = 0
+        # performance counters, as of the last evaluated cycle; the
+        # public properties read them current (see _current)
+        self._cycles_active = 0
+        self._cycles_stalled = 0
+        self._instructions_retired = 0
+        #: set by EXEC when a taken jump moves the PC backwards; the
+        #: enclosing IP's spin detector reads and clears it
+        self.back_jump = False
+        #: something besides the instruction stream may have changed
+        #: what the core holds or reads since the last backward jump: a
+        #: direct change here, or a store, packet or load the bus owner
+        #: saw.  The spin detector resets it at each backward jump.
+        self.spin_dirty = True
         #: optional TelemetrySink; one None-check per active cycle
         self.sink = None
         self._now = 0
@@ -95,7 +113,9 @@ class R8Cpu(Component):
 
     def activate(self) -> None:
         """Start (or restart) execution from local address 0."""
-        self.state.activate()
+        self._current()
+        self.spin_dirty = True
+        self._state.activate()
         self._fsm = S_FETCH
         self._instr = None
         self._txn = None
@@ -170,19 +190,91 @@ class R8Cpu(Component):
         stalled core accrues active+stalled cycles and PC samples."""
         if n <= 0 or self._fsm == S_HALT:
             return
-        self.cycles_active += n
-        self.cycles_stalled += n
+        self._cycles_active += n
+        self._cycles_stalled += n
         if self.sink is not None and self._stall_start is None:
             # the core slept from the cycle after its last eval, and
             # lock-step's stall span opens there
             self._stall_start = self._now + 1
         if self.pc_samples is not None:
-            pc = self.state.pc if self._fsm == S_FETCH else self._cur_pc
+            pc = self._state.pc if self._fsm == S_FETCH else self._cur_pc
             key = (self._call_key, pc)
             self.pc_samples[key] = self.pc_samples.get(key, 0) + n
 
+    def credit_loop(
+        self, periods: int, cycles: int, retired: int, stalled: int
+    ) -> None:
+        """Account *periods* whole iterations of a loop that returns to
+        the same state every *cycles* cycles, retiring *retired*
+        instructions and stalling *stalled* cycles per iteration: what
+        evaluating them would count (the spin sleep of the enclosing
+        IP)."""
+        self._cycles_active += periods * cycles
+        self._instructions_retired += periods * retired
+        self._cycles_stalled += periods * stalled
+
+    def counters(self) -> tuple:
+        """(cycles active, instructions retired, cycles stalled) as of
+        the last evaluated cycle, without crediting a sleep span."""
+        return (
+            self._cycles_active,
+            self._instructions_retired,
+            self._cycles_stalled,
+        )
+
+    def spin_key(self) -> tuple:
+        """Everything an instruction reads besides memory: equal keys
+        at two fetch boundaries, with memory unchanged in between, mean
+        the core runs the same loop again."""
+        st = self._state
+        return (st.pc, tuple(st.regs), st.sp, st.flags.as_tuple())
+
+    # -- public reads: current at the kernel's cycle -----------------------
+
+    def _current(self) -> None:
+        """Credit the enclosing unit's open sleep span up to the
+        kernel's cycle, so that a read between cycles returns what
+        lock-step evaluation would show there."""
+        unit = self._sched
+        if unit is not None and unit._slept_since is not None:
+            unit._kernel.settle_unit(unit)
+
+    @property
+    def cycles_active(self) -> int:
+        self._current()
+        return self._cycles_active
+
+    @property
+    def cycles_stalled(self) -> int:
+        self._current()
+        return self._cycles_stalled
+
+    @property
+    def instructions_retired(self) -> int:
+        self._current()
+        return self._instructions_retired
+
+    @property
+    def state(self) -> R8State:
+        """The architectural registers, current at the kernel's cycle.
+
+        The object is mutable, so handing it out counts as a direct
+        mutation: a sleeping core is credited up to now and woken.
+        """
+        self._current()
+        self.spin_dirty = True
+        self.wake()
+        return self._state
+
+    @property
+    def pc(self) -> int:
+        """The program counter, current at the kernel's cycle."""
+        self._current()
+        return self._state.pc
+
     @property
     def fsm_state(self) -> str:
+        self._current()
         return _STATE_NAMES[self._fsm]
 
     @property
@@ -191,40 +283,47 @@ class R8Cpu(Component):
 
         The CPU stall watchdog compares successive readings: an active
         core whose progress tuple stays frozen is wedged (a never-answered
-        scanf, a lost read return, a wait with no notify...).
+        scanf, a lost read return, a wait with no notify...).  A core
+        spinning in a poll loop advances: its instructions retire.
         """
-        return (self.state.pc, self.instructions_retired)
+        self._current()
+        return (self._state.pc, self._instructions_retired)
 
     def cpi(self) -> float:
         """Measured clocks per instruction since reset."""
-        if self.instructions_retired == 0:
+        retired = self.instructions_retired
+        if retired == 0:
             return 0.0
-        return self.cycles_active / self.instructions_retired
+        return self._cycles_active / retired
 
     # -- simulation -----------------------------------------------------------
 
     def reset(self) -> None:
+        self._current()
         super().reset()
-        self.state.reset()
+        self._state.reset()
         self._fsm = S_HALT
         self._instr = None
         self._txn = None
         self._mem_settle = 0
         self.paused = False
-        self.cycles_active = 0
-        self.cycles_stalled = 0
-        self.instructions_retired = 0
+        self._cycles_active = 0
+        self._cycles_stalled = 0
+        self._instructions_retired = 0
+        self.back_jump = False
+        self.spin_dirty = True
         self._burst_start = None
         self._stall_start = None
         if self.pc_samples is not None:
             self.pc_samples = {}
         self._call_key = ()
         self._cur_pc = 0
+        self.wake()
 
     # -- checkpointing -----------------------------------------------------
 
     def snapshot_state(self) -> dict:
-        st = self.state
+        st = self._state
         txn = self._txn
         return {
             "regs": list(st.regs),
@@ -241,9 +340,9 @@ class R8Cpu(Component):
             ),
             "mem_settle": self._mem_settle,
             "paused": self.paused,
-            "cycles_active": self.cycles_active,
-            "cycles_stalled": self.cycles_stalled,
-            "instructions_retired": self.instructions_retired,
+            "cycles_active": self._cycles_active,
+            "cycles_stalled": self._cycles_stalled,
+            "instructions_retired": self._instructions_retired,
             "now": self._now,
             "burst_start": self._burst_start,
             "burst_base": self._burst_base,
@@ -261,7 +360,7 @@ class R8Cpu(Component):
         }
 
     def restore_state(self, state: dict) -> None:
-        st = self.state
+        st = self._state
         st.regs[:] = state["regs"]
         st.pc = state["pc"]
         st.sp = state["sp"]
@@ -281,9 +380,11 @@ class R8Cpu(Component):
             self._txn = t
         self._mem_settle = state["mem_settle"]
         self.paused = state["paused"]
-        self.cycles_active = state["cycles_active"]
-        self.cycles_stalled = state["cycles_stalled"]
-        self.instructions_retired = state["instructions_retired"]
+        self._cycles_active = state["cycles_active"]
+        self._cycles_stalled = state["cycles_stalled"]
+        self._instructions_retired = state["instructions_retired"]
+        self.back_jump = False
+        self.spin_dirty = True
         self._now = state["now"]
         self._burst_start = state["burst_start"]
         self._burst_base = state["burst_base"]
@@ -301,19 +402,19 @@ class R8Cpu(Component):
     def eval(self, cycle: int) -> None:
         if self._fsm == S_HALT:
             return
-        self.cycles_active += 1
+        self._cycles_active += 1
         if self.sink is not None:
             self._telemetry_tick(cycle)
         if self.pc_samples is not None:
             # FETCH cycles (and pause-at-fetch stalls) belong to the
             # instruction about to be fetched; later FSM states to the
             # instruction fetched earlier.
-            pc = self.state.pc if self._fsm == S_FETCH else self._cur_pc
+            pc = self._state.pc if self._fsm == S_FETCH else self._cur_pc
             key = (self._call_key, pc)
             self.pc_samples[key] = self.pc_samples.get(key, 0) + 1
         if self._fsm == S_FETCH:
             if self.paused:
-                self.cycles_stalled += 1
+                self._cycles_stalled += 1
                 return
             self._do_fetch()
         elif self._fsm == S_EXEC:
@@ -327,14 +428,14 @@ class R8Cpu(Component):
 
     def _do_fetch(self) -> None:
         if self.pc_samples is not None:
-            self._cur_pc = self.state.pc
-        word = self.bus.fetch(self.state.pc)
+            self._cur_pc = self._state.pc
+        word = self.bus.fetch(self._state.pc)
         self._instr = isa.decode(word)
-        self.state.pc = (self.state.pc + 1) & MASK16
+        self._state.pc = (self._state.pc + 1) & MASK16
         self._fsm = S_EXEC
 
     def _retire(self, next_state: int = S_FETCH) -> None:
-        self.instructions_retired += 1
+        self._instructions_retired += 1
         self._instr = None
         self._txn = None
         self._fsm = next_state
@@ -349,7 +450,7 @@ class R8Cpu(Component):
         self._now = cycle
         if self._burst_start is None:
             self._burst_start = cycle
-            self._burst_base = self.instructions_retired
+            self._burst_base = self._instructions_retired
             self.sink.instant(self.name, "activate", cycle)
         stalled = self.stalled or (self.paused and self._fsm == S_FETCH)
         if stalled:
@@ -372,7 +473,7 @@ class R8Cpu(Component):
             "exec",
             self._burst_start,
             self._now + 1 - self._burst_start,
-            retired=self.instructions_retired - self._burst_base,
+            retired=self._instructions_retired - self._burst_base,
         )
         self._burst_start = None
 
@@ -380,7 +481,7 @@ class R8Cpu(Component):
         instr = self._instr
         assert instr is not None
         spec = instr.spec
-        st = self.state
+        st = self._state
         if spec.reads_mem:
             self._txn = self.bus.read(semantics.read_address(st, instr))
             self._mem_settle = 1
@@ -391,7 +492,10 @@ class R8Cpu(Component):
             self._txn = self.bus.write(*semantics.write_access(st, instr))
             self._fsm = S_WRITE
         else:
+            pc = st.pc
             semantics.execute(st, instr, None, None)
+            if st.pc < pc:
+                self.back_jump = True
             self._retire(S_HALT if st.halted else S_FETCH)
 
     def _do_mem(self) -> None:
@@ -401,11 +505,11 @@ class R8Cpu(Component):
         txn = self._txn
         assert txn is not None
         if not txn.done:
-            self.cycles_stalled += 1
+            self._cycles_stalled += 1
             return
         instr = self._instr
         assert instr is not None
-        semantics.land_read(self.state, instr, txn.value)
+        semantics.land_read(self._state, instr, txn.value)
         if (
             self.pc_samples is not None
             and self._call_key
@@ -418,6 +522,6 @@ class R8Cpu(Component):
         txn = self._txn
         assert txn is not None
         if not txn.done:
-            self.cycles_stalled += 1
+            self._cycles_stalled += 1
             return
         self._retire()

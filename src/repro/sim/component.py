@@ -150,7 +150,8 @@ class Component:
         span that has passed, so one span may be credited in pieces;
         ``on_wake(a)`` then ``on_wake(b)`` must equal ``on_wake(a + b)``.
         Override to add what lock-step evaluation would have counted
-        (stall counters, phase counters, countdowns, replayed decisions).
+        (stall counters, phase counters, countdowns, replayed decisions,
+        the iterations of a poll loop).
         """
 
     def member_input(self, member: "Component", wire: Wire) -> None:

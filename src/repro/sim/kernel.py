@@ -38,11 +38,14 @@ commits the router-to-router wires itself (it takes them back from the
 kernel's commit queue in its ``elaborated`` hook).
 
 The results are cycle-exact with respect to the legacy schedule: a
-quiescent component's eval would by contract only count, and skipped
-evals are credited through ``on_wake`` (by the next eval, or by
-:meth:`Simulator.settle`, which :meth:`Simulator.snapshot` calls) so
-per-cycle counters (CPU and router stall accounting, PC samples) match
-bit for bit.  ``Simulator(strict_lockstep=True)`` keeps the original
+quiescent component's eval would by contract only count (or, for an R8
+core in a poll loop, repeat the loop), and skipped evals are credited
+through ``on_wake`` (by the next eval, or by :meth:`Simulator.settle`,
+which :meth:`Simulator.snapshot` calls) so per-cycle counters (CPU and
+router stall accounting, PC samples) match bit for bit.  A component
+that must read current between cycles (an R8 core's counters and PC)
+credits its own unit with :meth:`Simulator.settle_unit`.
+``Simulator(strict_lockstep=True)`` keeps the original
 evaluate-everything loop as the reference the A/B equivalence tests
 compare against; it latches one flat list of owned wires, built at
 elaboration and invalidated with it.  Host time is
@@ -62,7 +65,7 @@ watchdogs and live frames keep their cadence.  The
 
 from __future__ import annotations
 
-from heapq import heapify, heappop, heappush
+from heapq import heapify, heappop, heappush, merge
 from operator import attrgetter
 from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
 
@@ -365,14 +368,22 @@ class Simulator:
         """
         if self._needs_elab:
             self._elaborate()
-        cycle = self.cycle
         for u in self._units:
-            s = u._slept_since
-            if s is not None and cycle > s:
-                u.on_wake(cycle - s)
-                u._slept_since = cycle
+            self.settle_unit(u)
+        cycle = self.cycle
         for comp in self._settlers:
             comp.settle(cycle)
+
+    def settle_unit(self, unit: Component) -> None:
+        """Credit *unit*'s skipped evals up to this cycle through its
+        ``on_wake``; the unit keeps sleeping.  Components that read
+        themselves current (an R8 core's counters) call this."""
+        s = unit._slept_since
+        cycle = self.cycle
+        if s is not None and cycle > s:
+            # moved first: on_wake may read the unit's public state
+            unit._slept_since = cycle
+            unit.on_wake(cycle - s)
 
     def snapshot(self) -> dict:
         """Capture the full simulation state (components + scheduler).
@@ -654,16 +665,26 @@ class Simulator:
         in between — advancing the cycle counter is exact.
 
         Strided watchers first replay their multiples strictly inside
-        the span, each in registration order; then every watcher gets
-        the regular pass at the landing cycle *to_cycle*.
+        the span, in cycle order and in registration order within a
+        cycle; then every watcher gets the regular pass at the landing
+        cycle *to_cycle*.
         """
-        self.cycle = to_cycle
         self.ff_spans += 1
         self.ff_cycles += to_cycle - from_cycle
-        for fn, stride in self._watcher_pass:
-            if stride is not None:
-                for c in stride_points(from_cycle, to_cycle, stride):
-                    fn(c)
+        strided = [(fn, k) for fn, k in self._watcher_pass if k is not None]
+        if strided:
+            # in cycle order with the cycle counter at each point, as
+            # lock-step calls them: a spinning core reads itself current
+            last = None
+            for c in merge(
+                *(stride_points(from_cycle, to_cycle, k) for _, k in strided)
+            ):
+                if c != last:
+                    last = self.cycle = c
+                    for fn, k in strided:
+                        if c % k == 0:
+                            fn(c)
+        self.cycle = to_cycle
         for fn, stride in self._watcher_pass:
             if stride is None or to_cycle % stride == 0:
                 fn(to_cycle)

@@ -14,6 +14,18 @@ gluing both to a single Hermes network interface.  The control logic:
   yields the banks to the core ("The highest priority to access the
   memory banks is given to the processor"),
 * handles activate / notify / wait packets.
+
+Sleeping.  The IP is one kernel unit.  It sleeps while its core cannot
+change anything on its own: halted, paused, stalled on a transaction,
+or spinning in a poll loop over local memory that has reached a fixed
+point (the core is back in the state it had at its previous backward
+jump, and nothing it reads has changed since).  A flit at the NI wakes
+it.  ``on_wake`` credits stall cycles, or whole loop periods plus the
+cycles around them evaluated for real, so every counter matches
+lock-step.  Spin sleep is off while a telemetry sink, PC sampling or
+an observer that sets :attr:`ProcessorIp.observed` watches the core
+every cycle.  :meth:`ProcessorIp.load` and a restore credit the
+open span and wake the IP.
 """
 
 from __future__ import annotations
@@ -88,11 +100,18 @@ class ProcessorIp(Component):
         self._wait_start: Optional[int] = None
         self._remote_start = 0
         self._scanf_start = 0
+        #: set while an observer reads this core every cycle (the system
+        #: debugger's breakpoints, expressions and watchpoints): the
+        #: core is then evaluated through its poll loops
+        self.observed = False
+        self._clear_spin()
 
     # ======================= telemetry =====================================
 
     def attach_telemetry(self, sink) -> None:
         """Register tracks for this IP, its core and its NI; enable hooks."""
+        # a span slept in a poll loop is credited before the sink sees it
+        self._credit_and_wake()
         self.sink = sink
         sink.track(self.name, process="cpu")
         sink.track(self.cpu.name, process="cpu")
@@ -124,6 +143,7 @@ class ProcessorIp(Component):
         if access.kind == AccessKind.LOCAL:
             txn.complete(self.banks.proc_read(access.offset))
         elif access.kind == AccessKind.REMOTE:
+            self.cpu.spin_dirty = True
             self.ni.send_packet(
                 services.encode_read(
                     decode_address(access.target_flit),
@@ -138,6 +158,7 @@ class ProcessorIp(Component):
                 self._remote_start = self._now
         elif access.kind == AccessKind.IO:
             # LD from FFFF = scanf (paper Section 2.4, I/O Operations)
+            self.cpu.spin_dirty = True
             self.ni.send_packet(
                 services.encode_scanf(
                     decode_address(self.serial_flit), self.proc_id
@@ -155,6 +176,7 @@ class ProcessorIp(Component):
         return txn
 
     def write(self, addr: int, value: int) -> Transaction:
+        self.cpu.spin_dirty = True
         access = self.address_map.classify(addr)
         txn = Transaction(True, addr, value)
         if access.kind == AccessKind.LOCAL:
@@ -239,15 +261,29 @@ class ProcessorIp(Component):
         banks.proc_used = False
 
     def is_quiescent(self) -> bool:
-        """The whole IP sleeps only when the core cannot advance on its
-        own (halted, paused, or stalled on an external transaction), the
-        NI is idle with nothing undelivered, the local-memory server has
-        no work, and no posted operation is waiting to complete.  Every
-        possible resume path is covered by a wake: incoming flits wake
-        the NI's watched wires, and local completions keep the unit awake
-        until they land."""
-        if not self.cpu.sleepable:
+        """The whole IP sleeps only when the core cannot change its
+        inputs on its own, the NI is idle with nothing undelivered, the
+        local-memory server has no work, and no posted operation is
+        waiting to complete.  The core is halted, paused, stalled on an
+        external transaction, or spinning in a poll loop that has reached
+        a fixed point (see :meth:`_spin_check`).  Every possible resume
+        path is covered by a wake: incoming flits wake the NI's watched
+        wires, and local completions keep the unit awake until they
+        land."""
+        cpu = self.cpu
+        if cpu.back_jump:
+            cpu.back_jump = False
+            return self._spin_check()
+        if not cpu.sleepable:
             return False
+        if not self._rest_idle():
+            return False
+        self._spin = None
+        return True
+
+    def _rest_idle(self) -> bool:
+        """Everything but the core is idle: memory server, posted
+        operations and NI."""
         if not self.banks.idle:
             return False
         if self._posted_op_pending():
@@ -256,12 +292,97 @@ class ProcessorIp(Component):
         ni = self.ni
         return not ni.received and ni.is_quiescent()
 
+    # -- spin sleep: a poll loop over unchanged local memory -----------------
+
+    def _spin_check(self) -> bool:
+        """At the fetch boundary after a taken backward jump: sleep if
+        the core is back in the state it had at the previous one and,
+        since then, nothing could have changed what it reads.
+
+        Nothing means: no store of any kind, no read outside local
+        memory, no popped packet, no memory-server work, no direct load
+        and no direct change to the core (each sets the core's
+        ``spin_dirty``).  The iteration just run then
+        read the memory as it still is, so the next one repeats it, and
+        so on until a flit reaches the NI, the core is activated or the
+        IP is mutated directly: each of those wakes the unit.  The loop
+        period is credited by :meth:`on_wake`."""
+        cpu = self.cpu
+        key = cpu.spin_key()
+        counters = cpu.counters()
+        sleep = (
+            key == self._spin_key
+            and not cpu.spin_dirty
+            and cpu.sink is None
+            and cpu.pc_samples is None
+            and not self.observed
+            and self._rest_idle()
+        )
+        if sleep:
+            mark = self._spin_mark
+            self._spin = tuple(n - m for n, m in zip(counters, mark))
+            self._spin_phase = 0
+        self._spin_key = key
+        self._spin_mark = counters
+        # a request the server is still running writes during the window
+        cpu.spin_dirty = not self.banks.idle
+        return sleep
+
+    def _clear_spin(self) -> None:
+        #: (cycles, instructions, stalled cycles) of one iteration of
+        #: the loop the core sleeps in, or None for the other sleeps
+        self._spin: Optional[Tuple[int, int, int]] = None
+        #: cycles into that iteration the core has been credited to
+        self._spin_phase = 0
+        #: core state and counters at the last backward jump
+        self._spin_key: Optional[tuple] = None
+        self._spin_mark = (0, 0, 0)
+
     def on_wake(self, skipped_cycles: int) -> None:
-        """Credit the skipped idle evals to the core's stall counters."""
-        self.cpu.credit_idle_cycles(skipped_cycles)
+        """Credit the skipped evals: stall cycles to a halted, paused or
+        stalled core, and whole loop periods to a spinning one.
+
+        A spinning core is first evaluated back to its loop head, then
+        credited ``n // period`` iterations arithmetically, and evaluated
+        through the rest, so it leaves exactly where lock-step would.
+        Every eval here reads local memory only; the cycle it is given
+        only stamps telemetry, which keeps spin sleep off."""
+        spin = self._spin
+        if spin is None:
+            self.cpu.credit_idle_cycles(skipped_cycles)
+            return
+        period = spin[0]
+        n = skipped_cycles
+        cpu = self.cpu
+        if self._spin_phase:
+            head = min(n, period - self._spin_phase)
+            for _ in range(head):
+                cpu.eval(0)
+            n -= head
+            self._spin_phase = (self._spin_phase + head) % period
+        if self._spin_phase == 0:
+            periods, n = divmod(n, period)
+            cpu.credit_loop(periods, *spin)
+            # the next iteration is measured from this loop head
+            self._spin_mark = cpu.counters()
+            for _ in range(n):
+                cpu.eval(0)
+            self._spin_phase = n
+        cpu.back_jump = False
+        self.banks.proc_used = False
+
+    def _credit_and_wake(self) -> None:
+        """Before a direct mutation: credit the open sleep span with the
+        inputs it was spent on, then make the core read the new ones."""
+        kernel = self._kernel
+        if kernel is not None:
+            kernel.settle_unit(self)
+        self.cpu.spin_dirty = True
+        self.wake()
 
     def reset(self) -> None:
         super().reset()
+        self._clear_spin()
         self._pending = None
         self._pending_kind = None
         self._wait_source = None
@@ -303,6 +424,7 @@ class ProcessorIp(Component):
 
     def _handle_incoming(self, cycle: int) -> None:
         while self.ni.has_received():
+            self.cpu.spin_dirty = True
             packet = self.ni.pop_received()
             try:
                 message = services.decode(packet)
@@ -447,6 +569,10 @@ class ProcessorIp(Component):
         self._wait_start = state["wait_start"]
         self._remote_start = state["remote_start"]
         self._scanf_start = state["scanf_start"]
+        # the spin record is not checkpointed: the core finds its loop
+        # again within two iterations
+        self._clear_spin()
+        self.wake()
 
     @property
     def server_idle(self) -> bool:
@@ -459,7 +585,7 @@ class ProcessorIp(Component):
         return {
             "proc_id": self.proc_id,
             "address": self.noc_address,
-            "pc": cpu.state.pc,
+            "pc": cpu.pc,
             "fsm": cpu.fsm_state,
             "halted": cpu.halted,
             "paused": cpu.paused,
@@ -477,6 +603,7 @@ class ProcessorIp(Component):
 
     def load(self, words, base: int = 0) -> None:
         """Directly load words into local memory (testbench shortcut)."""
+        self._credit_and_wake()
         self.banks.load(words, base)
 
     def dump(self, start: int = 0, count: Optional[int] = None) -> List[int]:

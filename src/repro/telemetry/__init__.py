@@ -43,6 +43,7 @@ from .analysis import (
 )
 from .events import Event, TelemetrySink
 from .export import (
+    TraceError,
     chrome_trace,
     load_jsonl,
     write_chrome_trace,
@@ -109,6 +110,7 @@ __all__ = [
     "RUN_SCHEMA",
     "RegistryError",
     "RuleError",
+    "TraceError",
     "RuleSet",
     "RunRegistry",
     "SloObjective",

@@ -171,34 +171,66 @@ def write_jsonl(sink: TelemetrySink, path: PathLike) -> Path:
     return path
 
 
+class TraceError(ValueError):
+    """A JSONL trace :func:`load_jsonl` cannot read; the message names
+    the file and the line."""
+
+
 def load_jsonl(path: PathLike) -> TelemetrySink:
     """Rebuild a :class:`TelemetrySink` from a :func:`write_jsonl` file.
 
     Tolerates files without the leading ``meta`` line (tracks are then
-    re-registered in event order under the default process).
+    re-registered in event order under the default process).  A line
+    that is not a record of the format (not JSON, not an object, a key
+    missing or of the wrong type) raises :class:`TraceError`; an
+    unreadable file raises ``OSError``.
     """
     sink = TelemetrySink()
-    with Path(path).open() as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
+    with Path(path).open("rb") as fh:
+        for lineno, line in enumerate(fh, 1):
+            if not line.strip():
                 continue
-            record = json.loads(line)
-            if record.get("meta") == "tracks":
-                for name, (process, _tid) in record["tracks"].items():
-                    sink.track(name, process=process)
-                continue
-            sink.emit(
-                Event(
-                    record["ph"],
-                    record["name"],
-                    record["track"],
-                    record["ts"],
-                    record.get("dur"),
-                    record.get("args"),
-                )
-            )
+            try:
+                _load_record(sink, json.loads(line))
+            except ValueError as exc:
+                raise TraceError(f"{path}:{lineno}: {exc}") from None
     return sink
+
+
+def _number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _load_record(sink: TelemetrySink, record) -> None:
+    """Add one decoded line to *sink*; ValueError says what is wrong."""
+    if not isinstance(record, dict):
+        raise ValueError("a record must be a JSON object")
+    if record.get("meta") == "tracks":
+        tracks = record.get("tracks")
+        if not isinstance(tracks, dict):
+            raise ValueError("'tracks' must be an object")
+        for name, entry in tracks.items():
+            if not (
+                isinstance(entry, list)
+                and len(entry) == 2
+                and isinstance(entry[0], str)
+            ):
+                raise ValueError(f"track {name!r} must be [process, tid]")
+            sink.track(name, process=entry[0])
+        return
+    for key in ("ph", "name", "track"):
+        if not isinstance(record.get(key), str):
+            raise ValueError(f"{key!r} must be a string")
+    ts, dur, args = record.get("ts"), record.get("dur"), record.get("args")
+    if not _number(ts):
+        raise ValueError("'ts' must be a number")
+    if dur is not None and not _number(dur):
+        raise ValueError("'dur' must be a number")
+    if args is not None and not isinstance(args, dict):
+        raise ValueError("'args' must be an object")
+    sink.emit(
+        Event(record["ph"], record["name"], record["track"], ts, dur, args)
+    )
 
 
 def write_prometheus(sink: TelemetrySink, path: PathLike) -> Path:

@@ -494,7 +494,7 @@ class LiveStream:
             self._prev_retired[proc.name] = retired
             out[proc.name] = {
                 "state": "halted" if cpu.halted else cpu.fsm_state,
-                "pc": cpu.state.pc,
+                "pc": cpu.pc,
                 "retired": retired,
                 "ipc": round(delta / window, 4),
             }

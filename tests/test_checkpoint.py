@@ -125,7 +125,7 @@ class TestEdgeWorkloadDeterminism:
                              [(False, True), (True, False)])
     def test_post_run_restore_cross_mode(self, snap_strict, resume_strict):
         assert_matches_lockstep(
-            Draw(("edge", 4, 16, 7), (snap_strict, resume_strict), split=0)
+            Draw(("edge", 4, 16, 7, True), (snap_strict, resume_strict), split=0)
         )
 
 

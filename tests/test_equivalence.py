@@ -295,7 +295,9 @@ class _Noc:
 
 
 class _Board:
-    """A MultiNoC platform running R8 programs the host loaded.
+    """A MultiNoC platform running R8 programs the host loaded, traced
+    or not (a traced core is evaluated every cycle to sample its PC; an
+    untraced one sleeps through its poll loops).
 
     The serial link runs at the fastest divisor the UART takes (2 cycles
     per bit), which halves the lock-step reference's loading time; edge
@@ -305,6 +307,7 @@ class _Board:
 
     def __init__(self, workload, strict):
         topology, n_procs = workload[1:3]
+        traced = workload[5]
         platform = (
             MultiNoCPlatform.standard()
             if topology is None
@@ -312,7 +315,7 @@ class _Board:
         )
         self.session = s = platform.launch(
             baud_divisor=self.BAUD_DIVISOR,
-            telemetry=TelemetrySink(),
+            telemetry=TelemetrySink() if traced else None,
             strict_lockstep=strict,
         )
         self.sim, self.sink, self.system = s.sim, s.telemetry, s.system
@@ -324,7 +327,7 @@ class _Board:
 
     def setup(self):
         self.session.host.sync()
-        programs = _programs(self.system, *self.workload[3:])
+        programs = _programs(self.system, *self.workload[3:5])
         for pid, program in programs.items():
             self.session.start(pid, program)
         return {}
@@ -364,7 +367,7 @@ class _Board:
 
     @staticmethod
     def expect(workload, digest):
-        for pid, values in _printed(*workload[2:]).items():
+        for pid, values in _printed(*workload[2:5]).items():
             printed = [v for _, v in digest["monitors"][pid]["printfs"]]
             assert printed == values, (pid, printed)
 
@@ -375,8 +378,8 @@ class _Edge(_Board):
     BAUD_DIVISOR = 4
 
     def __init__(self, workload, strict):
-        super().__init__(("board", None, 2), strict)
-        self.image = _edge_image(*workload[1:])
+        super().__init__(("board", None, 2, None, None, workload[4]), strict)
+        self.image = _edge_image(*workload[1:4])
 
     def setup(self):
         self.session.host.sync()
@@ -392,7 +395,7 @@ class _Edge(_Board):
 
     @staticmethod
     def expect(workload, digest):
-        assert digest["output"] == reference_sobel(_edge_image(*workload[1:]))
+        assert digest["output"] == reference_sobel(_edge_image(*workload[1:4]))
 
 
 FABRICS = {"noc": _Noc, "board": _Board, "edge": _Edge}
@@ -648,7 +651,7 @@ def board_workload(draw):
         arg = (draw(st.integers(1, n_procs)), source, tuple(expected))
     elif program == "sea":
         arg = draw(st.integers(2, 10))
-    return ("board", topology, n_procs, program, arg)
+    return ("board", topology, n_procs, program, arg, draw(st.booleans()))
 
 
 #: cycles after setup a board's programs, or edge detection's tail, keep
@@ -665,6 +668,7 @@ WORKLOADS = st.one_of(
         st.integers(3, 4),
         st.integers(3, 16),
         st.integers(0, 1000),
+        st.booleans(),
     ),
 )
 
@@ -697,13 +701,17 @@ def _mesh3x3(**config):
 
 
 #: the printf loop and the wait/notify pair on the standard board
-PRINTF_BOARD = ("board", None, 2, "printf", None)
-SYNC_BOARD = ("board", None, 2, "sync", None)
+PRINTF_BOARD = ("board", None, 2, "printf", None, True)
+SYNC_BOARD = ("board", None, 2, "sync", None, True)
 
 # the heavy hand-picked scenarios with their exact workload parameters,
 # each split while busy; the kernel-equivalence tests run them
-EDGE = Draw(("edge", 4, 16, 7), (False, True), split=500)
-SEA = Draw(("board", "mesh:4x4", 8, "sea", 10), (False, False), split=2000)
+EDGE = Draw(("edge", 4, 16, 7, True), (False, True), split=500)
+#: untraced, so the workers sleep through their FLAG poll loops
+EDGE_SPIN = Draw(("edge", 4, 16, 7, False), (True, False), split=500)
+SEA = Draw(
+    ("board", "mesh:4x4", 8, "sea", 10, True), (False, False), split=2000
+)
 HOTSPOT = Draw(
     _mesh3x3(rate=0.08, duration=3000, hotspot_node=(0, 0), seed=3),
     (False, False),

@@ -15,6 +15,7 @@ from repro.sim import Component, Simulator
 from .test_equivalence import (
     BURSTY,
     EDGE,
+    EDGE_SPIN,
     HOTSPOT,
     PRINTF_BOARD,
     SEA,
@@ -315,6 +316,11 @@ class TestEdgeDetectionEquivalence:
     def test_bit_identical_run(self):
         """Host I/O, remote memory and compute; output == reference Sobel."""
         assert_matches_lockstep(EDGE)
+
+    def test_untraced_workers_spin_sleep(self):
+        """Untraced workers sleep through their FLAG poll loops; the run
+        is split and resumed from lock-step into the quiescent kernel."""
+        assert_matches_lockstep(EDGE_SPIN)
 
 
 class TestWaitNotifyEquivalence:

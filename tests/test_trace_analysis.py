@@ -3,8 +3,12 @@ attribution, R8 profiles/flame graphs, JSONL fidelity, diffing, CLI."""
 
 import json
 import re
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import MultiNoCPlatform
 from repro.cli import main as cli_main
@@ -12,6 +16,7 @@ from repro.noc import HermesNetwork
 from repro.noc.routing import Port
 from repro.telemetry import (
     TelemetrySink,
+    TraceError,
     analyze_trace,
     diff_traces,
     load_jsonl,
@@ -322,6 +327,30 @@ class TestAnalyzeCli:
         assert code == 0
         assert "no regressions" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("as_baseline", [False, True])
+    @pytest.mark.parametrize(
+        "damage, reason",
+        [
+            (lambda text: text[: text.index("}", 200)], "Expecting"),
+            (
+                lambda text: text.replace('"track": ', '"trak": ', 1),
+                "'track' must be a string",
+            ),
+        ],
+    )
+    def test_damaged_trace_is_one_line_error(
+        self, trace_path, tmp_path, capsys, damage, reason, as_baseline
+    ):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(damage(Path(trace_path).read_text()))
+        args = ["analyze", trace_path, "--baseline", str(bad), "--no-record"]
+        if not as_baseline:
+            args[1], args[3] = str(bad), trace_path
+        assert cli_main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}:") and reason in err
+        assert err.count("\n") == 1
+
     def test_baseline_regression_fails(self, trace_path, tmp_path, capsys):
         base_sink = TelemetrySink()
         net = HermesNetwork(2, 2, telemetry=base_sink)
@@ -334,3 +363,59 @@ class TestAnalyzeCli:
         code = cli_main(["analyze", trace_path, "--baseline", base_path])
         assert code == 1
         assert "REGRESSED" in capsys.readouterr().out
+
+
+# ---------------------------------------------------------------------------
+# A damaged JSONL trace fails with TraceError and nothing else
+# ---------------------------------------------------------------------------
+
+_VALID_TRACE = None
+
+
+def _valid_trace() -> bytes:
+    global _VALID_TRACE
+    if _VALID_TRACE is None:
+        sink, _ = _contended_run()
+        with tempfile.TemporaryDirectory() as tmp:
+            _VALID_TRACE = write_jsonl(sink, Path(tmp) / "t.jsonl").read_bytes()
+    return _VALID_TRACE
+
+
+#: a value of every JSON type, to retype a key with
+_JSON_VALUES = [None, True, 0, 1.5, "x", [], {}, [1, "a"], {"k": 1}]
+
+
+@st.composite
+def damaged_traces(draw):
+    data = _valid_trace()
+    kind = draw(st.sampled_from(["truncate", "flip", "delete", "retype"]))
+    if kind == "truncate":
+        return data[: draw(st.integers(0, len(data) - 1))]
+    if kind == "flip":
+        out = bytearray(data)
+        for _ in range(draw(st.integers(1, 4))):
+            i = draw(st.integers(0, len(out) - 1))
+            out[i] = draw(st.integers(0, 255))
+        return bytes(out)
+    lines = data.decode().splitlines()
+    i = draw(st.integers(0, len(lines) - 1))
+    record = json.loads(lines[i])
+    key = draw(st.sampled_from(sorted(record)))
+    if kind == "delete":
+        del record[key]
+    else:
+        record[key] = draw(st.sampled_from(_JSON_VALUES))
+    lines[i] = json.dumps(record)
+    return "\n".join(lines).encode()
+
+
+@settings(max_examples=300, deadline=None)
+@given(damaged_traces())
+def test_damaged_trace_raises_only_trace_error(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "damaged.jsonl"
+        path.write_bytes(data)
+        try:
+            load_jsonl(path)
+        except TraceError as exc:
+            assert re.match(rf"{re.escape(str(path))}:\d+: ", str(exc))
