@@ -510,13 +510,19 @@ def cmd_analyze(args) -> int:
     from .telemetry import TraceError, analyze_trace, diff_traces, load_jsonl
     from .telemetry.registry import RunRegistry
 
+    def analyze(path):
+        sink = load_jsonl(path)
+        try:
+            return analyze_trace(sink)
+        except TraceError as exc:
+            raise TraceError(f"{path}: {exc}") from None
+
     try:
-        trace = load_jsonl(args.trace)
-        baseline = load_jsonl(args.baseline) if args.baseline else None
+        analysis = analyze(args.trace)
+        baseline = analyze(args.baseline) if args.baseline else None
     except (OSError, TraceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    analysis = analyze_trace(trace)
     print(analysis.report(top=args.top))
     document = analysis.to_dict()
     status = 0
@@ -525,7 +531,7 @@ def cmd_analyze(args) -> int:
     if baseline is not None:
         diff = diff_traces(
             analysis,
-            analyze_trace(baseline),
+            baseline,
             threshold_pct=args.threshold_pct,
             threshold_cycles=args.threshold_cycles,
         )

@@ -118,7 +118,8 @@ class SerialSoftware(Component):
         return self.uart_tx.is_quiescent() and self.uart_rx.is_quiescent()
 
     def on_wake(self, skipped_cycles: int) -> None:
-        """Forward the skip credit to both UARTs (phase/count advance)."""
+        """Forward the skip credit to both UARTs (whole bits, replayed
+        samples)."""
         self.uart_tx.on_wake(skipped_cycles)
         self.uart_rx.on_wake(skipped_cycles)
 

@@ -79,14 +79,19 @@ class SerialIp(Component):
         if self.sink is not None:
             self._now = cycle
         # inlined child walk (rx, tx, ni are the bridge's only children)
-        self.uart_rx.eval(cycle)
+        rx, ni = self.uart_rx, self.ni
+        synced = rx.synced
+        rx.eval(cycle)
         self.uart_tx.eval(cycle)
-        self.ni.eval(cycle)
-        if self.uart_rx.synced:
-            # Match the board UART transmit rate to the learned baud rate.
-            self.uart_tx.divisor = self.uart_rx.divisor
-        self._assemble_host_frames()
-        self._disassemble_noc_packets()
+        ni.eval(cycle)
+        if rx.synced and not synced:
+            # Match the board UART transmit rate to the learned baud rate,
+            # once, at the eval that locks it (the transmitter is current).
+            self.uart_tx.divisor = rx.divisor
+        if rx.received:
+            self._assemble_host_frames()
+        if ni.received:
+            self._disassemble_noc_packets()
 
     def is_quiescent(self) -> bool:
         """Idle when both UARTs and the NI are silent and nothing is
@@ -94,14 +99,15 @@ class SerialIp(Component):
         frozen state — only a new UART byte extends it, and that byte
         wakes the bridge through the receiver's watched line."""
         return (
-            self.uart_rx.is_quiescent()
-            and self.uart_tx.is_quiescent()
-            and not self.ni.received
+            not self.ni.received
             and self.ni.is_quiescent()
+            and self.uart_rx.is_quiescent()
+            and self.uart_tx.is_quiescent()
         )
 
     def on_wake(self, skipped_cycles: int) -> None:
-        """Forward the skip credit to both UARTs (phase/count advance)."""
+        """Forward the skip credit to both UARTs (whole bits, replayed
+        samples)."""
         self.uart_tx.on_wake(skipped_cycles)
         self.uart_rx.on_wake(skipped_cycles)
 

@@ -5,6 +5,13 @@ first, one stop bit (high); the line idles high.  The bit period is
 ``divisor`` clock cycles, so different host/board clock ratios can be
 exercised — which is why MultiNoC needs the 0x55 synchronisation byte
 (see :class:`AutoBaudUartRx`).
+
+Both ends evaluate the line bit by bit, but under the quiescent kernel
+they sleep from one line edge to the next: a transmitter wakes only where
+its next eval drives a different level (or ends the final frame), and a
+framing receiver only where the line changes or the stop bit is sampled.
+``on_wake`` credits the skipped evals exactly, so the waveform, ``busy``
+and every received byte land on their lock-step cycles.
 """
 
 from __future__ import annotations
@@ -16,6 +23,11 @@ from ..sim import Component, Wire
 
 #: Bits per 8N1 frame: start + 8 data + stop.
 FRAME_BITS = 10
+
+#: the line levels of each byte's frame: start, data LSB first, stop
+_FRAMES = tuple(
+    (0, *((byte >> i) & 1 for i in range(8)), 1) for byte in range(256)
+)
 
 
 class UartTx(Component):
@@ -29,7 +41,7 @@ class UartTx(Component):
         self.divisor = self._reset_divisor = divisor
         self.adopt_wires([line])
         self.queue: Deque[int] = deque()
-        self._bits: list = []
+        self._bits: tuple = ()
         self._bit_index = 0
         self._phase = 0
         self._cycle = 0
@@ -46,15 +58,13 @@ class UartTx(Component):
 
     @property
     def busy(self) -> bool:
-        return bool(self.queue) or bool(self._bits)
+        return bool(self.queue or self._bits)
 
     def eval(self, cycle: int) -> None:
         self._cycle = cycle
         if not self._bits:
             if self.queue:
-                byte = self.queue.popleft()
-                data_bits = [(byte >> i) & 1 for i in range(8)]
-                self._bits = [0] + data_bits + [1]
+                self._bits = _FRAMES[self.queue.popleft()]
                 self._bit_index = 0
                 self._phase = 0
             else:
@@ -65,51 +75,59 @@ class UartTx(Component):
         if self._phase >= self.divisor:
             self._phase = 0
             self._bit_index += 1
-            if self._bit_index >= len(self._bits):
-                self._bits = []
+            if self._bit_index >= FRAME_BITS:
+                self._bits = ()
 
     def is_quiescent(self) -> bool:
-        """Sleep whenever the next eval cannot change the line.
+        """Sleep until the next eval that changes the line level.
 
-        Mid-frame the line only changes at bit boundaries: with the
-        current bit worth ``divisor - phase`` more identical drives, the
-        transmitter books a wake for the first eval presenting the next
-        bit and skips the pure phase-counting evals in between (they are
-        re-credited by :meth:`on_wake`).  Fully idle, it sleeps until
-        :meth:`send_byte` wakes it.
+        The evals before it re-present the level just driven, so the
+        transmitter books a wake for the first eval presenting a
+        different bit value: a later bit of the frame, or the start bit
+        of the next queued frame.  After the final frame it books the
+        eval that ends the stop bit instead, so ``busy`` flips false at
+        the cycle lock-step would clear it (host drain predicates probe
+        it between cycles).  :meth:`on_wake` credits the skipped whole
+        bits.  Fully idle, it sleeps until :meth:`send_byte` wakes it.
         """
-        if self._bits:
-            p = self._phase
-            if p == 0:
-                return False  # a new bit value goes out next eval
-            if not self.queue and self._bit_index == len(self._bits) - 1:
-                # Final bit of the final frame: stay awake so ``busy``
-                # flips false at the exact cycle lock-step would clear
-                # it — host drain predicates probe it between cycles.
-                return False
-            self.wake_at(self._cycle + self.divisor - p + 1)
-            return True
-        return not self.queue and self.line.value == 1
+        bits = self._bits
+        if not bits:
+            return not self.queue and self.line.value == 1
+        i, p, d = self._bit_index, self._phase, self.divisor
+        # the level this eval drove, and how many evals repeat it
+        if p:
+            level, ahead, i = bits[i], d - p, i + 1
+        else:
+            level, ahead = bits[i - 1], 0
+        while i < FRAME_BITS and bits[i] == level:
+            ahead += d
+            i += 1
+        if i == FRAME_BITS and not self.queue:
+            ahead -= 1  # wake at the eval that ends the final frame
+        if ahead < 1:
+            return False
+        self.wake_at(self._cycle + 1 + ahead)
+        return True
 
     def on_wake(self, skipped_cycles: int) -> None:
-        """Re-credit skipped mid-frame evals: each was exactly one phase
-        increment driving the unchanged current bit."""
+        """Credit skipped evals: each drove the current bit once more
+        and advanced the phase; a span may cover any number of whole
+        bits, up to the end of the frame."""
         if skipped_cycles <= 0 or not self._bits:
             return
-        self._phase += skipped_cycles
-        if self._phase >= self.divisor:
-            # the skipped span covers at most one bit boundary (the wake
-            # lands on the eval right after it)
-            self._phase -= self.divisor
-            self._bit_index += 1
-            if self._bit_index >= len(self._bits):
-                self._bits = []
+        q, self._phase = divmod(self._phase + skipped_cycles, self.divisor)
+        self._bit_index += q
+        if self._bit_index >= FRAME_BITS:
+            # the span ended the frame right before the next one starts
+            self._bits = ()
+            self._bit_index = FRAME_BITS
+            self._phase = 0
 
     def reset(self) -> None:
         # The line wire must be created with reset=1 (RS-232 idles high).
         super().reset()
         self.queue.clear()
-        self._bits = []
+        self._bits = ()
         self._bit_index = 0
         self._phase = 0
         self._cycle = 0
@@ -128,7 +146,7 @@ class UartTx(Component):
 
     def restore_state(self, state: dict) -> None:
         self.queue = deque(state["queue"])
-        self._bits = list(state["bits"])
+        self._bits = tuple(state["bits"])
         self._bit_index = state["bit_index"]
         self._phase = state["phase"]
         self._cycle = state["cycle"]
@@ -145,7 +163,7 @@ class UartRx(Component):
         self.line = line
         self.divisor = self._reset_divisor = divisor
         # The receiver wakes on any committed change of the serial line
-        # (a start-bit or sync edge); while sampling it stays awake.
+        # (a start-bit edge, a data edge, a sync edge).
         self.watch_wires([line])
         self.received: Deque[int] = deque()
         self.framing_errors = 0
@@ -153,10 +171,12 @@ class UartRx(Component):
         self._count = 0
         self._bits: list = []
         self._cycle = 0
+        #: the line level the last eval saw (RS-232 idles high)
+        self._level = 1
 
     def eval(self, cycle: int) -> None:
         self._cycle = cycle
-        level = self.line.value
+        self._level = level = self.line.value
         if not self._sampling:
             if level == 0:  # start-bit edge
                 self._sampling = True
@@ -187,29 +207,52 @@ class UartRx(Component):
             self._sampling = False
 
     def is_quiescent(self) -> bool:
-        """Sleep whenever the next eval cannot act.
+        """Sleep until the line changes or the stop bit is sampled.
 
-        While framing, evals between bit sample points only advance the
-        cycle counter — the receiver books a wake for the next mid-bit
-        sample (skipped counts are re-credited by :meth:`on_wake`) and
-        sleeps; a line edge wakes it early through the watched wire,
-        which is harmless.  Outside a frame it sleeps until the line
-        drops (start bit) or a buffered byte is drained by its parent.
+        While framing, the start-bit and data-bit samples only record
+        the line level, and that level cannot change unseen: any change
+        on the watched line wakes the receiver.  So it books a wake for
+        the stop-bit sample alone, which delivers the byte (or counts a
+        framing error) on its lock-step cycle, and :meth:`on_wake`
+        replays the samples skipped before it.  Outside a frame it
+        sleeps until the line drops (start bit) or a buffered byte is
+        drained by its parent.
         """
         if self._sampling:
-            off = self._count - self.divisor // 2
-            k = -off if off < 0 else self.divisor - off % self.divisor
-            if k < 2:
+            d = self.divisor
+            ahead = d // 2 + 9 * d - self._count  # evals to the stop sample
+            if ahead < 2:
                 return False
-            self.wake_at(self._cycle + k)
+            self.wake_at(self._cycle + ahead)
             return True
         return not self.received and self.line.value != 0
 
     def on_wake(self, skipped_cycles: int) -> None:
-        """Re-credit skipped mid-frame evals: each was exactly one
-        ``_count`` increment with no sample point reached."""
-        if skipped_cycles > 0 and self._sampling:
-            self._count += skipped_cycles
+        """Replay skipped framing evals: each advanced ``_count``, and
+        those at a start-bit or data-bit sample point sampled the level
+        the last eval saw (the line has not changed since).  The
+        stop-bit sample is never skipped."""
+        if skipped_cycles <= 0 or not self._sampling:
+            return
+        d = self.divisor
+        half = d // 2
+        before = self._count
+        self._count = after = before + skipped_cycles
+        if after < half:
+            return
+        # sample points half + k*d with before < point <= after
+        first = 0 if before < half else (before - half) // d + 1
+        last = (after - half) // d
+        if first > last:
+            return
+        level = self._level
+        if first == 0:
+            if level != 0:  # the start-bit sample rejects a glitch
+                self._sampling = False
+                self._count = half
+                return
+            first = 1
+        self._bits.extend([level] * (last - first + 1))
 
     def pop_byte(self) -> Optional[int]:
         return self.received.popleft() if self.received else None
@@ -222,6 +265,7 @@ class UartRx(Component):
         self._count = 0
         self._bits = []
         self._cycle = 0
+        self._level = 1
         self.divisor = self._reset_divisor
 
     def snapshot_state(self) -> dict:
@@ -232,6 +276,7 @@ class UartRx(Component):
             "count": self._count,
             "bits": list(self._bits),
             "cycle": self._cycle,
+            "level": self._level,
             "divisor": self.divisor,
         }
 
@@ -242,6 +287,7 @@ class UartRx(Component):
         self._count = state["count"]
         self._bits = list(state["bits"])
         self._cycle = state["cycle"]
+        self._level = state["level"]
         self.divisor = state["divisor"]
 
 
@@ -259,7 +305,6 @@ class AutoBaudUartRx(UartRx):
     def __init__(self, name: str, line: Wire):
         super().__init__(name, line, divisor=2)
         self.synced = False
-        self._last_level = 1
         self._last_edge_cycle: Optional[int] = None
         self._intervals: list = []
 
@@ -270,7 +315,7 @@ class AutoBaudUartRx(UartRx):
         intervals identical to lock-step evaluation."""
         if self.synced:
             return super().is_quiescent()
-        return self.line.value == self._last_level and not self.received
+        return self.line.value == self._level and not self.received
 
     def eval(self, cycle: int) -> None:
         if self.synced:
@@ -278,11 +323,11 @@ class AutoBaudUartRx(UartRx):
             return
         self._cycle = cycle
         level = self.line.value
-        if level != self._last_level:
+        if level != self._level:
             if self._last_edge_cycle is not None:
                 self._intervals.append(cycle - self._last_edge_cycle)
             self._last_edge_cycle = cycle
-            self._last_level = level
+            self._level = level
             if len(self._intervals) >= self.SYNC_EDGES:
                 self.divisor = max(2, min(self._intervals))
                 self.synced = True
@@ -292,7 +337,6 @@ class AutoBaudUartRx(UartRx):
     def reset(self) -> None:
         super().reset()
         self.synced = False
-        self._last_level = 1
         self._last_edge_cycle = None
         self._intervals = []
 
@@ -300,7 +344,6 @@ class AutoBaudUartRx(UartRx):
         state = super().snapshot_state()
         state.update(
             synced=self.synced,
-            last_level=self._last_level,
             last_edge_cycle=self._last_edge_cycle,
             intervals=list(self._intervals),
         )
@@ -309,6 +352,5 @@ class AutoBaudUartRx(UartRx):
     def restore_state(self, state: dict) -> None:
         super().restore_state(state)
         self.synced = state["synced"]
-        self._last_level = state["last_level"]
         self._last_edge_cycle = state["last_edge_cycle"]
         self._intervals = list(state["intervals"])

@@ -62,6 +62,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from ..noc.routing import OPPOSITE, PORT_DELTA, Port
 from ..noc.topology import from_descriptor, port_index
 from .events import TelemetrySink
+from .export import TraceError
 from .trend import MetricDiff, diff_metrics
 
 #: schema tag carried by every exported analysis document
@@ -73,6 +74,18 @@ _COMPONENTS = ("queueing", "routing", "blocked", "serialization")
 def _parse_addr(text: str) -> Tuple[int, int]:
     x, y = text.split(",")
     return int(x), int(y)
+
+
+def _int(value) -> int:
+    if not isinstance(value, int):
+        raise TypeError(f"{value!r} is not an integer")
+    return value
+
+
+def _str(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"{value!r} is not a string")
+    return value
 
 
 @dataclass
@@ -456,26 +469,45 @@ class _RouterInfo:
 
 
 def analyze_trace(sink: TelemetrySink) -> TraceAnalysis:
-    """Run the full post-mortem analysis over *sink*'s events."""
+    """Run the full post-mortem analysis over *sink*'s events.
+
+    Every arg the analysis keeps is type-checked where it is read, so an
+    event whose args are damaged (a key missing or of the wrong type)
+    raises :class:`~repro.telemetry.export.TraceError` naming the event,
+    and nothing downstream of the reads can trip over it.
+    """
+    reading = [0]  # index of the event being read
+    try:
+        return _analyze(sink.events, reading)
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        event = sink.events[reading[0]]
+        raise TraceError(
+            f"event {reading[0]} ({event.name!r} on {event.track!r}) has "
+            f"damaged args: {type(exc).__name__}: {exc}"
+        ) from exc
+
+
+def _analyze(events, reading: List[int]) -> TraceAnalysis:
     routers: Dict[str, _RouterInfo] = {}
     by_addr: Dict[Tuple[int, int], _RouterInfo] = {}
-    injects: Dict[str, List] = {}  # NI track -> inject events in order
+    injects: Dict[str, List] = {}  # NI track -> (index, inject event)
     deliveries: Dict[Tuple[int, int], deque] = {}  # dest addr -> delivered ts
     hdrs: Dict[Tuple[str, str], deque] = {}  # (router, in port) -> hdr ts
     decisions: Dict[Tuple[str, str], deque] = {}  # (router, in port) -> events
-    hop_spans: List[Tuple[int, str, str, str, int]] = []
+    hop_spans: List[Tuple[int, str, str, str, int, int]] = []
     samples: Dict[str, Dict] = {}
     symtabs: Dict[str, Dict[str, int]] = {}
     topology = None  # non-mesh traces carry a fabric descriptor
 
-    for event in sink.events:
+    for index, event in enumerate(events):
+        reading[0] = index
         name, args = event.name, event.args or {}
         if event.ph == "i":
             if name == "router_config":
                 info = _RouterInfo(
                     event.track,
-                    (args["x"], args["y"]),
-                    args.get("routing_cycles", 1),
+                    (_int(args["x"]), _int(args["y"])),
+                    _int(args.get("routing_cycles", 1)),
                 )
                 routers[event.track] = info
                 by_addr[info.address] = info
@@ -498,15 +530,19 @@ def analyze_trace(sink: TelemetrySink) -> TraceAnalysis:
                 ).append(event.ts)
             elif name == "pcsample":
                 bucket = samples.setdefault(event.track, {})
-                key = (tuple(args.get("stack", ())), args["pc"])
-                bucket[key] = bucket.get(key, 0) + args["cycles"]
+                stack = tuple(map(_int, args.get("stack", ())))
+                key = (stack, _int(args["pc"]))
+                bucket[key] = bucket.get(key, 0) + _int(args["cycles"])
             elif name == "symbols":
-                symtabs.setdefault(event.track, {}).update(
-                    args.get("symbols", {})
-                )
+                symbols = args.get("symbols", {})
+                if not isinstance(symbols, dict):
+                    raise TypeError("'symbols' is not an object")
+                for address in symbols.values():
+                    _int(address)
+                symtabs.setdefault(event.track, {}).update(symbols)
         elif event.ph == "X":
             if name == "inject" and "flow" in args:
-                injects.setdefault(event.track, []).append(event)
+                injects.setdefault(event.track, []).append((index, event))
             elif name == "packet" and "at" in args:
                 deliveries.setdefault(
                     _parse_addr(args["at"]), deque()
@@ -516,9 +552,10 @@ def analyze_trace(sink: TelemetrySink) -> TraceAnalysis:
                     (
                         event.ts,
                         event.track,
-                        args.get("in_port", "LOCAL"),
+                        _str(args.get("in_port", "LOCAL")),
                         name[len("hop>"):],
                         event.dur or 0,
+                        index,
                     )
                 )
 
@@ -527,17 +564,19 @@ def analyze_trace(sink: TelemetrySink) -> TraceAnalysis:
     # Seed each router's LOCAL queue with its NI's injection order.
     pending: Dict[Tuple[str, str], deque] = {}
     for track in sorted(injects):
-        for event in injects[track]:
+        for index, event in injects[track]:
+            reading[0] = index
             args = event.args
             src = _parse_addr(args["src"])
+            queued = args.get("queued")
             packet = PacketTrace(
-                flow=args["flow"],
-                seq=args.get("seq", 0),
+                flow=_str(args["flow"]),
+                seq=_int(args.get("seq", 0)),
                 source=src,
                 target=_parse_addr(args["target"]),
                 injected=event.ts,
-                flits=args.get("flits", 0),
-                queued=args.get("queued"),
+                flits=_int(args.get("flits", 0)),
+                queued=None if queued is None else _int(queued),
             )
             analysis.packets.append(packet)
             router_addr, in_label = src, Port.LOCAL.name
@@ -554,7 +593,8 @@ def analyze_trace(sink: TelemetrySink) -> TraceAnalysis:
     # Replay hop spans in connection-open order: upstream hops strictly
     # precede their downstream continuation, so each pop sees its packet.
     occupancy: Dict[Tuple[str, str], List[Tuple[int, int, PacketTrace]]] = {}
-    for open_ts, track, in_port, out_port, dur in sorted(hop_spans):
+    for open_ts, track, in_port, out_port, dur, index in sorted(hop_spans):
+        reading[0] = index
         info = routers.get(track)
         queue = pending.get((track, in_port))
         if info is None or not queue:

@@ -27,6 +27,7 @@ from repro.apps.workloads import TrafficConfig, drive_traffic
 from repro.cc import compile_source
 from repro.core import MultiNoCPlatform, Program
 from repro.noc.network import HermesNetwork
+from repro.serial import protocol
 from repro.sim import CheckpointRing, VcdWriter
 from repro.telemetry import (
     AlertEngine,
@@ -398,7 +399,33 @@ class _Edge(_Board):
         assert digest["output"] == reference_sobel(_edge_image(*workload[1:4]))
 
 
-FABRICS = {"noc": _Noc, "board": _Board, "edge": _Edge}
+class _HostWrite(_Board):
+    """The host queues a memory write to P1 and does not wait for it,
+    so the run's leg is the frame on the serial line; the read-back
+    after it returns the written words."""
+
+    WORDS = (0x1234, 0x00F0, 0x8001, 0xFFFF)
+
+    def __init__(self, workload, strict):
+        super().__init__(("board", None, 2, None, None, workload[1]), strict)
+
+    def setup(self):
+        host = self.session.host
+        host.sync()
+        flit = self.system.config.id_to_flit()[1]
+        host.uart_tx.send_bytes(protocol.frame_write(flit, 0, self.WORDS))
+        return {}
+
+    def leg(self, start):
+        host, system = self.session.host, self.system
+        return lambda: not host.uart_tx.busy and system.idle
+
+    @staticmethod
+    def expect(workload, digest):
+        assert digest["readback"] == list(_HostWrite.WORDS)
+
+
+FABRICS = {"noc": _Noc, "board": _Board, "edge": _Edge, "write": _HostWrite}
 
 
 # ---------------------------------------------------------------------------
@@ -724,6 +751,14 @@ BURSTY = Draw(
 )
 
 
+#: split 44 cycles into the host's write frame, in its third byte (the
+#: word count, 4), whose start bit and first two data bits hold the line
+#: low: the Serial IP's receiver sleeps there mid-frame, and after the
+#: restore into a fresh build it replays its skipped samples with the
+#: level it saw before the split
+HOST_WRITE = Draw(("write", False), (False, False), split=44)
+
+
 def assert_matches_lockstep(draw):
     """Run *draw* as asked and as the unobserved, unsplit lock-step
     reference; every entry of the two digests must match, and every
@@ -762,3 +797,23 @@ def test_every_run_of_a_draw_matches_lockstep(draw):
 @given(draws(noc_workload()))
 def test_every_run_of_a_noc_draw_matches_lockstep(draw):
     assert_matches_lockstep(draw)
+
+
+def _local_states(node):
+    """Every component-local state in a snapshot tree, in tree order."""
+    if isinstance(node, list):
+        for item in node:
+            yield from _local_states(item)
+    elif isinstance(node, dict):
+        if "state" in node:
+            yield node["state"]
+        yield from _local_states(node.get("children", []))
+
+
+def test_split_inside_a_host_frame_with_the_line_low():
+    _, mid, _ = _reference(HOST_WRITE)
+    (board_rx,) = [
+        s for s in _local_states(mid["state"]) if "synced" in s and "sampling" in s
+    ]
+    assert board_rx["sampling"] and board_rx["level"] == 0
+    assert_matches_lockstep(HOST_WRITE)

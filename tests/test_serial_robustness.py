@@ -1,7 +1,11 @@
 """Fault-injection tests for the serial path: glitches, framing errors,
-mid-frame interruptions."""
+mid-frame interruptions, and the UART pair under the quiescent kernel
+against strict lock-step."""
 
-import pytest
+import copy
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.serial import AutoBaudUartRx, UartRx, UartTx, protocol
 from repro.sim import Component, Simulator, Wire
@@ -114,3 +118,123 @@ class TestAutoBaudRobustness:
         tx.send_byte(protocol.SYNC_BYTE)
         sim.run_until(lambda: rx.synced, max_cycles=1000)
         assert rx.divisor == 5
+
+
+# ---------------------------------------------------------------------------
+# The UART pair sleeps from line edge to line edge, exactly
+# ---------------------------------------------------------------------------
+
+
+def _link(strict, tx_divisor, rx_divisor, glitches):
+    """``UartTx``, then a ``GlitchyLine`` when *glitches* is not None,
+    then a ``UartRx`` at *rx_divisor*, or an ``AutoBaudUartRx`` when it
+    is None."""
+    raw = Wire("raw", reset=1, width=1)
+    tx = UartTx("tx", raw, divisor=tx_divisor)
+    parts, line = [tx], raw
+    if glitches is not None:
+        line = Wire("line", reset=1, width=1)
+        parts.append(GlitchyLine(raw, line, glitches))
+    rx = (
+        AutoBaudUartRx("rx", line)
+        if rx_divisor is None
+        else UartRx("rx", line, divisor=rx_divisor)
+    )
+    top = Component("top")
+    for part in parts + [rx]:
+        top.add_child(part)
+    sim = Simulator(strict_lockstep=strict)
+    sim.add(top)
+    return sim, tx, rx, line
+
+
+def _view(tx, rx, line):
+    """What a parent reads between cycles; it drains the received
+    bytes, as the Serial IP and the host do at their evals."""
+    view = (
+        tx.line.value, line.value, tx.busy, list(rx.received),
+        rx.framing_errors,
+    )
+    rx.received.clear()
+    return view
+
+
+def _state(uart):
+    """Everything a UART holds except its last-eval stamp, which lags
+    while it sleeps."""
+    state = uart.snapshot_state()
+    del state["cycle"]
+    return state
+
+
+def _credited(uart, *spans):
+    """The state a copy of *uart* reaches after ``on_wake`` of *spans*."""
+    twin = copy.copy(uart)
+    twin.restore_state(uart.snapshot_state())
+    for span in spans:
+        twin.on_wake(span)
+    return _state(twin)
+
+
+@st.composite
+def serial_links(draw):
+    tx_divisor = draw(st.integers(2, 9))
+    autobaud = draw(st.booleans())
+    rx_divisor = None
+    if not autobaud:
+        mismatched = draw(st.booleans())
+        rx_divisor = draw(st.integers(2, 9)) if mismatched else tx_divisor
+    data = draw(st.lists(st.integers(0, 0xFF), min_size=1, max_size=6))
+    if autobaud and draw(st.booleans()):
+        data = [protocol.SYNC_BYTE] + data
+    frame = 10 * tx_divisor
+    horizon = frame * (len(data) + 2)
+    sends = sorted(draw(st.integers(0, horizon)) for _ in data)
+    glitches = None
+    if draw(st.booleans()):
+        glitches = draw(st.frozensets(st.integers(0, horizon), max_size=6))
+    settle_every = draw(st.none() | st.integers(1, 12))
+    return (
+        tx_divisor,
+        rx_divisor,
+        list(zip(sends, data)),
+        glitches,
+        settle_every,
+        horizon + 2 * frame,
+    )
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(serial_links())
+def test_uart_pair_matches_lockstep_every_cycle(link):
+    """At every cycle the quiescent kernel shows what lock-step shows:
+    the line, ``tx.busy``, each received byte and the framing errors;
+    and every span a UART sleeps credits the same in one piece or two."""
+    tx_divisor, rx_divisor, sends, glitches, settle_every, cycles = link
+    ref = _link(True, tx_divisor, rx_divisor, glitches)
+    got = _link(False, tx_divisor, rx_divisor, glitches)
+    sim = got[0]
+    todo = list(sends)
+    for cycle in range(cycles):
+        while todo and todo[0][0] == cycle:
+            byte = todo.pop(0)[1]
+            ref[1].send_byte(byte)
+            got[1].send_byte(byte)
+        assert _view(*got[1:]) == _view(*ref[1:]), f"cycle {cycle}"
+        for uart in (got[1], got[2]):
+            if not uart._awake and uart._slept_since is not None:
+                span = sim.cycle - uart._slept_since
+                if span > 1:
+                    a = 1 + cycle % (span - 1)
+                    assert _credited(uart, a, span - a) == _credited(
+                        uart, span
+                    ), f"{uart.name} span {a}+{span - a} at cycle {cycle}"
+        if settle_every and cycle % settle_every == 0:
+            sim.settle()
+            assert _state(got[1]) == _state(ref[1]), f"cycle {cycle}"
+            assert _state(got[2]) == _state(ref[2]), f"cycle {cycle}"
+        ref[0].step(1)
+        sim.step(1)
+    sim.settle()
+    assert _state(got[1]) == _state(ref[1])
+    assert _state(got[2]) == _state(ref[2])

@@ -336,6 +336,10 @@ class TestAnalyzeCli:
                 lambda text: text.replace('"track": ', '"trak": ', 1),
                 "'track' must be a string",
             ),
+            (
+                lambda text: text.replace('"flow": ', '"flow": 7, "was": ', 1),
+                "damaged args: TypeError: 7 is not a string",
+            ),
         ],
     )
     def test_damaged_trace_is_one_line_error(
@@ -373,9 +377,19 @@ _VALID_TRACE = None
 
 
 def _valid_trace() -> bytes:
+    """The contended run's trace, with a profiled core's PC samples and
+    symbol table appended: every event kind the analysis reads."""
     global _VALID_TRACE
     if _VALID_TRACE is None:
         sink, _ = _contended_run()
+        session = MultiNoCPlatform.standard().launch(telemetry=True)
+        session.host.sync()
+        session.run(1, CALL_PROGRAM)
+        session.system.flush_telemetry()
+        for event in session.telemetry.events:
+            if event.name in ("pcsample", "symbols"):
+                sink.track(event.track, process="cpu")
+                sink.emit(event)
         with tempfile.TemporaryDirectory() as tmp:
             _VALID_TRACE = write_jsonl(sink, Path(tmp) / "t.jsonl").read_bytes()
     return _VALID_TRACE
@@ -388,7 +402,11 @@ _JSON_VALUES = [None, True, 0, 1.5, "x", [], {}, [1, "a"], {"k": 1}]
 @st.composite
 def damaged_traces(draw):
     data = _valid_trace()
-    kind = draw(st.sampled_from(["truncate", "flip", "delete", "retype"]))
+    kind = draw(
+        st.sampled_from(
+            ["truncate", "flip", "delete", "retype", "delete arg", "retype arg"]
+        )
+    )
     if kind == "truncate":
         return data[: draw(st.integers(0, len(data) - 1))]
     if kind == "flip":
@@ -398,13 +416,22 @@ def damaged_traces(draw):
             out[i] = draw(st.integers(0, 255))
         return bytes(out)
     lines = data.decode().splitlines()
-    i = draw(st.integers(0, len(lines) - 1))
-    record = json.loads(lines[i])
-    key = draw(st.sampled_from(sorted(record)))
-    if kind == "delete":
-        del record[key]
+    if kind.endswith(" arg"):
+        # a record that stays well formed, with one of its args damaged
+        with_args = [
+            i for i, line in enumerate(lines) if json.loads(line).get("args")
+        ]
+        i = draw(st.sampled_from(with_args))
+        record = json.loads(lines[i])
+        target = record["args"]
     else:
-        record[key] = draw(st.sampled_from(_JSON_VALUES))
+        i = draw(st.integers(0, len(lines) - 1))
+        record = target = json.loads(lines[i])
+    key = draw(st.sampled_from(sorted(target)))
+    if kind.startswith("delete"):
+        del target[key]
+    else:
+        target[key] = draw(st.sampled_from(_JSON_VALUES))
     lines[i] = json.dumps(record)
     return "\n".join(lines).encode()
 
@@ -416,6 +443,17 @@ def test_damaged_trace_raises_only_trace_error(data):
         path = Path(tmp) / "damaged.jsonl"
         path.write_bytes(data)
         try:
-            load_jsonl(path)
+            sink = load_jsonl(path)
         except TraceError as exc:
             assert re.match(rf"{re.escape(str(path))}:\d+: ", str(exc))
+            return
+        try:
+            analysis = analyze_trace(sink)
+        except TraceError as exc:
+            assert re.match(r"event \d+ \(", str(exc))
+            return
+        # what `multinoc analyze` does with an analysis
+        analysis.report()
+        json.dumps(analysis.to_dict())
+        analysis.folded_stacks()
+        diff_traces(analysis, analysis)
