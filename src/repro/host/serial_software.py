@@ -9,6 +9,11 @@ replies, logging everything in per-processor interaction monitors.
 Because host and board are co-simulated, the blocking convenience
 methods (:meth:`read_memory`, :meth:`load_program`, ...) internally step
 the shared :class:`~repro.sim.kernel.Simulator` until the reply arrives.
+
+Like the Serial IP, the host is one kernel unit that routes its
+receiver's line edges (:meth:`SerialSoftware.member_input`), so the
+receiver sleeps through a whole frame, and it skips the eval of an idle
+UART.
 """
 
 from __future__ import annotations
@@ -19,16 +24,16 @@ from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple, Union
 from ..noc.flit import encode_address
 from ..r8.assembler import ObjectCode
 from ..serial import protocol
-from ..serial.uart import UartRx, UartTx
-from ..sim import Component, Simulator
+from ..serial.uart import FRAME_BITS, UartRx, UartTx
+from ..sim import Component, Simulator, Wire
 from ..sim.kernel import SimulationTimeout
 from ..system.multinoc import MultiNoC
 from .monitor import InteractionMonitor
 
 Target = Union[int, Tuple[int, int]]
 
-#: Serial write frames carry at most 255 words; NoC write packets carry
-#: at most (255 - 4) // 2 payload words.  Stay under both.
+#: A write frame becomes one NoC write packet, so it carries at most
+#: ``protocol.MAX_WRITE_WORDS`` words; stay under that.
 MAX_WORDS_PER_WRITE = 64
 MAX_WORDS_PER_READ = 64
 
@@ -123,10 +128,18 @@ class SerialSoftware(Component):
         self.uart_tx.on_wake(skipped_cycles)
         self.uart_rx.on_wake(skipped_cycles)
 
+    def member_input(self, member, wire: Wire) -> None:
+        """An edge on the board's txd line, handed to the receiver."""
+        if member.edge(self._kernel.cycle + 1, wire.value) and not self._awake:
+            self._kernel.wake_unit(self)
+
     def eval(self, cycle: int) -> None:
-        # inlined child walk (the two UARTs are the host's only children)
-        self.uart_tx.eval(cycle)
-        self.uart_rx.eval(cycle)
+        # inlined child walk (the two UARTs are the host's only
+        # children), skipping an idle one
+        if not self.uart_tx.idle:
+            self.uart_tx.eval(cycle)
+        if not self.uart_rx.idle:
+            self.uart_rx.eval(cycle)
         self._cycle = cycle
         while self.uart_rx.received:
             self._frame.append(self.uart_rx.received.popleft())
@@ -213,6 +226,8 @@ class SerialSoftware(Component):
         self.synced = state["synced"]
         txn = state["current_transaction"]
         self.current_transaction = tuple(txn) if txn is not None else None
+        # the receiver's edge log is not checkpointed: it reads the line
+        self.wake()
 
     # -- low-level sending -----------------------------------------------------------
 
@@ -221,13 +236,31 @@ class SerialSoftware(Component):
             raise RuntimeError("call host.connect(sim) first")
         return self._sim
 
-    def _run_until(self, predicate, max_cycles: int, label: str) -> None:
+    def _run_until(
+        self, predicate, max_cycles: int, label: str, false_for: int = 0
+    ) -> None:
+        """Step until *predicate* holds, within *max_cycles*.  The first
+        *false_for* cycles, where it is known not to hold, are stepped
+        without testing it."""
         sim = self._require_sim()
         self.current_transaction = (label, sim.cycle)
+        if not 0 < false_for < max_cycles:
+            false_for = 0
         try:
-            sim.run_until(predicate, max_cycles=max_cycles, label=label)
+            if false_for:
+                sim.step(false_for)
+            sim.run_until(
+                predicate, max_cycles=max_cycles - false_for, label=label
+            )
         except SimulationTimeout as exc:  # re-raise with a host-level type
-            timeout = HostTimeout(str(exc))
+            # the cycles stepped first count toward the budget
+            timeout = HostTimeout(
+                str(exc).replace(
+                    f" within {max_cycles - false_for} cycles",
+                    f" within {max_cycles} cycles",
+                    1,
+                )
+            )
             timeout.diagnostics = exc.diagnostics
             raise timeout from exc
         finally:
@@ -274,6 +307,7 @@ class SerialSoftware(Component):
             lambda: not self.uart_tx.busy and self.system.idle,
             max_cycles,
             "memory write drain",
+            self._frames_ahead(),
         )
         if self.sink is not None:
             self._span_end(
@@ -323,9 +357,16 @@ class SerialSoftware(Component):
             lambda: not self.uart_tx.busy and self.system.idle,
             max_cycles,
             "activate",
+            self._frames_ahead(),
         )
         if self.sink is not None:
             self._span_end("activate", start)
+
+    def _frames_ahead(self) -> int:
+        """Cycles the transmitter stays busy at least: one whole frame
+        per queued byte."""
+        tx = self.uart_tx
+        return len(tx.queue) * FRAME_BITS * tx.divisor
 
     def answer_scanf(self, value: int) -> None:
         """Answer the oldest pending scanf request manually."""

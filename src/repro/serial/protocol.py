@@ -31,10 +31,14 @@ from dataclasses import dataclass
 from enum import IntEnum
 from typing import List, Optional, Sequence, Tuple
 
-from ..noc.flit import split_word, words_to_flits
+from ..noc.flit import MAX_PAYLOAD_FLITS, split_word, words_to_flits
 
 #: The auto-baud synchronisation byte (paper Section 4).
 SYNC_BYTE = 0x55
+
+#: Words one WRITE frame may carry: the Serial IP forwards it as one NoC
+#: write packet, whose payload is 4 flits plus 2 per word.
+MAX_WRITE_WORDS = (MAX_PAYLOAD_FLITS - 4) // 2
 
 
 class HostCommand(IntEnum):
@@ -65,8 +69,7 @@ def frame_read(target: int, address: int, count: int) -> List[int]:
 
 
 def frame_write(target: int, address: int, words: Sequence[int]) -> List[int]:
-    if not 1 <= len(words) <= 0xFF:
-        raise ProtocolError(f"write count {len(words)} out of range 1..255")
+    _check_write_count(len(words))
     hi, lo = split_word(address)
     return [HostCommand.WRITE, target, len(words), hi, lo, *words_to_flits(words)]
 
@@ -83,17 +86,28 @@ def frame_scanf_return(target: int, value: int) -> List[int]:
 # -- incremental frame parsing ----------------------------------------------------
 
 
+def _check_write_count(count: int) -> None:
+    if not 1 <= count <= MAX_WRITE_WORDS:
+        raise ProtocolError(
+            f"write count {count} out of range 1..{MAX_WRITE_WORDS}"
+        )
+
+
 def host_frame_length(buffer: Sequence[int]) -> Optional[int]:
     """Total length of the host->board frame starting *buffer*, or None
-    if more bytes are needed to know."""
+    if more bytes are needed to know.  A command byte or a READ or WRITE
+    word count the Serial IP cannot forward raises :class:`ProtocolError`."""
     if not buffer:
         return None
     cmd = buffer[0]
     if cmd == HostCommand.READ:
+        if len(buffer) > 2 and buffer[2] == 0:
+            raise ProtocolError("read count 0 out of range 1..255")
         return 5
     if cmd == HostCommand.WRITE:
         if len(buffer) < 3:
             return None
+        _check_write_count(buffer[2])
         return 5 + 2 * buffer[2]
     if cmd == HostCommand.ACTIVATE:
         return 2

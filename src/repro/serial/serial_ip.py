@@ -4,6 +4,15 @@
 packets.  When information comes from the host computer, the Serial IP
 creates a valid NoC packet.  When a packet is received from the NoC it
 must be disassembled, and sent serially to the host computer."
+
+The bridge is one kernel unit that routes its members' wakes
+(:meth:`SerialIp.member_input`): a change on a wire its network
+interface watches marks the interface due, and a line edge goes to the
+receiver, which logs it mid-frame instead of waking the bridge
+(:meth:`~repro.serial.uart.UartRx.edge`).  An eval evaluates only the
+members that are due: the interface when marked or handed a packet, and
+each UART unless it is idle.  Under strict lock-step every member is
+evaluated every cycle.
 """
 
 from __future__ import annotations
@@ -53,6 +62,10 @@ class SerialIp(Component):
         #: optional TelemetrySink; hooks are behind one None-check each
         self.sink = None
         self._now = 0
+        #: this bridge is a kernel unit routing its members' wakes
+        self._route = False
+        #: the network interface must be evaluated at the next eval
+        self._ni_due = True
 
     def attach_telemetry(self, sink) -> None:
         """Register this IP (and its NI) as tracks; enable hooks."""
@@ -78,20 +91,41 @@ class SerialIp(Component):
     def eval(self, cycle: int) -> None:
         if self.sink is not None:
             self._now = cycle
-        # inlined child walk (rx, tx, ni are the bridge's only children)
-        rx, ni = self.uart_rx, self.ni
-        synced = rx.synced
-        rx.eval(cycle)
-        self.uart_tx.eval(cycle)
-        ni.eval(cycle)
-        if rx.synced and not synced:
-            # Match the board UART transmit rate to the learned baud rate,
-            # once, at the eval that locks it (the transmitter is current).
-            self.uart_tx.divisor = rx.divisor
+        # inlined child walk (rx, tx, ni are the bridge's only children),
+        # skipping the members with nothing to do
+        rx, tx, ni = self.uart_rx, self.uart_tx, self.ni
+        if not rx.idle:
+            synced = rx.synced
+            rx.eval(cycle)
+            if rx.synced and not synced:
+                # Match the board UART transmit rate to the learned baud
+                # rate, once, at the eval that locks it (the transmitter
+                # is current).
+                tx.divisor = rx.divisor
+        if not tx.idle:
+            tx.eval(cycle)
+        if self._ni_due or ni._tx_queue:
+            ni.eval(cycle)
+            self._ni_due = not self._route or not ni.is_quiescent()
         if rx.received:
             self._assemble_host_frames()
         if ni.received:
             self._disassemble_noc_packets()
+
+    def member_input(self, member, wire: Wire) -> None:
+        """A committed change on a member's watched wire: the receiver's
+        line, or a wire of the network interface, which is then due."""
+        if member is self.uart_rx:
+            if not member.edge(self._kernel.cycle + 1, wire.value):
+                return
+        else:
+            self._ni_due = True
+        if not self._awake:
+            self._kernel.wake_unit(self)
+
+    def elaborated(self) -> None:
+        self._route = self._sched is self
+        self._ni_due = True
 
     def is_quiescent(self) -> bool:
         """Idle when both UARTs and the NI are silent and nothing is
@@ -116,6 +150,7 @@ class SerialIp(Component):
         self._frame = []
         self.frames_processed = 0
         self.dropped_packets = []
+        self._ni_due = True
 
     # -- checkpointing ---------------------------------------------------------
 
@@ -134,6 +169,9 @@ class SerialIp(Component):
             Packet.from_state(p) for p in state["dropped"]
         ]
         self._now = state["now"]
+        # the receiver's edge log is not checkpointed: it reads the line
+        self._ni_due = True
+        self.wake()
 
     # -- host -> NoC -----------------------------------------------------------
 

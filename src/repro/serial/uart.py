@@ -12,6 +12,15 @@ its next eval drives a different level (or ends the final frame), and a
 framing receiver only where the line changes or the stop bit is sampled.
 ``on_wake`` credits the skipped evals exactly, so the waveform, ``busy``
 and every received byte land on their lock-step cycles.
+
+A receiver inside a unit that routes its members' wakes (the Serial IP
+and the host) sleeps through a whole frame: the unit hands it each line
+edge through :meth:`UartRx.edge`, and a framing receiver logs the edge
+instead of waking.  ``on_wake`` then replays the skipped start-bit and
+data-bit samples piecewise, each with the level in force at its sample
+point, so only the stop-bit sample is a real eval.  Such a unit also
+skips the eval of a UART that is idle (:meth:`UartTx.idle`,
+:meth:`UartRx.idle`).
 """
 
 from __future__ import annotations
@@ -59,6 +68,12 @@ class UartTx(Component):
     @property
     def busy(self) -> bool:
         return bool(self.queue or self._bits)
+
+    @property
+    def idle(self) -> bool:
+        """True when an eval now would only re-drive the idle high
+        line: nothing is being sent or queued."""
+        return not self._bits and not self.queue and self.line.value == 1
 
     def eval(self, cycle: int) -> None:
         self._cycle = cycle
@@ -173,10 +188,15 @@ class UartRx(Component):
         self._cycle = 0
         #: the line level the last eval saw (RS-232 idles high)
         self._level = 1
+        #: (first cycle an eval sees it, level) of each line edge logged
+        #: mid-frame while asleep (see :meth:`edge`), in cycle order
+        self._edges: list = []
 
     def eval(self, cycle: int) -> None:
         self._cycle = cycle
         self._level = level = self.line.value
+        if self._edges:
+            self._edges = []  # the line is read directly from here on
         if not self._sampling:
             if level == 0:  # start-bit edge
                 self._sampling = True
@@ -227,32 +247,77 @@ class UartRx(Component):
             return True
         return not self.received and self.line.value != 0
 
+    @property
+    def idle(self) -> bool:
+        """True when an eval now would only restamp the cycle: not
+        framing, and the line is high as the last eval saw it."""
+        return not self._sampling and self._level == 1 == self.line.value
+
+    def edge(self, cycle: int, level: int) -> bool:
+        """The line changed to *level*, first seen by the eval at
+        *cycle*; the receiver's unit routes member wakes and calls this
+        from the commit phase.  Return True when the unit must wake.
+
+        A framing receiver logs the edge for :meth:`on_wake` and needs
+        no wake, unless the start-bit sample before *cycle* rejects the
+        frame as a glitch (by the level the log holds there): the
+        receiver is then idle again, and an edge may start a frame.
+        Every edge wakes an idle receiver (and an auto-baud receiver
+        before sync, which is never framing)."""
+        if not self._sampling:
+            return True
+        edges = self._edges
+        half = self.divisor // 2
+        if self._count < half:
+            start = self._cycle + half - self._count  # start-bit sample
+            if cycle > start:
+                seen = self._level
+                for at, lvl in edges:
+                    if at > start:
+                        break
+                    seen = lvl
+                if seen != 0:
+                    return True
+        edges.append((cycle, level))
+        return False
+
     def on_wake(self, skipped_cycles: int) -> None:
-        """Replay skipped framing evals: each advanced ``_count``, and
-        those at a start-bit or data-bit sample point sampled the level
-        the last eval saw (the line has not changed since).  The
-        stop-bit sample is never skipped."""
-        if skipped_cycles <= 0 or not self._sampling:
+        """Replay skipped evals: each advanced ``_count``, and those at
+        a start-bit or data-bit sample point sampled the line level in
+        force at that cycle, the level the last eval saw or the last
+        logged edge before it.  The stop-bit sample is never skipped.
+        The logged edges up to the last skipped cycle then fold into
+        the level the last eval saw, as lock-step would have seen it."""
+        if skipped_cycles <= 0:
             return
-        d = self.divisor
-        half = d // 2
-        before = self._count
-        self._count = after = before + skipped_cycles
-        if after < half:
-            return
-        # sample points half + k*d with before < point <= after
-        first = 0 if before < half else (before - half) // d + 1
-        last = (after - half) // d
-        if first > last:
-            return
-        level = self._level
-        if first == 0:
-            if level != 0:  # the start-bit sample rejects a glitch
-                self._sampling = False
-                self._count = half
-                return
-            first = 1
-        self._bits.extend([level] * (last - first + 1))
+        start = self._cycle
+        self._cycle = end = start + skipped_cycles
+        edges = self._edges
+        level, i = self._level, 0
+        if self._sampling:
+            d = self.divisor
+            half = d // 2
+            before = self._count
+            self._count = after = before + skipped_cycles
+            # sample points half + k*d with before < point <= after
+            first = 0 if before < half else (before - half) // d + 1
+            for k in range(first, (after - half) // d + 1):
+                at = start - before + half + k * d  # its cycle
+                while i < len(edges) and edges[i][0] <= at:
+                    level = edges[i][1]
+                    i += 1
+                if k:
+                    self._bits.append(level)
+                elif level != 0:  # the start-bit sample rejects a glitch
+                    self._sampling = False
+                    self._count = half
+                    break
+        if edges:
+            while i < len(edges) and edges[i][0] <= end:
+                level = edges[i][1]
+                i += 1
+            self._level = level
+            self._edges = edges[i:]
 
     def pop_byte(self) -> Optional[int]:
         return self.received.popleft() if self.received else None
@@ -266,9 +331,13 @@ class UartRx(Component):
         self._bits = []
         self._cycle = 0
         self._level = 1
+        self._edges = []
         self.divisor = self._reset_divisor
 
     def snapshot_state(self) -> dict:
+        # A snapshot settles first, so the log holds at most the edge the
+        # next eval sees; its level is on the line already (the unit
+        # wakes on restore to read it).
         return {
             "received": list(self.received),
             "framing_errors": self.framing_errors,
@@ -288,6 +357,7 @@ class UartRx(Component):
         self._bits = list(state["bits"])
         self._cycle = state["cycle"]
         self._level = state["level"]
+        self._edges = []
         self.divisor = state["divisor"]
 
 
@@ -316,6 +386,13 @@ class AutoBaudUartRx(UartRx):
         if self.synced:
             return super().is_quiescent()
         return self.line.value == self._level and not self.received
+
+    @property
+    def idle(self) -> bool:
+        """Pre-sync an eval acts only on a line edge."""
+        if self.synced:
+            return super().idle
+        return self.line.value == self._level
 
     def eval(self, cycle: int) -> None:
         if self.synced:

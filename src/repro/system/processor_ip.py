@@ -26,6 +26,13 @@ lock-step.  Spin sleep is off while a telemetry sink, PC sampling or
 an observer that sets :attr:`ProcessorIp.observed` watches the core
 every cycle.  :meth:`ProcessorIp.load` and a restore credit the
 open span and wake the IP.
+
+Member wakes.  The IP routes its members' wakes
+(:meth:`ProcessorIp.member_input`): a committed change on a wire the NI
+watches wakes the IP and marks the NI due.  An eval runs the NI, the incoming packets, the posted-operation check and
+the memory server only when the NI is due, the core queued a packet for
+it or the server has work; otherwise it is the core's eval alone.
+Under strict lock-step every member is evaluated every cycle.
 """
 
 from __future__ import annotations
@@ -39,7 +46,7 @@ from ..noc.ni import NetworkInterface
 from ..noc.packet import Packet
 from ..r8.bus import Transaction
 from ..r8.cpu import R8Cpu
-from ..sim import Component, SnapshotError
+from ..sim import Component, SnapshotError, Wire
 from .address_map import Access, AccessKind, AddressMap
 
 
@@ -104,6 +111,10 @@ class ProcessorIp(Component):
         #: debugger's breakpoints, expressions and watchpoints): the
         #: core is then evaluated through its poll loops
         self.observed = False
+        #: this IP is a kernel unit routing its members' wakes
+        self._route = False
+        #: the NI or the memory server must be evaluated at the next eval
+        self._noc_due = True
         self._clear_spin()
 
     # ======================= telemetry =====================================
@@ -253,12 +264,27 @@ class ProcessorIp(Component):
         # child walk — these are the IP's only children and this call
         # chain runs every active cycle.
         self.cpu.eval(cycle)
-        self.ni.eval(cycle)
-        self._complete_posted_ops()
-        self._handle_incoming(cycle)
-        banks = self.banks
-        banks.step()
+        ni, banks = self.ni, self.banks
+        if self._noc_due or ni._tx_queue:
+            ni.eval(cycle)
+            self._complete_posted_ops()
+            self._handle_incoming(cycle)
+            banks.step()
+            # only this block gives the server work and runs it
+            self._noc_due = (
+                not self._route or not ni.is_quiescent() or not banks.idle
+            )
         banks.proc_used = False
+
+    def member_input(self, member, wire: Wire) -> None:
+        """A committed change on a wire the NI watches: the NI is due."""
+        self._noc_due = True
+        if not self._awake:
+            self._kernel.wake_unit(self)
+
+    def elaborated(self) -> None:
+        self._route = self._sched is self
+        self._noc_due = True
 
     def is_quiescent(self) -> bool:
         """The whole IP sleeps only when the core cannot change its
@@ -383,6 +409,7 @@ class ProcessorIp(Component):
     def reset(self) -> None:
         super().reset()
         self._clear_spin()
+        self._noc_due = True
         self._pending = None
         self._pending_kind = None
         self._wait_source = None
@@ -572,6 +599,7 @@ class ProcessorIp(Component):
         # the spin record is not checkpointed: the core finds its loop
         # again within two iterations
         self._clear_spin()
+        self._noc_due = True
         self.wake()
 
     @property

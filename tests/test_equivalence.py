@@ -758,6 +758,13 @@ BURSTY = Draw(
 #: level it saw before the split
 HOST_WRITE = Draw(("write", False), (False, False), split=44)
 
+#: split 5 cycles into the host's write frame, at the cycle boundary
+#: right after the commit of a falling line edge at a data-bit sample
+#: point: the Serial IP sleeps mid-frame with that edge in its
+#: receiver's log, which no snapshot holds, so the restored bridge must
+#: read it off the line
+HOST_WRITE_EDGE = Draw(("write", False), (False, False), split=5)
+
 
 def assert_matches_lockstep(draw):
     """Run *draw* as asked and as the unobserved, unsplit lock-step
@@ -817,3 +824,13 @@ def test_split_inside_a_host_frame_with_the_line_low():
     ]
     assert board_rx["sampling"] and board_rx["level"] == 0
     assert_matches_lockstep(HOST_WRITE)
+
+
+def test_split_right_after_a_logged_line_edge():
+    rig = _HostWrite(HOST_WRITE_EDGE.workload, strict=False)
+    rig.setup()
+    rig.sim.step(HOST_WRITE_EDGE.split)
+    serial = rig.system.serial
+    assert not serial._awake and serial.uart_rx._sampling
+    assert serial.uart_rx._edges[-1] == (rig.sim.cycle, 0)
+    assert_matches_lockstep(HOST_WRITE_EDGE)

@@ -154,6 +154,17 @@ class TestProtocolFrames:
         with pytest.raises(protocol.ProtocolError):
             protocol.frame_write(0, 0, [])
 
+    def test_counts_the_serial_ip_cannot_forward(self):
+        """A READ or WRITE frame with no words, or a WRITE with more
+        words than one NoC write packet carries, is malformed."""
+        most = protocol.MAX_WRITE_WORDS
+        assert len(protocol.frame_write(0, 0, [0] * most)) == 5 + 2 * most
+        with pytest.raises(protocol.ProtocolError):
+            protocol.frame_write(0, 0, [0] * (most + 1))
+        for frame in ([0x00, 0x10, 0], [0x01, 0x10, 0], [0x01, 0x10, most + 1]):
+            with pytest.raises(protocol.ProtocolError, match="count"):
+                protocol.host_frame_length(frame)
+
 
 def serial_on_network():
     """Serial IP at (0, 0) of a 2x1 mesh, host lines exposed."""
@@ -215,6 +226,16 @@ class TestSerialIp:
         )
         sim.step(1000)
         assert len(serial.dropped_packets) == 1
+
+    @pytest.mark.parametrize(
+        "command", [protocol.HostCommand.READ, protocol.HostCommand.WRITE]
+    )
+    def test_zero_count_frame_is_a_protocol_error(self, command):
+        net, serial, host_tx, host_rx, sim = serial_on_network()
+        host_tx.send_byte(protocol.SYNC_BYTE)
+        host_tx.send_bytes([command, 0x10, 0, 0, 0x10])
+        with pytest.raises(protocol.ProtocolError, match="count 0"):
+            sim.step(2000)
 
     def test_activate_command_forwarded(self):
         net, serial, host_tx, host_rx, sim = serial_on_network()

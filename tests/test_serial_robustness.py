@@ -7,7 +7,8 @@ import copy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.serial import AutoBaudUartRx, UartRx, UartTx, protocol
+from repro.noc import services
+from repro.serial import AutoBaudUartRx, SerialIp, UartRx, UartTx, protocol
 from repro.sim import Component, Simulator, Wire
 
 
@@ -125,10 +126,48 @@ class TestAutoBaudRobustness:
 # ---------------------------------------------------------------------------
 
 
-def _link(strict, tx_divisor, rx_divisor, glitches):
+class EdgeRouter(Component):
+    """A kernel unit around a receiver that routes its line edges, as
+    the Serial IP and the host do: the receiver logs a mid-frame edge
+    instead of waking the unit.  At each cycle in *busy* the unit is
+    awake anyway, as an IP is while another member works, so the
+    receiver is also evaluated with edges in its log."""
+
+    def __init__(self, rx, busy=()):
+        super().__init__("router")
+        self.rx = rx
+        self.busy = sorted(busy)
+        self._cycle = 0
+        self.add_child(rx)
+
+    def eval(self, cycle):
+        self._cycle = cycle
+        if not self.rx.idle:
+            self.rx.eval(cycle)
+
+    def is_quiescent(self):
+        if not self.rx.is_quiescent():
+            return False
+        later = [c for c in self.busy if c > self._cycle]
+        if later:
+            if later[0] == self._cycle + 1:
+                return False
+            self.wake_at(later[0])
+        return True
+
+    def on_wake(self, skipped_cycles):
+        self.rx.on_wake(skipped_cycles)
+
+    def member_input(self, member, wire):
+        if member.edge(self._kernel.cycle + 1, wire.value):
+            self.wake()
+
+
+def _link(strict, tx_divisor, rx_divisor, glitches, busy=None):
     """``UartTx``, then a ``GlitchyLine`` when *glitches* is not None,
     then a ``UartRx`` at *rx_divisor*, or an ``AutoBaudUartRx`` when it
-    is None."""
+    is None; inside an ``EdgeRouter`` awake at the cycles in *busy*
+    unless that is None."""
     raw = Wire("raw", reset=1, width=1)
     tx = UartTx("tx", raw, divisor=tx_divisor)
     parts, line = [tx], raw
@@ -141,7 +180,7 @@ def _link(strict, tx_divisor, rx_divisor, glitches):
         else UartRx("rx", line, divisor=rx_divisor)
     )
     top = Component("top")
-    for part in parts + [rx]:
+    for part in parts + [rx if busy is None else EdgeRouter(rx, busy)]:
         top.add_child(part)
     sim = Simulator(strict_lockstep=strict)
     sim.add(top)
@@ -171,6 +210,8 @@ def _credited(uart, *spans):
     """The state a copy of *uart* reaches after ``on_wake`` of *spans*."""
     twin = copy.copy(uart)
     twin.restore_state(uart.snapshot_state())
+    if isinstance(uart, UartRx):
+        twin._edges = list(uart._edges)  # a restore drops the edge log
     for span in spans:
         twin.on_wake(span)
     return _state(twin)
@@ -194,6 +235,9 @@ def serial_links(draw):
     if draw(st.booleans()):
         glitches = draw(st.frozensets(st.integers(0, horizon), max_size=6))
     settle_every = draw(st.none() | st.integers(1, 12))
+    busy = None
+    if draw(st.booleans()):
+        busy = draw(st.frozensets(st.integers(0, horizon), max_size=12))
     return (
         tx_divisor,
         rx_divisor,
@@ -201,6 +245,7 @@ def serial_links(draw):
         glitches,
         settle_every,
         horizon + 2 * frame,
+        busy,
     )
 
 
@@ -209,10 +254,11 @@ def serial_links(draw):
 def test_uart_pair_matches_lockstep_every_cycle(link):
     """At every cycle the quiescent kernel shows what lock-step shows:
     the line, ``tx.busy``, each received byte and the framing errors;
-    and every span a UART sleeps credits the same in one piece or two."""
-    tx_divisor, rx_divisor, sends, glitches, settle_every, cycles = link
-    ref = _link(True, tx_divisor, rx_divisor, glitches)
-    got = _link(False, tx_divisor, rx_divisor, glitches)
+    and every span a UART sleeps credits the same in one piece or two.
+    A receiver inside an ``EdgeRouter`` replays its logged edges."""
+    tx_divisor, rx_divisor, sends, glitches, settle_every, cycles, busy = link
+    ref = _link(True, tx_divisor, rx_divisor, glitches, busy)
+    got = _link(False, tx_divisor, rx_divisor, glitches, busy)
     sim = got[0]
     todo = list(sends)
     for cycle in range(cycles):
@@ -222,8 +268,9 @@ def test_uart_pair_matches_lockstep_every_cycle(link):
             got[1].send_byte(byte)
         assert _view(*got[1:]) == _view(*ref[1:]), f"cycle {cycle}"
         for uart in (got[1], got[2]):
-            if not uart._awake and uart._slept_since is not None:
-                span = sim.cycle - uart._slept_since
+            unit = uart._sched or uart  # before elaboration: itself
+            if not unit._awake and unit._slept_since is not None:
+                span = sim.cycle - unit._slept_since
                 if span > 1:
                     a = 1 + cycle % (span - 1)
                     assert _credited(uart, a, span - a) == _credited(
@@ -238,3 +285,63 @@ def test_uart_pair_matches_lockstep_every_cycle(link):
     sim.settle()
     assert _state(got[1]) == _state(ref[1])
     assert _state(got[2]) == _state(ref[2])
+
+
+# ---------------------------------------------------------------------------
+# Untrusted host bytes: only ProtocolError escapes frame assembly
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def host_bytes(draw):
+    """Host-to-board bytes: frames of every command with drawn fields
+    (any READ or WRITE word count, with as many data words as a WRITE
+    count says) and runs of random bytes, then maybe one byte replaced
+    and the tail cut."""
+    byte = st.integers(0, 0xFF)
+    data = []
+    for _ in range(draw(st.integers(0, 4))):
+        command = draw(st.sampled_from([*protocol.HostCommand, None]))
+        if command is None:
+            data += draw(st.lists(byte, max_size=12))
+            continue
+        fields = {
+            protocol.HostCommand.READ: 4,
+            protocol.HostCommand.WRITE: 4,
+            protocol.HostCommand.ACTIVATE: 1,
+            protocol.HostCommand.SCANF_RETURN: 3,
+        }[command]
+        frame = [command] + draw(st.lists(byte, min_size=fields, max_size=fields))
+        if command == protocol.HostCommand.WRITE:
+            n = 2 * frame[2]
+            frame += draw(st.lists(byte, min_size=n, max_size=n))
+        data += frame
+    if data and draw(st.booleans()):
+        data[draw(st.integers(0, len(data) - 1))] = draw(byte)
+    if draw(st.booleans()):
+        data = data[: draw(st.integers(0, len(data)))]
+    return data
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(host_bytes(), st.integers(1, 8))
+def test_only_protocol_errors_escape_host_frame_assembly(data, chunk):
+    """The Serial IP assembles whatever bytes its receiver delivers, a
+    few per eval: a malformed frame raises ``ProtocolError`` and nothing
+    else, and every frame it accepts leaves as one service packet."""
+    ip = SerialIp(
+        "serial",
+        (0, 0),
+        rxd=Wire("rxd", reset=1, width=1),
+        txd=Wire("txd", reset=1, width=1),
+    )
+    try:
+        for cycle, at in enumerate(range(0, len(data), chunk)):
+            ip.uart_rx.received.extend(data[at : at + chunk])
+            ip.eval(cycle)
+    except protocol.ProtocolError:
+        return
+    packets = list(ip.ni._tx_queue)  # no router attached: nothing leaves
+    assert len(packets) == ip.frames_processed
+    for packet in packets:
+        services.decode(packet)
