@@ -167,14 +167,19 @@ def fabric_case(draw):
 def test_idle_matches_full_router_scan(case):
     """In quiescent mode ``busy`` answers sleeping routers without a
     scan; at every cycle it, and ``mesh.idle``, must equal the scan.
-    The run is split by a checkpoint restored into a fresh fabric."""
+    The run is split by a checkpoint restored into a fresh fabric.
+    It lasts at least 300 cycles, and beyond them until the fabric has
+    drained: ten packets injected late and converging on one node need
+    more than 300 cycles to deliver."""
     import json
 
     topology, sends, split = case
     net = HermesNetwork(topology=topology)
     sim = net.make_simulator()
     nodes = net.mesh.addresses()
-    for cycle in range(300):
+    for cycle in range(3000):
+        if cycle >= 300 and net.drained:
+            break
         if cycle == split:
             doc = json.loads(json.dumps(sim.snapshot()))
             net = HermesNetwork(topology=topology)
