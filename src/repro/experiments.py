@@ -20,8 +20,6 @@ from .analysis import (
     crossover_ips,
     hops,
     ip_scale_for_fraction,
-    measure_point,
-    mesh_factory,
     noc_energy_from_stats,
     noc_fraction_sweep,
     sweep,
@@ -41,9 +39,11 @@ from .system import MultiNoC, SystemConfig
 CLOCK_HZ = 50e6
 
 
-def _unloaded_latency(net, source, target, payload_flits) -> int:
+def _unloaded_latency(
+    net, source, target, payload_flits, strict_lockstep=False
+) -> int:
     """Latency of one packet through an otherwise idle *net*."""
-    sim = net.make_simulator()
+    sim = net.make_simulator(strict_lockstep=strict_lockstep)
     net.send(source, target, [0xAA] * payload_flits)
     net.run_to_drain(sim, max_cycles=100_000)
     return net.collect_received()[0].latency
@@ -142,7 +142,7 @@ def e2_router_throughput() -> dict:
 E3_DEPTHS = [2, 4, 8, 16]
 
 
-def e3_buffer_depth() -> Dict[int, dict]:
+def e3_buffer_depth(strict_lockstep=False) -> Dict[int, dict]:
     """E3: contended transpose traffic on a 4x4 mesh at each input
     buffer depth: completion cycle, worst latency, packets delivered and
     the router's slices."""
@@ -155,6 +155,7 @@ def e3_buffer_depth() -> Dict[int, dict]:
                 pattern="transpose", rate=0.035, duration=3000,
                 payload_flits=12, seed=5,
             ),
+            strict_lockstep,
             max_cycles=500_000,
         )
         out[depth] = {
@@ -547,7 +548,9 @@ def e13_bus_vs_noc(strict_lockstep=False) -> Dict[int, dict]:
     return out
 
 
-def e13b_saturation_throughput() -> Dict[int, Tuple[float, float]]:
+def e13b_saturation_throughput(
+    strict_lockstep=False,
+) -> Dict[int, Tuple[float, float]]:
     """E13b: accepted flits/cycle of the bus and the mesh under offered
     load far beyond one flit per cycle."""
     config = TrafficConfig(
@@ -556,8 +559,11 @@ def e13b_saturation_throughput() -> Dict[int, Tuple[float, float]]:
     out = {}
     for n in (2, 4, 6):
         rates = []
-        for net in (SharedBusNetwork(n, n), HermesNetwork(n, n)):
-            sim = _drain(net, config, max_cycles=5_000_000)
+        for net, strict in (
+            (SharedBusNetwork(n, n), False),
+            (HermesNetwork(n, n), strict_lockstep),
+        ):
+            sim = _drain(net, config, strict, max_cycles=5_000_000)
             rates.append(net.stats.delivered_flits / sim.cycle)
         out[n] = tuple(rates)
     return out
@@ -566,24 +572,22 @@ def e13b_saturation_throughput() -> Dict[int, Tuple[float, float]]:
 E14_ROUTING_CYCLES = [1, 3, 7, 11]
 
 
-def e14_routing_cycles() -> dict:
+def e14_routing_cycles(strict_lockstep=False) -> dict:
     """E14: unloaded (0,0)->(3,3) latency of an 8-flit payload on a 4x4
     mesh, and accepted flits/cycle at saturation, for each Ri."""
-    return {
-        "routers": hops((0, 0), (3, 3)),
-        "packet_flits": 10,
-        "by_ri": {
-            rc: (
-                _unloaded_latency(
-                    HermesNetwork(4, 4, routing_cycles=rc), (0, 0), (3, 3), 8
-                ),
-                measure_point(
-                    mesh_factory(4, 4, routing_cycles=rc), rate=0.08, duration=1200
-                ).accepted_flits_per_cycle,
-            )
-            for rc in E14_ROUTING_CYCLES
-        },
-    }
+    saturating = TrafficConfig(
+        pattern="uniform", rate=0.08, duration=1200, payload_flits=8, seed=11
+    )
+    by_ri = {}
+    for rc in E14_ROUTING_CYCLES:
+        latency = _unloaded_latency(
+            HermesNetwork(4, 4, routing_cycles=rc), (0, 0), (3, 3), 8,
+            strict_lockstep,
+        )
+        net = HermesNetwork(4, 4, routing_cycles=rc)
+        sim = _drain(net, saturating, strict_lockstep, max_cycles=3_000_000)
+        by_ri[rc] = (latency, net.stats.delivered_flits / sim.cycle)
+    return {"routers": hops((0, 0), (3, 3)), "packet_flits": 10, "by_ri": by_ri}
 
 
 def e15_energy() -> dict:

@@ -90,6 +90,12 @@ _PH_PAYLOAD = 2
 _CTRL_IDLE = 0
 _CTRL_ROUTING = 1
 
+#: the snapshot lists that hold one entry per port
+_PER_PORT = (
+    "fifos", "in_conn", "in_phase", "in_remaining", "out_owner",
+    "in_flight", "rx_phase", "rx_left", "conn_opened",
+)
+
 
 class HermesRouter(Component):
     """One Hermes router.
@@ -460,6 +466,14 @@ class HermesRouter(Component):
         }
 
     def restore_state(self, state: dict) -> None:
+        n = self.N_PORTS
+        for key in _PER_PORT:
+            if len(state[key]) != n:
+                raise ValueError(f"{key} has {len(state[key])} entries, not {n}")
+        for key in ("in_conn", "out_owner"):
+            for port in state[key]:
+                if port is not None and (type(port) is not int or not 0 <= port < n):
+                    raise ValueError(f"{key} holds {port!r}, not a port")
         for fifo, (contents, watermark) in zip(self.fifos, state["fifos"]):
             fifo.restore(contents, watermark)
         self.in_conn = list(state["in_conn"])

@@ -192,6 +192,24 @@ class TestCheckpointErrors:
         target.host.sync()
         assert target.read(1, 0x10, 1) == [0]
 
+    @pytest.mark.parametrize("key", ["out_owner", "in_conn"])
+    @pytest.mark.parametrize(
+        "value", ["x", ["a"] * 5, [1], {}], ids=["str", "names", "short", "dict"]
+    )
+    def test_restore_rejects_a_router_state_it_cannot_run(self, key, value):
+        """A router's per-port connection list of the wrong length, or
+        holding something other than a port, fails the restore with
+        CheckpointError naming the router, not later in its eval."""
+        doc = {"state": _launch(False).sim.snapshot()}
+        mesh = doc["state"]["components"][0]["children"][0]
+        router = mesh["children"][0]["state"]
+        assert len(router[key]) == 5  # router00's state
+        router[key] = value
+        target = _launch(False)
+        with pytest.raises(CheckpointError, match="router00"):
+            restore_checkpoint(target.sim, doc)
+            target.sim.step(300)
+
     def test_restore_state_without_cycle(self, tmp_path):
         path = save_checkpoint(_launch(False).sim, tmp_path / "a.ckpt")
         doc = json.loads(path.read_text())

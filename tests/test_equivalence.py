@@ -16,9 +16,10 @@ settled every sleeper's idle credit.
 import io
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -425,7 +426,66 @@ class _HostWrite(_Board):
         assert digest["readback"] == list(_HostWrite.WORDS)
 
 
-FABRICS = {"noc": _Noc, "board": _Board, "edge": _Edge, "write": _HostWrite}
+#: streams posted writes of a countdown into one remote word
+STREAM_WRITER = """
+        CLR  R0
+        LDI  R2, {target}
+        LDI  R1, 200
+        LDL  R7, 1
+loop:   ST   R1, R2, R0
+        SUB  R1, R1, R7
+        JMPZD done
+        JMP  loop
+done:   HALT
+"""
+
+#: the words of P1's memory the host reads while P2 writes the first
+STREAM_AT = 0x200
+
+
+class _Backlog(_Board):
+    """The host reads 64 words of P1's memory while P2 streams writes
+    into it: P1's server runs the read and queues the writes that land
+    meanwhile in its backlog."""
+
+    def __init__(self, workload, strict):
+        super().__init__(("board", None, 2, None, None, workload[1]), strict)
+        self.returned = None
+
+    def setup(self):
+        session, system = self.session, self.system
+        session.host.sync()
+        target = system.numa_base(2, 1) + STREAM_AT
+        session.start(2, STREAM_WRITER.format(target=target))
+        flit = system.config.id_to_flit()[1]
+        session.host.uart_tx.send_bytes(protocol.frame_read(flit, STREAM_AT, 64))
+        return {}
+
+    def leg(self, start):
+        host, system = self.session.host, self.system
+        return lambda: system.all_halted and bool(host.read_returns)
+
+    def finish(self):
+        frame = self.session.host.read_returns.popleft()
+        self.returned = (frame.address, list(frame.words))
+        super().finish()
+
+    def digest(self):
+        return {**super().digest(), "returned": self.returned}
+
+    @staticmethod
+    def expect(workload, digest):
+        assert digest["proc1"][0][STREAM_AT] == 1  # the countdown's end
+        assert len(digest["returned"][1]) == 64
+
+
+FABRICS = {
+    "noc": _Noc,
+    "board": _Board,
+    "edge": _Edge,
+    "write": _HostWrite,
+    "backlog": _Backlog,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -766,6 +826,11 @@ HOST_WRITE = Draw(("write", False), (False, False), split=44)
 HOST_WRITE_EDGE = Draw(("write", False), (False, False), split=5)
 
 
+#: split 180 cycles after the host queued its read of P1's memory: P1's
+#: server is running the read with one of P2's writes in its backlog
+BACKLOG = Draw(("backlog", False), split=180)
+
+
 def assert_matches_lockstep(draw):
     """Run *draw* as asked and as the unobserved, unsplit lock-step
     reference; every entry of the two digests must match, and every
@@ -834,3 +899,15 @@ def test_split_right_after_a_logged_line_edge():
     assert not serial._awake and serial.uart_rx._sampling
     assert serial.uart_rx._edges[-1] == (rig.sim.cycle, 0)
     assert_matches_lockstep(HOST_WRITE_EDGE)
+
+
+@pytest.mark.parametrize(
+    "modes",
+    [(False, False), (False, True), (True, False), (True, True)],
+    ids=["quiescent", "to-lockstep", "from-lockstep", "lockstep"],
+)
+def test_split_with_a_memory_backlog(modes):
+    _, mid, _ = _reference(BACKLOG)
+    proc1 = next(s for s in _local_states(mid["state"]) if "activations" in s)
+    assert proc1["memory"]["backlog"]
+    assert_matches_lockstep(replace(BACKLOG, modes=modes))

@@ -32,6 +32,26 @@ def test_e2_router_peak_throughput():
     assert f"{got['bps'] / 1e9:.3f}" == "0.993"
 
 
+#: E3's (completion cycle, worst latency, router slices) per buffer depth
+E3_PINS = {
+    2: (21549, 7402, 180),
+    4: (15452, 5377, 260),
+    8: (13729, 2824, 420),
+    16: (12612, 2611, 740),
+}
+
+
+@MODES
+def test_e3_buffer_depth(strict):
+    """E3: deeper buffers finish the same 1,653 packets sooner."""
+    got = experiments.e3_buffer_depth(strict)
+    assert {
+        depth: (r["completion"], r["max_latency"], r["slices"])
+        for depth, r in got.items()
+    } == E3_PINS
+    assert {r["delivered"] for r in got.values()} == {1653}
+
+
 def test_e4_device_utilisation():
     """E4: 98.0 % slices and 78.0 % LUTs; the NoC is 20.1 % of logic."""
     got = experiments.e4_device_utilisation()
@@ -59,6 +79,33 @@ def test_e7_noc_share_amortises():
     ] == ["17.58%", "9.65%", "5.07%", "2.60%"]
     assert f"{got['ten_pct_scale']:.2f}" == "1.92"
     assert f"{got['five_pct_scale']:.2f}" == "4.06"
+
+
+def test_e5_floorplan():
+    """E5: the annealed floorplan fits with 128 CLB of wire against 198.75
+    for random placements, and lays the blocks out as Figure 7 does."""
+    got = experiments.e5_floorplan()
+    assert got["fits"] and got["die_columns"] == 42
+    assert (got["wirelength"], got["cost"]) == (128.0, 304.0)
+    assert (got["random_wirelength"], got["random_cost"]) == (198.75, 445.75)
+    assert got["centroid_x"] == {
+        "serial": 2.0, "noc": 21.5, "mem0": 40.0, "proc1": 10.5, "proc2": 32.5,
+    }
+
+
+def test_e7c_topology_latency():
+    """E7c: the torus beats the mesh at the same load."""
+    got = experiments.e7c_topology_latency()
+    assert {
+        spec: [
+            (p.completion_cycles, p.max_latency, f"{p.average_latency:.2f}")
+            for p in points
+        ]
+        for spec, points in got.items()
+    } == {
+        "mesh:4x4": [(1574, 151, "60.67"), (3616, 532, "87.21")],
+        "torus:4x4": [(1554, 95, "51.43"), (2833, 347, "74.44")],
+    }
 
 
 @MODES
@@ -102,6 +149,24 @@ def test_e10_parallel_edge_detection(strict):
     assert parallel.lines_per_processor == {1: 2, 2: 2}
 
 
+def test_e10b_line_compute_cost():
+    """E10b: one processor computes a line in 9,795 cycles."""
+    assert experiments.e10b_line_compute_cost() == 9795.0
+
+
+def test_e12_platform_scaling():
+    """E12: the same kernel on 2 to 10 processors finishes in about the
+    same time, so throughput scales; a 10x10 system has 364 components."""
+    got = experiments.e12_platform_scaling()
+    assert {k: (r["elapsed"], r["retired"]) for k, r in got["runs"].items()} == {
+        ((2, 2), 2): (1644, 1616),
+        ((3, 3), 4): (1651, 3232),
+        ((3, 3), 7): (1651, 5656),
+        ((4, 4), 10): (1651, 8080),
+    }
+    assert got["components_10x10"] == 364
+
+
 #: E13's (bus, NoC) completion cycles for n x n systems
 E13_COMPLETION = {
     2: (2508, 2537),
@@ -126,6 +191,55 @@ def test_e13_noc_completion(strict):
     assert {n: r["noc"] for n, r in got.items()} == {
         n: noc for n, (_, noc) in E13_COMPLETION.items()
     }
+
+
+@MODES
+def test_e13b_saturation_throughput(strict):
+    """E13b: under saturation the bus stays at 0.77 flits/cycle while
+    the mesh grows with its size."""
+    got = experiments.e13b_saturation_throughput(strict)
+    assert {n: (f"{bus:.3f}", f"{noc:.3f}") for n, (bus, noc) in got.items()} == {
+        2: ("0.769", "0.788"),
+        4: ("0.769", "1.481"),
+        6: ("0.769", "2.044"),
+    }
+
+
+@MODES
+def test_e14_routing_cycles(strict):
+    """E14: the unloaded latency follows ``(Ri+3)n + 2P - 3`` and the
+    saturated throughput falls as Ri grows."""
+    got = experiments.e14_routing_cycles(strict)
+    assert (got["routers"], got["packet_flits"]) == (7, 10)
+    assert {
+        ri: (latency, f"{accepted:.3f}")
+        for ri, (latency, accepted) in got["by_ri"].items()
+    } == {
+        1: (45, "2.757"),
+        3: (59, "2.226"),
+        7: (87, "1.509"),
+        11: (115, "1.207"),
+    }
+
+
+def test_e15_energy():
+    """E15: bus energy per bit grows with the IP count, the mesh's only
+    with the hop count; the mesh wins from 2 IPs."""
+    got = experiments.e15_energy()
+    per_bit = {
+        n: tuple(f"{e.pj_per_bit:.2f}" for e in (r["noc"], r["bus"]))
+        for n, r in got["by_size"].items()
+    }
+    assert per_bit == {
+        2: ("0.64", "0.80"),
+        3: ("0.80", "1.75"),
+        4: ("0.95", "3.08"),
+        6: ("1.33", "6.88"),
+    }
+    assert [r["noc"].delivered_bits for r in got["by_size"].values()] == [
+        2960, 7600, 14640, 30080,
+    ]
+    assert got["crossover_ips"] == 2
 
 
 #: E11's pinned (active cycles, instructions retired) per mix
