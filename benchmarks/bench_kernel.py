@@ -29,7 +29,7 @@ from repro import experiments
 from repro.apps.workloads import TrafficConfig, drive_traffic
 from repro.core import MultiNoCPlatform
 from repro.noc.network import HermesNetwork
-from repro.sim import Component, Simulator
+from repro.sim import SLEEP, Component, Simulator
 
 IDLE_CYCLES = 100_000
 SEA_CYCLES = 20_000
@@ -125,13 +125,10 @@ class _Busy(Component):
 
 
 class _Asleep(Component):
-    """Quiescent from its first eval on, with no wake booked."""
+    """Asleep from its first eval on, until an input or a wake."""
 
     def eval(self, cycle):
-        pass
-
-    def is_quiescent(self):
-        return True
+        return SLEEP
 
 
 def _us_per_cycle(n_sleeping, repeats=3):

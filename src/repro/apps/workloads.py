@@ -14,7 +14,7 @@ from typing import Callable, List, Optional, Tuple
 from ..noc.network import HermesNetwork
 from ..noc.ni import NetworkInterface
 from ..noc.packet import Packet
-from ..sim import Component
+from ..sim import SLEEP, Component
 
 Address = Tuple[int, int]
 
@@ -136,7 +136,9 @@ class TrafficSource(Component):
         self._schedule = schedule
         self.done = self._index >= len(schedule)
 
-    def eval(self, cycle: int) -> None:
+    def eval(self, cycle: int) -> Optional[float]:
+        """Inject what is due; a source is pure timed work, so between
+        injections it sleeps until its next scheduled cycle."""
         schedule = self._schedule
         while (
             self._index < len(schedule) and schedule[self._index][0] <= cycle
@@ -147,13 +149,7 @@ class TrafficSource(Component):
             self._index += 1
             self.injected += 1
         self.done = self._index >= len(schedule)
-
-    def is_quiescent(self) -> bool:
-        """A source is pure timed work: between injections it sleeps and
-        books a kernel wake at its next scheduled cycle."""
-        if not self.done:
-            self.wake_at(self._schedule[self._index][0])
-        return True
+        return SLEEP if self.done else schedule[self._index][0]
 
     def reset(self) -> None:
         super().reset()

@@ -530,8 +530,7 @@ class SystemDebugger:
         return (
             self.system.all_halted
             and self.system.idle
-            and not self.host.uart_tx.busy
-            and self.host.is_quiescent()
+            and self.host.idle
         )
 
     def _cmd_continue(self, args: List[str]) -> str:

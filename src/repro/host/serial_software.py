@@ -25,7 +25,7 @@ from ..noc.flit import encode_address
 from ..r8.assembler import ObjectCode
 from ..serial import protocol
 from ..serial.uart import FRAME_BITS, UartRx, UartTx
-from ..sim import Component, Simulator, Wire
+from ..sim import SLEEP, Component, Simulator, Wire
 from ..sim.kernel import SimulationTimeout
 from ..system.multinoc import MultiNoC
 from .monitor import InteractionMonitor
@@ -114,39 +114,43 @@ class SerialSoftware(Component):
 
     # -- simulation --------------------------------------------------------------
 
-    def is_quiescent(self) -> bool:
-        """The host sleeps between transactions: nothing left to shift
-        out and nothing arriving.  Queueing a command byte wakes it
-        (``UartTx.send_byte``), and board replies wake it through the
-        receiver's watched txd line.  A partial reply in ``_frame`` is
-        frozen until the next byte lands."""
-        return self.uart_tx.is_quiescent() and self.uart_rx.is_quiescent()
-
-    def on_wake(self, skipped_cycles: int) -> None:
-        """Forward the skip credit to both UARTs (whole bits, replayed
-        samples)."""
-        self.uart_tx.on_wake(skipped_cycles)
-        self.uart_rx.on_wake(skipped_cycles)
+    @property
+    def idle(self) -> bool:
+        """Nothing to shift out and nothing arriving: both UARTs idle
+        and no reply byte waiting to be parsed."""
+        return (
+            self.uart_tx.idle
+            and self.uart_rx.idle
+            and not self.uart_rx.received
+        )
 
     def member_input(self, member, wire: Wire) -> None:
         """An edge on the board's txd line, handed to the receiver."""
         if member.edge(self._kernel.cycle + 1, wire.value) and not self._awake:
             self._kernel.wake_unit(self)
 
-    def eval(self, cycle: int) -> None:
+    def eval(self, cycle: int) -> Optional[float]:
+        """Sleep between transactions: each UART's due, the earlier
+        one.  Queueing a command byte wakes the host
+        (``UartTx.send_byte``), and board replies reach it through the
+        receiver's line.  A partial reply in ``_frame`` is frozen until
+        the next byte lands."""
         # inlined child walk (the two UARTs are the host's only
         # children), skipping an idle one
-        if not self.uart_tx.idle:
-            self.uart_tx.eval(cycle)
-        if not self.uart_rx.idle:
-            self.uart_rx.eval(cycle)
+        tx, rx = self.uart_tx, self.uart_rx
+        tx_due = tx.eval(cycle) if not tx.idle else SLEEP
+        rx_due = rx.eval(cycle) if not rx.idle else SLEEP
         self._cycle = cycle
-        while self.uart_rx.received:
-            self._frame.append(self.uart_rx.received.popleft())
+        while rx.received:
+            self._frame.append(rx.received.popleft())
             length = protocol.board_frame_length(self._frame)
             if length is not None and len(self._frame) >= length:
                 frame, self._frame = self._frame[:length], self._frame[length:]
                 self._dispatch(protocol.parse_board_frame(frame))
+        # a scanf answer queued after the transmitter's eval
+        if rx_due is None or tx_due is None or (tx_due == SLEEP and not tx.idle):
+            return None
+        return min(tx_due, rx_due)
 
     def _dispatch(self, message) -> None:
         if self.on_frame is not None:

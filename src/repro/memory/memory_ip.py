@@ -32,7 +32,7 @@ from ..noc import services
 from ..noc.flit import decode_address
 from ..noc.ni import NetworkInterface
 from ..noc.packet import Packet
-from ..sim import Component, SnapshotError
+from ..sim import SLEEP, Component, SnapshotError
 from .blockram import MemoryBanks
 
 _IDLE = 0
@@ -201,15 +201,17 @@ class MemoryIp(Component):
 
     # -- simulation ---------------------------------------------------------------
 
-    def eval(self, cycle: int) -> None:
-        super().eval(cycle)  # evaluates the NI
-        banks = self.banks
+    def eval(self, cycle: int) -> Optional[float]:
+        """Run the NI and the server; sleep when the server is parked
+        and the NI is silent with nothing to send or deliver."""
+        ni, banks = self.ni, self.banks
+        ni_due = ni.eval(cycle)
         if banks.proc_used:
             banks.proc_used = False
         elif not banks.idle:
             banks.step()
-        elif self.ni.has_received():
-            packet = self.ni.pop_received()
+        elif ni.has_received():
+            packet = ni.pop_received()
             try:
                 message = services.decode(packet)
             except services.ServiceError:
@@ -221,17 +223,9 @@ class MemoryIp(Component):
             else:
                 # A plain memory has no processor to activate or notify.
                 self.dropped_packets.append(packet)
-
-    def is_quiescent(self) -> bool:
-        """Idle when the server is parked, the processor port was
-        untouched, and the NI is silent with nothing undelivered."""
-        banks = self.banks
-        return (
-            banks.idle
-            and not banks.proc_used
-            and not self.ni.received
-            and self.ni.is_quiescent()
-        )
+        if ni_due is None or not banks.idle or ni.received or ni._tx_queue:
+            return None
+        return SLEEP
 
     def reset(self) -> None:
         super().reset()

@@ -17,11 +17,14 @@ the awake ones in router order, and commits the router-to-router wires
 itself, turning each rising ``tx`` into a mark on the receiving input
 and each rising ``ack`` into a mark on the sending output.  A change on
 a network interface's boundary wire reaches it through the kernel's
-member hook (:meth:`Mesh.member_input`).  A router stays awake while a
-port is marked for the next cycle; otherwise it sleeps until a mark or
-the control cycle :meth:`~repro.noc.router.HermesRouter.control_due`
-books.  Under strict lock-step (or with no kernel) the mesh examines
-every port of every router every cycle instead.
+member hook (:meth:`Mesh.member_input`).  The mesh applies the kernel's
+sleep contract to its routers: a router's eval returns ``None`` while a
+port is marked for the next cycle, and otherwise the control cycle it
+is next due at, or ``SLEEP`` until a mark; the mesh books that cycle in
+its heap and returns the earliest one to the kernel when no router is
+listed.  The default ``credit`` hands a skipped span, or a settlement,
+to every router.  Under strict lock-step (or with no kernel) the mesh
+examines every port of every router every cycle instead.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from heapq import heappop, heappush
 from operator import attrgetter
 from typing import Dict, List, Optional, Tuple
 
-from ..sim import Component, HandshakeTx, Wire
+from ..sim import SLEEP, Component, HandshakeTx, Wire
 from .flit import FLIT_BITS
 from .router import HermesRouter
 from .routing import OPPOSITE, Port
@@ -158,11 +161,11 @@ class Mesh(Component):
                 r._sweep_out = 0 if event else r._out_mask
             self._all = True
 
-    def eval(self, cycle: int) -> None:
+    def eval(self, cycle: int) -> Optional[float]:
         if not self._event:
             for r in self._order:
                 r.eval(cycle)
-            return
+            return None
         nxt = cycle + 1
         run = self._next
         self._next = listed = []
@@ -192,26 +195,19 @@ class Mesh(Component):
                             self._n_held -= 1
             run.sort(key=_FI)
         for r in run:
-            r.eval(cycle)
-            if r._mi or r._mo:
+            due = r.eval(cycle)
+            if due is None or due == nxt:
                 r._at = nxt
                 listed.append(r)
                 continue
-            if r._req:
-                # a request keeps the router holding flits
-                due = r.control_due(cycle)
-                if due == nxt:
-                    r._at = nxt
-                    listed.append(r)
-                    continue
-                if due != r._due:
-                    r._due = due
-                    if due is not None:
-                        heappush(heap, (due, r._fi))
-            else:
+            if due == SLEEP:
                 r._due = None
-                if not r._conns:
+                if not r._req and not r._conns:
                     continue  # asleep idle
+            elif due != r._due:
+                r._due = due
+                heappush(heap, (due, r._fi))
+            # a request or an open connection: asleep holding flits
             r._held = True
             self._n_held += 1
         driven = self._driven
@@ -227,6 +223,13 @@ class Mesh(Component):
                         if m is not None:
                             self._mark(m, nxt)
             driven.clear()
+        if self._next:
+            return None
+        # the earliest control wake a sleeping router still holds
+        order = self._order
+        while heap and order[heap[0][1]]._due != heap[0][0]:
+            heappop(heap)
+        return heap[0][0] if heap else SLEEP
 
     def _mark(self, mark: tuple, at: int) -> None:
         """Mark a router port for the eval at cycle *at* and list it."""
@@ -249,18 +252,6 @@ class Mesh(Component):
             self._mark(self._marks[wire], self._kernel.cycle + 1)
             if not self._awake:
                 self._kernel.wake_unit(self)
-
-    def is_quiescent(self) -> bool:
-        """No router is listed for the next cycle.  Books the earliest
-        control wake a sleeping router still holds."""
-        if self._next:
-            return False
-        heap, order = self._heap, self._order
-        while heap and order[heap[0][1]]._due != heap[0][0]:
-            heappop(heap)
-        if heap:
-            self.wake_at(heap[0][0])
-        return True
 
     def reset(self) -> None:
         super().reset()

@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, List, Optional, Tuple
 
-from ..sim import Component, HandshakeTx
+from ..sim import SLEEP, Component, HandshakeTx
 from .flit import decode_address
 from .packet import Packet
 
@@ -133,29 +133,27 @@ class NetworkInterface(Component):
 
     # -- simulation -------------------------------------------------------------
 
-    def eval(self, cycle: int) -> None:
+    def eval(self, cycle: int) -> Optional[float]:
+        """Send and receive; then sleep when the next eval would do
+        nothing: no packet waits to start, a packet being injected has
+        its flit presented and waits for an ack, no packet is half
+        reassembled, and the from-router link is silent (tx low, our ack
+        pulse already back to zero).  Delivered packets sitting in
+        ``received`` do not keep the NI itself awake: the parent that
+        drains them tracks that itself."""
         self._eval_sender(cycle)
         self._eval_receiver(cycle)
-
-    def is_quiescent(self) -> bool:
-        """True when the next eval would do nothing: no packet waits to
-        start, a packet being injected has its flit presented and waits
-        for an ack, no packet is half reassembled, and the from-router
-        link is silent (tx low, our ack pulse already back to zero).
-        Delivered packets sitting in ``received`` do not keep the NI
-        itself busy — the parent that drains them tracks that in its own
-        quiescence predicate."""
         if self._tx_packet is not None:
             if not self._tx_in_flight or self.to_router.ack.value:
-                return False
+                return None
         elif self._tx_queue:
-            return False
+            return None
         if self._rx_state != _RX_HEADER:
-            return False
+            return None
         ch = self.from_router
         if ch is not None and (ch.tx.value or ch.ack.value):
-            return False
-        return True
+            return None
+        return SLEEP
 
     def reset(self) -> None:
         super().reset()

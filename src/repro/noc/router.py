@@ -71,7 +71,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-from ..sim import Component, HandshakeTx
+from ..sim import SLEEP, Component, HandshakeTx
 from .arbiter import RoundRobinArbiter, grant_table, port_sets
 from .fifo import CircularFifo
 from .routing import Port
@@ -209,13 +209,15 @@ class HermesRouter(Component):
 
     # -- simulation ----------------------------------------------------------
 
-    def eval(self, cycle: int) -> None:
-        """One cycle: credit the control cycles skipped since the last
-        eval, then examine the marked outputs, step the control logic,
-        and examine the marked inputs (see the module docstring)."""
+    def eval(self, cycle: int) -> Optional[float]:
+        """One cycle: credit the cycles skipped since the last eval,
+        then examine the marked outputs, step the control logic, and
+        examine the marked inputs (see the module docstring).  Return
+        when the router is next due under a fabric (see the module
+        docstring); a router that examines every port stays awake."""
         at = self._ctrl_at
         if at is not None and cycle > at:
-            self.replay(cycle - at)
+            self.credit(cycle)
         self._ctrl_at = cycle + 1
         stats = self.stats
         if self.sink is not None:
@@ -314,18 +316,19 @@ class HermesRouter(Component):
                         self._mo |= 1 << out
             self._mi = marked
 
-    def control_due(self, cycle: int) -> Optional[int]:
-        """The first cycle after *cycle* (this eval's) whose control step
-        must be evaluated, or None while only a wire change can make the
-        control logic do more than count.
-
-        That is the decision cycle of the first request, in round-robin
-        order, whose output is free (or missing, so that
-        :class:`RoutingError` raises in step with lock-step): every
-        decision before it is blocked, and :meth:`replay` credits it.  A
-        router with a telemetry sink books its next decision of any
-        kind.
-        """
+        # When due: at once while a port is marked for the next eval (or
+        # every port is examined).  Otherwise the first cycle whose
+        # control step must be evaluated, or SLEEP while only a wire
+        # change can make the control logic do more than count: the
+        # decision cycle of the first request, in round-robin order,
+        # whose output is free (or missing, so that RoutingError raises
+        # in step with lock-step).  Every decision before it is blocked,
+        # and credit replays it.  A router with a telemetry sink is due
+        # at its next decision of any kind.
+        if self._mi or self._mo or self._sweep_in:
+            return None
+        if not self._req:
+            return SLEEP
         period = self.routing_cycles + 1
         traced = self.sink is not None
         if self._ctrl_state != _CTRL_IDLE:
@@ -333,17 +336,15 @@ class HermesRouter(Component):
             if traced or self._free(self._ctrl_input):
                 return decision
             base = decision
-        elif self._req:
-            base = cycle
         else:
-            return None
+            base = cycle
         if traced:
             return base + period
         requesters = self._ports[self._req]
         for k in range(1, len(requesters) + 1):
             if self._free(self.arbiter.turn(requesters, k)):
                 return base + k * period
-        return None
+        return SLEEP
 
     def _free(self, port: int) -> bool:
         """The output the head flit of *port* routes to is free or
@@ -354,11 +355,12 @@ class HermesRouter(Component):
             out = self._dest[port] = self._route(self.address, target)
         return self.out_ch[out] is None or self.out_owner[out] is None
 
-    def replay(self, cycles: int) -> None:
-        """Credit *cycles* skipped control steps: the countdown, and the
-        grants and blocked decisions of frozen requests.
+    def credit(self, to_cycle: int) -> None:
+        """Credit the control steps skipped before *to_cycle*, and the
+        open stall spans up to it; the spans stay open from *to_cycle*
+        on.
 
-        Every skipped decision was blocked (:meth:`control_due` names the
+        Every skipped decision was blocked (the eval's due names the
         first that is not), so the control replays as a cycle of
         ``routing_cycles + 1`` steps: a grant to the next request in
         round-robin order, ``routing_cycles - 1`` countdown steps and a
@@ -366,41 +368,39 @@ class HermesRouter(Component):
         last eval or credit left, so crediting a span in pieces equals
         crediting it at once.
         """
-        n = cycles
-        blocked = 0
-        if self._ctrl_state != _CTRL_IDLE:
-            if n <= self._ctrl_counter:
-                self._ctrl_counter -= n
-                return
-            n -= self._ctrl_counter + 1
-            self._ctrl_counter = 0
-            self._ctrl_state = _CTRL_IDLE
-            blocked = 1
-        if n and self._req:
-            rounds, rest = divmod(n, self.routing_cycles + 1)
-            blocked += rounds
-            self._ctrl_input = self.arbiter.grant_among(
-                self._ports[self._req], rounds + (rest > 0)
-            )
-            if rest:
-                self._ctrl_state = _CTRL_ROUTING
-                self._ctrl_counter = self.routing_cycles - rest
-        if blocked and self.stats is not None:
-            self.stats.routing_blocked(self.address, blocked)
-
-    def settle(self, cycle: int) -> None:
-        """Credit the control cycles skipped before *cycle* and the open
-        stall spans up to it; the spans stay open from *cycle* on."""
         at = self._ctrl_at
-        if at is not None and cycle > at:
-            self.replay(cycle - at)
-            self._ctrl_at = cycle
-        stats = self.stats
-        for p, since in enumerate(self._stall_since):
-            if since is not None and cycle > since:
-                self._stall_since[p] = cycle
-                if stats is not None:
-                    stats.stall_cycles[self._keys[p]] += cycle - since
+        if at is not None and to_cycle > at:
+            self._ctrl_at = to_cycle
+            n = to_cycle - at
+            blocked = 0
+            if self._ctrl_state != _CTRL_IDLE:
+                if n <= self._ctrl_counter:
+                    self._ctrl_counter -= n
+                    n = 0
+                else:
+                    n -= self._ctrl_counter + 1
+                    self._ctrl_counter = 0
+                    self._ctrl_state = _CTRL_IDLE
+                    blocked = 1
+            if n and self._req:
+                rounds, rest = divmod(n, self.routing_cycles + 1)
+                blocked += rounds
+                self._ctrl_input = self.arbiter.grant_among(
+                    self._ports[self._req], rounds + (rest > 0)
+                )
+                if rest:
+                    self._ctrl_state = _CTRL_ROUTING
+                    self._ctrl_counter = self.routing_cycles - rest
+            if blocked and self.stats is not None:
+                self.stats.routing_blocked(self.address, blocked)
+        stalls = self._stall_since
+        if stalls.count(None) != self.N_PORTS:
+            stats = self.stats
+            for p, since in enumerate(stalls):
+                if since is not None and to_cycle > since:
+                    stalls[p] = to_cycle
+                    if stats is not None:
+                        stats.stall_cycles[self._keys[p]] += to_cycle - since
 
     def _rescan(self) -> None:
         """Rebuild the derived port state after a reset or restore: the
@@ -472,7 +472,7 @@ class HermesRouter(Component):
                 raise ValueError(f"{key} has {len(state[key])} entries, not {n}")
         for key in ("in_conn", "out_owner"):
             for port in state[key]:
-                if port is not None and (type(port) is not int or not 0 <= port < n):
+                if port is not None and not (isinstance(port, int) and 0 <= port < n):
                     raise ValueError(f"{key} holds {port!r}, not a port")
         for fifo, (contents, watermark) in zip(self.fifos, state["fifos"]):
             fifo.restore(contents, watermark)

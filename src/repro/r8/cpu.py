@@ -176,8 +176,8 @@ class R8Cpu(Component):
         """True when the next eval cannot change core state: halted,
         paused at a fetch boundary (the "wait" service), or stalled on a
         bus transaction that only an external event can complete.  Used
-        by the enclosing IP's quiescence predicate; skipped cycles are
-        re-credited through :meth:`credit_idle_cycles`."""
+        by the enclosing IP to decide whether it may sleep; skipped
+        cycles are credited through :meth:`credit_idle_cycles`."""
         if self._fsm == S_HALT:
             return True
         if self._fsm == S_FETCH:
@@ -237,7 +237,7 @@ class R8Cpu(Component):
         lock-step evaluation would show there."""
         unit = self._sched
         if unit is not None and unit._slept_since is not None:
-            unit._kernel.settle_unit(unit)
+            unit.credit(unit._kernel.cycle)
 
     @property
     def cycles_active(self) -> int:

@@ -11,19 +11,21 @@ interface watches marks the interface due, and a line edge goes to the
 receiver, which logs it mid-frame instead of waking the bridge
 (:meth:`~repro.serial.uart.UartRx.edge`).  An eval evaluates only the
 members that are due: the interface when marked or handed a packet, and
-each UART unless it is idle.  Under strict lock-step every member is
-evaluated every cycle.
+each UART unless it is idle.  It returns the earliest of its UARTs'
+dues, or ``None`` while the interface is due; the default ``credit``
+hands a skipped span to the UARTs.  Under strict lock-step the interface
+is evaluated every cycle.
 """
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 from ..noc import services
 from ..noc.flit import decode_address, encode_address, split_word
 from ..noc.ni import NetworkInterface
 from ..noc.packet import Packet
-from ..sim import Component, Wire
+from ..sim import SLEEP, Component, Wire
 from . import protocol
 from .uart import AutoBaudUartRx, UartTx
 
@@ -88,29 +90,41 @@ class SerialIp(Component):
             or bool(self.uart_rx.received)
         )
 
-    def eval(self, cycle: int) -> None:
+    def eval(self, cycle: int) -> Optional[float]:
         if self.sink is not None:
             self._now = cycle
         # inlined child walk (rx, tx, ni are the bridge's only children),
-        # skipping the members with nothing to do
+        # skipping the members with nothing to do; each due is SLEEP for
+        # an idle member
         rx, tx, ni = self.uart_rx, self.uart_tx, self.ni
+        rx_due = tx_due = SLEEP
         if not rx.idle:
             synced = rx.synced
-            rx.eval(cycle)
+            rx_due = rx.eval(cycle)
             if rx.synced and not synced:
                 # Match the board UART transmit rate to the learned baud
                 # rate, once, at the eval that locks it (the transmitter
                 # is current).
                 tx.divisor = rx.divisor
         if not tx.idle:
-            tx.eval(cycle)
+            tx_due = tx.eval(cycle)
         if self._ni_due or ni._tx_queue:
-            ni.eval(cycle)
-            self._ni_due = not self._route or not ni.is_quiescent()
+            self._ni_due = ni.eval(cycle) is None or not self._route
         if rx.received:
             self._assemble_host_frames()
         if ni.received:
             self._disassemble_noc_packets()
+        # a frame queued for the host after the transmitter's eval (an
+        # earlier due is a harmless early wake), or a packet for the NI
+        if (
+            self._ni_due
+            or ni._tx_queue
+            or rx_due is None
+            or tx_due is None
+            or (tx_due == SLEEP and not tx.idle)
+        ):
+            return None
+        return min(rx_due, tx_due)
 
     def member_input(self, member, wire: Wire) -> None:
         """A committed change on a member's watched wire: the receiver's
@@ -126,24 +140,6 @@ class SerialIp(Component):
     def elaborated(self) -> None:
         self._route = self._sched is self
         self._ni_due = True
-
-    def is_quiescent(self) -> bool:
-        """Idle when both UARTs and the NI are silent and nothing is
-        undelivered.  A partially assembled host frame (``_frame``) is
-        frozen state — only a new UART byte extends it, and that byte
-        wakes the bridge through the receiver's watched line."""
-        return (
-            not self.ni.received
-            and self.ni.is_quiescent()
-            and self.uart_rx.is_quiescent()
-            and self.uart_tx.is_quiescent()
-        )
-
-    def on_wake(self, skipped_cycles: int) -> None:
-        """Forward the skip credit to both UARTs (whole bits, replayed
-        samples)."""
-        self.uart_tx.on_wake(skipped_cycles)
-        self.uart_rx.on_wake(skipped_cycles)
 
     def reset(self) -> None:
         super().reset()

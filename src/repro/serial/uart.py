@@ -7,16 +7,17 @@ exercised — which is why MultiNoC needs the 0x55 synchronisation byte
 (see :class:`AutoBaudUartRx`).
 
 Both ends evaluate the line bit by bit, but under the quiescent kernel
-they sleep from one line edge to the next: a transmitter wakes only where
-its next eval drives a different level (or ends the final frame), and a
-framing receiver only where the line changes or the stop bit is sampled.
-``on_wake`` credits the skipped evals exactly, so the waveform, ``busy``
-and every received byte land on their lock-step cycles.
+they sleep from one line edge to the next: a transmitter's eval returns
+the cycle where its next eval drives a different level (or ends the
+final frame), and a framing receiver's the cycle of the stop-bit sample;
+a change on the line wakes a receiver before that.  ``credit`` accounts
+the skipped evals exactly, so the waveform, ``busy`` and every received
+byte land on their lock-step cycles.
 
 A receiver inside a unit that routes its members' wakes (the Serial IP
 and the host) sleeps through a whole frame: the unit hands it each line
 edge through :meth:`UartRx.edge`, and a framing receiver logs the edge
-instead of waking.  ``on_wake`` then replays the skipped start-bit and
+instead of waking.  ``credit`` then replays the skipped start-bit and
 data-bit samples piecewise, each with the level in force at its sample
 point, so only the stop-bit sample is a real eval.  Such a unit also
 skips the eval of a UART that is idle (:meth:`UartTx.idle`,
@@ -28,7 +29,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, Optional
 
-from ..sim import Component, Wire
+from ..sim import SLEEP, Component, Wire
 
 #: Bits per 8N1 frame: start + 8 data + stop.
 FRAME_BITS = 10
@@ -75,62 +76,56 @@ class UartTx(Component):
         line: nothing is being sent or queued."""
         return not self._bits and not self.queue and self.line.value == 1
 
-    def eval(self, cycle: int) -> None:
-        self._cycle = cycle
-        if not self._bits:
-            if self.queue:
-                self._bits = _FRAMES[self.queue.popleft()]
-                self._bit_index = 0
-                self._phase = 0
-            else:
-                self.line.drive(1)  # idle high
-                return
-        self.line.drive(self._bits[self._bit_index])
-        self._phase += 1
-        if self._phase >= self.divisor:
-            self._phase = 0
-            self._bit_index += 1
-            if self._bit_index >= FRAME_BITS:
-                self._bits = ()
-
-    def is_quiescent(self) -> bool:
-        """Sleep until the next eval that changes the line level.
-
-        The evals before it re-present the level just driven, so the
-        transmitter books a wake for the first eval presenting a
-        different bit value: a later bit of the frame, or the start bit
-        of the next queued frame.  After the final frame it books the
+    def eval(self, cycle: int) -> Optional[float]:
+        """Drive the current bit, and return the first eval that drives
+        a different level: a later bit of the frame, or the start bit of
+        the next queued frame.  After the final frame it returns the
         eval that ends the stop bit instead, so ``busy`` flips false at
         the cycle lock-step would clear it (host drain predicates probe
-        it between cycles).  :meth:`on_wake` credits the skipped whole
-        bits.  Fully idle, it sleeps until :meth:`send_byte` wakes it.
-        """
+        it between cycles).  Fully idle, it sleeps until
+        :meth:`send_byte` wakes it."""
+        self._cycle = cycle
         bits = self._bits
         if not bits:
-            return not self.queue and self.line.value == 1
-        i, p, d = self._bit_index, self._phase, self.divisor
-        # the level this eval drove, and how many evals repeat it
-        if p:
+            if not self.queue:
+                self.line.drive(1)  # idle high
+                return SLEEP if self.idle else None
+            bits = self._bits = _FRAMES[self.queue.popleft()]
+            self._bit_index = 0
+            self._phase = 0
+        i, d = self._bit_index, self.divisor
+        self.line.drive(bits[i])
+        p = self._phase + 1
+        if p < d:
+            self._phase = p
+            # this level repeats to the end of the bit, and on through
+            # every later bit of the same level
             level, ahead, i = bits[i], d - p, i + 1
         else:
+            self._phase = 0
+            i = self._bit_index = i + 1
+            if i >= FRAME_BITS:
+                self._bits = ()
+                return SLEEP if self.idle else None
             level, ahead = bits[i - 1], 0
         while i < FRAME_BITS and bits[i] == level:
             ahead += d
             i += 1
         if i == FRAME_BITS and not self.queue:
             ahead -= 1  # wake at the eval that ends the final frame
-        if ahead < 1:
-            return False
-        self.wake_at(self._cycle + 1 + ahead)
-        return True
+        return cycle + 1 + ahead if ahead > 0 else None
 
-    def on_wake(self, skipped_cycles: int) -> None:
-        """Credit skipped evals: each drove the current bit once more
-        and advanced the phase; a span may cover any number of whole
-        bits, up to the end of the frame."""
-        if skipped_cycles <= 0 or not self._bits:
+    def credit(self, to_cycle: int) -> None:
+        """Each skipped eval drove the current bit once more and
+        advanced the phase; a span may cover any number of whole bits,
+        up to the end of the frame."""
+        skipped = to_cycle - 1 - self._cycle
+        if skipped <= 0:
             return
-        q, self._phase = divmod(self._phase + skipped_cycles, self.divisor)
+        self._cycle = to_cycle - 1
+        if not self._bits:
+            return
+        q, self._phase = divmod(self._phase + skipped, self.divisor)
         self._bit_index += q
         if self._bit_index >= FRAME_BITS:
             # the span ended the frame right before the next one starts
@@ -192,60 +187,53 @@ class UartRx(Component):
         #: mid-frame while asleep (see :meth:`edge`), in cycle order
         self._edges: list = []
 
-    def eval(self, cycle: int) -> None:
+    def eval(self, cycle: int) -> Optional[float]:
+        """Sample the line, and return the cycle of the stop-bit sample
+        while framing: the start-bit and data-bit samples before it only
+        record the line level, and that level cannot change unseen (a
+        change on the watched line wakes the receiver, or its unit logs
+        the edge).  So the stop-bit sample delivers the byte (or counts
+        a framing error) on its lock-step cycle, and :meth:`credit`
+        replays the samples skipped before it.  Outside a frame it
+        sleeps until the line drops (start bit); the parent drains the
+        received bytes at its own eval."""
         self._cycle = cycle
         self._level = level = self.line.value
         if self._edges:
             self._edges = []  # the line is read directly from here on
+        d = self.divisor
         if not self._sampling:
-            if level == 0:  # start-bit edge
-                self._sampling = True
-                self._count = 0
-                self._bits = []
-            return
+            if level:
+                return SLEEP
+            self._sampling = True  # start-bit edge
+            self._count = 0
+            self._bits = []
+            return cycle + d // 2 + 9 * d
         self._count += 1
         # Sample each bit at its mid-point: start bit at divisor/2, data
         # bit k at divisor/2 + (k+1)*divisor ...
-        offset = self._count - self.divisor // 2
-        if offset >= 0 and offset % self.divisor == 0:
-            bit_index = offset // self.divisor
+        offset = self._count - d // 2
+        if offset >= 0 and offset % d == 0:
+            bit_index = offset // d
             if bit_index == 0:
                 if level != 0:  # glitch, not a real start bit
                     self._sampling = False
-                return
-            if bit_index <= 8:
+                    return SLEEP
+            elif bit_index <= 8:
                 self._bits.append(level)
-                return
-            # stop bit
-            if level != 1:
-                self.framing_errors += 1
             else:
-                byte = 0
-                for i, bit in enumerate(self._bits):
-                    byte |= bit << i
-                self.received.append(byte)
-            self._sampling = False
-
-    def is_quiescent(self) -> bool:
-        """Sleep until the line changes or the stop bit is sampled.
-
-        While framing, the start-bit and data-bit samples only record
-        the line level, and that level cannot change unseen: any change
-        on the watched line wakes the receiver.  So it books a wake for
-        the stop-bit sample alone, which delivers the byte (or counts a
-        framing error) on its lock-step cycle, and :meth:`on_wake`
-        replays the samples skipped before it.  Outside a frame it
-        sleeps until the line drops (start bit) or a buffered byte is
-        drained by its parent.
-        """
-        if self._sampling:
-            d = self.divisor
-            ahead = d // 2 + 9 * d - self._count  # evals to the stop sample
-            if ahead < 2:
-                return False
-            self.wake_at(self._cycle + ahead)
-            return True
-        return not self.received and self.line.value != 0
+                # stop bit
+                if level != 1:
+                    self.framing_errors += 1
+                else:
+                    byte = 0
+                    for i, bit in enumerate(self._bits):
+                        byte |= bit << i
+                    self.received.append(byte)
+                self._sampling = False
+                return SLEEP if level else None
+        ahead = d // 2 + 9 * d - self._count  # evals to the stop sample
+        return cycle + ahead if ahead > 1 else None
 
     @property
     def idle(self) -> bool:
@@ -258,7 +246,7 @@ class UartRx(Component):
         *cycle*; the receiver's unit routes member wakes and calls this
         from the commit phase.  Return True when the unit must wake.
 
-        A framing receiver logs the edge for :meth:`on_wake` and needs
+        A framing receiver logs the edge for :meth:`credit` and needs
         no wake, unless the start-bit sample before *cycle* rejects the
         frame as a glitch (by the level the log holds there): the
         receiver is then idle again, and an edge may start a frame.
@@ -281,17 +269,18 @@ class UartRx(Component):
         edges.append((cycle, level))
         return False
 
-    def on_wake(self, skipped_cycles: int) -> None:
+    def credit(self, to_cycle: int) -> None:
         """Replay skipped evals: each advanced ``_count``, and those at
         a start-bit or data-bit sample point sampled the line level in
         force at that cycle, the level the last eval saw or the last
         logged edge before it.  The stop-bit sample is never skipped.
         The logged edges up to the last skipped cycle then fold into
         the level the last eval saw, as lock-step would have seen it."""
+        start = self._cycle
+        skipped_cycles = to_cycle - 1 - start
         if skipped_cycles <= 0:
             return
-        start = self._cycle
-        self._cycle = end = start + skipped_cycles
+        self._cycle = end = to_cycle - 1
         edges = self._edges
         level, i = self._level, 0
         if self._sampling:
@@ -378,15 +367,6 @@ class AutoBaudUartRx(UartRx):
         self._last_edge_cycle: Optional[int] = None
         self._intervals: list = []
 
-    def is_quiescent(self) -> bool:
-        """Pre-sync the receiver only acts on line *edges*, so it can
-        sleep whenever the level matches the last one seen — the watched
-        line wakes it exactly at each edge, keeping the measured
-        intervals identical to lock-step evaluation."""
-        if self.synced:
-            return super().is_quiescent()
-        return self.line.value == self._level and not self.received
-
     @property
     def idle(self) -> bool:
         """Pre-sync an eval acts only on a line edge."""
@@ -394,10 +374,13 @@ class AutoBaudUartRx(UartRx):
             return super().idle
         return self.line.value == self._level
 
-    def eval(self, cycle: int) -> None:
+    def eval(self, cycle: int) -> Optional[float]:
+        """Pre-sync the receiver only acts on line *edges*, so it sleeps
+        until the next one: the watched line wakes it exactly there,
+        keeping the measured intervals identical to lock-step
+        evaluation."""
         if self.synced:
-            super().eval(cycle)
-            return
+            return super().eval(cycle)
         self._cycle = cycle
         level = self.line.value
         if level != self._level:
@@ -410,6 +393,7 @@ class AutoBaudUartRx(UartRx):
                 self.synced = True
                 # The sync byte itself is consumed by synchronisation; the
                 # final stop bit leaves the line idle, ready for framing.
+        return SLEEP
 
     def reset(self) -> None:
         super().reset()

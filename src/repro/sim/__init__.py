@@ -19,7 +19,7 @@ from .checkpoint import (
     restore_checkpoint,
     save_checkpoint,
 )
-from .component import Component, SnapshotError
+from .component import SLEEP, Component, SnapshotError
 from .kernel import SimulationTimeout, Simulator, stride_points
 from .vcd import VcdWriter
 from .wire import CheckedWire, HandshakeTx, Wire, make_channel
@@ -32,6 +32,7 @@ __all__ = [
     "CheckpointRing",
     "Component",
     "HandshakeTx",
+    "SLEEP",
     "SimulationTimeout",
     "Simulator",
     "SnapshotError",

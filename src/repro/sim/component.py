@@ -6,6 +6,11 @@ from typing import Iterable, List, Optional, Set
 
 from .wire import Wire
 
+#: what :meth:`Component.eval` returns to sleep until an input changes or
+#: :meth:`Component.wake` is called; later than every cycle, so a
+#: composite's next due cycle is the ``min`` of its members'
+SLEEP = float("inf")
+
 
 class SnapshotError(Exception):
     """A snapshot does not match the component tree it is restored into."""
@@ -28,19 +33,21 @@ class Component:
     -----------------
     The quiescence-aware kernel (see :class:`~repro.sim.kernel.Simulator`)
     treats every component whose class overrides :meth:`eval` as a
-    *schedulable unit*.  A unit may opt into idle-skipping by:
+    *schedulable unit*.  One contract lets a unit sleep:
 
-    * overriding :meth:`is_quiescent` to report when its next ``eval``
-      would only count (advance per-cycle counters) given unchanged
-      inputs, and :meth:`on_wake` to credit those counts,
-    * declaring the wires it reads with :meth:`watch_wires` so a
-      committed change on any of them wakes it, and
-    * calling :meth:`wake` from every externally callable method that
-      mutates its state (queueing a packet, activating a core, ...), or
-      :meth:`wake_at` for purely time-based work.
+    * :meth:`eval` returns when the unit is next due: ``None`` to stay
+      awake, a cycle to sleep until that cycle's eval, or :data:`SLEEP`
+      to sleep until an input or :meth:`wake`.  Until then its evals
+      would only count (per-cycle counters, a countdown, the samples of
+      a line, the iterations of a poll loop), given unchanged inputs;
+    * :meth:`credit` accounts what the skipped evals would have counted;
+    * :meth:`watch_wires` declares the wires it reads, so a committed
+      change on one wakes it, and every externally callable method that
+      mutates it (queueing a packet, activating a core, ...) calls
+      :meth:`wake`.
 
-    Components that never override :meth:`is_quiescent` are evaluated
-    every cycle, exactly like the original lock-step kernel.
+    A unit whose eval returns ``None`` is evaluated every cycle, exactly
+    like the original lock-step kernel.
     """
 
     def __init__(self, name: str):
@@ -54,8 +61,6 @@ class Component:
         self._sched = None  # schedulable unit owning this component
         self._awake = True
         self._slept_since = None  # first cycle whose eval was skipped
-        self._can_sleep = False  # cached: class overrides is_quiescent
-        self._last_wake_req = None  # (kernel, cycle) of the last wake_at
 
     # -- construction helpers -------------------------------------------
 
@@ -129,30 +134,19 @@ class Component:
 
     # -- activity protocol ----------------------------------------------
 
-    def is_quiescent(self) -> bool:
-        """True when the next ``eval`` would only count, given unchanged
-        inputs.
+    def credit(self, to_cycle: int) -> None:
+        """Account every eval skipped before *to_cycle* (default: each
+        child's).
 
-        The default (``False``) keeps legacy components evaluated every
-        cycle.  Overriders must guarantee that, until an input wire
-        changes, :meth:`wake`/:meth:`wake_at` fires, or an external call
-        mutates it, a quiescent component's ``eval`` drives no new wire
-        value and changes no state except per-cycle counts that
-        :meth:`on_wake` can credit (stall cycles, a countdown).
+        The kernel calls it on a unit coming back from sleep, and
+        :meth:`~repro.sim.kernel.Simulator.settle` on every top-level
+        component, in both kernel modes.  An override knows how far its
+        state is current, so ``credit(a)`` then ``credit(b)`` equals
+        ``credit(b)``, and crediting an awake component changes nothing
+        but what it counts lazily (a router's stall spans).
         """
-        return False
-
-    def on_wake(self, skipped_cycles: int) -> None:
-        """Credit *skipped_cycles* evals the kernel skipped while quiescent.
-
-        Called before the first ``eval`` after a quiescent span, and by
-        :meth:`~repro.sim.kernel.Simulator.settle` for the part of a
-        span that has passed, so one span may be credited in pieces;
-        ``on_wake(a)`` then ``on_wake(b)`` must equal ``on_wake(a + b)``.
-        Override to add what lock-step evaluation would have counted
-        (stall counters, phase counters, countdowns, replayed decisions,
-        the iterations of a poll loop).
-        """
+        for child in self._children:
+            child.credit(to_cycle)
 
     def member_input(self, member: "Component", wire: Wire) -> None:
         """A committed change on *wire*, which *member* (a component
@@ -163,15 +157,6 @@ class Component:
         the whole unit, and the override must call :meth:`wake` when the
         change needs this unit evaluated (see
         :class:`~repro.noc.mesh.Mesh`, whose routers are members).
-        """
-
-    def settle(self, cycle: int) -> None:
-        """Credit, at the cycle boundary *cycle*, what this component
-        counts lazily (spans it credits when they end).
-
-        :meth:`~repro.sim.kernel.Simulator.settle` calls every override,
-        in both kernel modes, after crediting sleeping units through
-        :meth:`on_wake`.  Settling in pieces must equal settling once.
         """
 
     def elaborated(self) -> None:
@@ -194,29 +179,15 @@ class Component:
             if k is not None:
                 k.wake_unit(unit)
 
-    def wake_at(self, cycle: int) -> None:
-        """Schedule a wake-up for this component's unit at *cycle*.
-
-        Quiescence predicates may call this every cycle while their unit
-        is still awake (another sibling is busy); repeating the same
-        future cycle is deduplicated so the wake heap stays small.
-        """
-        unit = self._sched
-        if unit is None:
-            return
-        k = unit._kernel
-        if k is not None:
-            req = (k, cycle)
-            if req != self._last_wake_req:
-                self._last_wake_req = req
-                k.schedule_wake(unit, cycle)
-
     # -- simulation protocol --------------------------------------------
 
-    def eval(self, cycle: int) -> None:
-        """Evaluate one clock cycle.  Default: evaluate children in order."""
+    def eval(self, cycle: int) -> Optional[float]:
+        """Evaluate one clock cycle and return when this unit is next
+        due (see the activity protocol).  Default: evaluate children in
+        order, and stay awake."""
         for child in self._children:
             child.eval(cycle)
+        return None
 
     def reset(self) -> None:
         """Return owned wires and children to their reset state."""

@@ -8,12 +8,14 @@ Historically every component was evaluated every cycle.  The kernel is
 now *quiescence-aware*: at elaboration it flattens the component tree
 into schedulable units (components overriding ``eval``), wires input
 declarations into per-wire sink lists, and installs a driven-wire queue
-so commit touches only wires actually driven that cycle.  A unit that
-reports :meth:`~repro.sim.component.Component.is_quiescent` after its
-eval is put to sleep until an input wire changes, an external call wakes
-it, or a scheduled ``wake_at`` fires.  When *every* unit sleeps, the
-kernel fast-forwards ``self.cycle`` straight to the earliest scheduled
-wake (or the step/run budget) instead of spinning.
+so commit touches only wires actually driven that cycle.  A unit's eval
+returns when it is next due (see
+:class:`~repro.sim.component.Component`): ``None`` keeps it awake, a
+cycle puts it to sleep until that cycle's wake, and
+:data:`~repro.sim.component.SLEEP` until an input wire changes or an
+external call wakes it.  When *every* unit sleeps, the kernel
+fast-forwards ``self.cycle`` straight to the earliest wake (or the
+step/run budget) instead of spinning.
 
 Per-cycle kernel cost depends only on the units that are awake.  The
 loop walks a *run list*: the awake units in elaboration order.  Each
@@ -38,14 +40,15 @@ commits the router-to-router wires itself (it takes them back from the
 kernel's commit queue in its ``elaborated`` hook).
 
 The results are cycle-exact with respect to the legacy schedule: a
-quiescent component's eval would by contract only count (or, for an R8
-core in a poll loop, repeat the loop), and skipped evals are credited
-through ``on_wake`` (by the next eval, or by :meth:`Simulator.settle`,
-which :meth:`Simulator.snapshot` calls) so per-cycle counters (CPU and
-router stall accounting, PC samples) match bit for bit.  A component
-that must read current between cycles (an R8 core's counters and PC)
-credits its own unit with :meth:`Simulator.settle_unit`.
-``Simulator(strict_lockstep=True)`` keeps the original
+sleeping unit's evals would by contract only count (or, for an R8 core
+in a poll loop, repeat the loop), and one
+:meth:`~repro.sim.component.Component.credit` accounts every skipped
+span: the kernel calls it on a unit coming back from sleep, and
+:meth:`Simulator.settle` (which :meth:`Simulator.snapshot` calls) on
+every component, so per-cycle counters (CPU and router stall
+accounting, PC samples) match bit for bit.  A component that must read
+current between cycles (an R8 core's counters and PC) credits its own
+unit.  ``Simulator(strict_lockstep=True)`` keeps the original
 evaluate-everything loop as the reference the A/B equivalence tests
 compare against; it latches one flat list of owned wires, built at
 elaboration and invalidated with it.  Host time is
@@ -69,7 +72,7 @@ from heapq import heapify, heappop, heappush, merge
 from operator import attrgetter
 from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
 
-from .component import Component, SnapshotError
+from .component import SLEEP, Component, SnapshotError
 
 
 def stride_points(start: int, end: int, stride: int) -> Iterator[int]:
@@ -168,8 +171,6 @@ class Simulator:
         self._wake_seq = 0
         self._driven: list = []  # wires driven since the last commit
         self._tracked_wires: list = []
-        #: components with a ``settle`` override (see settle)
-        self._settlers: List[Component] = []
         self._needs_elab = True
 
     # -- construction ----------------------------------------------------
@@ -236,7 +237,6 @@ class Simulator:
 
         Under ``strict_lockstep`` it only collects the flat list of owned
         wires the lock-step loop latches every cycle.  In both modes it
-        collects the components that settle lazily counted spans, and
         finally calls every ``elaborated`` override.
         """
         self._needs_elab = False
@@ -247,19 +247,15 @@ class Simulator:
         tracked: list = []
         tracked_set: set = set()
         units: List[Component] = []
-        settlers: List[Component] = []
         hooked: List[Component] = []
         self._tracked_wires = tracked
         self._units = units
-        self._settlers = settlers
         self._run = []
         self._woken.clear()
         self._later.clear()
         strict = self.strict_lockstep
         pending = None if strict else self._driven
         default_eval = Component.eval
-        default_quiescent = Component.is_quiescent
-        default_settle = Component.settle
         default_elaborated = Component.elaborated
 
         def walk(comp: Component, unit: Optional[Component]) -> None:
@@ -268,11 +264,8 @@ class Simulator:
                 unit = comp
                 comp._uidx = len(units)
                 units.append(comp)
-                comp._can_sleep = cls.is_quiescent is not default_quiescent
             comp._kernel = self
             comp._sched = unit
-            if cls.settle is not default_settle:
-                settlers.append(comp)
             if cls.elaborated is not default_elaborated:
                 hooked.append(comp)
             for w in comp._wires:
@@ -323,11 +316,6 @@ class Simulator:
             unit._awake = True
             self._woken.append(unit)
 
-    def schedule_wake(self, unit: Component, cycle: int) -> None:
-        """Wake *unit* at *cycle* (processed before that cycle's evals)."""
-        self._wake_seq += 1
-        heappush(self._wake_heap, (cycle, self._wake_seq, unit))
-
     # -- execution ---------------------------------------------------------
 
     def reset(self) -> None:
@@ -335,8 +323,6 @@ class Simulator:
         self.cycle = 0
         for c in self._components:
             c.reset()
-            for cc in c.iter_components():
-                cc._last_wake_req = None
         for w in self._driven:
             w._queued = False
         self._driven.clear()
@@ -355,35 +341,16 @@ class Simulator:
         ]
 
     def settle(self) -> None:
-        """Credit pending idle spans now: every unit with skipped evals
-        (asleep, or woken at the last commit) gets ``on_wake`` for them.
-
-        Then every component that counts spans lazily (a router's stall
-        spans and skipped control cycles) credits them up to this cycle
-        through its ``settle`` hook, in both kernel modes.
+        """Credit every skipped eval and lazily counted span up to this
+        cycle: every component's ``credit``, in both kernel modes.
 
         Only valid at a cycle boundary, like :meth:`snapshot`.  A unit
-        stays asleep; its span goes on from this cycle, and the rest is
-        credited later, so settling at any cycle changes no result.
+        stays asleep, and the rest of its span is credited later, so
+        settling at any cycle changes no result.
         """
-        if self._needs_elab:
-            self._elaborate()
-        for u in self._units:
-            self.settle_unit(u)
         cycle = self.cycle
-        for comp in self._settlers:
-            comp.settle(cycle)
-
-    def settle_unit(self, unit: Component) -> None:
-        """Credit *unit*'s skipped evals up to this cycle through its
-        ``on_wake``; the unit keeps sleeping.  Components that read
-        themselves current (an R8 core's counters) call this."""
-        s = unit._slept_since
-        cycle = self.cycle
-        if s is not None and cycle > s:
-            # moved first: on_wake may read the unit's public state
-            unit._slept_since = cycle
-            unit.on_wake(cycle - s)
+        for c in self._components:
+            c.credit(cycle)
 
     def snapshot(self) -> dict:
         """Capture the full simulation state (components + scheduler).
@@ -398,6 +365,8 @@ class Simulator:
         snapshot, and any counter read after it, holds exactly what
         lock-step evaluation would have counted.
         """
+        if self._needs_elab:
+            self._elaborate()
         self.settle()
         units = self._units
         doc: dict = {
@@ -416,14 +385,6 @@ class Simulator:
                 "slept_since": [u._slept_since for u in units],
                 "wake_heap": heap,
                 "wake_seq": self._wake_seq,
-                "wake_reqs": [
-                    (
-                        cc._last_wake_req[1]
-                        if cc._last_wake_req is not None
-                        else None
-                    )
-                    for cc in self._flat_components()
-                ],
             }
         return doc
 
@@ -470,25 +431,21 @@ class Simulator:
             # Lock-step evaluates everything anyway, and a snapshot holds
             # no pending idle credit: taking it settled every sleeper.
             for cc in self._flat_components():
-                cc._last_wake_req = None
                 cc._awake = True
                 cc._slept_since = None
             return
         units = self._units
-        comps = self._flat_components()
-        usable = (
+        if (
             sched is not None
             and len(sched.get("awake", [])) == len(units)
             and len(sched.get("slept_since", [])) == len(units)
-        )
-        if usable:
+        ):
             for u, awake, slept in zip(
                 units, sched["awake"], sched["slept_since"]
             ):
                 u._awake = awake
                 u._slept_since = slept
             self._run = [u for u in units if u._awake]
-            self._woken.clear()
             # in place: a running loop holds the heap by reference
             self._wake_heap[:] = [
                 (cyc, seq, units[i])
@@ -496,23 +453,16 @@ class Simulator:
             ]
             heapify(self._wake_heap)
             self._wake_seq = sched.get("wake_seq", 0)
-            reqs = sched.get("wake_reqs")
-            if reqs is not None and len(reqs) == len(comps):
-                for cc, req in zip(comps, reqs):
-                    cc._last_wake_req = None if req is None else (self, req)
-                return
         else:
             # Cross-mode (or legacy) snapshot: waking every unit is
-            # always safe — a quiescent unit's eval is a no-op and it
-            # goes straight back to sleep, re-booking its own wakes.
+            # always safe — a sleeping unit's eval only counts, and it
+            # goes straight back to sleep.
             self._wake_heap.clear()
             for u in units:
                 u._awake = True
                 u._slept_since = None
             self._run = list(units)
-            self._woken.clear()
-        for cc in comps:
-            cc._last_wake_req = None
+        self._woken.clear()
 
     def step(self, cycles: int = 1) -> int:
         """Advance the simulation by *cycles* clock cycles."""
@@ -574,11 +524,14 @@ class Simulator:
                 if s is not None:
                     u._slept_since = None
                     if cyc > s:
-                        u.on_wake(cyc - s)
-                u.eval(cyc)
-                if u._can_sleep and u.is_quiescent():
+                        u.credit(cyc)
+                due = u.eval(cyc)
+                if due is not None and due > cyc + 1:
                     u._awake = False
                     u._slept_since = cyc + 1
+                    if due != SLEEP:
+                        self._wake_seq += 1
+                        heappush(heap, (due, self._wake_seq, u))
                     changed = True
                 if woken:
                     self._admit_mid_cycle(run, u._uidx)

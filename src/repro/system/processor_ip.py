@@ -19,18 +19,19 @@ Sleeping.  The IP is one kernel unit.  It sleeps while its core cannot
 change anything on its own: halted, paused, stalled on a transaction,
 or spinning in a poll loop over local memory that has reached a fixed
 point (the core is back in the state it had at its previous backward
-jump, and nothing it reads has changed since).  A flit at the NI wakes
-it.  ``on_wake`` credits stall cycles, or whole loop periods plus the
-cycles around them evaluated for real, so every counter matches
-lock-step.  Spin sleep is off while a telemetry sink, PC sampling or
+jump, and nothing it reads has changed since): its eval then returns
+``SLEEP``.  A flit at the NI wakes it.  ``credit`` accounts stall
+cycles, or whole loop periods plus the cycles around them evaluated for
+real, so every counter matches lock-step.  Spin sleep is off while a telemetry sink, PC sampling or
 an observer that sets :attr:`ProcessorIp.observed` watches the core
 every cycle.  :meth:`ProcessorIp.load` and a restore credit the
 open span and wake the IP.
 
 Member wakes.  The IP routes its members' wakes
 (:meth:`ProcessorIp.member_input`): a committed change on a wire the NI
-watches wakes the IP and marks the NI due.  An eval runs the NI, the incoming packets, the posted-operation check and
-the memory server only when the NI is due, the core queued a packet for
+watches wakes the IP and marks the NI due.  An eval runs the NI, the
+incoming packets, the posted-operation check and the memory server only
+when the NI is due, the core queued a packet for
 it or the server has work; otherwise it is the core's eval alone.
 Under strict lock-step every member is evaluated every cycle.
 """
@@ -46,7 +47,7 @@ from ..noc.ni import NetworkInterface
 from ..noc.packet import Packet
 from ..r8.bus import Transaction
 from ..r8.cpu import R8Cpu
-from ..sim import Component, SnapshotError, Wire
+from ..sim import SLEEP, Component, SnapshotError, Wire
 from .address_map import Access, AccessKind, AddressMap
 
 
@@ -89,6 +90,9 @@ class ProcessorIp(Component):
         self.add_child(self.cpu)
         self.add_child(self.ni)
 
+        #: the last cycle this IP's state is current to (its last eval,
+        #: or the end of a credited sleep span)
+        self._cycle = -1
         # outstanding remote transaction issued by the core
         self._pending: Optional[Transaction] = None
         self._pending_kind: Optional[AccessKind] = None
@@ -257,24 +261,39 @@ class ProcessorIp(Component):
 
     # ======================= simulation ========================================
 
-    def eval(self, cycle: int) -> None:
+    def eval(self, cycle: int) -> Optional[float]:
+        """Evaluate the core, then the NoC side when due; sleep (until a
+        flit, an activation or a direct mutation wakes the IP) when the
+        core cannot change its inputs on its own and everything else is
+        idle (see :meth:`_rest_idle`).  The core is then halted, paused,
+        stalled on an external transaction, or spinning in a poll loop
+        that has reached a fixed point (see :meth:`_spin_check`)."""
+        self._cycle = cycle
         if self.sink is not None:
             self._now = cycle
         # cpu first (bus calls), then ni; inlined from the generic
         # child walk — these are the IP's only children and this call
         # chain runs every active cycle.
-        self.cpu.eval(cycle)
+        cpu = self.cpu
+        cpu.eval(cycle)
         ni, banks = self.ni, self.banks
         if self._noc_due or ni._tx_queue:
-            ni.eval(cycle)
+            ni_due = ni.eval(cycle)
             self._complete_posted_ops()
             self._handle_incoming(cycle)
             banks.step()
             # only this block gives the server work and runs it
-            self._noc_due = (
-                not self._route or not ni.is_quiescent() or not banks.idle
-            )
+            self._noc_due = ni_due is None or not self._route or not banks.idle
         banks.proc_used = False
+        if not self._route:
+            return None  # not its own kernel unit: nothing sleeps
+        if cpu.back_jump:
+            cpu.back_jump = False
+            return SLEEP if self._spin_check() else None
+        if not cpu.sleepable or not self._rest_idle():
+            return None
+        self._spin = None
+        return SLEEP
 
     def member_input(self, member, wire: Wire) -> None:
         """A committed change on a wire the NI watches: the NI is due."""
@@ -286,37 +305,16 @@ class ProcessorIp(Component):
         self._route = self._sched is self
         self._noc_due = True
 
-    def is_quiescent(self) -> bool:
-        """The whole IP sleeps only when the core cannot change its
-        inputs on its own, the NI is idle with nothing undelivered, the
-        local-memory server has no work, and no posted operation is
-        waiting to complete.  The core is halted, paused, stalled on an
-        external transaction, or spinning in a poll loop that has reached
-        a fixed point (see :meth:`_spin_check`).  Every possible resume
-        path is covered by a wake: incoming flits wake the NI's watched
-        wires, and local completions keep the unit awake until they
-        land."""
-        cpu = self.cpu
-        if cpu.back_jump:
-            cpu.back_jump = False
-            return self._spin_check()
-        if not cpu.sleepable:
-            return False
-        if not self._rest_idle():
-            return False
-        self._spin = None
-        return True
-
     def _rest_idle(self) -> bool:
         """Everything but the core is idle: memory server, posted
-        operations and NI."""
-        if not self.banks.idle:
+        operations and NI (not due, nothing to send or deliver)."""
+        if self._noc_due or not self.banks.idle:
             return False
         if self._posted_op_pending():
             # fire-and-forget: completes locally on a later eval
             return False
         ni = self.ni
-        return not ni.received and ni.is_quiescent()
+        return not ni.received and not ni._tx_queue
 
     # -- spin sleep: a poll loop over unchanged local memory -----------------
 
@@ -332,7 +330,7 @@ class ProcessorIp(Component):
         read the memory as it still is, so the next one repeats it, and
         so on until a flit reaches the NI, the core is activated or the
         IP is mutated directly: each of those wakes the unit.  The loop
-        period is credited by :meth:`on_wake`."""
+        period is credited by :meth:`credit`."""
         cpu = self.cpu
         key = cpu.spin_key()
         counters = cpu.counters()
@@ -364,21 +362,26 @@ class ProcessorIp(Component):
         self._spin_key: Optional[tuple] = None
         self._spin_mark = (0, 0, 0)
 
-    def on_wake(self, skipped_cycles: int) -> None:
-        """Credit the skipped evals: stall cycles to a halted, paused or
-        stalled core, and whole loop periods to a spinning one.
+    def credit(self, to_cycle: int) -> None:
+        """Credit the evals skipped before *to_cycle*: stall cycles to a
+        halted, paused or stalled core, and whole loop periods to a
+        spinning one.
 
         A spinning core is first evaluated back to its loop head, then
         credited ``n // period`` iterations arithmetically, and evaluated
         through the rest, so it leaves exactly where lock-step would.
         Every eval here reads local memory only; the cycle it is given
         only stamps telemetry, which keeps spin sleep off."""
+        n = to_cycle - 1 - self._cycle
+        if n <= 0:
+            return
+        # moved first: a read of the core's public state credits again
+        self._cycle = to_cycle - 1
         spin = self._spin
         if spin is None:
-            self.cpu.credit_idle_cycles(skipped_cycles)
+            self.cpu.credit_idle_cycles(n)
             return
         period = spin[0]
-        n = skipped_cycles
         cpu = self.cpu
         if self._spin_phase:
             head = min(n, period - self._spin_phase)
@@ -402,12 +405,13 @@ class ProcessorIp(Component):
         inputs it was spent on, then make the core read the new ones."""
         kernel = self._kernel
         if kernel is not None:
-            kernel.settle_unit(self)
+            self.credit(kernel.cycle)
         self.cpu.spin_dirty = True
         self.wake()
 
     def reset(self) -> None:
         super().reset()
+        self._cycle = -1
         self._clear_spin()
         self._noc_due = True
         self._pending = None
@@ -596,6 +600,9 @@ class ProcessorIp(Component):
         self._wait_start = state["wait_start"]
         self._remote_start = state["remote_start"]
         self._scanf_start = state["scanf_start"]
+        # a snapshot credited every IP up to its cycle
+        if self._kernel is not None:
+            self._cycle = self._kernel.cycle - 1
         # the spin record is not checkpointed: the core finds its loop
         # again within two iterations
         self._clear_spin()

@@ -2,7 +2,7 @@
 
 A router sleeps while no port is marked and its control logic would
 only count down or replay blocked re-arbitrations, and an NI while its
-presented flit waits for an ack.  ``HermesRouter.replay`` credits the
+presented flit waits for an ack.  ``HermesRouter.credit`` replays the
 skipped control cycles, stall spans are credited when they end, and
 ``Simulator.settle`` settles both at any cycle, so the quiescent kernel
 must match strict lock-step on every per-key NoC counter.  Generated
@@ -101,7 +101,7 @@ def test_saturated_hotspot_skips_blocked_evals():
 
         def counted(cycle, _eval=unit.eval):
             evals[0] += 1
-            _eval(cycle)
+            return _eval(cycle)
 
         unit.eval = counted
     cycle, stats = _drain(net, sim, sources, config)
@@ -150,7 +150,7 @@ def blocked_router():
         return (
             len(requesters) > 1
             and router.probe_state()["ctrl"] == "idle"
-            and router.control_due(sim.cycle - 1) is None
+            and not any(router._free(p) for p in requesters)
         )
 
     found = []
@@ -166,15 +166,18 @@ def blocked_router():
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 40), st.integers(0, 40))
 def test_replay_in_pieces_equals_replay_at_once(blocked_router, a, b):
+    """``credit(a)`` then ``credit(b)`` equals ``credit(b)``."""
     net, router = blocked_router
     state, stats = router.snapshot_state(), net.stats.snapshot()
+    at = router._ctrl_at  # the first control step not yet done
 
     def credit(*spans):
         router.restore_state(state)
+        router._ctrl_at = at  # a restore leaves no control credit pending
         net.stats.restore(stats)
         for n in spans:
-            router.replay(n)
+            router.credit(at + n)
         return router.snapshot_state(), _json(net.stats.snapshot())
 
-    assert credit(a, b) == credit(a + b)
-    assert credit(a, 0, b) == credit(a + b)
+    assert credit(a, a + b) == credit(a + b)
+    assert credit(a, a, a + b) == credit(a + b)

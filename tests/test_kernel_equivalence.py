@@ -10,7 +10,7 @@ workload scenarios at the end of this file are its pinned draws.
 
 import pytest
 
-from repro.sim import Component, Simulator
+from repro.sim import SLEEP, Component, Simulator
 
 from .test_equivalence import (
     BURSTY,
@@ -26,12 +26,12 @@ from .test_equivalence import (
 
 
 # ---------------------------------------------------------------------------
-# Kernel mechanics: fast-forward, wake_at, strided watchers, credits
+# Kernel mechanics: fast-forward, timed wakes, strided watchers, credits
 # ---------------------------------------------------------------------------
 
 
 class Beeper(Component):
-    """Acts only every ``period`` cycles; sleeps (with a booked wake)
+    """Acts only every ``period`` cycles; sleeps until the next multiple
     in between.  Also counts its evals and credited skips so tests can
     check that eval + credit exactly covers every cycle."""
 
@@ -48,14 +48,13 @@ class Beeper(Component):
         self.evals += 1
         if cycle % self.period == 0:
             self.beeps.append(cycle)
+        return cycle + self.period - cycle % self.period
 
-    def is_quiescent(self):
-        nxt = self._cycle + self.period - self._cycle % self.period
-        self.wake_at(nxt)
-        return True
-
-    def on_wake(self, skipped):
-        self.credited += skipped
+    def credit(self, to_cycle):
+        skipped = to_cycle - 1 - self._cycle
+        if skipped > 0:
+            self.credited += skipped
+            self._cycle = to_cycle - 1
 
 
 class TestFastForward:
@@ -216,7 +215,7 @@ class Poker(Component):
 
     ``plan`` maps a cycle to the units this one pokes during its eval
     there; ``log`` collects ``(cycle, name)`` for every cycle of work.
-    Sleeps whenever no poke is pending, booking its next planned cycle.
+    Sleeps whenever no poke is pending, until its next planned cycle.
     """
 
     def __init__(self, name, log):
@@ -225,28 +224,21 @@ class Poker(Component):
         self.plan = {}
         self.pending = 1  # evaluate the first cycle like everyone else
         self.evals = []
-        self._cycle = 0
 
     def poke(self):
         self.pending += 1
         self.wake()
 
     def eval(self, cycle):
-        self._cycle = cycle
         self.evals.append(cycle)
         if self.pending:
             self.pending -= 1
             self.log.append((cycle, self.name))
         for unit in self.plan.get(cycle, ()):
             unit.poke()
-
-    def is_quiescent(self):
         if self.pending:
-            return False
-        later = [c for c in self.plan if c > self._cycle]
-        if later:
-            self.wake_at(min(later))
-        return True
+            return None
+        return min((c for c in self.plan if c > cycle), default=SLEEP)
 
 
 def _poke_run(strict, plan, cycles=14, watcher=None):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from repro.noc import services
 from repro.serial import AutoBaudUartRx, SerialIp, UartRx, UartTx, protocol
-from repro.sim import Component, Simulator, Wire
+from repro.sim import SLEEP, Component, Simulator, Wire
 
 
 class GlitchyLine(Component):
@@ -137,26 +137,13 @@ class EdgeRouter(Component):
         super().__init__("router")
         self.rx = rx
         self.busy = sorted(busy)
-        self._cycle = 0
         self.add_child(rx)
 
     def eval(self, cycle):
-        self._cycle = cycle
-        if not self.rx.idle:
-            self.rx.eval(cycle)
-
-    def is_quiescent(self):
-        if not self.rx.is_quiescent():
-            return False
-        later = [c for c in self.busy if c > self._cycle]
-        if later:
-            if later[0] == self._cycle + 1:
-                return False
-            self.wake_at(later[0])
-        return True
-
-    def on_wake(self, skipped_cycles):
-        self.rx.on_wake(skipped_cycles)
+        due = self.rx.eval(cycle) if not self.rx.idle else SLEEP
+        if due is None:
+            return None
+        return min([due] + [c for c in self.busy if c > cycle])
 
     def member_input(self, member, wire):
         if member.edge(self._kernel.cycle + 1, wire.value):
@@ -206,14 +193,15 @@ def _state(uart):
     return state
 
 
-def _credited(uart, *spans):
-    """The state a copy of *uart* reaches after ``on_wake`` of *spans*."""
+def _credited(uart, *to_cycles):
+    """The state a copy of *uart* reaches after ``credit`` of each of
+    *to_cycles* in turn."""
     twin = copy.copy(uart)
     twin.restore_state(uart.snapshot_state())
     if isinstance(uart, UartRx):
         twin._edges = list(uart._edges)  # a restore drops the edge log
-    for span in spans:
-        twin.on_wake(span)
+    for to_cycle in to_cycles:
+        twin.credit(to_cycle)
     return _state(twin)
 
 
@@ -254,8 +242,9 @@ def serial_links(draw):
 def test_uart_pair_matches_lockstep_every_cycle(link):
     """At every cycle the quiescent kernel shows what lock-step shows:
     the line, ``tx.busy``, each received byte and the framing errors;
-    and every span a UART sleeps credits the same in one piece or two.
-    A receiver inside an ``EdgeRouter`` replays its logged edges."""
+    and every span a UART sleeps credits the same in one piece or two
+    (``credit(a)`` then ``credit(b)`` equals ``credit(b)``).  A receiver
+    inside an ``EdgeRouter`` replays its logged edges."""
     tx_divisor, rx_divisor, sends, glitches, settle_every, cycles, busy = link
     ref = _link(True, tx_divisor, rx_divisor, glitches, busy)
     got = _link(False, tx_divisor, rx_divisor, glitches, busy)
@@ -272,10 +261,10 @@ def test_uart_pair_matches_lockstep_every_cycle(link):
             if not unit._awake and unit._slept_since is not None:
                 span = sim.cycle - unit._slept_since
                 if span > 1:
-                    a = 1 + cycle % (span - 1)
-                    assert _credited(uart, a, span - a) == _credited(
-                        uart, span
-                    ), f"{uart.name} span {a}+{span - a} at cycle {cycle}"
+                    a = unit._slept_since + 1 + cycle % (span - 1)
+                    assert _credited(uart, a, sim.cycle) == _credited(
+                        uart, sim.cycle
+                    ), f"{uart.name} span to {a}, {sim.cycle} at cycle {cycle}"
         if settle_every and cycle % settle_every == 0:
             sim.settle()
             assert _state(got[1]) == _state(ref[1]), f"cycle {cycle}"
