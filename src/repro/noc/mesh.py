@@ -22,8 +22,8 @@ sleep contract to its routers: a router's eval returns ``None`` while a
 port is marked for the next cycle, and otherwise the control cycle it
 is next due at, or ``SLEEP`` until a mark; the mesh books that cycle in
 its heap and returns the earliest one to the kernel when no router is
-listed.  The default ``credit`` hands a skipped span, or a settlement,
-to every router.  Under strict lock-step (or with no kernel) the mesh
+listed.  Its ``credit`` hands a skipped span, or a settlement, to the
+routers holding flits or listed.  Under strict lock-step (or with no kernel) the mesh
 examines every port of every router every cycle instead.
 """
 
@@ -230,6 +230,20 @@ class Mesh(Component):
         while heap and order[heap[0][1]]._due != heap[0][0]:
             heappop(heap)
         return heap[0][0] if heap else SLEEP
+
+    def credit(self, to_cycle: int) -> None:
+        """Under the fabric, credit only the routers that can hold
+        uncredited work: those asleep holding flits and those listed for
+        the next cycle (an idle sleeping router counts nothing)."""
+        if not self._event or self._all:
+            super().credit(to_cycle)
+            return
+        if self._n_held:
+            for r in self._order:
+                if r._held:
+                    r.credit(to_cycle)
+        for r in self._next:
+            r.credit(to_cycle)
 
     def _mark(self, mark: tuple, at: int) -> None:
         """Mark a router port for the eval at cycle *at* and list it."""

@@ -49,22 +49,25 @@ every attached port examined 9.2.
 Sleeping
 --------
 The fabric (:class:`~repro.noc.mesh.Mesh`) evaluates a router only at a
-cycle where a port is marked or the control logic must act.  While the
-inputs are frozen the control logic is predictable: a grant, then
+cycle where a port is marked or the control logic must act, and the
+router's eval says which, under the kernel's sleep contract: ``None``
+while a port is marked for the next eval, else the cycle the control
+logic is next due at, or ``SLEEP`` until a mark.  While the inputs are
+frozen the control logic is predictable: a grant, then
 ``routing_cycles - 1`` countdown cycles, then a decision, and a blocked
 decision repeats this every ``routing_cycles + 1`` cycles with the next
-request in round-robin order.  So :meth:`HermesRouter.control_due` names
-the first decision that can connect (or raise :class:`RoutingError`),
-and a router with a telemetry sink the first decision of any kind,
-which records a ``route`` or ``route_blocked`` instant.  The fabric
-books that cycle.
+request in round-robin order.  So the due cycle is the first decision
+that can connect (or raise :class:`RoutingError`), and for a router
+with a telemetry sink the first decision of any kind, which records a
+``route`` or ``route_blocked`` instant.  The fabric books that cycle.
 
 The next eval, or :meth:`~repro.sim.kernel.Simulator.settle` (which
 :meth:`~repro.sim.kernel.Simulator.snapshot` calls), credits the skipped
-control cycles with :meth:`HermesRouter.replay`: the countdown, the
+control cycles with :meth:`HermesRouter.credit`: the countdown, the
 grants and the blocked decisions (arbiter priority, control state and
-``blocked_routings``).  A sleeping router's control state and stall
-counters therefore lag only between settlements.
+``blocked_routings``), and the open stall spans.  A sleeping router's
+control state and stall counters therefore lag only between
+settlements.
 """
 
 from __future__ import annotations
@@ -316,15 +319,11 @@ class HermesRouter(Component):
                         self._mo |= 1 << out
             self._mi = marked
 
-        # When due: at once while a port is marked for the next eval (or
-        # every port is examined).  Otherwise the first cycle whose
-        # control step must be evaluated, or SLEEP while only a wire
-        # change can make the control logic do more than count: the
-        # decision cycle of the first request, in round-robin order,
-        # whose output is free (or missing, so that RoutingError raises
-        # in step with lock-step).  Every decision before it is blocked,
-        # and credit replays it.  A router with a telemetry sink is due
-        # at its next decision of any kind.
+        # When due (see the module docstring): the decision cycle of the
+        # first request, in round-robin order, whose output is free or
+        # missing; every decision before it is blocked, and credit
+        # replays it.  SLEEP: only a wire change can make the control
+        # logic do more than count.
         if self._mi or self._mo or self._sweep_in:
             return None
         if not self._req:
