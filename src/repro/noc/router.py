@@ -220,7 +220,7 @@ class HermesRouter(Component):
         docstring); a router that examines every port stays awake."""
         at = self._ctrl_at
         if at is not None and cycle > at:
-            self.credit(cycle)
+            self._replay_control(cycle - at)
         self._ctrl_at = cycle + 1
         stats = self.stats
         if self.sink is not None:
@@ -357,41 +357,11 @@ class HermesRouter(Component):
     def credit(self, to_cycle: int) -> None:
         """Credit the control steps skipped before *to_cycle*, and the
         open stall spans up to it; the spans stay open from *to_cycle*
-        on.
-
-        Every skipped decision was blocked (the eval's due names the
-        first that is not), so the control replays as a cycle of
-        ``routing_cycles + 1`` steps: a grant to the next request in
-        round-robin order, ``routing_cycles - 1`` countdown steps and a
-        blocked decision.  The replay starts from whatever state the
-        last eval or credit left, so crediting a span in pieces equals
-        crediting it at once.
-        """
+        on.  Crediting in pieces equals crediting at once."""
         at = self._ctrl_at
         if at is not None and to_cycle > at:
             self._ctrl_at = to_cycle
-            n = to_cycle - at
-            blocked = 0
-            if self._ctrl_state != _CTRL_IDLE:
-                if n <= self._ctrl_counter:
-                    self._ctrl_counter -= n
-                    n = 0
-                else:
-                    n -= self._ctrl_counter + 1
-                    self._ctrl_counter = 0
-                    self._ctrl_state = _CTRL_IDLE
-                    blocked = 1
-            if n and self._req:
-                rounds, rest = divmod(n, self.routing_cycles + 1)
-                blocked += rounds
-                self._ctrl_input = self.arbiter.grant_among(
-                    self._ports[self._req], rounds + (rest > 0)
-                )
-                if rest:
-                    self._ctrl_state = _CTRL_ROUTING
-                    self._ctrl_counter = self.routing_cycles - rest
-            if blocked and self.stats is not None:
-                self.stats.routing_blocked(self.address, blocked)
+            self._replay_control(to_cycle - at)
         stalls = self._stall_since
         if stalls.count(None) != self.N_PORTS:
             stats = self.stats
@@ -400,6 +370,38 @@ class HermesRouter(Component):
                     stalls[p] = to_cycle
                     if stats is not None:
                         stats.stall_cycles[self._keys[p]] += to_cycle - since
+
+    def _replay_control(self, n: int) -> None:
+        """Replay *n* skipped control steps.
+
+        Every skipped decision was blocked (the eval's due names the
+        first that is not), so the control replays as a cycle of
+        ``routing_cycles + 1`` steps: a grant to the next request in
+        round-robin order, ``routing_cycles - 1`` countdown steps and a
+        blocked decision, starting from whatever state the last eval or
+        credit left.  The router's own eval replays the control alone,
+        leaving the stall spans to the push that ends them.
+        """
+        blocked = 0
+        if self._ctrl_state != _CTRL_IDLE:
+            if n <= self._ctrl_counter:
+                self._ctrl_counter -= n
+                return
+            n -= self._ctrl_counter + 1
+            self._ctrl_counter = 0
+            self._ctrl_state = _CTRL_IDLE
+            blocked = 1
+        if n and self._req:
+            rounds, rest = divmod(n, self.routing_cycles + 1)
+            blocked += rounds
+            self._ctrl_input = self.arbiter.grant_among(
+                self._ports[self._req], rounds + (rest > 0)
+            )
+            if rest:
+                self._ctrl_state = _CTRL_ROUTING
+                self._ctrl_counter = self.routing_cycles - rest
+        if blocked and self.stats is not None:
+            self.stats.routing_blocked(self.address, blocked)
 
     def _rescan(self) -> None:
         """Rebuild the derived port state after a reset or restore: the
