@@ -61,13 +61,13 @@ that can connect (or raise :class:`RoutingError`), and for a router
 with a telemetry sink the first decision of any kind, which records a
 ``route`` or ``route_blocked`` instant.  The fabric books that cycle.
 
-The next eval, or :meth:`~repro.sim.kernel.Simulator.settle` (which
-:meth:`~repro.sim.kernel.Simulator.snapshot` calls), credits the skipped
-control cycles with :meth:`HermesRouter.credit`: the countdown, the
+The next eval replays the skipped control cycles: the countdown, the
 grants and the blocked decisions (arbiter priority, control state and
-``blocked_routings``), and the open stall spans.  A sleeping router's
-control state and stall counters therefore lag only between
-settlements.
+``blocked_routings``).  :meth:`HermesRouter.credit`, which
+:meth:`~repro.sim.kernel.Simulator.settle` (and so
+:meth:`~repro.sim.kernel.Simulator.snapshot`) reaches, replays them too
+and credits the open stall spans.  A sleeping router's control state
+and stall counters therefore lag only between settlements.
 """
 
 from __future__ import annotations
