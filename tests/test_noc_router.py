@@ -21,8 +21,10 @@ from repro.noc import (
     RoutingError,
 )
 from repro.noc.flit import encode_address
-from repro.sim import Component, HandshakeTx, Simulator
+from repro.sim import Component, HandshakeTx, Simulator, VcdWriter
 from repro.telemetry import TelemetrySink
+
+from .test_topology import _mesh_wires
 
 
 class ChannelDriver(Component):
@@ -273,7 +275,8 @@ FABRIC_PINS = {
 }
 
 
-def _fabric_digest(topology, hotspot, traced, depth, routing, payload):
+def _fabric(topology, hotspot, traced, depth, routing, payload):
+    """A pinned fabric run, reset and not yet stepped."""
     sink = TelemetrySink() if traced else None
     net = HermesNetwork(
         topology=topology,
@@ -291,19 +294,83 @@ def _fabric_digest(topology, hotspot, traced, depth, routing, payload):
     sources = drive_traffic(net, config)
     sim = net.make_simulator()
     sim.reset()
+    return net, sim, sources, sink
+
+
+def _drain(net, sim, sources):
     sim.run_until(
         lambda: all(s.done for s in sources) and net.drained,
         max_cycles=100_000,
     )
+
+
+def _digest(doc):
+    text = doc if isinstance(doc, str) else json.dumps(doc, sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def _fabric_digest(*run):
+    net, sim, sources, sink = _fabric(*run)
+    _drain(net, sim, sources)
     doc = {"cycle": sim.cycle, "stats": net.stats.snapshot()}
     if sink is not None:
         doc["events"] = [
             [e.ph, e.name, e.track, e.ts, e.dur, e.args] for e in sink.events
         ]
-    text = json.dumps(doc, sort_keys=True)
-    return sim.cycle, hashlib.sha256(text.encode()).hexdigest()[:16]
+    return sim.cycle, _digest(doc)
 
 
 @pytest.mark.parametrize("run", sorted(FABRIC_PINS), ids=str)
 def test_fabric_run_matches_pinned_digest(run):
     assert _fabric_digest(*run) == FABRIC_PINS[run]
+
+
+#: every run of FABRIC_PINS -> digests of a VCD dump over every fabric
+#: wire (link and local channels) for the whole run, and of
+#: ``sim.snapshot()["components"]`` at cycle 100, with flits in flight.  Each router's ``now`` is
+#: blanked in the snapshot: it stamps the router's last eval for its
+#: telemetry, so it moves with the eval schedule (it already differs
+#: between kernel modes).  Captured with the links as wire handshakes,
+#: so the derived tx/data/ack and the checkpoint format must match it.
+WAVE_PINS = {
+    ("mesh:4x4", False, False, 2, 7, 8): ("59db1d5d33e95cfa", "644e73cc30e4e694"),
+    ("mesh:4x4", True, True, 4, 7, 8): ("34c8d20c87eced3d", "4057a3df4bf77d86"),
+    ("mesh:4x4", True, False, 2, 1, 0): ("8eb4f5f47818fece", "e7470cec643a20cf"),
+    ("mesh:4x4", False, True, 4, 1, 4): ("ec533ab4f2ca1131", "8ddd08ed1cec5e51"),
+    ("mesh:5x3", False, True, 2, 7, 8): ("53c2ac3b4d3abf6a", "160ddfad53a4ac1c"),
+    ("mesh:5x3", True, False, 4, 7, 8): ("6d27b7b726a586b5", "f16366c03d53ed57"),
+    ("mesh:5x3", True, True, 2, 7, 0): ("4f6a23e38f083f23", "2ff811c88f5c58f1"),
+    ("mesh:5x3", False, False, 4, 1, 8): ("b894b3031b953817", "96ac3019738dffab"),
+    ("torus:4x4", False, False, 4, 7, 8): ("7905d2fbfc246c75", "5423efc51195d19b"),
+    ("torus:4x4", True, True, 2, 7, 8): ("411642793ad2cdb6", "30a32c0cfe6b6bd0"),
+    ("torus:4x4", True, False, 4, 1, 4): ("b941812bab6a83f5", "e5010aafeeb13cde"),
+    ("torus:4x4", False, True, 2, 7, 0): ("d568a873a1d0e779", "53b554e1d26c448d"),
+    ("cmesh:3x3x2", False, True, 4, 7, 8): ("8a656679cc5de594", "8c845fd8ccae48ed"),
+    ("cmesh:3x3x2", True, False, 2, 7, 8): ("aaf0d68187b6f054", "c5f85f44f43c7bad"),
+    ("cmesh:3x3x2", True, True, 4, 1, 8): ("a56ce9f2991a951e", "e6d3667ba0f96989"),
+    ("cmesh:3x3x2", False, False, 2, 7, 4): ("a2663f8b4bb1962f", "809d11e4297d0f00"),
+}
+
+
+def _blank_clocks(node):
+    if isinstance(node, dict):
+        return {
+            k: None if k == "now" else _blank_clocks(v)
+            for k, v in node.items()
+        }
+    if isinstance(node, list):
+        return [_blank_clocks(v) for v in node]
+    return node
+
+
+@pytest.mark.parametrize("run", sorted(WAVE_PINS), ids=str)
+def test_fabric_waveform_and_snapshot_match_pinned_digests(run):
+    net, sim, sources, _ = _fabric(*run)
+    vcd = VcdWriter(_mesh_wires(net.mesh))
+    sim.add_watcher(vcd.sample)
+    sim.step(100)
+    assert not net.mesh.idle
+    snapshot = _blank_clocks(sim.snapshot()["components"])
+    _drain(net, sim, sources)
+    assert sim.cycle == FABRIC_PINS[run][0]
+    assert (_digest(vcd.dump()), _digest(snapshot)) == WAVE_PINS[run]
