@@ -6,25 +6,27 @@ IP cores placement and chip layout generation" (paper Section 2.1).
 The builder itself is topology-agnostic: it instantiates whatever
 node/link graph a :class:`~repro.noc.topology.Topology` plugin
 describes (the paper's mesh by default, or a torus / concentrated
-mesh), wiring one handshake channel pair per link and one local
-channel pair per attachment node.  Building ``Mesh(2, 2)`` through the
-default plugin produces bit-identical hardware — same component and
-wire names, same creation order — as the original hand-coded mesh.
+mesh), with one :class:`Link` per direction of each router-to-router
+link and one channel pair per attachment node.  Building ``Mesh(2, 2)``
+through the default plugin produces bit-identical hardware — same
+component and wire names, same creation order — as the original
+hand-coded mesh.
 
 The mesh is also the fabric: the one kernel unit for its routers.  It
 keeps its own list of awake routers and its own wake heap, evaluates
-the awake ones in router order, and commits the router-to-router wires
-itself, turning each rising ``tx`` into a mark on the receiving input
-and each rising ``ack`` into a mark on the sending output.  A change on
-a network interface's boundary wire reaches it through the kernel's
-member hook (:meth:`Mesh.member_input`).  The mesh applies the kernel's
-sleep contract to its routers: a router's eval returns ``None`` while a
-port is marked for the next cycle, and otherwise the control cycle it
-is next due at, or ``SLEEP`` until a mark; the mesh books that cycle in
-its heap and returns the earliest one to the kernel when no router is
-listed.  Its ``credit`` hands a skipped span, or a settlement, to the
-routers holding flits or listed.  Under strict lock-step (or with no kernel) the mesh
-examines every port of every router every cycle instead.
+the awake ones in router order, and then marks the receiving input of
+each link presented and the sending output of each link taken, for the
+next eval.  Nothing is driven or committed between two routers: the
+link's wires are views of its record.  Network interfaces are kernel
+units of their own, so their channels keep real wires, which the mesh
+copies into their link at the start of an eval after one changed (the
+kernel's member hook, :meth:`Mesh.member_input`, reports it) and drives
+after the evals.  A router's eval returns ``None`` while a port is
+marked for the next cycle, and otherwise the control cycle it is next
+due at, or ``SLEEP`` until a mark; the mesh books that cycle in its
+heap and returns the earliest one to the kernel when no router is
+listed.  Under strict lock-step (or with no kernel) the mesh copies
+every boundary link and its routers examine every port every cycle.
 """
 
 from __future__ import annotations
@@ -44,13 +46,39 @@ Address = Tuple[int, int]
 _FI = attrgetter("_fi")
 
 
+class Link:
+    """One direction of a channel into a router port, from another
+    router or from a network interface (``None`` at that end).
+
+    The sender presents a flit (``tx`` 1, ``flit``), the receiver takes
+    it (``ack`` 1), and the sender pops it (``ack`` 0) and presents the
+    next or withdraws (``tx`` 0).  ``at`` is the cycle of the last step,
+    which the other side sees from the next cycle on.  ``ch`` is the
+    channel readers see; ``fifo`` the receiving router's input buffer.
+    """
+
+    __slots__ = (
+        "tx", "flit", "ack", "at", "ch", "fifo", "src", "src_bit", "dst",
+        "dst_bit",
+    )
+
+    def __init__(self, name: str, src, out: int, dst, inp: int):
+        self.tx = self.flit = self.ack = 0
+        self.at = -1
+        self.fifo = None
+        self.src, self.src_bit = src, 1 << out
+        self.dst, self.dst_bit = dst, 1 << inp
+        views = src is not None and dst is not None
+        self.ch = HandshakeTx(name, FLIT_BITS, record=self if views else None)
+
+
 class Mesh(Component):
     """A fabric of Hermes routers, fully wired from a topology plugin.
 
-    Routers on neighbouring graph nodes are connected by one handshake
-    channel per direction.  Each attachment node's local port is exposed
-    as a channel pair so a :class:`~repro.noc.ni.NetworkInterface` (or
-    an IP core) can attach.
+    Routers on neighbouring graph nodes are connected by one link per
+    direction.  Each attachment node's local port is exposed as a
+    channel pair so a :class:`~repro.noc.ni.NetworkInterface` (or an IP
+    core) can attach.
     """
 
     def __init__(
@@ -74,20 +102,21 @@ class Mesh(Component):
         self.local_ports: Dict[Address, Tuple[HandshakeTx, HandshakeTx]] = {}
         #: the routers in evaluation order
         self._order: List[HermesRouter] = []
-        #: tx/ack wire -> (router, is an input, port bit) it marks
-        self._marks: Dict[Wire, tuple] = {}
-        #: router-to-router wires, committed by the fabric itself
-        self._link_wires: List[Wire] = []
+        #: the boundary links, and each wire of theirs the routers watch
+        self._bounds: List[Link] = []
+        self._bound: Dict[Wire, Link] = {}
         #: fabric state: event-driven (the mesh is a kernel unit) or
         #: every port every cycle; routers listed for the next cycle;
-        #: booked control wakes (cycle, router index); routers asleep
-        #: holding flits; wires driven since the fabric's last commit;
-        #: and whether the next eval examines every port of every router
+        #: booked control wakes (cycle, router index); routers holding
+        #: flits (the routers keep it); links presented or taken this
+        #: cycle (the routers append); boundary links to copy from their
+        #: wires; and whether the next eval examines every port
         self._event = False
         self._next: List[HermesRouter] = []
         self._heap: list = []
-        self._n_held = 0
-        self._driven: List[Wire] = []
+        self._holding: Dict[HermesRouter, None] = {}
+        self._sent: List[Link] = []
+        self._pulls: List[Link] = []
         self._all = True
 
         for (x, y) in topology.routers():
@@ -100,60 +129,49 @@ class Mesh(Component):
                 topology=topology,
             )
             router._fi = len(self._order)
+            router._sent = self._sent
+            router._holding = self._holding
             self._order.append(router)
             self.routers[(x, y)] = router
             self.add_child(router)
 
-        # Inter-router links: one channel per direction per graph edge,
-        # in the plugin's deterministic wiring order.
+        # Inter-router links: one per direction per graph edge, in the
+        # plugin's deterministic wiring order.
         for (x, y), port, nb in topology.builder_links():
             router = self.routers[(x, y)]
             neighbour = self.routers[nb]
             opposite = OPPOSITE[Port(port)]
             here, there = topology.label((x, y)), topology.label(nb)
-            fwd = HandshakeTx(f"link{here}>{there}", data_width=FLIT_BITS)
-            rev = HandshakeTx(f"link{there}>{here}", data_width=FLIT_BITS)
+            fwd = Link(f"link{here}>{there}", router, port, neighbour, opposite)
+            rev = Link(f"link{there}>{here}", neighbour, opposite, router, port)
             router.attach_output(port, fwd)
             neighbour.attach_input(opposite, fwd)
             neighbour.attach_output(opposite, rev)
             router.attach_input(port, rev)
-            self._link(fwd, router, port, neighbour, opposite)
-            self._link(rev, neighbour, opposite, router, port)
 
         # Local port channels (IP side attaches later), one per node.
         for node in topology.nodes():
             lbl = topology.label(node)
             router = self.routers[topology.node_router(node)]
             port = topology.local_port(node)
-            into = HandshakeTx(f"local{lbl}.in", data_width=FLIT_BITS)
-            out = HandshakeTx(f"local{lbl}.out", data_width=FLIT_BITS)
+            into = Link(f"local{lbl}.in", None, port, router, port)
+            out = Link(f"local{lbl}.out", router, port, None, port)
             router.attach_input(port, into)
             router.attach_output(port, out)
-            self.local_ports[node] = (into, out)
-            # the IP side is a kernel unit: its drives reach the router
-            # through the kernel's member hook
-            self._marks[into.tx] = (router, True, 1 << port)
-            self._marks[out.ack] = (router, False, 1 << port)
-            router.watch_wires([into.tx, out.ack])
-
-    def _link(
-        self, ch: HandshakeTx, sender, out: int, receiver, inp: int
-    ) -> None:
-        """Index a router-to-router channel for the fabric's commit."""
-        self._link_wires += ch.wires()
-        self._marks[ch.tx] = (receiver, True, 1 << int(inp))
-        self._marks[ch.ack] = (sender, False, 1 << int(out))
+            self.local_ports[node] = (into.ch, out.ch)
+            self._bounds += (into, out)
+            # the IP side is a kernel unit: a change on these wires
+            # reaches the fabric through the kernel's member hook
+            watched = {into.ch.tx: into, into.ch.ack: into, out.ch.ack: out}
+            self._bound.update(watched)
+            router.watch_wires(watched)
 
     # -- the fabric ----------------------------------------------------------
 
     def elaborated(self) -> None:
-        """Take the router-to-router wires back from the kernel's commit
-        queue when the mesh is a kernel unit; otherwise examine every
-        port of every router every cycle."""
+        """Examine only the marked ports when the mesh is a kernel
+        unit; otherwise every port of every router every cycle."""
         event = self._sched is self
-        if event:
-            for w in self._link_wires:
-                w._queue = self._driven
         if event != self._event:
             self._event = event
             for r in self._order:
@@ -162,25 +180,31 @@ class Mesh(Component):
             self._all = True
 
     def eval(self, cycle: int) -> Optional[float]:
+        nxt = cycle + 1
+        pulls = self._pulls
+        self._pulls = []
+        if self._all or not self._event:
+            pulls = self._bounds
+        for link in pulls:
+            self._pull(link, cycle)
+        run = self._next
+        self._next = listed = []
         if not self._event:
             for r in self._order:
                 r.eval(cycle)
+            self._mark_sent(nxt)
+            self._next = []
             return None
-        nxt = cycle + 1
-        run = self._next
-        self._next = listed = []
         heap = self._heap
         if self._all:
             self._all = False
             heap.clear()
-            self._n_held = 0
             run = list(self._order)
             for r in run:
                 r._mi |= r._in_mask
                 r._mo |= r._out_mask
                 r._at = cycle
                 r._due = None
-                r._held = False
         else:
             while heap and heap[0][0] <= cycle:
                 due, i = heappop(heap)
@@ -190,40 +214,19 @@ class Mesh(Component):
                     if r._at != cycle:
                         r._at = cycle
                         run.append(r)
-                        if r._held:
-                            r._held = False
-                            self._n_held -= 1
             run.sort(key=_FI)
         for r in run:
             due = r.eval(cycle)
             if due is None or due == nxt:
                 r._at = nxt
                 listed.append(r)
-                continue
-            if due == SLEEP:
+            elif due == SLEEP:
                 r._due = None
-                if not r._req and not r._conns:
-                    continue  # asleep idle
             elif due != r._due:
                 r._due = due
                 heappush(heap, (due, r._fi))
-            # a request or an open connection: asleep holding flits
-            r._held = True
-            self._n_held += 1
-        driven = self._driven
-        if driven:
-            marks = self._marks
-            for w in driven:
-                w._queued = False
-                v = w._next
-                if w.value != v:
-                    w.value = v
-                    if v:
-                        m = marks.get(w)
-                        if m is not None:
-                            self._mark(m, nxt)
-            driven.clear()
-        if self._next:
+        self._mark_sent(nxt)
+        if listed:
             return None
         # the earliest control wake a sleeping router still holds
         order = self._order
@@ -231,39 +234,75 @@ class Mesh(Component):
             heappop(heap)
         return heap[0][0] if heap else SLEEP
 
-    def credit(self, to_cycle: int) -> None:
-        """Under the fabric, credit only the routers that can hold
-        uncredited work: those asleep holding flits and those listed for
-        the next cycle (an idle sleeping router counts nothing)."""
-        if not self._event or self._all:
-            super().credit(to_cycle)
+    def _mark_sent(self, nxt: int) -> None:
+        """Mark the sending output of each link taken this cycle and
+        the receiving input of each link presented, for the eval at
+        *nxt*, and drive the boundary links' wires."""
+        listed = self._next
+        for link in self._sent:
+            if link.ack:
+                r = link.src
+                if r is None:
+                    link.ch.ack.drive(1)
+                    continue
+                r._mo |= link.src_bit
+            else:
+                r = link.dst
+                if r is None:
+                    link.ch.tx.drive(link.tx)
+                    link.ch.data.drive(link.flit)
+                    continue
+                if not link.tx:
+                    continue  # withdrawn
+                r._mi |= link.dst_bit
+                fifo = link.fifo
+                if fifo._count == fifo.capacity:
+                    continue  # it waits: no eval before a pop
+            if r._at != nxt:
+                r._at = nxt
+                listed.append(r)
+        self._sent.clear()
+
+    def _pull(self, link: Link, cycle: int) -> None:
+        """Copy a boundary link from its wires at the start of the eval
+        at *cycle*, and mark the router port it moved for that eval."""
+        ch = link.ch
+        link.tx = ch.tx.value
+        link.flit = ch.data.value
+        link.ack = ch.ack.value
+        link.at = cycle - 1
+        r = link.dst
+        if r is not None:  # into the router
+            if link.ack:
+                ch.ack.drive(0)  # the router's take is a one-cycle pulse
+                return
+            if not link.tx:
+                return
+            r._mi |= link.dst_bit
+            if link.fifo.is_full:
+                return  # it waits: no eval before a pop
+        elif link.ack:
+            r = link.src
+            r._mo |= link.src_bit
+        else:
             return
-        if self._n_held:
-            for r in self._order:
-                if r._held:
-                    r.credit(to_cycle)
-        for r in self._next:
+        if r._at != cycle:
+            r._at = cycle
+            self._next.append(r)
+
+    def credit(self, to_cycle: int) -> None:
+        """Credit only the routers holding flits: an idle router has no
+        control step or stall span to account."""
+        for r in self._holding:
             r.credit(to_cycle)
 
-    def _mark(self, mark: tuple, at: int) -> None:
-        """Mark a router port for the eval at cycle *at* and list it."""
-        r, is_input, bit = mark
-        if is_input:
-            r._mi |= bit
-        else:
-            r._mo |= bit
-        if r._at != at:
-            r._at = at
-            self._next.append(r)
-            if r._held:
-                r._held = False
-                self._n_held -= 1
-
     def member_input(self, member, wire: Wire) -> None:
-        """A network interface's drive on a router's boundary wire
-        committed: a rising tx or ack marks the router's local port."""
-        if wire.value:
-            self._mark(self._marks[wire], self._kernel.cycle + 1)
+        """A committed change on a boundary wire: a network interface
+        raised its tx or its ack, or the fabric's ack pulse to one rose
+        or fell.  Copy the link from its wires at the next eval."""
+        link = self._bound[wire]
+        if wire.value or wire is link.ch.ack and link.dst is not None:
+            self._pulls.append(link)
             if not self._awake:
                 self._kernel.wake_unit(self)
 
@@ -278,9 +317,14 @@ class Mesh(Component):
         self.wake()
 
     def _restart(self) -> None:
-        for w in self._driven:
-            w._queued = False
-        self._driven.clear()
+        # a restored flit is visible from the restored cycle on
+        at = self._kernel.cycle - 1 if self._kernel is not None else -1
+        for r in self._order:
+            for link in r._in_links:
+                if link is not None:
+                    link.at = at
+        self._sent.clear()
+        self._pulls = []
         self._next = []
         self._all = True
 
@@ -322,14 +366,9 @@ class Mesh(Component):
 
     @property
     def idle(self) -> bool:
-        """True when no router holds flits or open connections.
-
-        Under the fabric this looks only at the routers listed for the
-        next cycle and the count of those asleep holding flits.
-        """
-        if self._event and not self._all:
-            return not self._n_held and not any(r.busy for r in self._next)
-        return not any(r.busy for r in self._order)
+        """True when no router holds flits or open connections (O(1):
+        the routers keep :attr:`_holding`)."""
+        return not self._holding
 
     def addresses(self):
         """All attachment-node addresses in (y, x) raster order."""

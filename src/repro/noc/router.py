@@ -21,39 +21,37 @@ Timing model
   one flit per two cycles until the payload count (snooped from the size
   flit) is exhausted, then the connection closes.
 
-An eval examines only the *marked* ports, in port order: the outputs
-(senders), then the control logic, then the inputs (receivers).  A port
-is marked when its handshake moved:
+Ports move flits through link records (:class:`~repro.noc.mesh.Link`),
+not wires: a sender presents a flit, the receiver takes it from the next
+cycle on if its FIFO has room, and the sender pops it the cycle after
+the take and presents its next flit, two cycles per flit.  An eval
+examines only the *marked* ports, in port order: the outputs (senders),
+then the control logic, then the inputs (receivers).  A port is marked
 
-* the fabric turns a committed rising ``ack`` into an output, or a
-  rising ``tx`` into an input, into a mark for the next eval;
-* a pop marks its input for the same eval (a stalled flit enters at
-  once);
-* the router's own ack pulse marks the input for the next eval, and
-  dropping the ack marks it again for the eval after (the sender's next
-  flit may carry the same data, so no wire need toggle);
-* an opened connection, or a push behind an owned output that is not in
-  flight, marks that output for the next eval.
+* by the fabric, for the next eval: an input when a flit is presented
+  to it and its FIFO has room, an output when its flit is taken;
+* by a pop, for the same eval: its input (a waiting flit enters);
+* by an opened connection, or a push behind an owned output that
+  presents nothing, for the next eval: that output.
 
-Every other port would do nothing, so a saturated fabric spends host
-time on flits that move.  A push into an unconnected input sets its bit
-in the request mask the arbiter grants from.  A full FIFO that refuses a
-flit opens a stall *span*; the push that ends it, or
+A push into an unconnected input sets its bit in the request mask the
+arbiter grants from.  A flit facing a full FIFO waits, a stall *span*
+from the cycle it became visible; the take that ends it, or
 :meth:`~repro.sim.kernel.Simulator.settle`, credits its cycles to
-``stall_cycles``.  A router that is not driven by a fabric (or one whose
-fabric runs in strict lock-step) examines every attached port on every
-eval.  On the ledger's ``noc_uniform_8x8`` run (seed 1) an eval starts
-with 0.5 marked outputs and 1.0 marked inputs on average, where walking
-every attached port examined 9.2.
+``stall_cycles``.  A router whose fabric runs in strict lock-step
+examines every attached port on every eval.  On the ledger's
+``noc_uniform_8x8`` run (seed 1) an eval starts with 0.9 marked outputs
+and 0.8 marked inputs on average, where walking every attached port
+examined 9.2.
 
 Sleeping
 --------
 The fabric (:class:`~repro.noc.mesh.Mesh`) evaluates a router only at a
 cycle where a port is marked or the control logic must act, and the
-router's eval says which, under the kernel's sleep contract: ``None``
-while a port is marked for the next eval, else the cycle the control
-logic is next due at, or ``SLEEP`` until a mark.  While the inputs are
-frozen the control logic is predictable: a grant, then
+router's eval says which: ``None`` while a port is marked for the next
+eval, else the cycle the control logic is next due at, or ``SLEEP``
+until a mark.  While the inputs are frozen the control logic is
+predictable: a grant, then
 ``routing_cycles - 1`` countdown cycles, then a decision, and a blocked
 decision repeats this every ``routing_cycles + 1`` cycles with the next
 request in round-robin order.  So the due cycle is the first decision
@@ -66,8 +64,8 @@ grants and the blocked decisions (arbiter priority, control state and
 ``blocked_routings``).  :meth:`HermesRouter.credit`, which
 :meth:`~repro.sim.kernel.Simulator.settle` (and so
 :meth:`~repro.sim.kernel.Simulator.snapshot`) reaches, replays them too
-and credits the open stall spans.  A sleeping router's control state
-and stall counters therefore lag only between settlements.
+and credits the stall spans, so a sleeping router lags only between
+settlements.
 """
 
 from __future__ import annotations
@@ -141,8 +139,14 @@ class HermesRouter(Component):
         self._rx_phase = [_PH_HEADER] * n
         self._rx_left = [0] * n
 
+        #: the channel of each port, as readers see it, and its link
+        #: record (see Mesh), through which the router moves flits
         self.in_ch: List[Optional[HandshakeTx]] = [None] * n
         self.out_ch: List[Optional[HandshakeTx]] = [None] * n
+        self._in_links: list = [None] * n
+        self._out_links: list = [None] * n
+        #: the fabric's list of links presented or taken this cycle
+        self._sent: list = []
         #: stats key of each port
         self._keys = [(address, p) for p in range(n)]
         #: the ports of a mask, ascending, and the round-robin grant
@@ -165,6 +169,9 @@ class HermesRouter(Component):
         self._dest: List[Optional[int]] = [None] * n
         #: open connections
         self._conns = 0
+        #: a request mask whose every head routes to a busy output (only
+        #: a closing connection frees one)
+        self._stuck = 0
         #: cycle each input's open stall span started (None: no stall)
         self._stall_since: List[Optional[int]] = [None] * n
         #: first cycle whose control step is not yet done or credited
@@ -172,11 +179,11 @@ class HermesRouter(Component):
         self._ctrl_at: Optional[int] = None
         # fabric bookkeeping (see Mesh): position in the router order,
         # the cycle the router is listed for, the booked control wake,
-        # and whether it sleeps holding flits
+        # and the routers holding flits, which this one joins and leaves
         self._fi = 0
         self._at = -1
         self._due: Optional[int] = None
-        self._held = False
+        self._holding: dict = {}
 
         self.fifos = [CircularFifo(buffer_depth) for _ in range(n)]
         # Input-side connection state.
@@ -185,7 +192,6 @@ class HermesRouter(Component):
         self.in_remaining = [0] * n
         # Output-side connection state.
         self.out_owner: List[Optional[int]] = [None] * n
-        self._in_flight = [False] * n
 
         self.arbiter = RoundRobinArbiter(n)
         self._ctrl_state = _CTRL_IDLE
@@ -194,21 +200,24 @@ class HermesRouter(Component):
 
     # -- wiring ------------------------------------------------------------
 
-    def attach_input(self, port: Port, channel: HandshakeTx) -> None:
-        """Attach the receive side of *channel* to *port* (we drive ack)."""
+    def attach_input(self, port: Port, link) -> None:
+        """Take flits from *link* at *port* (we own its ack)."""
         port = int(port)  # a plain int: it is part of the stats keys
-        self.in_ch[port] = channel
+        self.in_ch[port] = link.ch
+        self._in_links[port] = link
+        link.fifo = self.fifos[port]
         self._in_mask |= 1 << port
         self._sweep_in = self._in_mask
-        self.adopt_wires([channel.ack])
+        self.adopt_wires([link.ch.ack])
 
-    def attach_output(self, port: Port, channel: HandshakeTx) -> None:
-        """Attach the send side of *channel* to *port* (we drive tx/data)."""
+    def attach_output(self, port: Port, link) -> None:
+        """Present flits on *link* at *port* (we own its tx/data)."""
         port = int(port)
-        self.out_ch[port] = channel
+        self.out_ch[port] = link.ch
+        self._out_links[port] = link
         self._out_mask |= 1 << port
         self._sweep_out = self._out_mask
-        self.adopt_wires([channel.tx, channel.data])
+        self.adopt_wires([link.ch.tx, link.ch.data])
 
     # -- simulation ----------------------------------------------------------
 
@@ -219,7 +228,7 @@ class HermesRouter(Component):
         when the router is next due under a fabric (see the module
         docstring); a router that examines every port stays awake."""
         at = self._ctrl_at
-        if at is not None and cycle > at:
+        if at is not None and cycle > at and (self._req or self._ctrl_state):
             self._replay_control(cycle - at)
         self._ctrl_at = cycle + 1
         stats = self.stats
@@ -227,42 +236,42 @@ class HermesRouter(Component):
             self._now = cycle
         ports = self._ports
         fifos = self.fifos
-        in_flight = self._in_flight
+        out_links = self._out_links
+        sent = self._sent
         mo = self._mo | self._sweep_out
         mi = self._mi | self._sweep_in
         self._mo = self._mi = 0
 
-        # Senders.  An output with no owner, or owned but not in flight,
-        # already holds tx low: whatever ended its last flit drove tx=0.
-        # An in-flight output waiting for ack already presents tx=1 and
-        # its FIFO head, which only this sender pops.  Neither needs a
-        # drive.
+        # Senders.  An owned output presents its owner's FIFO head until
+        # the receiver takes it; a take at an earlier cycle pops it.
         if mo:
             out_owner = self.out_owner
-            out_ch = self.out_ch
             for out in ports[mo]:
                 owner = out_owner[out]
                 if owner is None:
                     continue
                 fifo = fifos[owner]
-                ch = out_ch[out]
-                if in_flight[out]:
-                    if not ch.ack.value:
+                link = out_links[out]
+                if link.tx:
+                    if not link.ack or link.at == cycle:
                         continue
                     flit = fifo.pop()
                     mi |= 1 << owner
                     if stats is not None:
                         stats.flits_sent[self._keys[out]] += 1
                     self._advance_packet(owner, out, flit)
+                    link.ack = 0
                     if out_owner[out] == owner and fifo:
-                        ch.data.drive(fifo.head)
+                        link.flit = fifo.head
                     else:
-                        ch.tx.drive(0)
-                        in_flight[out] = False
+                        link.tx = 0
                 elif fifo:
-                    ch.tx.drive(1)
-                    ch.data.drive(fifo.head)
-                    in_flight[out] = True
+                    link.tx = 1
+                    link.flit = fifo.head
+                else:
+                    continue
+                link.at = cycle
+                sent.append(link)
 
         # Control: grant a request, count a routing service down, or
         # decide.
@@ -279,54 +288,56 @@ class HermesRouter(Component):
             self._ctrl_state = _CTRL_ROUTING
             self._ctrl_counter = self.routing_cycles - 1
 
-        # Receivers.  Only this router drives an input's ack, so outside
-        # its single-cycle pulse ack is already low and needs no drive.
+        # Receivers.  An input takes a flit presented at an earlier
+        # cycle and not taken yet, if its FIFO has room.
         if mi:
-            in_ch = self.in_ch
+            in_links = self._in_links
             stalls = self._stall_since
-            marked = 0
             for p in ports[mi]:
-                ch = in_ch[p]
-                ack = ch.ack
-                if ack.value:
-                    ack.drive(0)
-                    marked |= 1 << p
-                elif ch.tx.value:
-                    fifo = fifos[p]
-                    if fifo._count == fifo.capacity:
-                        if stalls[p] is None:
-                            stalls[p] = cycle
-                        continue
-                    since = stalls[p]
-                    if since is not None:
-                        stalls[p] = None
-                        if stats is not None:
-                            stats.stall_cycles[self._keys[p]] += cycle - since
-                    flit = ch.data.value
-                    fifo.push(flit)
-                    ack.drive(1)
-                    marked |= 1 << p
-                    if stats is not None:
-                        stats.flits_received[self._keys[p]] += 1
-                    if self.sink is not None:
-                        self._rx_track(p, flit)
-                    out = self.in_conn[p]
-                    if out is None:
-                        if not self._req >> p & 1:
-                            self._req |= 1 << p
-                            self._dest[p] = None  # a new head to route
-                    elif not in_flight[out]:
-                        self._mo |= 1 << out
-            self._mi = marked
+                link = in_links[p]
+                if not link.tx or link.ack or link.at == cycle:
+                    continue
+                fifo = fifos[p]
+                if fifo._count == fifo.capacity:
+                    if stalls[p] is None:
+                        stalls[p] = link.at + 1  # since it is visible
+                    continue
+                # the flit waited from the cycle it became visible, or
+                # from the last credit
+                since = stalls[p]
+                if since is None:
+                    since = link.at + 1
+                else:
+                    stalls[p] = None
+                if cycle > since and stats is not None:
+                    stats.stall_cycles[self._keys[p]] += cycle - since
+                flit = link.flit
+                fifo.push(flit)
+                link.ack = 1
+                link.at = cycle
+                sent.append(link)
+                if stats is not None:
+                    stats.flits_received[self._keys[p]] += 1
+                if self.sink is not None:
+                    self._rx_track(p, flit)
+                out = self.in_conn[p]
+                if out is None:
+                    if not self._req >> p & 1:
+                        if not self._req and not self._conns:
+                            self._holding[self] = None
+                        self._req |= 1 << p
+                        self._dest[p] = None  # a new head to route
+                elif not out_links[out].tx:
+                    self._mo |= 1 << out
 
         # When due (see the module docstring): the decision cycle of the
         # first request, in round-robin order, whose output is free or
         # missing; every decision before it is blocked, and credit
-        # replays it.  SLEEP: only a wire change can make the control
-        # logic do more than count.
-        if self._mi or self._mo or self._sweep_in:
+        # replays it.  SLEEP: only a mark can make the control logic do
+        # more than count.
+        if self._mo or self._sweep_in:
             return None
-        if not self._req:
+        if not self._req or self._req == self._stuck and self.sink is None:
             return SLEEP
         period = self.routing_cycles + 1
         traced = self.sink is not None
@@ -343,6 +354,7 @@ class HermesRouter(Component):
         for k in range(1, len(requesters) + 1):
             if self._free(self.arbiter.turn(requesters, k)):
                 return base + k * period
+        self._stuck = self._req
         return SLEEP
 
     def _free(self, port: int) -> bool:
@@ -363,6 +375,15 @@ class HermesRouter(Component):
             self._ctrl_at = to_cycle
             self._replay_control(to_cycle - at)
         stalls = self._stall_since
+        for p in self._ports[self._mi]:
+            # marked while its FIFO was full: the flit waits from the
+            # cycle it became visible (see Mesh._mark_sent)
+            link = self._in_links[p]
+            if (
+                stalls[p] is None and link.at + 1 < to_cycle
+                and link.tx and not link.ack and link.fifo.is_full
+            ):
+                stalls[p] = link.at + 1
         if stalls.count(None) != self.N_PORTS:
             stats = self.stats
             for p, since in enumerate(stalls):
@@ -413,12 +434,16 @@ class HermesRouter(Component):
             if fifo._count and self.in_conn[p] is None:
                 self._req |= 1 << p
         self._conns = sum(c is not None for c in self.in_conn)
+        self._stuck = 0
+        if self.busy:
+            self._holding[self] = None
+        else:
+            self._holding.pop(self, None)
         self._mi = self._in_mask
         self._mo = self._out_mask
         self._stall_since = [None] * self.N_PORTS
         self._ctrl_at = None
         self._due = None
-        self._held = False
 
     def reset(self) -> None:
         super().reset()
@@ -429,7 +454,6 @@ class HermesRouter(Component):
         self.in_phase = [_PH_HEADER] * n
         self.in_remaining = [0] * n
         self.out_owner = [None] * n
-        self._in_flight = [False] * n
         self.arbiter.reset()
         self._ctrl_state = _CTRL_IDLE
         self._ctrl_input = 0
@@ -451,7 +475,9 @@ class HermesRouter(Component):
             "in_phase": list(self.in_phase),
             "in_remaining": list(self.in_remaining),
             "out_owner": list(self.out_owner),
-            "in_flight": list(self._in_flight),
+            "in_flight": [
+                ch is not None and bool(ch.tx.value) for ch in self.out_ch
+            ],
             "last_grant": self.arbiter._last_grant,
             "ctrl_state": self._ctrl_state,
             "ctrl_input": self._ctrl_input,
@@ -481,7 +507,6 @@ class HermesRouter(Component):
         self.in_phase = list(state["in_phase"])
         self.in_remaining = list(state["in_remaining"])
         self.out_owner = list(state["out_owner"])
-        self._in_flight = list(state["in_flight"])
         self.arbiter._last_grant = state["last_grant"]
         self._ctrl_state = state["ctrl_state"]
         self._ctrl_input = state["ctrl_input"]
@@ -517,11 +542,13 @@ class HermesRouter(Component):
         self.in_phase[in_port] = _PH_HEADER
         self.in_remaining[in_port] = 0
         self.out_owner[out_port] = None
-        self._in_flight[out_port] = False
         self._conns -= 1
+        self._stuck = 0
         if self.fifos[in_port]._count:
             self._req |= 1 << in_port  # the next packet's header
             self._dest[in_port] = None
+        elif not self._req and not self._conns:
+            del self._holding[self]
         if self.stats is not None:
             self.stats.connection_closed(self.address)
         if self.sink is not None:

@@ -40,6 +40,17 @@ _FRAMES = tuple(
 )
 
 
+def _ints(values, lo: int, hi: float, key: str, lengths=None) -> list:
+    """Restored *values* as a list of ints in ``lo..hi``, of one of
+    *lengths* if given; ``ValueError`` for anything a UART cannot run."""
+    values = list(values)
+    if not all(isinstance(v, int) and lo <= v <= hi for v in values):
+        raise ValueError(f"{key} holds a value outside {lo}..{hi}")
+    if lengths is not None and len(values) not in lengths:
+        raise ValueError(f"{key} has {len(values)} entries")
+    return values
+
+
 class UartTx(Component):
     """Serialises queued bytes onto a 1-bit line."""
 
@@ -155,12 +166,14 @@ class UartTx(Component):
         }
 
     def restore_state(self, state: dict) -> None:
-        self.queue = deque(state["queue"])
-        self._bits = tuple(state["bits"])
-        self._bit_index = state["bit_index"]
-        self._phase = state["phase"]
-        self._cycle = state["cycle"]
-        self.divisor = state["divisor"]
+        (divisor,) = _ints([state["divisor"]], 2, float("inf"), "divisor")
+        bits = _ints(state["bits"], 0, 1, "bits", (0, FRAME_BITS))
+        self.queue = deque(_ints(state["queue"], 0, 0xFF, "queue"))
+        self._bits = tuple(bits)
+        (self._bit_index,) = _ints([state["bit_index"]], 0, FRAME_BITS, "bit_index")
+        (self._phase,) = _ints([state["phase"]], 0, divisor - 1, "phase")
+        (self._cycle,) = _ints([state["cycle"]], 0, float("inf"), "cycle")
+        self.divisor = divisor
 
 
 class UartRx(Component):
@@ -339,15 +352,16 @@ class UartRx(Component):
         }
 
     def restore_state(self, state: dict) -> None:
-        self.received = deque(state["received"])
+        self.received = deque(_ints(state["received"], 0, 0xFF, "received"))
         self.framing_errors = state["framing_errors"]
         self._sampling = state["sampling"]
-        self._count = state["count"]
-        self._bits = list(state["bits"])
-        self._cycle = state["cycle"]
-        self._level = state["level"]
+        self._bits = _ints(state["bits"], 0, 1, "bits", range(9))
+        self._count, self._cycle = _ints(
+            [state["count"], state["cycle"]], 0, float("inf"), "count/cycle"
+        )
+        (self._level,) = _ints([state["level"]], 0, 1, "level")
         self._edges = []
-        self.divisor = state["divisor"]
+        (self.divisor,) = _ints([state["divisor"]], 2, float("inf"), "divisor")
 
 
 class AutoBaudUartRx(UartRx):
@@ -413,5 +427,8 @@ class AutoBaudUartRx(UartRx):
     def restore_state(self, state: dict) -> None:
         super().restore_state(state)
         self.synced = state["synced"]
-        self._last_edge_cycle = state["last_edge_cycle"]
-        self._intervals = list(state["intervals"])
+        last = state["last_edge_cycle"]
+        if last is not None:
+            _ints([last], 0, float("inf"), "last_edge_cycle")
+        self._last_edge_cycle = last
+        self._intervals = _ints(state["intervals"], 0, float("inf"), "intervals")

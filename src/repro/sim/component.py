@@ -162,9 +162,8 @@ class Component:
     def elaborated(self) -> None:
         """Called after every (re-)elaboration, in both kernel modes,
         once ``_kernel`` and ``_sched`` are set and the kernel has
-        installed its commit queue and wake sinks on every wire.  A unit
-        that commits some of its members' wires itself takes them back
-        here."""
+        installed its commit queue and wake sinks on every wire (the
+        Hermes fabric picks its kernel mode here)."""
 
     def wake(self) -> None:
         """Mark this component's schedulable unit as active.

@@ -34,10 +34,8 @@ Member wakes: a unit may route the wakes of the components inside it
 on a wire a member watches then calls ``unit.member_input(member,
 wire)`` in O(1) instead of waking the whole unit, and the unit wakes
 itself when it needs the next cycle.  The Hermes fabric
-(:class:`~repro.noc.mesh.Mesh`) is one such unit: it turns a change on a
-network interface's boundary wire into a mark on its router's port, and
-commits the router-to-router wires itself (it takes them back from the
-kernel's commit queue in its ``elaborated`` hook).
+(:class:`~repro.noc.mesh.Mesh`) is one such unit: it copies a change on
+a network interface's boundary wire into its router's link record.
 
 The results are cycle-exact with respect to the legacy schedule: a
 sleeping unit's evals would by contract only count (or, for an R8 core

@@ -28,6 +28,8 @@ Two kernel-facing refinements keep the hot path flat:
   :class:`CheckedWire` subclass; ``Wire(name, width=8)`` transparently
   builds one.  Wires created without a width run a :meth:`drive` with no
   per-call width branch at all.
+* **Views.**  A :class:`FieldWire` shows a field of a record that its
+  owner updates directly (the Hermes fabric's links) as a wire.
 """
 
 from __future__ import annotations
@@ -138,6 +140,27 @@ class CheckedWire(Wire):
                 self._queued = True
 
 
+class FieldWire(Wire):
+    """A view of one field of a record: never driven or committed, its
+    value in both phases is the field, which restoring or resetting the
+    wire writes."""
+
+    __slots__ = ("_record", "_field")
+
+    def __new__(cls, *args):
+        return object.__new__(cls)
+
+    def __init__(self, name: str, record: Any, field: str, width: int):
+        self._record, self._field = record, field
+        super().__init__(name)
+        self.width = width
+
+    value = _next = property(
+        lambda self: getattr(self._record, self._field),
+        lambda self, value: setattr(self._record, self._field, value),
+    )
+
+
 class HandshakeTx:
     """The sender-side half of a Hermes asynchronous handshake channel.
 
@@ -147,15 +170,21 @@ class HandshakeTx:
     and pulses ``ack``; the sender drops ``tx`` (or presents the next flit)
     after seeing the pulse.  With registered wires this costs two clock
     cycles per flit, which is exactly the factor 2 in the paper's latency
-    formula.
+    formula.  Given a *record* with ``tx``, ``flit`` and ``ack``
+    fields, the three wires are :class:`FieldWire` views of it.
     """
 
     __slots__ = ("tx", "data", "ack")
 
-    def __init__(self, name: str, data_width: int = 8):
-        self.tx = Wire(f"{name}.tx", reset=0, width=1)
-        self.data = Wire(f"{name}.data", reset=0, width=data_width)
-        self.ack = Wire(f"{name}.ack", reset=0, width=1)
+    def __init__(self, name: str, data_width: int = 8, record: Any = None):
+        if record is None:
+            self.tx = Wire(f"{name}.tx", reset=0, width=1)
+            self.data = Wire(f"{name}.data", reset=0, width=data_width)
+            self.ack = Wire(f"{name}.ack", reset=0, width=1)
+        else:
+            self.tx = FieldWire(f"{name}.tx", record, "tx", 1)
+            self.data = FieldWire(f"{name}.data", record, "flit", data_width)
+            self.ack = FieldWire(f"{name}.ack", record, "ack", 1)
 
     def wires(self) -> tuple[Wire, Wire, Wire]:
         return (self.tx, self.data, self.ack)

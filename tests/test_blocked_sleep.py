@@ -111,6 +111,30 @@ def test_saturated_hotspot_skips_blocked_evals():
     assert stats["blocked_routings"] == ref["blocked_routings"]
 
 
+def test_saturated_uniform_evaluates_no_router_to_drop_an_ack():
+    """Uniform traffic above saturation on 8x8, 2,315 cycles.  With the
+    links as wire handshakes the routers made 63,568 evals, 16,871 of
+    which only dropped an ack pulse: no output marked, every marked
+    input with its ack high, no grant and no decision.  Link records
+    have no ack to drop, and a flit presented to a full FIFO wakes no
+    router, so the evals fall below 63,568 - 16,871 = 46,697; every
+    counter still equals lock-step's."""
+    config = TrafficConfig(rate=0.05, duration=150, seed=1)
+    net, sim, sources = _build("mesh:8x8", config, strict=False)
+    evals = [0]
+    for router in net.mesh.routers.values():
+
+        def counted(cycle, _eval=router.eval):
+            evals[0] += 1
+            return _eval(cycle)
+
+        router.eval = counted
+    cycle, stats = _drain(net, sim, sources, config)
+    assert cycle == 2315
+    assert evals[0] < 63_568 - 16_871, evals[0]
+    assert (cycle, stats) == _drain(*_build("mesh:8x8", config, strict=True), config)
+
+
 #: an untraced hotspot, where routers sleep through blocked
 #: re-arbitrations, with their credit settled at every cycle: right
 #: after a blocked decision the control is idle with a request pending,

@@ -38,6 +38,13 @@ from .test_equivalence import (
 SYNC_TARGET = 12_000
 
 
+def _walk(component, state):
+    """(component, its snapshot) pairs of a tree, pre-order."""
+    yield component, state
+    for child, child_state in zip(component._children, state["children"]):
+        yield from _walk(child, child_state)
+
+
 def _launch(strict):
     return MultiNoCPlatform.standard().launch(
         telemetry=TelemetrySink(), strict_lockstep=strict
@@ -209,6 +216,37 @@ class TestCheckpointErrors:
         with pytest.raises(CheckpointError, match="router00"):
             restore_checkpoint(target.sim, doc)
             target.sim.step(300)
+
+    @pytest.mark.parametrize(
+        "uart, key, value",
+        [
+            ("serial.tx", "bits", [9] * 5),
+            ("serial.tx", "bits", "x"),
+            ("serial.tx", "queue", ["a"]),
+            ("serial.rx", "received", [None]),
+            ("serial.rx", "received", [300]),
+            ("host.tx", "bits", [1] * 5),
+            ("host.rx", "level", 2),
+        ],
+        ids=str,
+    )
+    def test_restore_rejects_a_uart_state_it_cannot_run(self, uart, key, value):
+        """A UART's bit or byte list holding something other than bits
+        or bytes, or of a length no frame has, fails the restore with
+        CheckpointError naming the UART, not later in a step."""
+        source = _launch(False)
+        doc = {"state": source.sim.snapshot()}
+        states = {
+            c.name: s
+            for top, top_state in zip(source.sim._components, doc["state"]["components"])
+            for c, s in _walk(top, top_state)
+        }
+        states[uart]["state"][key] = value
+        target = _launch(False)
+        with pytest.raises(CheckpointError, match=uart):
+            restore_checkpoint(target.sim, doc)
+            target.sim.step(300)
+            target.host.sync()
 
     def test_restore_state_without_cycle(self, tmp_path):
         path = save_checkpoint(_launch(False).sim, tmp_path / "a.ckpt")

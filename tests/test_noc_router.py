@@ -14,14 +14,14 @@ import pytest
 from repro.apps.workloads import TrafficConfig, drive_traffic
 from repro.noc import (
     HermesNetwork,
-    HermesRouter,
+    Mesh,
     MeshTopology,
     Packet,
     Port,
     RoutingError,
 )
 from repro.noc.flit import encode_address
-from repro.sim import Component, HandshakeTx, Simulator, VcdWriter
+from repro.sim import Component, Simulator, VcdWriter
 from repro.telemetry import TelemetrySink
 
 from .test_topology import _mesh_wires
@@ -79,21 +79,40 @@ class ChannelSink(Component):
             self.ch.ack.drive(0)
 
 
+class _WestFed(MeshTopology):
+    """One router whose WEST port, like its LOCAL port, faces a node."""
+
+    def __init__(self):
+        super().__init__(1, 1)
+
+    def nodes(self):
+        return [(0, 0), (1, 0)]
+
+    def node_router(self, node):
+        return (0, 0)
+
+    def local_port(self, node):
+        return Port.LOCAL if node == (0, 0) else Port.WEST
+
+
 def single_router(routing_cycles=7, buffer_depth=2, stall_until=0):
-    """A lone router with driven WEST input and sunk LOCAL output."""
-    router = HermesRouter(
-        "r", (0, 0), buffer_depth, routing_cycles, topology=MeshTopology(1, 1)
+    """A lone router with driven WEST input and sunk LOCAL output: a
+    one-router fabric whose two ports face testbench units, as network
+    interfaces do."""
+    mesh = Mesh(
+        buffer_depth=buffer_depth,
+        routing_cycles=routing_cycles,
+        topology=_WestFed(),
     )
-    west_in = HandshakeTx("west_in")
-    local_out = HandshakeTx("local_out")
-    router.attach_input(Port.WEST, west_in)
-    router.attach_output(Port.LOCAL, local_out)
+    router = mesh.router((0, 0))
+    west_in = mesh.local_channels((1, 0))[0]
+    local_out = mesh.local_channels((0, 0))[1]
     driver = ChannelDriver("drv", west_in)
     sink = ChannelSink("sink", local_out, stall_until=stall_until)
     sim = Simulator()
     top = Component("top")
     top.add_child(driver)
-    top.add_child(router)
+    top.add_child(mesh)
     top.add_child(sink)
     sim.add(top)
     return sim, router, driver, sink
