@@ -46,30 +46,30 @@ Address = Tuple[int, int]
 _FI = attrgetter("_fi")
 
 
-class Link:
+class Link(HandshakeTx):
     """One direction of a channel into a router port, from another
     router or from a network interface (``None`` at that end).
 
-    The sender presents a flit (``tx`` 1, ``flit``), the receiver takes
-    it (``ack`` 1), and the sender pops it (``ack`` 0) and presents the
-    next or withdraws (``tx`` 0).  ``at`` is the cycle of the last step,
-    which the other side sees from the next cycle on.  ``ch`` is the
-    channel readers see; ``fifo`` the receiving router's input buffer.
+    The sender presents a flit (``valid`` 1, ``flit``), the receiver
+    takes it (``taken`` 1), and the sender pops it (``taken`` 0) and
+    presents the next or withdraws (``valid`` 0).  ``at`` is the cycle
+    of the last step, which the other side sees from the next cycle on;
+    ``fifo`` is the receiving router's input buffer.  Between two
+    routers the channel's wires are views of ``valid``, ``flit`` and
+    ``taken``; at a network interface they are real wires.
     """
 
-    __slots__ = (
-        "tx", "flit", "ack", "at", "ch", "fifo", "src", "src_bit", "dst",
-        "dst_bit",
-    )
+    __slots__ = ("valid", "flit", "taken", "at", "fifo", "src", "src_bit",
+                 "dst", "dst_bit")
 
     def __init__(self, name: str, src, out: int, dst, inp: int):
-        self.tx = self.flit = self.ack = 0
+        self.valid = self.flit = self.taken = 0
         self.at = -1
         self.fifo = None
         self.src, self.src_bit = src, 1 << out
         self.dst, self.dst_bit = dst, 1 << inp
         views = src is not None and dst is not None
-        self.ch = HandshakeTx(name, FLIT_BITS, record=self if views else None)
+        super().__init__(name, FLIT_BITS, record=self if views else None)
 
 
 class Mesh(Component):
@@ -158,25 +158,22 @@ class Mesh(Component):
             out = Link(f"local{lbl}.out", router, port, None, port)
             router.attach_input(port, into)
             router.attach_output(port, out)
-            self.local_ports[node] = (into.ch, out.ch)
+            self.local_ports[node] = (into, out)
             self._bounds += (into, out)
             # the IP side is a kernel unit: a change on these wires
             # reaches the fabric through the kernel's member hook
-            watched = {into.ch.tx: into, into.ch.ack: into, out.ch.ack: out}
+            watched = {into.tx: into, into.ack: into, out.ack: out}
             self._bound.update(watched)
             router.watch_wires(watched)
 
     # -- the fabric ----------------------------------------------------------
 
     def elaborated(self) -> None:
-        """Examine only the marked ports when the mesh is a kernel
+        """Mark only the ports that moved when the mesh is a kernel
         unit; otherwise every port of every router every cycle."""
         event = self._sched is self
         if event != self._event:
             self._event = event
-            for r in self._order:
-                r._sweep_in = 0 if event else r._in_mask
-                r._sweep_out = 0 if event else r._out_mask
             self._all = True
 
     def eval(self, cycle: int) -> Optional[float]:
@@ -191,6 +188,7 @@ class Mesh(Component):
         self._next = listed = []
         if not self._event:
             for r in self._order:
+                r._mi, r._mo = r._in_mask, r._out_mask
                 r.eval(cycle)
             self._mark_sent(nxt)
             self._next = []
@@ -240,19 +238,19 @@ class Mesh(Component):
         *nxt*, and drive the boundary links' wires."""
         listed = self._next
         for link in self._sent:
-            if link.ack:
+            if link.taken:
                 r = link.src
                 if r is None:
-                    link.ch.ack.drive(1)
+                    link.ack.drive(1)
                     continue
                 r._mo |= link.src_bit
             else:
                 r = link.dst
                 if r is None:
-                    link.ch.tx.drive(link.tx)
-                    link.ch.data.drive(link.flit)
+                    link.tx.drive(link.valid)
+                    link.data.drive(link.flit)
                     continue
-                if not link.tx:
+                if not link.valid:
                     continue  # withdrawn
                 r._mi |= link.dst_bit
                 fifo = link.fifo
@@ -266,22 +264,21 @@ class Mesh(Component):
     def _pull(self, link: Link, cycle: int) -> None:
         """Copy a boundary link from its wires at the start of the eval
         at *cycle*, and mark the router port it moved for that eval."""
-        ch = link.ch
-        link.tx = ch.tx.value
-        link.flit = ch.data.value
-        link.ack = ch.ack.value
+        link.valid = link.tx.value
+        link.flit = link.data.value
+        link.taken = link.ack.value
         link.at = cycle - 1
         r = link.dst
         if r is not None:  # into the router
-            if link.ack:
-                ch.ack.drive(0)  # the router's take is a one-cycle pulse
+            if link.taken:
+                link.ack.drive(0)  # the router's take is a one-cycle pulse
                 return
-            if not link.tx:
+            if not link.valid:
                 return
             r._mi |= link.dst_bit
             if link.fifo.is_full:
                 return  # it waits: no eval before a pop
-        elif link.ack:
+        elif link.taken:
             r = link.src
             r._mo |= link.src_bit
         else:
@@ -301,7 +298,7 @@ class Mesh(Component):
         raised its tx or its ack, or the fabric's ack pulse to one rose
         or fell.  Copy the link from its wires at the next eval."""
         link = self._bound[wire]
-        if wire.value or wire is link.ch.ack and link.dst is not None:
+        if wire.value or wire is link.ack and link.dst is not None:
             self._pulls.append(link)
             if not self._awake:
                 self._kernel.wake_unit(self)
@@ -320,7 +317,7 @@ class Mesh(Component):
         # a restored flit is visible from the restored cycle on
         at = self._kernel.cycle - 1 if self._kernel is not None else -1
         for r in self._order:
-            for link in r._in_links:
+            for link in r.in_ch:
                 if link is not None:
                     link.at = at
         self._sent.clear()

@@ -72,7 +72,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-from ..sim import SLEEP, Component, HandshakeTx
+from ..sim import SLEEP, Component
 from .arbiter import RoundRobinArbiter, grant_table, port_sets
 from .fifo import CircularFifo
 from .routing import Port
@@ -139,12 +139,9 @@ class HermesRouter(Component):
         self._rx_phase = [_PH_HEADER] * n
         self._rx_left = [0] * n
 
-        #: the channel of each port, as readers see it, and its link
-        #: record (see Mesh), through which the router moves flits
-        self.in_ch: List[Optional[HandshakeTx]] = [None] * n
-        self.out_ch: List[Optional[HandshakeTx]] = [None] * n
-        self._in_links: list = [None] * n
-        self._out_links: list = [None] * n
+        #: the link of each port (see Mesh), through which it moves flits
+        self.in_ch: list = [None] * n
+        self.out_ch: list = [None] * n
         #: the fabric's list of links presented or taken this cycle
         self._sent: list = []
         #: stats key of each port
@@ -156,10 +153,6 @@ class HermesRouter(Component):
         #: attached inputs and outputs, as port masks
         self._in_mask = 0
         self._out_mask = 0
-        #: ports examined on every eval besides the marked ones: all
-        #: attached ports unless a fabric marks them (see Mesh)
-        self._sweep_in = 0
-        self._sweep_out = 0
         #: ports marked for the next eval
         self._mi = 0
         self._mo = 0
@@ -203,21 +196,17 @@ class HermesRouter(Component):
     def attach_input(self, port: Port, link) -> None:
         """Take flits from *link* at *port* (we own its ack)."""
         port = int(port)  # a plain int: it is part of the stats keys
-        self.in_ch[port] = link.ch
-        self._in_links[port] = link
+        self.in_ch[port] = link
         link.fifo = self.fifos[port]
         self._in_mask |= 1 << port
-        self._sweep_in = self._in_mask
-        self.adopt_wires([link.ch.ack])
+        self.adopt_wires([link.ack])
 
     def attach_output(self, port: Port, link) -> None:
         """Present flits on *link* at *port* (we own its tx/data)."""
         port = int(port)
-        self.out_ch[port] = link.ch
-        self._out_links[port] = link
+        self.out_ch[port] = link
         self._out_mask |= 1 << port
-        self._sweep_out = self._out_mask
-        self.adopt_wires([link.ch.tx, link.ch.data])
+        self.adopt_wires([link.tx, link.data])
 
     # -- simulation ----------------------------------------------------------
 
@@ -236,10 +225,9 @@ class HermesRouter(Component):
             self._now = cycle
         ports = self._ports
         fifos = self.fifos
-        out_links = self._out_links
+        out_links = self.out_ch
         sent = self._sent
-        mo = self._mo | self._sweep_out
-        mi = self._mi | self._sweep_in
+        mo, mi = self._mo, self._mi
         self._mo = self._mi = 0
 
         # Senders.  An owned output presents its owner's FIFO head until
@@ -252,21 +240,21 @@ class HermesRouter(Component):
                     continue
                 fifo = fifos[owner]
                 link = out_links[out]
-                if link.tx:
-                    if not link.ack or link.at == cycle:
+                if link.valid:
+                    if not link.taken or link.at == cycle:
                         continue
                     flit = fifo.pop()
                     mi |= 1 << owner
                     if stats is not None:
                         stats.flits_sent[self._keys[out]] += 1
                     self._advance_packet(owner, out, flit)
-                    link.ack = 0
-                    if out_owner[out] == owner and fifo:
+                    link.taken = 0
+                    if out_owner[out] == owner and fifo._count:
                         link.flit = fifo.head
                     else:
-                        link.tx = 0
-                elif fifo:
-                    link.tx = 1
+                        link.valid = 0
+                elif fifo._count:
+                    link.valid = 1
                     link.flit = fifo.head
                 else:
                     continue
@@ -291,11 +279,11 @@ class HermesRouter(Component):
         # Receivers.  An input takes a flit presented at an earlier
         # cycle and not taken yet, if its FIFO has room.
         if mi:
-            in_links = self._in_links
+            in_links = self.in_ch
             stalls = self._stall_since
             for p in ports[mi]:
                 link = in_links[p]
-                if not link.tx or link.ack or link.at == cycle:
+                if not link.valid or link.taken or link.at == cycle:
                     continue
                 fifo = fifos[p]
                 if fifo._count == fifo.capacity:
@@ -313,7 +301,7 @@ class HermesRouter(Component):
                     stats.stall_cycles[self._keys[p]] += cycle - since
                 flit = link.flit
                 fifo.push(flit)
-                link.ack = 1
+                link.taken = 1
                 link.at = cycle
                 sent.append(link)
                 if stats is not None:
@@ -327,7 +315,7 @@ class HermesRouter(Component):
                             self._holding[self] = None
                         self._req |= 1 << p
                         self._dest[p] = None  # a new head to route
-                elif not out_links[out].tx:
+                elif not out_links[out].valid:
                     self._mo |= 1 << out
 
         # When due (see the module docstring): the decision cycle of the
@@ -335,7 +323,7 @@ class HermesRouter(Component):
         # missing; every decision before it is blocked, and credit
         # replays it.  SLEEP: only a mark can make the control logic do
         # more than count.
-        if self._mo or self._sweep_in:
+        if self._mo:
             return None
         if not self._req or self._req == self._stuck and self.sink is None:
             return SLEEP
@@ -378,10 +366,10 @@ class HermesRouter(Component):
         for p in self._ports[self._mi]:
             # marked while its FIFO was full: the flit waits from the
             # cycle it became visible (see Mesh._mark_sent)
-            link = self._in_links[p]
+            link = self.in_ch[p]
             if (
                 stalls[p] is None and link.at + 1 < to_cycle
-                and link.tx and not link.ack and link.fifo.is_full
+                and link.valid and not link.taken and link.fifo.is_full
             ):
                 stalls[p] = link.at + 1
         if stalls.count(None) != self.N_PORTS:
@@ -476,7 +464,7 @@ class HermesRouter(Component):
             "in_remaining": list(self.in_remaining),
             "out_owner": list(self.out_owner),
             "in_flight": [
-                ch is not None and bool(ch.tx.value) for ch in self.out_ch
+                link is not None and bool(link.valid) for link in self.out_ch
             ],
             "last_grant": self.arbiter._last_grant,
             "ctrl_state": self._ctrl_state,
