@@ -36,6 +36,7 @@ from operator import attrgetter
 from typing import Dict, List, Optional, Tuple
 
 from ..sim import SLEEP, Component, HandshakeTx, Wire
+from ..sim.wire import FieldWire
 from .flit import FLIT_BITS
 from .router import HermesRouter
 from .routing import OPPOSITE, Port
@@ -68,8 +69,12 @@ class Link(HandshakeTx):
         self.fifo = None
         self.src, self.src_bit = src, 1 << out
         self.dst, self.dst_bit = dst, 1 << inp
-        views = src is not None and dst is not None
-        super().__init__(name, FLIT_BITS, record=self if views else None)
+        if src is None or dst is None:
+            super().__init__(name, FLIT_BITS)
+        else:
+            self.tx = FieldWire(f"{name}.tx", self, "valid", 1)
+            self.data = FieldWire(f"{name}.data", self, "flit", FLIT_BITS)
+            self.ack = FieldWire(f"{name}.ack", self, "taken", 1)
 
 
 class Mesh(Component):

@@ -213,9 +213,8 @@ class HermesRouter(Component):
     def eval(self, cycle: int) -> Optional[float]:
         """One cycle: credit the cycles skipped since the last eval,
         then examine the marked outputs, step the control logic, and
-        examine the marked inputs (see the module docstring).  Return
-        when the router is next due under a fabric (see the module
-        docstring); a router that examines every port stays awake."""
+        examine the marked inputs, and return when the router is next
+        due (see the module docstring)."""
         at = self._ctrl_at
         if at is not None and cycle > at and (self._req or self._ctrl_state):
             self._replay_control(cycle - at)
@@ -290,8 +289,7 @@ class HermesRouter(Component):
                     if stalls[p] is None:
                         stalls[p] = link.at + 1  # since it is visible
                     continue
-                # the flit waited from the cycle it became visible, or
-                # from the last credit
+                # the flit waited since it became visible or was credited
                 since = stalls[p]
                 if since is None:
                     since = link.at + 1

@@ -71,6 +71,7 @@ from operator import attrgetter
 from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
 
 from .component import SLEEP, Component, SnapshotError
+from .wire import FieldWire
 
 
 def stride_points(start: int, end: int, stride: int) -> Iterator[int]:
@@ -267,7 +268,8 @@ class Simulator:
             if cls.elaborated is not default_elaborated:
                 hooked.append(comp)
             for w in comp._wires:
-                if w not in tracked_set:
+                # a view is never driven, so nothing latches it
+                if w not in tracked_set and type(w) is not FieldWire:
                     tracked_set.add(w)
                     tracked.append(w)
                     w._queue = pending

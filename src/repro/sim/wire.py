@@ -170,21 +170,15 @@ class HandshakeTx:
     and pulses ``ack``; the sender drops ``tx`` (or presents the next flit)
     after seeing the pulse.  With registered wires this costs two clock
     cycles per flit, which is exactly the factor 2 in the paper's latency
-    formula.  Given a *record* with ``valid``, ``flit`` and ``taken``
-    fields, the three wires are :class:`FieldWire` views of them.
+    formula.
     """
 
     __slots__ = ("tx", "data", "ack")
 
-    def __init__(self, name: str, data_width: int = 8, record: Any = None):
-        if record is None:
-            self.tx = Wire(f"{name}.tx", reset=0, width=1)
-            self.data = Wire(f"{name}.data", reset=0, width=data_width)
-            self.ack = Wire(f"{name}.ack", reset=0, width=1)
-        else:
-            self.tx = FieldWire(f"{name}.tx", record, "valid", 1)
-            self.data = FieldWire(f"{name}.data", record, "flit", data_width)
-            self.ack = FieldWire(f"{name}.ack", record, "taken", 1)
+    def __init__(self, name: str, data_width: int = 8):
+        self.tx = Wire(f"{name}.tx", reset=0, width=1)
+        self.data = Wire(f"{name}.data", reset=0, width=data_width)
+        self.ack = Wire(f"{name}.ack", reset=0, width=1)
 
     def wires(self) -> tuple[Wire, Wire, Wire]:
         return (self.tx, self.data, self.ack)
