@@ -151,9 +151,9 @@ class FieldWire(Wire):
         return object.__new__(cls)
 
     def __init__(self, name: str, record: Any, field: str, width: int):
+        self.name, self.reset_value, self.width = name, 0, width
         self._record, self._field = record, field
-        super().__init__(name)
-        self.width = width
+        self._queue, self._queued, self._sinks, self._members = None, False, (), ()
 
     value = _next = property(
         lambda self: getattr(self._record, self._field),
