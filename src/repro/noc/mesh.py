@@ -48,8 +48,8 @@ _FI = attrgetter("_fi")
 
 
 class Link(HandshakeTx):
-    """One direction of a channel into a router port, from another
-    router or from a network interface (``None`` at that end).
+    """One direction of a channel from a router port to another, or
+    between a router port and a network interface (``None`` at that end).
 
     The sender presents a flit (``valid`` 1, ``flit``), the receiver
     takes it (``taken`` 1), and the sender pops it (``taken`` 0) and
