@@ -322,7 +322,15 @@ class _Board:
         )
         self.sim, self.sink, self.system = s.sim, s.telemetry, s.system
         self.stats = s.system.stats
-        self.wires = [s.system.rxd, s.system.txd]
+        # the serial lines and every Local-port channel: the Processor,
+        # Serial and Memory IPs' boundary with the fabric
+        mesh = s.system.mesh
+        self.wires = [s.system.rxd, s.system.txd] + [
+            w
+            for node in sorted(mesh.local_ports)
+            for channel in mesh.local_channels(node)
+            for w in channel.wires()
+        ]
         self.parts = self.health_parts = dict(system=s.system, host=s.host)
         self.workload = workload
         self.readback = None
