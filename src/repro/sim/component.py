@@ -235,6 +235,14 @@ class Component:
                 f"component owns {len(self._wires)} (topology mismatch)"
             )
         for w, (value, nxt) in zip(self._wires, wires):
+            if w.width is not None:
+                for v in (value, nxt):
+                    # isinstance: an in-memory snapshot holds IntEnum flits
+                    if not isinstance(v, int) or not 0 <= v < 1 << w.width:
+                        raise SnapshotError(
+                            f"{self.name}: wire {w.name!r} holds {v!r}, "
+                            f"not a {w.width}-bit value"
+                        )
             w.value = value
             w._next = nxt
             w._queued = False

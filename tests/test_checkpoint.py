@@ -8,8 +8,11 @@ in ``tests/test_equivalence.py``.
 """
 
 import json
+import re
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro import MultiNoCPlatform, TelemetrySink
 from repro.apps.workloads import TrafficConfig, drive_traffic
@@ -248,6 +251,35 @@ class TestCheckpointErrors:
             target.sim.step(300)
             target.host.sync()
 
+    @settings(
+        max_examples=60,
+        deadline=None,
+        derandomize=True,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(st.data())
+    def test_restore_rejects_a_wire_value_out_of_its_width(self, data):
+        """One wire slot of a busy 3x3 fabric's checkpoint set to a value
+        that does not fit the wire fails the restore with CheckpointError
+        naming its component, not later in a step."""
+        net, sim, _ = _busy_fabric()
+        sim.step(60)
+        assert not net.mesh.idle
+        doc = json.loads(json.dumps({"state": sim.snapshot()}))
+        slots = [
+            (component.name, pair)
+            for component, state in _walk(net, doc["state"]["components"][0])
+            for pair in state["wires"]
+        ]
+        name, pair = data.draw(st.sampled_from(slots))
+        pair[data.draw(st.integers(0, 1))] = data.draw(
+            st.sampled_from(["x", None, 1.5, -1, 1 << 20, [1]])
+        )
+        net, sim, _ = _busy_fabric()
+        with pytest.raises(CheckpointError, match=re.escape(name)):
+            restore_checkpoint(sim, doc)
+            sim.step(300)
+
     def test_restore_state_without_cycle(self, tmp_path):
         path = save_checkpoint(_launch(False).sim, tmp_path / "a.ckpt")
         doc = json.loads(path.read_text())
@@ -256,18 +288,19 @@ class TestCheckpointErrors:
             restore_checkpoint(_launch(False).sim, doc)
 
 
+def _busy_fabric():
+    """A 3x3 fabric under uniform traffic, reset and not yet stepped."""
+    net = HermesNetwork(topology="mesh:3x3")
+    sources = drive_traffic(net, TrafficConfig(rate=0.05, duration=200, seed=3))
+    sim = net.make_simulator()
+    sim.reset()
+    return net, sim, sources
+
+
 class TestBareNetworkCheckpoint:
     def test_restore_keeps_noc_statistics(self):
         """A bare HermesNetwork checkpoint carries its NetworkStats, so
         a restored run reports the straight run's packet counts."""
-        config = TrafficConfig(rate=0.05, duration=200, seed=3)
-
-        def build():
-            net = HermesNetwork(topology="mesh:3x3")
-            sources = drive_traffic(net, config)
-            sim = net.make_simulator()
-            sim.reset()
-            return net, sim, sources
 
         def drain(net, sim, sources):
             sim.run_until(
@@ -276,11 +309,11 @@ class TestBareNetworkCheckpoint:
             )
             return sim.cycle, net.stats.snapshot()
 
-        straight = drain(*build())
-        net, sim, sources = build()
+        straight = drain(*_busy_fabric())
+        net, sim, sources = _busy_fabric()
         sim.step(150)
         doc = json.loads(json.dumps(sim.snapshot()))
-        net, sim, sources = build()
+        net, sim, sources = _busy_fabric()
         sim.restore(doc)
         resumed = drain(net, sim, sources)
         assert straight[1]["packets_injected"] == 86
