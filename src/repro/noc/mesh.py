@@ -14,19 +14,21 @@ hand-coded mesh.
 
 The mesh is also the fabric: the one kernel unit for its routers.  It
 keeps its own list of awake routers and its own wake heap, evaluates
-the awake ones in router order, and then marks the receiving input of
-each link presented and the sending output of each link taken, for the
-next eval.  Nothing is driven or committed between two routers: the
-link's wires are views of its record.  Network interfaces are kernel
-units of their own, so their channels keep real wires, which the mesh
-copies into their link at the start of an eval after one changed (the
-kernel's member hook, :meth:`Mesh.member_input`, reports it) and drives
-after the evals.  A router's eval returns ``None`` while a port is
-marked for the next cycle, and otherwise the control cycle it is next
-due at, or ``SLEEP`` until a mark; the mesh books that cycle in its
-heap and returns the earliest one to the kernel when no router is
-listed.  Under strict lock-step (or with no kernel) the mesh copies
-every boundary link and its routers examine every port every cycle.
+the awake ones in router order, and then marks the receiving end of
+each link presented and the sending end of each link taken, for the
+next eval.  Every channel is a :class:`Link` record, a node's Local
+port included, and its tx/data/ack wires are views of the record:
+nothing is driven or committed on it.  A network interface steps its
+links by the routers' rule and appends them to the fabric's list; the
+mesh marks their routers at the start of its next eval (or at the end
+of this one, for an interface evaluated before it in the same cycle).
+It marks an interface by lowering the interface's ``due`` and waking
+its kernel unit for the next cycle.  A router's eval returns ``None``
+while a port is marked for the next cycle, and otherwise the control
+cycle it is next due at, or ``SLEEP`` until a mark; the mesh books that
+cycle in its heap and returns the earliest one to the kernel when no
+router is listed.  Under strict lock-step (or with no kernel) its
+routers examine every port every cycle.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from heapq import heappop, heappush
 from operator import attrgetter
 from typing import Dict, List, Optional, Tuple
 
-from ..sim import SLEEP, Component, HandshakeTx, Wire
+from ..sim import SLEEP, Component
 from ..sim.wire import FieldWire
 from .flit import FLIT_BITS
 from .router import HermesRouter
@@ -47,34 +49,43 @@ Address = Tuple[int, int]
 _FI = attrgetter("_fi")
 
 
-class Link(HandshakeTx):
+class Link:
     """One direction of a channel from a router port to another, or
-    between a router port and a network interface (``None`` at that end).
+    between a router port and a network interface (``None`` at that
+    end, and ``ni`` the interface attached there, if any).
 
     The sender presents a flit (``valid`` 1, ``flit``), the receiver
     takes it (``taken`` 1), and the sender pops it (``taken`` 0) and
     presents the next or withdraws (``valid`` 0).  ``at`` is the cycle
     of the last step, which the other side sees from the next cycle on;
-    ``fifo`` is the receiving router's input buffer.  Between two
-    routers the channel's wires are views of ``valid``, ``flit`` and
-    ``taken``; at a network interface they are real wires.
+    ``fifo`` is the receiving router's input buffer.  The channel's
+    wires ``tx``, ``data`` and ``ack`` are views of ``valid``, ``flit``
+    and ``taken``.
     """
 
     __slots__ = ("valid", "flit", "taken", "at", "fifo", "src", "src_bit",
-                 "dst", "dst_bit")
+                 "dst", "dst_bit", "ni", "tx", "data", "ack")
 
     def __init__(self, name: str, src, out: int, dst, inp: int):
         self.valid = self.flit = self.taken = 0
         self.at = -1
-        self.fifo = None
+        self.fifo = self.ni = None
         self.src, self.src_bit = src, 1 << out
         self.dst, self.dst_bit = dst, 1 << inp
-        if src is None or dst is None:
-            super().__init__(name, FLIT_BITS)
-        else:
-            self.tx = FieldWire(f"{name}.tx", self, "valid", 1)
-            self.data = FieldWire(f"{name}.data", self, "flit", FLIT_BITS)
-            self.ack = FieldWire(f"{name}.ack", self, "taken", 1)
+        self.tx = FieldWire(f"{name}.tx", self, "valid", 1)
+        self.data = FieldWire(f"{name}.data", self, "flit", FLIT_BITS)
+        self.ack = FieldWire(f"{name}.ack", self, "taken", 1)
+
+    def wires(self) -> Tuple[FieldWire, FieldWire, FieldWire]:
+        return (self.tx, self.data, self.ack)
+
+    def step(self, cycle: int) -> None:
+        """The network interface at one end stepped this link at
+        *cycle*: have the fabric mark the router at the other end."""
+        self.at = cycle
+        router = self.src if self.dst is None else self.dst
+        router._sent.append(self)
+        router.wake()
 
 
 class Mesh(Component):
@@ -102,26 +113,22 @@ class Mesh(Component):
         self.width = topology.width
         self.height = topology.height
         self.routers: Dict[Address, HermesRouter] = {}
-        #: channel pairs for the local port of each attachment node:
-        #: (into-router channel, out-of-router channel)
-        self.local_ports: Dict[Address, Tuple[HandshakeTx, HandshakeTx]] = {}
+        #: link pairs for the local port of each attachment node:
+        #: (into-router link, out-of-router link)
+        self.local_ports: Dict[Address, Tuple[Link, Link]] = {}
         #: the routers in evaluation order
         self._order: List[HermesRouter] = []
-        #: the boundary links, and each wire of theirs the routers watch
-        self._bounds: List[Link] = []
-        self._bound: Dict[Wire, Link] = {}
         #: fabric state: event-driven (the mesh is a kernel unit) or
         #: every port every cycle; routers listed for the next cycle;
         #: booked control wakes (cycle, router index); routers holding
-        #: flits (the routers keep it); links presented or taken this
-        #: cycle (the routers append); boundary links to copy from their
-        #: wires; and whether the next eval examines every port
+        #: flits (the routers keep it); links presented or taken since
+        #: the marks (the routers and network interfaces append); and
+        #: whether the next eval examines every port
         self._event = False
         self._next: List[HermesRouter] = []
         self._heap: list = []
         self._holding: Dict[HermesRouter, None] = {}
         self._sent: List[Link] = []
-        self._pulls: List[Link] = []
         self._all = True
 
         for (x, y) in topology.routers():
@@ -154,7 +161,7 @@ class Mesh(Component):
             neighbour.attach_output(opposite, rev)
             router.attach_input(port, rev)
 
-        # Local port channels (IP side attaches later), one per node.
+        # Local port links (IP side attaches later), one pair per node.
         for node in topology.nodes():
             lbl = topology.label(node)
             router = self.routers[topology.node_router(node)]
@@ -164,12 +171,6 @@ class Mesh(Component):
             router.attach_input(port, into)
             router.attach_output(port, out)
             self.local_ports[node] = (into, out)
-            self._bounds += (into, out)
-            # the IP side is a kernel unit: a change on these wires
-            # reaches the fabric through the kernel's member hook
-            watched = {into.tx: into, into.ack: into, out.ack: out}
-            self._bound.update(watched)
-            router.watch_wires(watched)
 
     # -- the fabric ----------------------------------------------------------
 
@@ -183,19 +184,21 @@ class Mesh(Component):
 
     def eval(self, cycle: int) -> Optional[float]:
         nxt = cycle + 1
-        pulls = self._pulls
-        self._pulls = []
-        if self._all or not self._event:
-            pulls = self._bounds
-        for link in pulls:
-            self._pull(link, cycle)
+        sent = self._sent
+        if sent:
+            # links network interfaces stepped since the marks; one
+            # stepped this cycle, before this eval, is marked after it
+            seen = [link for link in sent if link.at < cycle]
+            sent[:] = [link for link in sent if link.at == cycle]
+            self._mark(seen, cycle)
         run = self._next
         self._next = listed = []
         if not self._event:
             for r in self._order:
                 r._mi, r._mo = r._in_mask, r._out_mask
                 r.eval(cycle)
-            self._mark_sent(nxt)
+            self._mark(sent, nxt)
+            sent.clear()
             self._next = []
             return None
         heap = self._heap
@@ -228,7 +231,8 @@ class Mesh(Component):
             elif due != r._due:
                 r._due = due
                 heappush(heap, (due, r._fi))
-        self._mark_sent(nxt)
+        self._mark(sent, nxt)
+        sent.clear()
         if listed:
             return None
         # the earliest control wake a sleeping router still holds
@@ -237,76 +241,36 @@ class Mesh(Component):
             heappop(heap)
         return heap[0][0] if heap else SLEEP
 
-    def _mark_sent(self, nxt: int) -> None:
-        """Mark the sending output of each link taken this cycle and
-        the receiving input of each link presented, for the eval at
-        *nxt*, and drive the boundary links' wires."""
+    def _mark(self, links: List[Link], nxt: int) -> None:
+        """Mark the sending end of each link taken and the receiving end
+        of each link presented, for the eval at *nxt*."""
         listed = self._next
-        for link in self._sent:
+        for link in links:
             if link.taken:
                 r = link.src
-                if r is None:
-                    link.ack.drive(1)
-                    continue
-                r._mo |= link.src_bit
-            else:
+                if r is not None:
+                    r._mo |= link.src_bit
+            elif link.valid:
                 r = link.dst
-                if r is None:
-                    link.tx.drive(link.valid)
-                    link.data.drive(link.flit)
-                    continue
-                if not link.valid:
-                    continue  # withdrawn
-                r._mi |= link.dst_bit
-                fifo = link.fifo
-                if fifo._count == fifo.capacity:
-                    continue  # it waits: no eval before a pop
-            if r._at != nxt:
+                if r is not None:
+                    r._mi |= link.dst_bit
+                    fifo = link.fifo
+                    if fifo._count == fifo.capacity:
+                        continue  # it waits: no eval before a pop
+            else:
+                continue  # withdrawn
+            if r is None:  # a network interface's end
+                if link.ni is not None:
+                    link.ni.mark(nxt)
+            elif r._at != nxt:
                 r._at = nxt
                 listed.append(r)
-        self._sent.clear()
-
-    def _pull(self, link: Link, cycle: int) -> None:
-        """Copy a boundary link from its wires at the start of the eval
-        at *cycle*, and mark the router port it moved for that eval."""
-        link.valid = link.tx.value
-        link.flit = link.data.value
-        link.taken = link.ack.value
-        link.at = cycle - 1
-        r = link.dst
-        if r is not None:  # into the router
-            if link.taken:
-                link.ack.drive(0)  # the router's take is a one-cycle pulse
-                return
-            if not link.valid:
-                return
-            r._mi |= link.dst_bit
-            if link.fifo.is_full:
-                return  # it waits: no eval before a pop
-        elif link.taken:
-            r = link.src
-            r._mo |= link.src_bit
-        else:
-            return
-        if r._at != cycle:
-            r._at = cycle
-            self._next.append(r)
 
     def credit(self, to_cycle: int) -> None:
         """Credit only the routers holding flits: an idle router has no
         control step or stall span to account."""
         for r in self._holding:
             r.credit(to_cycle)
-
-    def member_input(self, member, wire: Wire) -> None:
-        """A committed change on a boundary wire: a network interface
-        raised its tx or its ack, or the fabric's ack pulse to one rose
-        or fell.  Copy the link from its wires at the next eval."""
-        link = self._bound[wire]
-        if wire.value or wire is link.ack and link.dst is not None:
-            self._pulls.append(link)
-            if not self._awake:
-                self._kernel.wake_unit(self)
 
     def reset(self) -> None:
         super().reset()
@@ -322,11 +286,10 @@ class Mesh(Component):
         # a restored flit is visible from the restored cycle on
         at = self._kernel.cycle - 1 if self._kernel is not None else -1
         for r in self._order:
-            for link in r.in_ch:
+            for link in r.in_ch + r.out_ch:
                 if link is not None:
                     link.at = at
         self._sent.clear()
-        self._pulls = []
         self._next = []
         self._all = True
 
@@ -362,8 +325,8 @@ class Mesh(Component):
     def router(self, address: Address) -> HermesRouter:
         return self.routers[address]
 
-    def local_channels(self, address: Address) -> Tuple[HandshakeTx, HandshakeTx]:
-        """(into-router, out-of-router) channels of a node's local port."""
+    def local_channels(self, address: Address) -> Tuple[Link, Link]:
+        """(into-router, out-of-router) links of a node's local port."""
         return self.local_ports[address]
 
     @property

@@ -1,15 +1,23 @@
 """Network interface: packet-level adapter over the flit handshake.
 
 Every IP core in MultiNoC talks to its router's Local port through the
-same tx/data/ack handshake the routers use among themselves.  The
+same tx/data/ack handshake the routers use among themselves, over the
+same kind of link record (:class:`~repro.noc.mesh.Link`).  The
 :class:`NetworkInterface` provides the packet-level view — queue a
 :class:`~repro.noc.packet.Packet` for injection, collect fully reassembled
 packets on reception — while still exercising the exact flit-level timing
 (two cycles per flit, blocking on a busy network).
 
-An NI sleeps whenever its next eval would do nothing: no packet to
-start, a presented flit waiting for the router's ack, and a silent
-from-router link.  The ack and the incoming tx/data wake it.
+It steps its links by the routers' rule: a step at cycle c (a flit
+presented, taken or popped) is seen from c+1, and
+:meth:`~repro.noc.mesh.Link.step` has the fabric mark the router.  The
+fabric marks the interface when the router steps (:meth:`mark`):
+``due``, the first cycle the interface's next eval has work at, drops
+to the next cycle, and its kernel unit wakes then.  An eval leaves
+``due`` at the next cycle while it still has work, else at ``SLEEP``:
+no packet to start, a presented flit waiting for the router's take,
+and nothing from the router to answer.  A Processor or Serial IP
+evaluates its interface only when it is due or has a packet queued.
 """
 
 from __future__ import annotations
@@ -17,7 +25,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, List, Optional, Tuple
 
-from ..sim import SLEEP, Component, HandshakeTx
+from ..sim import SLEEP, Component
 from .flit import decode_address
 from .packet import Packet
 
@@ -37,8 +45,11 @@ class NetworkInterface(Component):
         self.sink = None
         #: per-flow (target) injection sequence numbers; telemetry only
         self._flow_seq: dict = {}
-        self.to_router: Optional[HandshakeTx] = None
-        self.from_router: Optional[HandshakeTx] = None
+        #: the Local port's links (see repro.noc.mesh.Link)
+        self.to_router = None
+        self.from_router = None
+        #: first cycle the next eval has work at (see the module docstring)
+        self.due = 0
 
         self._tx_queue: Deque[Packet] = deque()
         self._tx_flits: List[int] = []
@@ -58,33 +69,28 @@ class NetworkInterface(Component):
 
     # -- wiring ------------------------------------------------------------
 
-    def attach(self, to_router: HandshakeTx, from_router: HandshakeTx) -> None:
-        """Connect both directions of the Local-port channel pair."""
+    def attach(self, to_router, from_router) -> None:
+        """Connect both links of a node's Local port."""
         self.to_router = to_router
         self.from_router = from_router
+        to_router.ni = from_router.ni = self
+        # the views of its end of the channel, so a checkpoint keeps them
         self.adopt_wires([to_router.tx, to_router.data, from_router.ack])
-        # Incoming flits, and the ack a presented flit waits for, must
-        # wake a sleeping NI.
-        self.watch_wires([from_router.tx, from_router.data, to_router.ack])
+        self.due = 0
         self.wake()
 
     def detach(self) -> None:
         """Disconnect from the Local port (dynamic reconfiguration).
 
-        The vacated channel wires are parked at their reset values so the
-        router sees a silent neighbour.
+        This NI's end of the vacated links is parked at its reset values
+        so the router sees a silent neighbour.
         """
         if self.to_router is not None:
-            self.to_router.tx.reset()
-            self.to_router.data.reset()
-            self.disown_wires(
-                [self.to_router.tx, self.to_router.data]
-            )
-            self.unwatch_wires([self.to_router.ack])
-        if self.from_router is not None:
-            self.from_router.ack.reset()
-            self.disown_wires([self.from_router.ack])
-            self.unwatch_wires([self.from_router.tx, self.from_router.data])
+            wires = [self.to_router.tx, self.to_router.data, self.from_router.ack]
+            for w in wires:
+                w.reset()
+            self.disown_wires(wires)
+            self.to_router.ni = self.from_router.ni = None
         self.to_router = None
         self.from_router = None
         # tx was parked low, so a flit in flight is presented afresh on
@@ -93,6 +99,15 @@ class NetworkInterface(Component):
         # any partially received packet is lost with the region
         self._rx_state = _RX_HEADER
         self._rx_flits = []
+
+    def mark(self, cycle: int) -> None:
+        """The fabric stepped one of this NI's links: it has work from
+        *cycle* (the next one) on, when its kernel unit wakes."""
+        if self.due > cycle:
+            self.due = cycle
+        unit = self._sched
+        if unit is not None and not unit._awake:
+            unit._kernel.wake_next(unit)
 
     # -- packet API -----------------------------------------------------------
 
@@ -135,24 +150,23 @@ class NetworkInterface(Component):
 
     def eval(self, cycle: int) -> Optional[float]:
         """Send and receive; then sleep when the next eval would do
-        nothing: no packet waits to start, a packet being injected has
-        its flit presented and waits for an ack, no packet is half
-        reassembled, and the from-router link is silent (tx low, our ack
-        pulse already back to zero).  Delivered packets sitting in
-        ``received`` do not keep the NI itself awake: the parent that
-        drains them tracks that itself."""
+        nothing: no packet waits to start (a packet being injected has
+        its flit presented), and neither link holds a step the router
+        made this cycle (a take to pop, a flit to take).  Delivered
+        packets sitting in ``received`` do not keep the NI itself awake:
+        the parent that drains them tracks that itself."""
         self._eval_sender(cycle)
         self._eval_receiver(cycle)
-        if self._tx_packet is not None:
-            if not self._tx_in_flight or self.to_router.ack.value:
-                return None
-        elif self._tx_queue:
+        to, fr = self.to_router, self.from_router
+        if (
+            not self._tx_in_flight
+            and (self._tx_queue or self._tx_packet is not None)
+            or to is not None and to.taken
+            or fr is not None and fr.valid and not fr.taken
+        ):
+            self.due = cycle + 1
             return None
-        if self._rx_state != _RX_HEADER:
-            return None
-        ch = self.from_router
-        if ch is not None and (ch.tx.value or ch.ack.value):
-            return None
+        self.due = SLEEP
         return SLEEP
 
     def reset(self) -> None:
@@ -166,6 +180,7 @@ class NetworkInterface(Component):
         self._rx_flits = []
         self.received.clear()
         self._flow_seq = {}
+        self.due = 0
 
     # -- checkpointing -----------------------------------------------------
 
@@ -210,10 +225,11 @@ class NetworkInterface(Component):
         self._flow_seq = {
             tuple(target): seq for target, seq in state["flow_seq"]
         }
+        self.due = 0
 
     def _eval_sender(self, cycle: int) -> None:
-        ch = self.to_router
-        if ch is None:
+        link = self.to_router
+        if link is None:
             return
         if self._tx_packet is None and self._tx_queue:
             self._tx_packet = self._tx_queue.popleft()
@@ -226,16 +242,17 @@ class NetworkInterface(Component):
             self._tx_index = 0
             self._tx_in_flight = False
         if self._tx_packet is None:
-            # Idle: tx is already low.  Only this NI drives it, and the
-            # last flit of every packet (or detach/reset) drove it to 0.
+            # Idle: nothing presented.  The last flit of every packet
+            # (or detach/reset) withdrew it.
             return
         if self._tx_in_flight:
-            if not ch.ack.value:
-                # Waiting for ack: tx=1 and this flit are presented.
+            if not link.taken or link.at == cycle:
+                # Waiting for the router's take of the presented flit.
                 return
             if self._tx_index == 0:
                 self._tx_packet.injected_cycle = cycle
             self._tx_index += 1
+            link.taken = 0
             if self._tx_index >= len(self._tx_flits):
                 if self.stats is not None:
                     self.stats.packet_injected(self._tx_packet)
@@ -260,30 +277,26 @@ class NetworkInterface(Component):
                     )
                 self._tx_packet = None
                 self._tx_in_flight = False
-                ch.tx.drive(0)
+                link.valid = 0  # withdrawn: nothing for the router
+                link.at = cycle
                 if self.network is not None and not self._tx_queue:
                     self.network.busy_nis -= 1
                 return
-            # tx stays high; present the next flit
-            ch.data.drive(self._tx_flits[self._tx_index])
+            # still presented: the next flit
+            link.flit = self._tx_flits[self._tx_index]
         else:
-            ch.tx.drive(1)
-            ch.data.drive(self._tx_flits[self._tx_index])
+            link.valid = 1
+            link.flit = self._tx_flits[self._tx_index]
             self._tx_in_flight = True
+        link.step(cycle)
 
     def _eval_receiver(self, cycle: int) -> None:
-        ch = self.from_router
-        if ch is None:
+        link = self.from_router
+        if link is None or not link.valid or link.taken or link.at == cycle:
             return
-        ack = ch.ack
-        if ack.value:
-            ack.drive(0)
-            return
-        if ch.tx.value:
-            self._accept_flit(ch.data.value, cycle)
-            ack.drive(1)
-        # Otherwise ack is already low: only this NI drives it, and its
-        # pulse was dropped above.
+        self._accept_flit(link.flit, cycle)
+        link.taken = 1
+        link.step(cycle)
 
     def _accept_flit(self, flit: int, cycle: int) -> None:
         if self._rx_state == _RX_HEADER:

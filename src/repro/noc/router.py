@@ -363,7 +363,7 @@ class HermesRouter(Component):
         stalls = self._stall_since
         for p in self._ports[self._mi]:
             # marked while its FIFO was full: the flit waits from the
-            # cycle it became visible (see Mesh._mark_sent)
+            # cycle it became visible (see Mesh._mark)
             link = self.in_ch[p]
             if (
                 stalls[p] is None and link.at + 1 < to_cycle

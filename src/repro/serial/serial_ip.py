@@ -64,10 +64,8 @@ class SerialIp(Component):
         #: optional TelemetrySink; hooks are behind one None-check each
         self.sink = None
         self._now = 0
-        #: this bridge is a kernel unit routing its members' wakes
+        #: this bridge is its own kernel unit (not under strict lock-step)
         self._route = False
-        #: the network interface must be evaluated at the next eval
-        self._ni_due = True
 
     def attach_telemetry(self, sink) -> None:
         """Register this IP (and its NI) as tracks; enable hooks."""
@@ -108,8 +106,10 @@ class SerialIp(Component):
                 tx.divisor = rx.divisor
         if not tx.idle:
             tx_due = tx.eval(cycle)
-        if self._ni_due or ni._tx_queue:
-            self._ni_due = ni.eval(cycle) is None or not self._route
+        if ni.due <= cycle or ni._tx_queue:
+            ni.eval(cycle)
+            if not self._route:
+                ni.due = cycle + 1
         if rx.received:
             self._assemble_host_frames()
         if ni.received:
@@ -117,7 +117,7 @@ class SerialIp(Component):
         # a frame queued for the host after the transmitter's eval (an
         # earlier due is a harmless early wake), or a packet for the NI
         if (
-            self._ni_due
+            ni.due != SLEEP
             or ni._tx_queue
             or rx_due is None
             or tx_due is None
@@ -127,26 +127,20 @@ class SerialIp(Component):
         return min(rx_due, tx_due)
 
     def member_input(self, member, wire: Wire) -> None:
-        """A committed change on a member's watched wire: the receiver's
-        line, or a wire of the network interface, which is then due."""
-        if member is self.uart_rx:
-            if not member.edge(self._kernel.cycle + 1, wire.value):
-                return
-        else:
-            self._ni_due = True
-        if not self._awake:
+        """A committed change on the receiver's line, the one wire a
+        member watches: the receiver logs it, and wakes the bridge
+        only when it needs an eval."""
+        if member.edge(self._kernel.cycle + 1, wire.value) and not self._awake:
             self._kernel.wake_unit(self)
 
     def elaborated(self) -> None:
         self._route = self._sched is self
-        self._ni_due = True
 
     def reset(self) -> None:
         super().reset()
         self._frame = []
         self.frames_processed = 0
         self.dropped_packets = []
-        self._ni_due = True
 
     # -- checkpointing ---------------------------------------------------------
 
@@ -166,7 +160,6 @@ class SerialIp(Component):
         ]
         self._now = state["now"]
         # the receiver's edge log is not checkpointed: it reads the line
-        self._ni_due = True
         self.wake()
 
     # -- host -> NoC -----------------------------------------------------------

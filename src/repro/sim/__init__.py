@@ -22,7 +22,7 @@ from .checkpoint import (
 from .component import SLEEP, Component, SnapshotError
 from .kernel import SimulationTimeout, Simulator, stride_points
 from .vcd import VcdWriter
-from .wire import CheckedWire, HandshakeTx, Wire, make_channel
+from .wire import CheckedWire, Wire
 
 __all__ = [
     "CHECKPOINT_SCHEMA",
@@ -31,7 +31,6 @@ __all__ = [
     "CheckpointError",
     "CheckpointRing",
     "Component",
-    "HandshakeTx",
     "SLEEP",
     "SimulationTimeout",
     "Simulator",
@@ -39,7 +38,6 @@ __all__ = [
     "VcdWriter",
     "Wire",
     "load_checkpoint",
-    "make_channel",
     "restore_checkpoint",
     "save_checkpoint",
     "stride_points",

@@ -164,7 +164,8 @@ class Simulator:
         self._run: List[Component] = []
         #: units woken since the run list was last patched
         self._woken: List[Component] = []
-        #: units woken mid-cycle by a later unit, run from next cycle
+        #: units woken mid-cycle by a later unit or by wake_next, run
+        #: from next cycle
         self._later: List[Component] = []
         self._wake_heap: list = []  # (cycle, seq, unit)
         self._wake_seq = 0
@@ -315,6 +316,13 @@ class Simulator:
         if not unit._awake and unit in self._unit_set:
             unit._awake = True
             self._woken.append(unit)
+
+    def wake_next(self, unit: Component) -> None:
+        """Mark a sleeping unit runnable from the next cycle on, wherever
+        it sits in elaboration order (called during an eval)."""
+        if not unit._awake and unit in self._unit_set:
+            unit._awake = True
+            self._later.append(unit)
 
     # -- execution ---------------------------------------------------------
 
@@ -485,6 +493,7 @@ class Simulator:
         heap = self._wake_heap
         driven = self._driven
         woken = self._woken
+        later = self._later
         while True:
             # hostperf: run_until
             if predicate is not None and predicate():
@@ -552,7 +561,7 @@ class Simulator:
                                 unit.member_input(member, w)
                 driven.clear()
             # hostperf: kernel
-            if changed or woken:
+            if changed or woken or later:
                 self._patch_run(run, cyc + 1)
             self.cycle = cyc + 1
             # hostperf: watchers

@@ -159,31 +159,3 @@ class FieldWire(Wire):
         lambda self: getattr(self._record, self._field),
         lambda self, value: setattr(self._record, self._field, value),
     )
-
-
-class HandshakeTx:
-    """The sender-side half of a Hermes asynchronous handshake channel.
-
-    A channel is three wires: ``tx`` (data valid), ``data`` and ``ack``
-    (data accepted).  The protocol follows the paper's Section 2.1: the
-    sender raises ``tx`` with stable ``data``; the receiver stores the flit
-    and pulses ``ack``; the sender drops ``tx`` (or presents the next flit)
-    after seeing the pulse.  With registered wires this costs two clock
-    cycles per flit, which is exactly the factor 2 in the paper's latency
-    formula.
-    """
-
-    __slots__ = ("tx", "data", "ack")
-
-    def __init__(self, name: str, data_width: int = 8):
-        self.tx = Wire(f"{name}.tx", reset=0, width=1)
-        self.data = Wire(f"{name}.data", reset=0, width=data_width)
-        self.ack = Wire(f"{name}.ack", reset=0, width=1)
-
-    def wires(self) -> tuple[Wire, Wire, Wire]:
-        return (self.tx, self.data, self.ack)
-
-
-def make_channel(name: str, data_width: int = 8) -> HandshakeTx:
-    """Create a handshake channel (tx/data owned by sender, ack by receiver)."""
-    return HandshakeTx(name, data_width)

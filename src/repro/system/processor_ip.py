@@ -47,7 +47,7 @@ from ..noc.ni import NetworkInterface
 from ..noc.packet import Packet
 from ..r8.bus import Transaction
 from ..r8.cpu import R8Cpu
-from ..sim import SLEEP, Component, SnapshotError, Wire
+from ..sim import SLEEP, Component, SnapshotError
 from .address_map import Access, AccessKind, AddressMap
 
 
@@ -115,10 +115,8 @@ class ProcessorIp(Component):
         #: debugger's breakpoints, expressions and watchpoints): the
         #: core is then evaluated through its poll loops
         self.observed = False
-        #: this IP is a kernel unit routing its members' wakes
+        #: this IP is its own kernel unit (not under strict lock-step)
         self._route = False
-        #: the NI or the memory server must be evaluated at the next eval
-        self._noc_due = True
         self._clear_spin()
 
     # ======================= telemetry =====================================
@@ -277,13 +275,14 @@ class ProcessorIp(Component):
         cpu = self.cpu
         cpu.eval(cycle)
         ni, banks = self.ni, self.banks
-        if self._noc_due or ni._tx_queue:
-            ni_due = ni.eval(cycle)
+        if ni.due <= cycle or ni._tx_queue:
+            ni.eval(cycle)
             self._complete_posted_ops()
             self._handle_incoming(cycle)
             banks.step()
             # only this block gives the server work and runs it
-            self._noc_due = ni_due is None or not self._route or not banks.idle
+            if not self._route or not banks.idle:
+                ni.due = cycle + 1
         banks.proc_used = False
         if not self._route:
             return None  # not its own kernel unit: nothing sleeps
@@ -295,20 +294,13 @@ class ProcessorIp(Component):
         self._spin = None
         return SLEEP
 
-    def member_input(self, member, wire: Wire) -> None:
-        """A committed change on a wire the NI watches: the NI is due."""
-        self._noc_due = True
-        if not self._awake:
-            self._kernel.wake_unit(self)
-
     def elaborated(self) -> None:
         self._route = self._sched is self
-        self._noc_due = True
 
     def _rest_idle(self) -> bool:
         """Everything but the core is idle: memory server, posted
         operations and NI (not due, nothing to send or deliver)."""
-        if self._noc_due or not self.banks.idle:
+        if self.ni.due != SLEEP or not self.banks.idle:
             return False
         if self._posted_op_pending():
             # fire-and-forget: completes locally on a later eval
@@ -413,7 +405,6 @@ class ProcessorIp(Component):
         super().reset()
         self._cycle = -1
         self._clear_spin()
-        self._noc_due = True
         self._pending = None
         self._pending_kind = None
         self._wait_source = None
@@ -606,7 +597,6 @@ class ProcessorIp(Component):
         # the spin record is not checkpointed: the core finds its loop
         # again within two iterations
         self._clear_spin()
-        self._noc_due = True
         self.wake()
 
     @property

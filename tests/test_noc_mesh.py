@@ -1,22 +1,11 @@
-"""Structural tests for the mesh builder and handshake channels."""
+"""Structural tests for the mesh builder and its links."""
 
 import pytest
 
 from repro.noc import HermesNetwork, Mesh, Port
-from repro.sim import HandshakeTx, make_channel
+from repro.sim.wire import FieldWire
 
-
-class TestChannels:
-    def test_make_channel_wire_naming_and_widths(self):
-        ch = make_channel("lnk", data_width=8)
-        assert isinstance(ch, HandshakeTx)
-        assert ch.tx.name == "lnk.tx"
-        assert ch.data.width == 8
-        assert ch.ack.width == 1
-
-    def test_wires_tuple(self):
-        ch = make_channel("x")
-        assert len(ch.wires()) == 3
+from .test_topology import _mesh_wires
 
 
 class TestMeshStructure:
@@ -65,6 +54,24 @@ class TestMeshStructure:
                     f"{seen[wire.name]} and {component.name}"
                 )
                 seen[wire.name] = component.name
+
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_every_fabric_wire_is_a_view_the_kernel_never_latches(self, strict):
+        """Every link's tx/data/ack, a Local port's included, shows a
+        field of the link record: the kernel never commits, queues or
+        watches it, in either mode."""
+        net = HermesNetwork(topology="mesh:3x3")
+        sim = net.make_simulator(strict_lockstep=strict)
+        net.send((0, 0), (2, 2), [1, 2, 3])
+        net.run_to_drain(sim)
+        wires = _mesh_wires(net.mesh)
+        # 12 router-to-router channels and 9 Local ports, both ways
+        assert len(wires) == 3 * 2 * (12 + 9)
+        latched = set(sim._tracked_wires)
+        for w in wires:
+            assert type(w) is FieldWire, w.name
+            assert w not in latched, w.name
+            assert w._queue is None and w._sinks == () and w._members == ()
 
     def test_router_count(self):
         assert len(Mesh(4, 3).routers) == 12

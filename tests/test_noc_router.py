@@ -1,6 +1,6 @@
 """Tests for the Hermes router micro-architecture.
 
-A single router is exercised through raw handshake channels so the
+A single router is exercised through raw handshake links so the
 cycle-level behaviour (2 cycles/flit, routing occupancy, wormhole
 blocking) is visible.  Whole fabrics under synthetic traffic are pinned
 to digests of their per-key statistics (and traced event lists).
@@ -28,55 +28,65 @@ from .test_topology import _mesh_wires
 
 
 class ChannelDriver(Component):
-    """Testbench flit source speaking the handshake protocol."""
+    """Testbench flit source at a Local port: it presents each flit and
+    pops it once it sees the router's take, as a network interface
+    does, and is evaluated every cycle."""
 
-    def __init__(self, name, channel):
+    def __init__(self, name, link):
         super().__init__(name)
-        self.ch = channel
-        self.adopt_wires([channel.tx, channel.data])
+        self.link = link
+        link.ni = self
+        self.adopt_wires([link.tx, link.data])
         self.queue = []
-        self.in_flight = False
         self.sent = 0
 
+    def mark(self, cycle):
+        pass  # awake every cycle
+
     def eval(self, cycle):
-        if self.in_flight:
-            if self.ch.ack.value:
-                self.queue.pop(0)
-                self.sent += 1
-                self.in_flight = False
-            else:
-                self.ch.tx.drive(1)
-                self.ch.data.drive(self.queue[0])
+        link = self.link
+        if link.valid:
+            if not link.taken or link.at == cycle:
                 return
-        if self.queue:
-            self.ch.tx.drive(1)
-            self.ch.data.drive(self.queue[0])
-            self.in_flight = True
-        else:
-            self.ch.tx.drive(0)
+            self.queue.pop(0)
+            self.sent += 1
+            link.taken = 0
+            if not self.queue:
+                link.valid = 0
+                return
+        elif not self.queue:
+            return
+        link.valid = 1
+        link.flit = self.queue[0]
+        link.step(cycle)
 
 
 class ChannelSink(Component):
-    """Testbench flit sink; can be throttled to model backpressure."""
+    """Testbench flit sink at a Local port; can be throttled to model
+    backpressure."""
 
-    def __init__(self, name, channel, stall_until=0):
+    def __init__(self, name, link, stall_until=0):
         super().__init__(name)
-        self.ch = channel
-        self.adopt_wires([channel.ack])
+        self.link = link
+        link.ni = self
+        self.adopt_wires([link.ack])
         self.received = []
         self.receive_cycles = []
         self.stall_until = stall_until
 
+    def mark(self, cycle):
+        pass  # awake every cycle
+
     def eval(self, cycle):
-        if self.ch.ack.value:
-            self.ch.ack.drive(0)
-            return
-        if self.ch.tx.value and cycle >= self.stall_until:
-            self.received.append(self.ch.data.value)
+        link = self.link
+        if (
+            link.valid and not link.taken and link.at < cycle
+            and cycle >= self.stall_until
+        ):
+            self.received.append(link.flit)
             self.receive_cycles.append(cycle)
-            self.ch.ack.drive(1)
-        else:
-            self.ch.ack.drive(0)
+            link.taken = 1
+            link.step(cycle)
 
 
 class _WestFed(MeshTopology):
@@ -98,7 +108,7 @@ class _WestFed(MeshTopology):
 def single_router(routing_cycles=7, buffer_depth=2, stall_until=0):
     """A lone router with driven WEST input and sunk LOCAL output: a
     one-router fabric whose two ports face testbench units, as network
-    interfaces do."""
+    interfaces do (the driver is evaluated before the fabric)."""
     mesh = Mesh(
         buffer_depth=buffer_depth,
         routing_cycles=routing_cycles,
