@@ -7,7 +7,7 @@ The builder itself is topology-agnostic: it instantiates whatever
 node/link graph a :class:`~repro.noc.topology.Topology` plugin
 describes (the paper's mesh by default, or a torus / concentrated
 mesh), with one :class:`Link` per direction of each router-to-router
-link and one channel pair per attachment node.  Building ``Mesh(2, 2)``
+link and one link pair per attachment node.  Building ``Mesh(2, 2)``
 through the default plugin produces bit-identical hardware — same
 component and wire names, same creation order — as the original
 hand-coded mesh.
@@ -93,8 +93,7 @@ class Mesh(Component):
 
     Routers on neighbouring graph nodes are connected by one link per
     direction.  Each attachment node's local port is exposed as a
-    channel pair so a :class:`~repro.noc.ni.NetworkInterface` (or an IP
-    core) can attach.
+    link pair so a :class:`~repro.noc.ni.NetworkInterface` can attach.
     """
 
     def __init__(

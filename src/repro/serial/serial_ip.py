@@ -5,13 +5,14 @@ packets.  When information comes from the host computer, the Serial IP
 creates a valid NoC packet.  When a packet is received from the NoC it
 must be disassembled, and sent serially to the host computer."
 
-The bridge is one kernel unit that routes its members' wakes
-(:meth:`SerialIp.member_input`): a change on a wire its network
-interface watches marks the interface due, and a line edge goes to the
-receiver, which logs it mid-frame instead of waking the bridge
-(:meth:`~repro.serial.uart.UartRx.edge`).  An eval evaluates only the
-members that are due: the interface when marked or handed a packet, and
-each UART unless it is idle.  It returns the earliest of its UARTs'
+The bridge is one kernel unit.  The fabric marks its network interface
+due when the router steps one of its links and wakes the bridge for
+the next cycle (:meth:`~repro.noc.ni.NetworkInterface.mark`).  The
+bridge routes its receiver's wakes (:meth:`SerialIp.member_input`): a
+line edge goes to the receiver, which logs it mid-frame instead of
+waking the bridge (:meth:`~repro.serial.uart.UartRx.edge`).  An eval
+evaluates only the members that are due: the interface when marked or
+handed a packet, and each UART unless it is idle.  It returns the earliest of its UARTs'
 dues, or ``None`` while the interface is due; the default ``credit``
 hands a skipped span to the UARTs.  Under strict lock-step the interface
 is evaluated every cycle.

@@ -103,14 +103,6 @@ class Component:
         if changed:
             self._invalidate_kernel()
 
-    def unwatch_wires(self, wires: Iterable[Wire]) -> None:
-        """Stop watching previously declared input wires."""
-        drop = set(wires)
-        kept = [w for w in self._inputs if w not in drop]
-        if len(kept) != len(self._inputs):
-            self._inputs = kept
-            self._invalidate_kernel()
-
     def add_child(self, child: "Component") -> "Component":
         self._children.append(child)
         self._invalidate_kernel()
@@ -156,7 +148,8 @@ class Component:
         kernel calls it in O(1) from the commit phase instead of waking
         the whole unit, and the override must call :meth:`wake` when the
         change needs this unit evaluated (see
-        :class:`~repro.noc.mesh.Mesh`, whose routers are members).
+        :class:`~repro.serial.serial_ip.SerialIp`, whose receiver logs
+        line edges).
         """
 
     def elaborated(self) -> None:

@@ -33,9 +33,12 @@ Member wakes: a unit may route the wakes of the components inside it
 :meth:`~repro.sim.component.Component.member_input`.  A committed change
 on a wire a member watches then calls ``unit.member_input(member,
 wire)`` in O(1) instead of waking the whole unit, and the unit wakes
-itself when it needs the next cycle.  The Hermes fabric
-(:class:`~repro.noc.mesh.Mesh`) is one such unit: it copies a change on
-a network interface's boundary wire into its router's link record.
+itself when it needs the next cycle.  The Serial IP and the host route
+their UART line edges this way.  A unit that updates another during its
+eval, as the Hermes fabric (:class:`~repro.noc.mesh.Mesh`) marks a
+network interface, wakes it with :meth:`Simulator.wake_next`, which
+holds the wake for the next cycle wherever the two sit in elaboration
+order, as a committed wire change would.
 
 The results are cycle-exact with respect to the legacy schedule: a
 sleeping unit's evals would by contract only count (or, for an R8 core

@@ -27,13 +27,13 @@ an observer that sets :attr:`ProcessorIp.observed` watches the core
 every cycle.  :meth:`ProcessorIp.load` and a restore credit the
 open span and wake the IP.
 
-Member wakes.  The IP routes its members' wakes
-(:meth:`ProcessorIp.member_input`): a committed change on a wire the NI
-watches wakes the IP and marks the NI due.  An eval runs the NI, the
-incoming packets, the posted-operation check and the memory server only
-when the NI is due, the core queued a packet for
-it or the server has work; otherwise it is the core's eval alone.
-Under strict lock-step every member is evaluated every cycle.
+The NoC side.  The fabric marks the NI due when the router steps one
+of its links, and wakes the IP for the next cycle
+(:meth:`~repro.noc.ni.NetworkInterface.mark`).  An eval runs the NI,
+the incoming packets, the posted-operation check and the memory server
+only when the NI is due (the server's work keeps it due) or the core
+queued a packet for it; otherwise it is the core's eval alone.  Under
+strict lock-step every member is evaluated every cycle.
 """
 
 from __future__ import annotations

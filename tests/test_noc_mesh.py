@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.noc import HermesNetwork, Mesh, Port
+from repro.noc import HermesNetwork, Mesh, NetworkInterface, Packet, Port
+from repro.sim import Simulator, VcdWriter
 from repro.sim.wire import FieldWire
 
 from .test_topology import _mesh_wires
@@ -72,6 +73,42 @@ class TestMeshStructure:
             assert type(w) is FieldWire, w.name
             assert w not in latched, w.name
             assert w._queue is None and w._sinks == () and w._members == ()
+
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_interfaces_may_come_before_the_fabric(self, strict):
+        """A network interface evaluated before the fabric in a cycle
+        steps its links with the same timing as one evaluated after it:
+        the same waveform on every fabric wire, the same deliveries."""
+
+        def run(nis_first):
+            mesh = Mesh(3, 2)
+            nis = []
+            for addr in mesh.addresses():
+                ni = NetworkInterface(f"ni{addr}", addr)
+                ni.attach(*mesh.local_channels(addr))
+                nis.append(ni)
+            sim = Simulator(strict_lockstep=strict)
+            for unit in nis + [mesh] if nis_first else [mesh] + nis:
+                sim.add(unit)
+            vcd = VcdWriter(_mesh_wires(mesh))
+            sim.add_watcher(vcd.sample)
+            for i, ni in enumerate(nis):
+                for j in range(3):
+                    target = mesh.addresses()[(i + j + 1) % len(nis)]
+                    ni.send_packet(Packet(target=target, payload=[i, j] * (j + 1)))
+            sim.run_until(
+                lambda: mesh.idle and not any(ni.tx_busy for ni in nis),
+                max_cycles=10_000,
+            )
+            delivered = [
+                (p.source, p.delivered_cycle, tuple(p.payload))
+                for ni in nis
+                for p in ni.received
+            ]
+            assert len(delivered) == 3 * len(nis)
+            return sim.cycle, delivered, vcd.dump()
+
+        assert run(nis_first=True) == run(nis_first=False)
 
     def test_router_count(self):
         assert len(Mesh(4, 3).routers) == 12
