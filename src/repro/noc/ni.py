@@ -27,6 +27,7 @@ from typing import Deque, List, Optional, Tuple
 
 from ..sim import SLEEP, Component
 from .flit import decode_address
+from .mesh import Link
 from .packet import Packet
 
 _RX_HEADER = 0
@@ -45,9 +46,8 @@ class NetworkInterface(Component):
         self.sink = None
         #: per-flow (target) injection sequence numbers; telemetry only
         self._flow_seq: dict = {}
-        #: the Local port's links (see repro.noc.mesh.Link)
-        self.to_router = None
-        self.from_router = None
+        self.to_router: Optional[Link] = None
+        self.from_router: Optional[Link] = None
         #: first cycle the next eval has work at (see the module docstring)
         self.due = 0
 
@@ -69,7 +69,7 @@ class NetworkInterface(Component):
 
     # -- wiring ------------------------------------------------------------
 
-    def attach(self, to_router, from_router) -> None:
+    def attach(self, to_router: Link, from_router: Link) -> None:
         """Connect both links of a node's Local port."""
         self.to_router = to_router
         self.from_router = from_router

@@ -12,10 +12,10 @@ bridge routes its receiver's wakes (:meth:`SerialIp.member_input`): a
 line edge goes to the receiver, which logs it mid-frame instead of
 waking the bridge (:meth:`~repro.serial.uart.UartRx.edge`).  An eval
 evaluates only the members that are due: the interface when marked or
-handed a packet, and each UART unless it is idle.  It returns the earliest of its UARTs'
-dues, or ``None`` while the interface is due; the default ``credit``
-hands a skipped span to the UARTs.  Under strict lock-step the interface
-is evaluated every cycle.
+handed a packet, and each UART unless it is idle.  It returns the
+earliest of its UARTs' dues, or ``None`` while the interface is due;
+the default ``credit`` hands a skipped span to the UARTs.  Under strict
+lock-step the interface is evaluated every cycle.
 """
 
 from __future__ import annotations

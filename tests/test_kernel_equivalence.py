@@ -257,6 +257,41 @@ def _poke_run(strict, plan, cycles=14, watcher=None):
     return log, [u.evals for u in units]
 
 
+class Marked(Component):
+    """Works at the cycle after each mark another unit's eval makes, as
+    a network interface does after the fabric's; sleeps otherwise."""
+
+    def __init__(self, name, log):
+        super().__init__(name)
+        self.log = log
+        self.due = SLEEP
+        self.evals = []
+
+    def mark(self, cycle):
+        self.due = min(self.due, cycle + 1)
+        if self._sched is not None and not self._awake:
+            self._kernel.wake_next(self)
+
+    def eval(self, cycle):
+        self.evals.append(cycle)
+        if self.due <= cycle:
+            self.due = SLEEP
+            self.log.append((cycle, self.name))
+        return None if self.due != SLEEP else SLEEP
+
+
+class Marker(Component):
+    def __init__(self, targets, at):
+        super().__init__("marker")
+        self.targets, self.at = targets, at
+
+    def eval(self, cycle):
+        if cycle == self.at:
+            for target in self.targets:
+                target.mark(cycle)
+        return SLEEP if cycle >= self.at else self.at
+
+
 WAKE_PLANS = {
     "later": {(0, 10): [2]},
     "earlier": {(3, 10): [1]},
@@ -285,6 +320,21 @@ class TestWakeOrder:
         log, evals = self._both(WAKE_PLANS["rewoken"])
         assert (10, "u1") in log and (11, "u1") in log
         assert evals[1].count(10) == evals[1].count(11) == 1
+
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_wake_next_runs_a_sleeper_at_the_next_cycle_only(self, strict):
+        """A unit marked during another's eval at cycle 10 works at 11,
+        whether it comes before or after the marker, and a sleeping one
+        is not evaluated at 10."""
+        log = []
+        early, late = Marked("early", log), Marked("late", log)
+        sim = Simulator(strict_lockstep=strict)
+        for unit in (early, Marker([early, late], at=10), late):
+            sim.add(unit)
+        sim.step(14)
+        assert log == [(11, "early"), (11, "late")]
+        if not strict:
+            assert early.evals == late.evals == [0, 11]
 
     @pytest.mark.parametrize("plan", sorted(WAKE_PLANS))
     def test_run_list_matches_awake_flags_at_every_boundary(self, plan):
