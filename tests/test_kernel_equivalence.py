@@ -10,7 +10,10 @@ workload scenarios at the end of this file are its pinned draws.
 
 import pytest
 
+from repro.apps import EdgeDetectionApp, reference_sobel
+from repro.core import MultiNoCPlatform
 from repro.sim import SLEEP, Component, Simulator
+from repro.system.processor_ip import ProcessorIp
 
 from .test_equivalence import (
     BURSTY,
@@ -21,6 +24,7 @@ from .test_equivalence import (
     SEA,
     SYNC_BOARD,
     Draw,
+    _edge_image,
     assert_matches_lockstep,
 )
 
@@ -363,6 +367,31 @@ class TestEdgeDetectionEquivalence:
         """Untraced workers sleep through their FLAG poll loops; the run
         is split and resumed from lock-step into the quiescent kernel."""
         assert_matches_lockstep(EDGE_SPIN)
+
+    def test_a_flit_wakes_a_spinning_worker_at_the_next_cycle(self, monkeypatch):
+        """The fabric marks a worker's NI and wakes the worker for the
+        next cycle, not the cycle it marks it, so a worker asleep in its
+        poll loop is evaluated no earlier than a committed wire change
+        would have woken it.  A 4x16 image at baud divisor 2 takes
+        6,475 Processor IP evals over 19,967 cycles; the NI's boundary
+        wires took 6,902, and a same-cycle wake 6,922."""
+        evals = [0]
+        real = ProcessorIp.eval
+
+        def counted(ip, cycle):
+            evals[0] += 1
+            return real(ip, cycle)
+
+        monkeypatch.setattr(ProcessorIp, "eval", counted)
+        session = MultiNoCPlatform.standard().launch(baud_divisor=2)
+        session.host.sync()
+        app = EdgeDetectionApp(session.host, processors=[1, 2])
+        app.deploy()
+        image = _edge_image()
+        assert app.run(image).output == reference_sobel(image)
+        session.sim.step(2000)
+        assert session.sim.cycle == 19_967
+        assert evals[0] <= 6_500, evals[0]
 
 
 class TestWaitNotifyEquivalence:
