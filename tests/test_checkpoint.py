@@ -301,7 +301,6 @@ class TestBareNetworkCheckpoint:
     def test_restore_keeps_noc_statistics(self):
         """A bare HermesNetwork checkpoint carries its NetworkStats, so
         a restored run reports the straight run's packet counts."""
-
         def drain(net, sim, sources):
             sim.run_until(
                 lambda: all(s.done for s in sources) and net.drained,
