@@ -2,7 +2,8 @@
 
 "Each Memory IP contains 4 BlockRAM modules, each organized as 1024
 4-bit words" (paper Section 2.3, Figure 4).  The four nibble banks are
-accessed in parallel to read and write 16-bit words.
+accessed in parallel to read and write 16-bit words.  Each bank keeps
+its words in a ``bytearray``, one byte per nibble.
 """
 
 from __future__ import annotations
@@ -11,13 +12,16 @@ from typing import List
 
 
 class BlockRam:
-    """One FPGA BlockRAM, organised as ``depth`` x ``width`` bits."""
+    """One FPGA BlockRAM, organised as ``depth`` x ``width`` bits, at
+    most 8 bits wide (one byte per word)."""
 
     def __init__(self, depth: int = 1024, width: int = 4):
+        if not 1 <= width <= 8:
+            raise ValueError(f"BlockRAM width {width} is not 1..8 bits")
         self.depth = depth
         self.width = width
         self._mask = (1 << width) - 1
-        self.data: List[int] = [0] * depth
+        self.data = bytearray(depth)
 
     def read(self, addr: int) -> int:
         self._check(addr)

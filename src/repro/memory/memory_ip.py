@@ -51,6 +51,9 @@ class MemoryBlock(MemoryBanks):
     def __init__(self, ni: NetworkInterface, depth: int = 1024):
         super().__init__(depth)
         self.ni = ni
+        #: optional MultiNoC counting its busy servers (see idle); it
+        #: recounts on reset, restore and memory removal
+        self.system = None
         self.reset()
 
     def reset(self) -> None:
@@ -88,6 +91,11 @@ class MemoryBlock(MemoryBanks):
         if self._state != _IDLE:
             self._backlog.append(message)
             return
+        if self.system is not None and not self._backlog:
+            self.system.busy_servers += 1
+        self._start(message)
+
+    def _start(self, message) -> None:
         self._addr = message.address
         if isinstance(message, services.WriteRequest):
             self._state = _WRITING
@@ -103,7 +111,7 @@ class MemoryBlock(MemoryBanks):
         the running one by a word unless the processor used the banks."""
         if self._state == _IDLE:
             if self._backlog:
-                self.accept(self._backlog.pop(0))
+                self._start(self._backlog.pop(0))
             return
         if self.proc_used:
             return
@@ -112,7 +120,7 @@ class MemoryBlock(MemoryBanks):
                 self.write_word(self._addr % self.depth, self._words.pop(0))
                 self._addr += 1
             if not self._words:
-                self._state = _IDLE
+                self._park()
         elif self._remaining > 0:
             self._words.append(
                 self.read_word((self._addr + len(self._words)) % self.depth)
@@ -124,8 +132,13 @@ class MemoryBlock(MemoryBanks):
                     decode_address(self._reply_to), self._addr, self._words
                 )
             )
-            self._state = _IDLE
+            self._park()
             self._words = []
+
+    def _park(self) -> None:
+        self._state = _IDLE
+        if self.system is not None and not self._backlog:
+            self.system.busy_servers -= 1
 
     # -- checkpointing -------------------------------------------------------------
 

@@ -64,7 +64,8 @@ class NetworkInterface(Component):
         #: optional debugger hook ``on_packet(ni, packet, cycle)`` called
         #: when a packet finishes reassembly at this NI.
         self.on_packet = None
-        #: optional HermesNetwork counting its busy NIs (see tx_busy)
+        #: optional HermesNetwork or MultiNoC counting its busy NIs (see
+        #: tx_busy)
         self.network = None
 
     # -- wiring ------------------------------------------------------------
@@ -216,8 +217,17 @@ class NetworkInterface(Component):
             Packet.from_state(tx_packet) if tx_packet is not None else None
         )
         self._tx_in_flight = state["tx_in_flight"]
-        self._rx_state = state["rx_state"]
-        self._rx_flits = list(state["rx_flits"])
+        rx_state, rx_flits = state["rx_state"], list(state["rx_flits"])
+        # a packet being received holds no flit before its header (state
+        # 0), its header alone before the size (1), then both and more
+        if rx_state == _RX_PAYLOAD:
+            framed = len(rx_flits) >= 2
+        else:
+            framed = rx_state in (_RX_HEADER, _RX_SIZE) and len(rx_flits) == rx_state
+        if not framed:
+            raise ValueError(f"rx_state {rx_state!r} with {len(rx_flits)} flits")
+        self._rx_state = rx_state
+        self._rx_flits = rx_flits
         self._rx_expected = state["rx_expected"]
         self.received = deque(
             Packet.from_state(p) for p in state["received"]

@@ -487,6 +487,15 @@ class HermesRouter(Component):
             for port in state[key]:
                 if port is not None and not (isinstance(port, int) and 0 <= port < n):
                     raise ValueError(f"{key} holds {port!r}, not a port")
+        for key, hi in (
+            ("last_grant", n - 1),
+            ("ctrl_state", _CTRL_ROUTING),
+            ("ctrl_input", n - 1),
+            ("ctrl_counter", self.routing_cycles),
+        ):
+            value = state[key]
+            if not (isinstance(value, int) and 0 <= value <= hi):
+                raise ValueError(f"{key} holds {value!r}, not 0..{hi}")
         for fifo, (contents, watermark) in zip(self.fifos, state["fifos"]):
             fifo.restore(contents, watermark)
         self.in_conn = list(state["in_conn"])

@@ -369,7 +369,10 @@ class R8Cpu(Component):
         st.halted = state["halted"]
         self._fsm = state["fsm"]
         instr = state["instr"]
-        self._instr = None if instr is None else isa.decode(instr)
+        try:
+            self._instr = None if instr is None else isa.decode(instr)
+        except isa.DecodeError as exc:
+            raise ValueError(f"instr: {exc}") from exc
         txn = state["txn"]
         if txn is None:
             self._txn = None

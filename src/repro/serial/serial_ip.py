@@ -28,7 +28,7 @@ from ..noc.ni import NetworkInterface
 from ..noc.packet import Packet
 from ..sim import SLEEP, Component, Wire
 from . import protocol
-from .uart import AutoBaudUartRx, UartTx
+from .uart import AutoBaudUartRx, UartTx, _ints
 
 
 class SerialIp(Component):
@@ -154,8 +154,10 @@ class SerialIp(Component):
         }
 
     def restore_state(self, state: dict) -> None:
-        self._frame = list(state["frame"])
-        self.frames_processed = state["frames_processed"]
+        self._frame = _ints(state["frame"], 0, 0xFF, "frame")
+        (self.frames_processed,) = _ints(
+            [state["frames_processed"]], 0, float("inf"), "frames_processed"
+        )
         self.dropped_packets = [
             Packet.from_state(p) for p in state["dropped"]
         ]

@@ -51,6 +51,13 @@ def _ints(values, lo: int, hi: float, key: str, lengths=None) -> list:
     return values
 
 
+def _bool(value, key: str) -> bool:
+    """A restored flag; ``ValueError`` for anything but a bool."""
+    if not isinstance(value, bool):
+        raise ValueError(f"{key} holds {value!r}, not a bool")
+    return value
+
+
 class UartTx(Component):
     """Serialises queued bytes onto a 1-bit line."""
 
@@ -353,8 +360,10 @@ class UartRx(Component):
 
     def restore_state(self, state: dict) -> None:
         self.received = deque(_ints(state["received"], 0, 0xFF, "received"))
-        self.framing_errors = state["framing_errors"]
-        self._sampling = state["sampling"]
+        (self.framing_errors,) = _ints(
+            [state["framing_errors"]], 0, float("inf"), "framing_errors"
+        )
+        self._sampling = _bool(state["sampling"], "sampling")
         self._bits = _ints(state["bits"], 0, 1, "bits", range(9))
         self._count, self._cycle = _ints(
             [state["count"], state["cycle"]], 0, float("inf"), "count/cycle"
@@ -426,7 +435,7 @@ class AutoBaudUartRx(UartRx):
 
     def restore_state(self, state: dict) -> None:
         super().restore_state(state)
-        self.synced = state["synced"]
+        self.synced = _bool(state["synced"], "synced")
         last = state["last_edge_cycle"]
         if last is not None:
             _ints([last], 0, float("inf"), "last_edge_cycle")

@@ -43,6 +43,10 @@ class MultiNoC(Component):
             topology=self.topology,
         )
         self.add_child(self.mesh)
+        #: NIs with a packet queued or being injected, and memory servers
+        #: with a request running or queued (see idle)
+        self.busy_nis = 0
+        self.busy_servers = 0
 
         # External serial lines (RS-232 idles high -> reset=1).
         self.rxd = Wire("multinoc.rxd", reset=1, width=1)  # host -> board
@@ -74,6 +78,7 @@ class MultiNoC(Component):
                 stats=self.stats,
             )
             self._attach(proc.ni, addr)
+            proc.banks.system = self
             self.processors[pid] = proc
             self.add_child(proc)
 
@@ -83,6 +88,7 @@ class MultiNoC(Component):
                 f"mem{i}", addr, depth=config.local_words, stats=self.stats
             )
             self._attach(mem.ni, addr)
+            mem.banks.system = self
             self.memories.append(mem)
             self.add_child(mem)
 
@@ -132,6 +138,7 @@ class MultiNoC(Component):
     def _attach(self, ni, addr: Address) -> None:
         into, out = self.mesh.local_channels(addr)
         ni.attach(to_router=into, from_router=out)
+        ni.network = self
 
     def _build_address_map(self, pid: int) -> AddressMap:
         """Figure 6's map, generalised: after local memory come windows
@@ -201,6 +208,14 @@ class MultiNoC(Component):
         super().reset()
         # in place: routers and NIs hold the stats' counter dicts
         self.stats.restore(NetworkStats().snapshot())
+        self._recount()
+
+    def _recount(self) -> None:
+        self.busy_nis = sum(ni.tx_busy for ni in self.network_interfaces())
+        self.busy_servers = sum(
+            not ip.banks.idle
+            for ip in (*self.processors.values(), *self.memories)
+        )
 
     def snapshot_state(self) -> dict:
         # the shared NetworkStats is system-level state (latency matching
@@ -209,6 +224,8 @@ class MultiNoC(Component):
 
     def restore_state(self, state: dict) -> None:
         self.stats.restore(state["stats"])
+        # the children are restored first
+        self._recount()
 
     # -- convenience -------------------------------------------------------------
 
@@ -220,15 +237,17 @@ class MultiNoC(Component):
 
     @property
     def idle(self) -> bool:
-        """No in-flight NoC traffic, serial activity or pending CPU stalls."""
+        """No in-flight NoC traffic, serial activity or pending CPU stalls.
+
+        O(1): ``send_packet`` and the last flit of a packet keep
+        :attr:`busy_nis`, and each memory server keeps
+        :attr:`busy_servers` where it leaves or reaches idle.
+        """
         return (
-            self.mesh.idle
+            not self.busy_nis
+            and not self.busy_servers
+            and self.mesh.idle
             and not self.serial.busy
-            and all(
-                not p.ni.tx_busy and p.server_idle
-                for p in self.processors.values()
-            )
-            and all(not m.noc_busy for m in self.memories)
         )
 
     @property

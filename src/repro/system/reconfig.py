@@ -168,7 +168,9 @@ class ReconfigurationManager:
         mem = system.memories.pop(index)
         system.config.memories.pop(index)
         mem.ni.detach()
+        mem.ni.network = mem.banks.system = None
         system.remove_child(mem)
+        system._recount()
         self._rebuild_address_maps()
         self.reconfigurations += 1
         return mem
@@ -180,8 +182,8 @@ class ReconfigurationManager:
         system = self.system
         index = len(system.memories)
         mem = MemoryIp(f"mem{index}", addr, depth=depth, stats=system.stats)
-        into, out = system.mesh.local_channels(addr)
-        mem.ni.attach(to_router=into, from_router=out)
+        system._attach(mem.ni, addr)
+        mem.banks.system = system
         system.memories.append(mem)
         system.config.memories.append(addr)
         system.add_child(mem)

@@ -7,16 +7,18 @@ combination of kernel modes on each side; the comparison is the oracle
 in ``tests/test_equivalence.py``.
 """
 
+import functools
 import json
 import re
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro import MultiNoCPlatform, TelemetrySink
 from repro.apps.workloads import TrafficConfig, drive_traffic
 from repro.noc.network import HermesNetwork
+from repro.serial.protocol import ProtocolError
 from repro.sim import (
     CHECKPOINT_SCHEMA,
     CheckpointError,
@@ -251,6 +253,71 @@ class TestCheckpointErrors:
             target.sim.step(300)
             target.host.sync()
 
+    @pytest.mark.parametrize(
+        "component, key, value",
+        [
+            ("proc1.r8", "instr", -1),
+            ("proc1.r8", "instr", 1 << 16),
+            ("host.rx", "sampling", "x"),
+            ("host.rx", "sampling", 2),
+            ("host.rx", "sampling", [1]),
+            ("serial.rx", "synced", "x"),
+            ("serial.rx", "synced", 1),
+            ("host.rx", "framing_errors", "x"),
+            ("host.rx", "framing_errors", -1),
+            ("serial.rx", "framing_errors", 1.5),
+            ("serial", "frame", "x"),
+            ("serial", "frames_processed", None),
+            ("router00", "last_grant", "x"),
+            ("router10", "ctrl_state", None),
+            ("router10", "ctrl_input", 5),
+            ("router10", "ctrl_counter", -1),
+            ("proc2.ni", "rx_state", 1),
+            ("proc2.ni", "rx_state", 3),
+        ],
+        ids=str,
+    )
+    def test_restore_rejects_a_register_it_cannot_run(self, component, key, value):
+        """An R8 instruction word that does not decode, a UART flag that
+        is not a bool, a count that is not an int >= 0, a Serial IP frame
+        that is not bytes, a router's arbiter or control register out of
+        its range, or an NI receive state that does not frame the flits
+        it holds fails the restore with CheckpointError naming the
+        component, where some ran thousands of cycles before failing
+        with another error."""
+        doc = _sync_checkpoint()
+        target = MultiNoCPlatform.standard().launch()
+        _local_states(target, doc)[component][key] = value
+        with pytest.raises(CheckpointError, match=re.escape(component)):
+            restore_checkpoint(target.sim, doc)
+            target.sim.step(300)
+
+    @settings(
+        max_examples=200,
+        deadline=None,
+        derandomize=True,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        slot=st.deferred(lambda: st.sampled_from(_sync_slots())),
+        value=st.sampled_from(["x", None, 1.5, -1, [1], {}, 10**9, [], True]),
+    )
+    @example(slot=("proc1.r8", "instr"), value=-1)
+    def test_restore_rejects_a_local_state_it_cannot_run(self, slot, value):
+        """One component-local key of a busy board's checkpoint set to a
+        value of another type or range either restores and runs, or
+        fails with CheckpointError; the host may also report the serial
+        bytes it then reads with ProtocolError."""
+        component, key = slot
+        doc = _sync_checkpoint()
+        target = MultiNoCPlatform.standard().launch()
+        _local_states(target, doc)[component][key] = value
+        try:
+            restore_checkpoint(target.sim, doc)
+            target.sim.step(300)
+        except (CheckpointError, ProtocolError):
+            pass
+
     @settings(
         max_examples=60,
         deadline=None,
@@ -286,6 +353,48 @@ class TestCheckpointErrors:
         del doc["state"]["cycle"]
         with pytest.raises(CheckpointError, match="malformed"):
             restore_checkpoint(_launch(False).sim, doc)
+
+
+#: the cycle of the wait/notify workload the mutation tests restore
+MUTATED_CYCLE = 1_500
+
+
+@functools.lru_cache(maxsize=None)
+def _sync_checkpoint_text():
+    session = MultiNoCPlatform.standard().launch()
+    taken = []
+
+    def watcher(cycle):
+        if cycle >= MUTATED_CYCLE and not taken:
+            taken.append(json.dumps({"state": session.sim.snapshot()}))
+
+    session.sim.add_watcher(watcher)
+    _start_sync_workload(session)
+    return taken[0]
+
+
+def _sync_checkpoint():
+    """A fresh copy of a 2x2 board's checkpoint, taken while the host
+    loads the wait/notify workload."""
+    return json.loads(_sync_checkpoint_text())
+
+
+def _local_states(session, doc):
+    """Component name -> its local state in *doc*, a checkpoint of a
+    board built like *session*'s."""
+    return {
+        c.name: s["state"]
+        for top, top_state in zip(session.sim._components, doc["state"]["components"])
+        for c, s in _walk(top, top_state)
+        if s.get("state")
+    }
+
+
+@functools.lru_cache(maxsize=None)
+def _sync_slots():
+    """Every (component, key) of the checkpoint's local states."""
+    states = _local_states(MultiNoCPlatform.standard().launch(), _sync_checkpoint())
+    return [(name, key) for name, state in states.items() for key in state]
 
 
 def _busy_fabric():

@@ -28,6 +28,12 @@ class TestBlockRam:
         ram.write(100, 0xA)
         assert ram.read(100) == 0xA
 
+    def test_words_are_at_most_a_byte_wide(self):
+        """Banks keep one byte per word, so a wider BlockRAM is refused."""
+        assert BlockRam(width=8).data == bytearray(1024)
+        with pytest.raises(ValueError, match="width 9"):
+            BlockRam(width=9)
+
 
 class TestMemoryBanks:
     def test_four_nibble_banks(self):

@@ -5,7 +5,10 @@ import pytest
 from repro import MultiNoCPlatform
 from repro.host import SerialSoftware
 from repro.r8 import assemble
+from repro.sim import restore_checkpoint
 from repro.system import MultiNoC, SystemConfig
+
+from .test_equivalence import CONSUMER, PRODUCER, _sea_worker
 
 
 @pytest.fixture
@@ -265,3 +268,80 @@ class TestReset:
         assert session.system.stats.packets_delivered > 0
         session.sim.reset()
         assert board(session) == board(MultiNoCPlatform.standard().launch())
+
+
+def _idle_walk(system):
+    """``MultiNoC.idle`` as a walk over every IP: the reference for the
+    system's busy counts."""
+    return (
+        system.mesh.idle
+        and not system.serial.busy
+        and all(
+            not p.ni.tx_busy and p.server_idle
+            for p in system.processors.values()
+        )
+        and all(not m.noc_busy for m in system.memories)
+    )
+
+
+def _idle_workload(name, strict):
+    """A launched board and its pid -> program map, in start order."""
+    if name == "sync":
+        session = MultiNoCPlatform.standard().launch(strict_lockstep=strict)
+        return session, {2: CONSUMER, 1: PRODUCER}
+    n = 6
+    session = MultiNoCPlatform(topology="mesh:3x3", n_processors=n).launch(
+        strict_lockstep=strict
+    )
+    system = session.system
+    return session, {
+        pid: _sea_worker(
+            pid, n, 5, system.numa_base(pid, pid + 1) if pid < n else None
+        )
+        for pid in range(1, n + 1)
+    }
+
+
+class TestIdle:
+    @pytest.mark.parametrize("strict", [False, True], ids=["quiescent", "lockstep"])
+    @pytest.mark.parametrize("workload", ["sync", "sea3x3"])
+    def test_idle_equals_the_walk_at_every_cycle(self, workload, strict):
+        session, programs = _idle_workload(workload, strict)
+        system = session.system
+        seen = []
+
+        def watcher(cycle):
+            assert system.idle == _idle_walk(system), cycle
+            seen.append(system.busy_servers)
+
+        session.sim.add_watcher(watcher)
+        session.host.sync()
+        for pid, program in programs.items():
+            session.start(pid, program)
+        session.wait_all_halted(max_cycles=2_000_000)
+        session.sim.step(2_000)
+        assert system.idle and max(seen) > 0
+
+    def test_restore_and_reset_recount(self):
+        """A board restored mid-request counts the busy servers and NIs
+        of the snapshot, and a reset counts none."""
+        session, programs = _idle_workload("sync", False)
+        system = session.system
+        taken = []
+
+        def watcher(cycle):
+            if system.busy_servers and not taken:
+                busy = (system.busy_nis, system.busy_servers)
+                taken.append(({"state": session.sim.snapshot()}, busy))
+
+        session.sim.add_watcher(watcher)
+        session.host.sync()
+        session.start(1, programs[1])
+        doc, busy = taken[0]
+        target, _ = _idle_workload("sync", False)
+        restore_checkpoint(target.sim, doc)
+        assert (target.system.busy_nis, target.system.busy_servers) == busy
+        assert not target.system.idle
+        target.sim.reset()
+        assert (target.system.busy_nis, target.system.busy_servers) == (0, 0)
+        assert target.system.idle

@@ -3,7 +3,10 @@
 import pytest
 
 from repro.core import MultiNoCPlatform
+from repro.noc.services import WriteRequest
 from repro.system import ReconfigError, ReconfigurationManager
+
+from .test_system_multinoc import _idle_walk
 
 
 def make_session():
@@ -140,6 +143,27 @@ class TestInsertRemove:
         session.write("mem0", 1, [3])
         assert session.read("mem0", 1, 1) == [3]
         assert mgr.reconfigurations == 2
+
+    def test_idle_counts_an_inserted_memory_and_forgets_a_removed_one(self):
+        session = MultiNoCPlatform(
+            mesh=(2, 2), n_processors=1, n_memories=0
+        ).launch()
+        session.host.sync()
+        system = session.system
+        mgr = ReconfigurationManager(system)
+        mem = mgr.insert_memory((1, 1))
+
+        def watcher(cycle):
+            assert system.idle == _idle_walk(system), cycle
+
+        session.sim.add_watcher(watcher)
+        session.write("mem0", 0, list(range(64)))
+        assert session.read("mem0", 0, 64) == list(range(64))
+        # a server still busy behind a quiet fabric
+        mem.banks.accept(WriteRequest(address=0, words=[7] * 8))
+        assert not system.idle
+        mgr.remove_memory(0)
+        assert system.idle and _idle_walk(system)
 
     def test_area_on_demand(self):
         """Removing the memory IP frees slices in the area model."""
