@@ -8,10 +8,13 @@ to digests of their per-key statistics (and traced event lists).
 
 import hashlib
 import json
+import random
 
 import pytest
 
 from repro.apps.workloads import TrafficConfig, drive_traffic
+from repro.core import MultiNoCPlatform, Program
+from repro.experiments import edge_detection
 from repro.noc import (
     HermesNetwork,
     Mesh,
@@ -403,3 +406,53 @@ def test_fabric_waveform_and_snapshot_match_pinned_digests(run):
     _drain(net, sim, sources)
     assert sim.cycle == FABRIC_PINS[run][0]
     assert (_digest(vcd.dump()), _digest(snapshot)) == WAVE_PINS[run]
+
+
+# ---------------------------------------------------------------------------
+# Pinned serial waveforms
+# ---------------------------------------------------------------------------
+
+#: the program CI runs on processor 1 (``multinoc system hello.asm``)
+HELLO = """
+        CLR  R0
+        LDI  R1, 42
+        LDI  R2, 0xFFFF
+        ST   R1, R2, R0
+        HALT
+"""
+
+#: run -> (final cycle, digest of a VCD dump of the serial lines rxd and
+#: txd), the same in both kernel modes.  "hello" is ``multinoc system``
+#: on HELLO, "edge-4x16" the paper's edge detection of a 4x16 image on
+#: processors 1 and 2.  Captured while the lines were latched by the
+#: kernel's commit phase, so the waveform is pinned against that design.
+SERIAL_WAVE_PINS = {
+    "hello": (7015, "258049118ffbc3d5"),
+    "edge-4x16": (32051, "930d466a1141c805"),
+}
+
+
+def _serial_run(run, strict):
+    session = MultiNoCPlatform.standard().launch(strict_lockstep=strict)
+    vcd = VcdWriter([session.system.rxd, session.system.txd])
+    session.sim.add_watcher(vcd.sample)
+    if run == "hello":
+        session.host.sync()
+        addr = session.processor_address(1)
+        session.host.load_program(addr, Program.from_source(HELLO).obj)
+        session.host.activate(addr)
+        cpu = session.system.processors[1].cpu
+        session.sim.run_until(lambda: cpu.halted)
+        session.sim.step(6000)
+        assert session.host.monitor(1).printf_values == [42]
+    else:
+        rng = random.Random(7)
+        image = [[rng.randrange(256) for _ in range(16)] for _ in range(4)]
+        edge_detection(session, [1, 2], image)
+    return session.sim.cycle, _digest(vcd.dump())
+
+
+@pytest.mark.parametrize("strict", [False, True], ids=["quiescent", "lockstep"])
+@pytest.mark.parametrize("run", sorted(SERIAL_WAVE_PINS))
+def test_serial_waveform_matches_pinned_digest(run, strict):
+    assert _serial_run(run, strict) == SERIAL_WAVE_PINS[run]
