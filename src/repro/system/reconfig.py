@@ -159,13 +159,22 @@ class ReconfigurationManager:
         """Remove a Memory IP on demand; returns it (state preserved).
 
         The freed node's Local port goes silent; the area model's view of
-        the configuration shrinks accordingly.
+        the configuration shrinks accordingly.  A memory whose server or
+        network interface still holds work (a request running or queued,
+        a packet to send or to decode) is refused: removing it would drop
+        that work.
         """
         self._require_quiescent()
         system = self.system
         if not 0 <= index < len(system.memories):
             raise ReconfigError(f"no memory {index}")
-        mem = system.memories.pop(index)
+        mem = system.memories[index]
+        if mem.noc_busy or mem.ni.received:
+            raise ReconfigError(
+                f"memory {index} is busy: removing it would drop the "
+                "work its server or network interface holds"
+            )
+        system.memories.pop(index)
         system.config.memories.pop(index)
         mem.ni.detach()
         mem.ni.network = mem.banks.system = None

@@ -3,7 +3,9 @@
 import pytest
 
 from repro.core import MultiNoCPlatform
+from repro.noc.flit import encode_address
 from repro.noc.services import WriteRequest
+from repro.serial import protocol
 from repro.system import ReconfigError, ReconfigurationManager
 
 from .test_system_multinoc import _idle_walk
@@ -159,11 +161,35 @@ class TestInsertRemove:
         session.sim.add_watcher(watcher)
         session.write("mem0", 0, list(range(64)))
         assert session.read("mem0", 0, 64) == list(range(64))
-        # a server still busy behind a quiet fabric
+        # a server still busy behind a quiet fabric refuses removal
         mem.banks.accept(WriteRequest(address=0, words=[7] * 8))
+        mem.wake()
         assert not system.idle
+        with pytest.raises(ReconfigError, match="busy"):
+            mgr.remove_memory(0)
+        assert system.memories == [mem]
+        session.sim.run_until(lambda: system.idle)
+        assert mem.dump(0, 8) == [7] * 8
         mgr.remove_memory(0)
         assert system.idle and _idle_walk(system)
+
+    def test_a_memory_whose_server_holds_a_write_is_not_removed(self):
+        session = MultiNoCPlatform.standard().launch()
+        session.host.sync()
+        system = session.system
+        mem = system.memories[0]
+        mgr = ReconfigurationManager(system)
+        words = list(range(100, 140))
+        flit = encode_address(*system.config.memories[0])
+        session.host.uart_tx.send_bytes(protocol.frame_write(flit, 0, words))
+        # the packet has left the fabric; the server is writing it
+        session.sim.run_until(lambda: not mem.banks.idle and system.mesh.idle)
+        with pytest.raises(ReconfigError, match="memory 0 is busy"):
+            mgr.remove_memory(0)
+        assert system.memories == [mem] and mgr.reconfigurations == 0
+        session.sim.run_until(lambda: system.idle)
+        assert mgr.remove_memory(0) is mem
+        assert mem.dump(0, len(words)) == words
 
     def test_area_on_demand(self):
         """Removing the memory IP frees slices in the area model."""
