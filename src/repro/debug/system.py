@@ -807,7 +807,7 @@ class SystemDebugger:
             cycle = restore_checkpoint(self.sim, args[0])
         except CheckpointError as exc:
             raise DebuggerError(str(exc)) from exc
-        self._rewind_vcd(cycle)
+        self.vcd.rewind(cycle)
         self._prime()
         self._hits.clear()
         return f"restored to cycle {cycle}"
@@ -844,7 +844,7 @@ class SystemDebugger:
                 raise DebuggerError(str(exc)) from exc
             if self.sink is not None and entry.events_len is not None:
                 self.sink.truncate_to(entry.events_len)
-            self._rewind_vcd(entry.cycle)
+            self.vcd.rewind(entry.cycle)
         if target > self.sim.cycle:
             self._replaying = True
             try:
@@ -853,16 +853,6 @@ class SystemDebugger:
                 self._replaying = False
         self._hits.clear()
         self._prime()
-
-    def _rewind_vcd(self, cycle: int) -> None:
-        """Drop captured waveform changes after *cycle*; replay appends
-        the (identical) tail again, keeping the VCD timeline monotone."""
-        vcd = self.vcd
-        vcd._changes = [c for c in vcd._changes if c[0] <= cycle]
-        vcd._cycles = cycle
-        for wire in vcd.wires:
-            if isinstance(wire.value, int):
-                vcd._last[wire.name] = wire.value
 
     def _cmd_vcdslice(self, args: List[str]) -> str:
         if not args:

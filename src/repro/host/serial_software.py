@@ -10,10 +10,10 @@ Because host and board are co-simulated, the blocking convenience
 methods (:meth:`read_memory`, :meth:`load_program`, ...) internally step
 the shared :class:`~repro.sim.kernel.Simulator` until the reply arrives.
 
-Like the Serial IP, the host is one kernel unit that routes its
-receiver's line edges (:meth:`SerialSoftware.member_input`), so the
-receiver sleeps through a whole frame, and it skips the eval of an idle
-UART.
+Like the Serial IP, the host is one kernel unit whose receiver logs
+the txd line's edges mid-frame and sleeps through a whole frame
+(:meth:`~repro.serial.uart.UartRx.edge`), and it skips the eval of an
+idle UART.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from ..noc.flit import encode_address
 from ..r8.assembler import ObjectCode
 from ..serial import protocol
 from ..serial.uart import FRAME_BITS, UartRx, UartTx
-from ..sim import SLEEP, Component, Simulator, Wire
+from ..sim import SLEEP, Component, Simulator
 from ..sim.kernel import SimulationTimeout
 from ..system.multinoc import MultiNoC
 from .monitor import InteractionMonitor
@@ -123,11 +123,6 @@ class SerialSoftware(Component):
             and self.uart_rx.idle
             and not self.uart_rx.received
         )
-
-    def member_input(self, member, wire: Wire) -> None:
-        """An edge on the board's txd line, handed to the receiver."""
-        if member.edge(self._kernel.cycle + 1, wire.value) and not self._awake:
-            self._kernel.wake_unit(self)
 
     def eval(self, cycle: int) -> Optional[float]:
         """Sleep between transactions: each UART's due, the earlier
@@ -230,8 +225,6 @@ class SerialSoftware(Component):
         self.synced = state["synced"]
         txn = state["current_transaction"]
         self.current_transaction = tuple(txn) if txn is not None else None
-        # the receiver's edge log is not checkpointed: it reads the line
-        self.wake()
 
     # -- low-level sending -----------------------------------------------------------
 

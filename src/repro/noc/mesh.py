@@ -18,7 +18,7 @@ the awake ones in router order, and then marks the receiving end of
 each link presented and the sending end of each link taken, for the
 next eval.  Every channel is a :class:`Link` record, a node's Local
 port included, and its tx/data/ack wires are views of the record:
-nothing is driven or committed on it.  A network interface steps its
+nothing is driven on it.  A network interface steps its
 links by the routers' rule and appends them to the fabric's list; the
 mesh marks their routers at the start of its next eval (or at the end
 of this one, for an interface evaluated before it in the same cycle).

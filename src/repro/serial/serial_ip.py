@@ -8,14 +8,14 @@ must be disassembled, and sent serially to the host computer."
 The bridge is one kernel unit.  The fabric marks its network interface
 due when the router steps one of its links and wakes the bridge for
 the next cycle (:meth:`~repro.noc.ni.NetworkInterface.mark`).  The
-bridge routes its receiver's wakes (:meth:`SerialIp.member_input`): a
-line edge goes to the receiver, which logs it mid-frame instead of
-waking the bridge (:meth:`~repro.serial.uart.UartRx.edge`).  An eval
-evaluates only the members that are due: the interface when marked or
-handed a packet, and each UART unless it is idle.  It returns the
-earliest of its UARTs' dues, or ``None`` while the interface is due;
-the default ``credit`` hands a skipped span to the UARTs.  Under strict
-lock-step the interface is evaluated every cycle.
+receiver is handed each edge of the rxd line the same way: it logs one
+mid-frame, and otherwise is due and wakes the bridge for the next cycle
+(:meth:`~repro.serial.uart.UartRx.edge`).  An eval evaluates only the
+members that are due: the interface when marked or handed a packet, and
+each UART unless it is idle.  It returns the earliest of its UARTs'
+dues, or ``None`` while the interface is due; the default ``credit``
+hands a skipped span to the UARTs.  Under strict lock-step the
+interface is evaluated every cycle.
 """
 
 from __future__ import annotations
@@ -127,13 +127,6 @@ class SerialIp(Component):
             return None
         return min(rx_due, tx_due)
 
-    def member_input(self, member, wire: Wire) -> None:
-        """A committed change on the receiver's line, the one wire a
-        member watches: the receiver logs it, and wakes the bridge
-        only when it needs an eval."""
-        if member.edge(self._kernel.cycle + 1, wire.value) and not self._awake:
-            self._kernel.wake_unit(self)
-
     def elaborated(self) -> None:
         self._route = self._sched is self
 
@@ -162,8 +155,6 @@ class SerialIp(Component):
             Packet.from_state(p) for p in state["dropped"]
         ]
         self._now = state["now"]
-        # the receiver's edge log is not checkpointed: it reads the line
-        self.wake()
 
     # -- host -> NoC -----------------------------------------------------------
 

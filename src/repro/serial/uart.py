@@ -9,19 +9,20 @@ exercised — which is why MultiNoC needs the 0x55 synchronisation byte
 Both ends evaluate the line bit by bit, but under the quiescent kernel
 they sleep from one line edge to the next: a transmitter's eval returns
 the cycle where its next eval drives a different level (or ends the
-final frame), and a framing receiver's the cycle of the stop-bit sample;
-a change on the line wakes a receiver before that.  ``credit`` accounts
-the skipped evals exactly, so the waveform, ``busy`` and every received
-byte land on their lock-step cycles.
+final frame), and a framing receiver's the cycle of the stop-bit sample.
+``credit`` accounts the skipped evals exactly, so the waveform, ``busy``
+and every received byte land on their lock-step cycles.
 
-A receiver inside a unit that routes its members' wakes (the Serial IP
-and the host) sleeps through a whole frame: the unit hands it each line
-edge through :meth:`UartRx.edge`, and a framing receiver logs the edge
-instead of waking.  ``credit`` then replays the skipped start-bit and
-data-bit samples piecewise, each with the level in force at its sample
-point, so only the stop-bit sample is a real eval.  Such a unit also
-skips the eval of a UART that is idle (:meth:`UartTx.idle`,
-:meth:`UartRx.idle`).
+The receiver is its line's reader (:class:`~repro.sim.wire.Wire`): each
+drive that changes the line hands it the edge (:meth:`UartRx.edge`),
+with the cycle the edge is first seen.  A framing receiver logs the
+edge and sleeps through the whole frame; ``credit`` then replays the
+skipped start-bit and data-bit samples piecewise, each with the level
+in force at its sample point, so only the stop-bit sample is a real
+eval.  Any other edge makes the receiver due and wakes its kernel unit
+for that cycle, whether the receiver is a unit itself or a member of
+one (the Serial IP and the host, which also skip the eval of an idle
+UART: :meth:`UartTx.idle`, :meth:`UartRx.idle`).
 """
 
 from __future__ import annotations
@@ -106,13 +107,13 @@ class UartTx(Component):
         bits = self._bits
         if not bits:
             if not self.queue:
-                self.line.drive(1)  # idle high
+                self.line.drive(1, cycle)  # idle high
                 return SLEEP if self.idle else None
             bits = self._bits = _FRAMES[self.queue.popleft()]
             self._bit_index = 0
             self._phase = 0
         i, d = self._bit_index, self.divisor
-        self.line.drive(bits[i])
+        self.line.drive(bits[i], cycle)
         p = self._phase + 1
         if p < d:
             self._phase = p
@@ -190,11 +191,12 @@ class UartRx(Component):
         super().__init__(name)
         if divisor < 2:
             raise ValueError("UART divisor must be at least 2 cycles per bit")
+        if line.reader is not None:
+            raise ValueError(f"line {line.name!r} already has a receiver")
+        # every change of the line reaches edge()
+        line.reader = self
         self.line = line
         self.divisor = self._reset_divisor = divisor
-        # The receiver wakes on any committed change of the serial line
-        # (a start-bit edge, a data edge, a sync edge).
-        self.watch_wires([line])
         self.received: Deque[int] = deque()
         self.framing_errors = 0
         self._sampling = False
@@ -204,23 +206,43 @@ class UartRx(Component):
         #: the line level the last eval saw (RS-232 idles high)
         self._level = 1
         #: (first cycle an eval sees it, level) of each line edge logged
-        #: mid-frame while asleep (see :meth:`edge`), in cycle order
+        #: mid-frame (see :meth:`edge`), in cycle order
         self._edges: list = []
+        #: first cycle a line edge needs an eval at, or SLEEP
+        self.due = SLEEP
 
     def eval(self, cycle: int) -> Optional[float]:
         """Sample the line, and return the cycle of the stop-bit sample
         while framing: the start-bit and data-bit samples before it only
-        record the line level, and that level cannot change unseen (a
-        change on the watched line wakes the receiver, or its unit logs
-        the edge).  So the stop-bit sample delivers the byte (or counts
-        a framing error) on its lock-step cycle, and :meth:`credit`
-        replays the samples skipped before it.  Outside a frame it
-        sleeps until the line drops (start bit); the parent drains the
-        received bytes at its own eval."""
+        record the line level, and that level cannot change unseen (the
+        receiver logs each edge).  So the stop-bit sample delivers the
+        byte (or counts a framing error) on its lock-step cycle, and
+        :meth:`credit` replays the samples skipped before it.  Outside a
+        frame it sleeps until the line drops (start bit); the parent
+        drains the received bytes at its own eval.
+
+        An edge that needs an eval (see :meth:`edge`) keeps the receiver
+        due at that cycle: an eval before it returns no later."""
         self._cycle = cycle
-        self._level = level = self.line.value
+        level = self.line.read(cycle)
+        due = self._sample(cycle, level)
+        self._level = level
+        pending = self.due
+        if pending <= cycle:
+            pending = SLEEP
         if self._edges:
-            self._edges = []  # the line is read directly from here on
+            # the line was read directly up to here; an edge of the next
+            # cycle, driven this cycle before this eval, stays logged, or
+            # is due if this eval ended the frame
+            edges = [e for e in self._edges if e[0] > cycle]
+            if edges and not self._sampling:
+                pending, edges = edges[0][0], []
+            self._edges = edges
+        self.due = pending
+        return due if due is None or due <= pending else pending
+
+    def _sample(self, cycle: int, level: int) -> Optional[float]:
+        """One eval's work on the line *level* seen at *cycle*."""
         d = self.divisor
         if not self._sampling:
             if level:
@@ -258,22 +280,34 @@ class UartRx(Component):
     @property
     def idle(self) -> bool:
         """True when an eval now would only restamp the cycle: not
-        framing, and the line is high as the last eval saw it."""
-        return not self._sampling and self._level == 1 == self.line.value
+        framing, the line high as the last eval saw it, and no edge
+        since."""
+        return not self._sampling and self._level == 1 and self.due == SLEEP
 
-    def edge(self, cycle: int, level: int) -> bool:
+    def edge(self, cycle: int, level: int) -> None:
         """The line changed to *level*, first seen by the eval at
-        *cycle*; the receiver's unit routes member wakes and calls this
-        from the commit phase.  Return True when the unit must wake.
+        *cycle* (its driver drove it at the cycle before).
 
         A framing receiver logs the edge for :meth:`credit` and needs
-        no wake, unless the start-bit sample before *cycle* rejects the
+        no eval, unless the start-bit sample before *cycle* rejects the
         frame as a glitch (by the level the log holds there): the
         receiver is then idle again, and an edge may start a frame.
-        Every edge wakes an idle receiver (and an auto-baud receiver
-        before sync, which is never framing)."""
-        if not self._sampling:
-            return True
+        Every edge needs an eval of an idle receiver (and of an
+        auto-baud receiver before sync, which is never framing).  An
+        edge that needs one makes the receiver due at *cycle* and wakes
+        its kernel unit for that cycle; the unit may still evaluate in
+        the current one, so the receiver's due keeps it awake."""
+        if self._sampling and not self._rejects(cycle):
+            self._edges.append((cycle, level))
+            return
+        self.due = cycle
+        unit = self._sched
+        if unit is not None and not unit._awake:
+            unit._kernel.wake_next(unit)
+
+    def _rejects(self, cycle: int) -> bool:
+        """The start-bit sample, if it comes before *cycle*, rejects the
+        frame being received as a glitch."""
         edges = self._edges
         half = self.divisor // 2
         if self._count < half:
@@ -284,9 +318,7 @@ class UartRx(Component):
                     if at > start:
                         break
                     seen = lvl
-                if seen != 0:
-                    return True
-        edges.append((cycle, level))
+                return seen != 0
         return False
 
     def credit(self, to_cycle: int) -> None:
@@ -341,12 +373,13 @@ class UartRx(Component):
         self._cycle = 0
         self._level = 1
         self._edges = []
+        self.due = SLEEP
         self.divisor = self._reset_divisor
 
     def snapshot_state(self) -> dict:
         # A snapshot settles first, so the log holds at most the edge the
-        # next eval sees; its level is on the line already (the unit
-        # wakes on restore to read it).
+        # next eval sees; its level is on the line already (a restored
+        # receiver is due at once to read it).
         return {
             "received": list(self.received),
             "framing_errors": self.framing_errors,
@@ -369,8 +402,10 @@ class UartRx(Component):
             [state["count"], state["cycle"]], 0, float("inf"), "count/cycle"
         )
         (self._level,) = _ints([state["level"]], 0, 1, "level")
-        self._edges = []
         (self.divisor,) = _ints([state["divisor"]], 2, float("inf"), "divisor")
+        self._edges = []
+        self.due = 0
+        self.wake()
 
 
 class AutoBaudUartRx(UartRx):
@@ -395,22 +430,19 @@ class AutoBaudUartRx(UartRx):
         """Pre-sync an eval acts only on a line edge."""
         if self.synced:
             return super().idle
-        return self.line.value == self._level
+        return self.due == SLEEP
 
-    def eval(self, cycle: int) -> Optional[float]:
+    def _sample(self, cycle: int, level: int) -> Optional[float]:
         """Pre-sync the receiver only acts on line *edges*, so it sleeps
-        until the next one: the watched line wakes it exactly there,
+        until the next one: every edge makes it due exactly there,
         keeping the measured intervals identical to lock-step
         evaluation."""
         if self.synced:
-            return super().eval(cycle)
-        self._cycle = cycle
-        level = self.line.value
+            return super()._sample(cycle, level)
         if level != self._level:
             if self._last_edge_cycle is not None:
                 self._intervals.append(cycle - self._last_edge_cycle)
             self._last_edge_cycle = cycle
-            self._level = level
             if len(self._intervals) >= self.SYNC_EDGES:
                 self.divisor = max(2, min(self._intervals))
                 self.synced = True

@@ -1,8 +1,9 @@
 """Synchronous, cycle-accurate simulation kernel used by every hardware model.
 
-The kernel is deliberately tiny: :class:`Wire` (two-phase registered
-signals), :class:`Component` (a clocked block with an ``eval``/``commit``
-protocol and an opt-in quiescence/activity protocol) and
+The kernel is deliberately tiny: :class:`Wire` (registered signals
+whose drives are seen from the next cycle on), :class:`Component` (a
+clocked block with an ``eval`` protocol and an opt-in
+quiescence/activity protocol) and
 :class:`Simulator` (the quiescence-aware clock driver, with a strict
 lock-step mode behind ``strict_lockstep=True``).  Everything in
 :mod:`repro.noc`, :mod:`repro.r8`, :mod:`repro.memory`,
@@ -22,11 +23,10 @@ from .checkpoint import (
 from .component import SLEEP, Component, SnapshotError
 from .kernel import SimulationTimeout, Simulator, stride_points
 from .vcd import VcdWriter
-from .wire import CheckedWire, Wire
+from .wire import Wire
 
 __all__ = [
     "CHECKPOINT_SCHEMA",
-    "CheckedWire",
     "CheckpointEntry",
     "CheckpointError",
     "CheckpointRing",

@@ -23,11 +23,12 @@ MALFORMED_STATE = (KeyError, TypeError, ValueError, IndexError, AttributeError)
 class Component:
     """A synchronous block evaluated once per clock cycle.
 
-    Subclasses implement :meth:`eval`, which may read ``wire.value`` (the
-    state latched at the previous edge), update internal registers, and
-    call ``wire.drive`` on their output wires.  Internal state may be
-    mutated eagerly because no other component can observe it except
-    through wires, which only change at the commit phase.
+    Subclasses implement :meth:`eval`, which may read ``wire.read(cycle)``
+    (the value driven before this cycle), update internal registers, and
+    call ``wire.drive(value, cycle)`` on their output wires.  Internal
+    state may be mutated eagerly because no other component can observe
+    it except through wires and links, whose changes are seen from the
+    next cycle on.
 
     Activity protocol
     -----------------
@@ -41,10 +42,10 @@ class Component:
       would only count (per-cycle counters, a countdown, the samples of
       a line, the iterations of a poll loop), given unchanged inputs;
     * :meth:`credit` accounts what the skipped evals would have counted;
-    * :meth:`watch_wires` declares the wires it reads, so a committed
-      change on one wakes it, and every externally callable method that
-      mutates it (queueing a packet, activating a core, ...) calls
-      :meth:`wake`.
+    * every externally callable method that mutates it (queueing a
+      packet, activating a core, ...) calls :meth:`wake`, and a change
+      it reads from another unit (a link step, a line edge) wakes it
+      for the next cycle (``Simulator.wake_next``).
 
     A unit whose eval returns ``None`` is evaluated every cycle, exactly
     like the original lock-step kernel.
@@ -54,7 +55,6 @@ class Component:
         self.name = name
         self._wires: List[Wire] = []
         self._wire_set: Set[Wire] = set()
-        self._inputs: List[Wire] = []
         self._children: List["Component"] = []
         # -- kernel elaboration state (managed by Simulator) --------------
         self._kernel = None  # Simulator that elaborated this component
@@ -72,36 +72,18 @@ class Component:
         return w
 
     def adopt_wires(self, wires: Iterable[Wire]) -> None:
-        """Register externally created wires for commit/reset handling."""
-        added = False
+        """Register externally created wires for reset and checkpoints."""
         for w in wires:
             if w not in self._wire_set:
                 self._wire_set.add(w)
                 self._wires.append(w)
-                added = True
-        if added:
-            self._invalidate_kernel()
 
     def disown_wires(self, wires: Iterable[Wire]) -> None:
-        """Stop committing/resetting previously adopted wires (used when
-        re-wiring components, e.g. dynamic reconfiguration)."""
-        doomed = {w for w in wires if w in self._wire_set}
-        if not doomed:
-            return
+        """Stop resetting and checkpointing previously adopted wires (used
+        when re-wiring components, e.g. dynamic reconfiguration)."""
+        doomed = set(wires)
         self._wire_set -= doomed
         self._wires = [w for w in self._wires if w not in doomed]
-        self._invalidate_kernel()
-
-    def watch_wires(self, wires: Iterable[Wire]) -> None:
-        """Declare *wires* as inputs: a committed change wakes this
-        component's schedulable unit."""
-        changed = False
-        for w in wires:
-            if w not in self._inputs:
-                self._inputs.append(w)
-                changed = True
-        if changed:
-            self._invalidate_kernel()
 
     def add_child(self, child: "Component") -> "Component":
         self._children.append(child)
@@ -140,23 +122,10 @@ class Component:
         for child in self._children:
             child.credit(to_cycle)
 
-    def member_input(self, member: "Component", wire: Wire) -> None:
-        """A committed change on *wire*, which *member* (a component
-        inside this unit) watches.
-
-        A unit that overrides this routes its members' wakes itself: the
-        kernel calls it in O(1) from the commit phase instead of waking
-        the whole unit, and the override must call :meth:`wake` when the
-        change needs this unit evaluated (see
-        :class:`~repro.serial.serial_ip.SerialIp`, whose receiver logs
-        line edges).
-        """
-
     def elaborated(self) -> None:
         """Called after every (re-)elaboration, in both kernel modes,
-        once ``_kernel`` and ``_sched`` are set and the kernel has
-        installed its commit queue and wake sinks on every wire (the
-        Hermes fabric picks its kernel mode here)."""
+        once ``_kernel`` and ``_sched`` are set (the Hermes fabric picks
+        its kernel mode here)."""
 
     def wake(self) -> None:
         """Mark this component's schedulable unit as active.
@@ -193,16 +162,16 @@ class Component:
     def snapshot(self) -> dict:
         """Capture this subtree's full state as a JSON-serialisable dict.
 
-        The generic walk records every owned wire (both phases) and
-        recurses into children; component-local registers are contributed
-        by :meth:`snapshot_state` overrides.  Valid only at a cycle
-        boundary (between a commit phase and the next :meth:`eval`), when
-        ``value == _next`` for every undriven wire and no drive is
-        pending — exactly where :class:`~repro.sim.kernel.Simulator`
-        watchers run.
+        The generic walk records every owned wire and recurses into
+        children; component-local registers are contributed by
+        :meth:`snapshot_state` overrides.  Valid only at a cycle boundary
+        (after one cycle's evals and before the next), where every wire
+        shows what its readers see next, and where
+        :class:`~repro.sim.kernel.Simulator` watchers run.  Each wire is
+        a ``[value, next]`` pair, the two equal at a cycle boundary.
         """
         state: dict = {
-            "wires": [[w.value, w._next] for w in self._wires],
+            "wires": [[w.value, w.value] for w in self._wires],
             "children": [c.snapshot() for c in self._children],
         }
         local = self.snapshot_state()
@@ -236,9 +205,7 @@ class Component:
                             f"{self.name}: wire {w.name!r} holds {v!r}, "
                             f"not a {w.width}-bit value"
                         )
-            w.value = value
-            w._next = nxt
-            w._queued = False
+            w.load(value)
         children = state.get("children", [])
         if len(children) != len(self._children):
             raise SnapshotError(

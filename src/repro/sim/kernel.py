@@ -1,19 +1,20 @@
 """Cycle-based simulation kernel.
 
 The kernel owns a set of top-level :class:`~repro.sim.component.Component`
-instances and advances them with two-phase (evaluate, then commit)
-semantics, exactly like synchronous RTL.
+instances and evaluates them once per cycle, like synchronous RTL.  It
+has no commit phase: every channel between components latches itself.
+A :class:`~repro.sim.wire.Wire` and a Hermes link
+(:class:`~repro.noc.mesh.Link`) stamp the cycle of each change, and the
+other end sees it from the next cycle on, in either evaluation order.
 
 Historically every component was evaluated every cycle.  The kernel is
 now *quiescence-aware*: at elaboration it flattens the component tree
-into schedulable units (components overriding ``eval``), wires input
-declarations into per-wire sink lists, and installs a driven-wire queue
-so commit touches only wires actually driven that cycle.  A unit's eval
+into schedulable units (components overriding ``eval``).  A unit's eval
 returns when it is next due (see
 :class:`~repro.sim.component.Component`): ``None`` keeps it awake, a
 cycle puts it to sleep until that cycle's wake, and
-:data:`~repro.sim.component.SLEEP` until an input wire changes or an
-external call wakes it.  When *every* unit sleeps, the kernel
+:data:`~repro.sim.component.SLEEP` until something it reads changes or
+an external call wakes it.  When *every* unit sleeps, the kernel
 fast-forwards ``self.cycle`` straight to the earliest wake (or the
 step/run budget) instead of spinning.
 
@@ -28,17 +29,16 @@ cycle when it comes earlier, exactly as in lock-step.  ``step`` and
 ``run_until`` drive the same loop, which re-elaborates as soon as the
 wiring is invalidated, even in the middle of a run.
 
-Member wakes: a unit may route the wakes of the components inside it
-(its *members*) itself by overriding
-:meth:`~repro.sim.component.Component.member_input`.  A committed change
-on a wire a member watches then calls ``unit.member_input(member,
-wire)`` in O(1) instead of waking the whole unit, and the unit wakes
-itself when it needs the next cycle.  The Serial IP and the host route
-their UART line edges this way.  A unit that updates another during its
-eval, as the Hermes fabric (:class:`~repro.noc.mesh.Mesh`) marks a
-network interface, wakes it with :meth:`Simulator.wake_next`, which
-holds the wake for the next cycle wherever the two sit in elaboration
-order, as a committed wire change would.
+Next-cycle wakes: a change made during one unit's eval and read by
+another is seen from the next cycle on, so it wakes the reader's unit
+with :meth:`Simulator.wake_next`, which holds the wake for the next
+cycle wherever the two sit in elaboration order.  The Hermes fabric
+(:class:`~repro.noc.mesh.Mesh`) marks a network interface due this way,
+and a serial line hands its receiver each edge
+(:meth:`~repro.serial.uart.UartRx.edge`), which logs it mid-frame or
+makes the receiver due.  The reader's unit may not have evaluated yet
+in the cycle of the change, so the member's due keeps that eval from
+putting the unit to sleep past it.
 
 The results are cycle-exact with respect to the legacy schedule: a
 sleeping unit's evals would by contract only count (or, for an R8 core
@@ -51,8 +51,7 @@ accounting, PC samples) match bit for bit.  A component that must read
 current between cycles (an R8 core's counters and PC) credits its own
 unit.  ``Simulator(strict_lockstep=True)`` keeps the original
 evaluate-everything loop as the reference the A/B equivalence tests
-compare against; it latches one flat list of owned wires, built at
-elaboration and invalidated with it.  Host time is
+compare against.  Host time is
 attributed by the sampling :class:`~repro.telemetry.hostperf.
 HostPerfProfiler`, which observes this thread from the side and never
 alters which loop runs.
@@ -74,7 +73,6 @@ from operator import attrgetter
 from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
 
 from .component import SLEEP, Component, SnapshotError
-from .wire import FieldWire
 
 
 def stride_points(start: int, end: int, stride: int) -> Iterator[int]:
@@ -119,7 +117,7 @@ class Simulator:
         after the clkdll division of the 50 MHz oscillator).
     strict_lockstep:
         When True, keep the legacy evaluate-everything-every-cycle loop
-        (recursive eval, every owned wire latched, no idle skipping).
+        (recursive eval, no idle skipping).
         Architectural results are identical either way; the flag exists
         for A/B equivalence tests and as an escape hatch (CLI
         ``--no-idle-skip``).
@@ -172,8 +170,6 @@ class Simulator:
         self._later: List[Component] = []
         self._wake_heap: list = []  # (cycle, seq, unit)
         self._wake_seq = 0
-        self._driven: list = []  # wires driven since the last commit
-        self._tracked_wires: list = []
         self._needs_elab = True
 
     # -- construction ----------------------------------------------------
@@ -193,7 +189,7 @@ class Simulator:
     def add_watcher(
         self, fn: Callable[[int], None], stride: Optional[int] = None
     ) -> None:
-        """Call *fn(cycle)* after committed cycles (tracing hooks).
+        """Call *fn(cycle)* after evaluated cycles (tracing hooks).
 
         With ``stride=None`` *fn* runs after every evaluated cycle and,
         across a fast-forwarded idle span, once at the landing cycle.
@@ -230,34 +226,23 @@ class Simulator:
     # -- elaboration -----------------------------------------------------
 
     def _elaborate(self) -> None:
-        """Flatten the tree into schedulable units and index the wires.
+        """Flatten the tree into schedulable units.
 
         A component whose class overrides ``eval`` is a unit (its whole
         subtree evaluates inside that call); default-eval composites are
         descended through, so the flattened unit order exactly matches
         the legacy recursive evaluation order.  Re-elaboration preserves
-        units' sleep state (new units start awake).
-
-        Under ``strict_lockstep`` it only collects the flat list of owned
-        wires the lock-step loop latches every cycle.  In both modes it
+        units' sleep state (new units start awake).  Under
+        ``strict_lockstep`` there are no units.  In both modes it
         finally calls every ``elaborated`` override.
         """
         self._needs_elab = False
-        for w in self._tracked_wires:
-            w._queue = None
-            w._sinks = ()
-            w._members = ()
-        tracked: list = []
-        tracked_set: set = set()
         units: List[Component] = []
         hooked: List[Component] = []
-        self._tracked_wires = tracked
         self._units = units
-        self._run = []
         self._woken.clear()
         self._later.clear()
         strict = self.strict_lockstep
-        pending = None if strict else self._driven
         default_eval = Component.eval
         default_elaborated = Component.elaborated
 
@@ -271,44 +256,13 @@ class Simulator:
             comp._sched = unit
             if cls.elaborated is not default_elaborated:
                 hooked.append(comp)
-            for w in comp._wires:
-                # a view is never driven, so nothing latches it
-                if w not in tracked_set and type(w) is not FieldWire:
-                    tracked_set.add(w)
-                    tracked.append(w)
-                    w._queue = pending
             for child in comp._children:
                 walk(child, unit)
 
         for top in self._components:
             walk(top, None)
         self._unit_set = set(units)
-        default_member_input = Component.member_input
-
-        def wire_sinks(comp: Component) -> None:
-            unit = comp._sched
-            if unit is not None:
-                routed = (
-                    unit is not comp
-                    and type(unit).member_input is not default_member_input
-                )
-                for w in comp._inputs:
-                    if w not in tracked_set:
-                        tracked_set.add(w)
-                        tracked.append(w)
-                    if routed:
-                        w._members += ((unit, comp),)
-                    elif w._sinks == ():
-                        w._sinks = [unit]
-                    elif unit not in w._sinks:
-                        w._sinks.append(unit)
-            for child in comp._children:
-                wire_sinks(child)
-
-        if not strict:
-            for top in self._components:
-                wire_sinks(top)
-            self._run = [u for u in units if u._awake]
+        self._run = [u for u in units if u._awake]
         for comp in hooked:
             comp.elaborated()
 
@@ -334,9 +288,6 @@ class Simulator:
         self.cycle = 0
         for c in self._components:
             c.reset()
-        for w in self._driven:
-            w._queued = False
-        self._driven.clear()
         self._wake_heap.clear()
         for u in self._units:
             u._awake = True
@@ -366,8 +317,8 @@ class Simulator:
     def snapshot(self) -> dict:
         """Capture the full simulation state (components + scheduler).
 
-        Only valid at a cycle boundary — inside a watcher or between
-        :meth:`step` calls — when no drive is pending commit.  The
+        Only valid at a cycle boundary: inside a watcher or between
+        :meth:`step` calls.  The
         returned dict is JSON-serialisable and kernel-mode portable:
         a snapshot taken under either scheduling mode restores into
         either mode with bit-identical continuation.
@@ -429,9 +380,6 @@ class Simulator:
         # its unit and read the restored cycle.
         if self._needs_elab:
             self._elaborate()
-        for w in self._driven:
-            w._queued = False
-        self._driven.clear()
         self.cycle = doc["cycle"]
         self._restore_scheduler(doc.get("scheduler"))
         for comp, state in zip(self._components, doc.get("components", [])):
@@ -494,7 +442,6 @@ class Simulator:
         if self._needs_elab:
             self._elaborate()
         heap = self._wake_heap
-        driven = self._driven
         woken = self._woken
         later = self._later
         while True:
@@ -548,23 +495,8 @@ class Simulator:
                 if woken:
                     self._admit_mid_cycle(run, u._uidx)
                     changed = True
-            # hostperf: commit
-            if driven:
-                for w in driven:
-                    w._queued = False
-                    nxt = w._next
-                    if w.value != nxt:
-                        w.value = nxt
-                        for su in w._sinks:
-                            if not su._awake:
-                                su._awake = True
-                                woken.append(su)
-                        if w._members:
-                            for unit, member in w._members:
-                                unit.member_input(member, w)
-                driven.clear()
             # hostperf: kernel
-            if changed or woken or later:
+            if changed or later:
                 self._patch_run(run, cyc + 1)
             self.cycle = cyc + 1
             # hostperf: watchers
@@ -588,24 +520,23 @@ class Simulator:
     def _patch_run(self, run: List[Component], nxt: int) -> None:
         """Rebuild the run list for cycle *nxt* after sleeps or wakes.
 
-        Survivors keep their places.  A woken unit whose ``_slept_since``
-        is *nxt* slept at its own eval this cycle, so it is still in
-        *run* and survives there; every other woken unit is added.
+        Survivors keep their places.  A unit woken for the next cycle
+        whose ``_slept_since`` is *nxt* slept at its own eval this cycle,
+        so it is still in *run* and survives there; every other one is
+        added.  (A unit woken for this cycle was admitted at once.)
         """
         new = [u for u in run if u._awake]
-        later, woken = self._later, self._woken
-        if later or woken:
-            extra = [w for w in later + woken if w._slept_since != nxt]
+        later = self._later
+        if later:
+            extra = [w for w in later if w._slept_since != nxt]
             if extra:
                 new.extend(extra)
                 new.sort(key=_UIDX)
             later.clear()
-            woken.clear()
         self._run = new
 
     def _step_lockstep(self, cycles: int) -> int:
-        """The legacy loop: evaluate everything and latch every owned
-        wire, every cycle."""
+        """The legacy loop: evaluate everything, every cycle."""
         components = self._components
         for _ in range(cycles):
             if self._needs_elab:
@@ -614,9 +545,6 @@ class Simulator:
             # hostperf: eval
             for c in components:
                 c.eval(cyc)
-            # hostperf: commit
-            for w in self._tracked_wires:
-                w.value = w._next
             self.cycle = cyc + 1
             # hostperf: watchers
             for fn, stride in self._watcher_pass:

@@ -72,6 +72,16 @@ class VcdWriter:
                 self._last[wire.name] = value
                 self._changes.append((cycle, wire.name, value))
 
+    def rewind(self, cycle: int) -> None:
+        """The board was restored to *cycle* (time travel): drop the
+        changes recorded after it and take the wires' restored values as
+        the last seen, so the replay appends the tail again."""
+        self._changes = [c for c in self._changes if c[0] <= cycle]
+        self._cycles = cycle
+        for wire in self.wires:
+            if isinstance(wire.value, int):
+                self._last[wire.name] = wire.value
+
     # -- serialisation -----------------------------------------------------
 
     def _header(self, out: TextIO) -> None:

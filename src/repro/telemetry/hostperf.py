@@ -12,7 +12,7 @@ Three pieces:
   thread's Python stack every ``interval`` seconds
   (:func:`sys._current_frames`) and attributes the wall-clock time
   since the previous sample to a *(kernel region, subsystem)* bucket.
-  Kernel regions (wake-heap drain, eval, wire commit, watchers, idle
+  Kernel regions (wake-heap drain, eval, watchers, idle
   fast-forward) are recovered from ``# hostperf:`` marker comments in
   :mod:`repro.sim.kernel` via line numbers — zero runtime cost in the
   kernel itself — and subsystems (Router, NI, ProcessorIP, Uart,
@@ -67,7 +67,6 @@ CRASH_SCHEMA = "multinoc-crash/1"
 REGIONS = (
     "wake_heap",
     "eval",
-    "commit",
     "watchers",
     "fast_forward",
     "run_until",

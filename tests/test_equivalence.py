@@ -4,7 +4,8 @@ A draw picks a fabric and a workload, a kernel mode (or a mode pair
 around a checkpoint split), a set of observers and an optional split
 cycle.  The candidate run is observed and, when the draw splits,
 snapshotted, JSON round-tripped and restored into a fresh build in the
-second mode.  It must produce the same digest as the same draw run in
+second mode, or, when it rewinds, into the same board after it ran on
+past the split.  It must produce the same digest as the same draw run in
 strict lock-step with no observers and no split: the final cycle, every
 component's state, memory images, CPU counters and registers, the
 cycle-stamped printf transcripts, the per-key NoC statistics, the
@@ -598,6 +599,9 @@ class Draw:
     observers: frozenset = frozenset()
     #: split this many cycles into the first leg after the host's setup
     split: Optional[int] = None
+    #: restore the split's checkpoint into the board it was taken from,
+    #: after running that board on this many cycles
+    rewind: Optional[int] = None
     check_interval: int = 64
     #: the settle observer's stride
     settle_every: int = 1
@@ -671,8 +675,8 @@ def _run_reference(draw):
 
 
 def _candidate(draw, start, mid_ref, span, halves):
-    """The draw as asked: observed, and split when it splits; appends
-    each half's observers to *halves*."""
+    """The draw as asked: observed, and split (or rewound) when it
+    splits; appends each half's observers to *halves*."""
     rig, vcd = _build(draw, strict=draw.modes[0])
     halves.append(_Observed(rig, draw, span))
     facts = rig.setup()
@@ -683,16 +687,24 @@ def _candidate(draw, start, mid_ref, span, halves):
         doc = _json(rig.sim.snapshot())
         events = _events(rig.sink)
         _same(_digest(rig, vcd, events), mid_ref, "at the split")
-        halves[0].close()
-        rig = FABRICS[draw.workload[0]](draw.workload, draw.modes[-1])
-        # the fresh build's construction events precede the restored
-        # timeline; the first half already recorded them
-        if rig.sink is not None:
-            del rig.sink.events[:]
-        rig.sim.restore(doc)
-        vcd.wires = rig.wires
-        rig.sim.add_watcher(vcd.sample)
-        halves.append(_Observed(rig, draw, span))
+        if draw.rewind is not None:
+            rig.sim.step(draw.rewind)
+            rig.sim.restore(doc)
+            vcd.rewind(doc["cycle"])
+            if rig.sink is not None:
+                rig.sink.truncate_to(len(events))
+            events = []
+        else:
+            halves[0].close()
+            rig = FABRICS[draw.workload[0]](draw.workload, draw.modes[-1])
+            # the fresh build's construction events precede the restored
+            # timeline; the first half already recorded them
+            if rig.sink is not None:
+                del rig.sink.events[:]
+            rig.sim.restore(doc)
+            vcd.wires = rig.wires
+            rig.sim.add_watcher(vcd.sample)
+            halves.append(_Observed(rig, draw, span))
     _go(rig.sim, rig.leg(start))
     rig.finish()
     return {**facts, **_digest(rig, vcd, events + _events(rig.sink))}
@@ -827,8 +839,7 @@ BURSTY = Draw(
 HOST_WRITE = Draw(("write", False), (False, False), split=44)
 
 #: split 5 cycles into the host's write frame, at the cycle boundary
-#: right after the commit of a falling line edge at a data-bit sample
-#: point: the Serial IP sleeps mid-frame with that edge in its
+#: right after a falling line edge driven at a data-bit sample point: the Serial IP sleeps mid-frame with that edge in its
 #: receiver's log, which no snapshot holds, so the restored bridge must
 #: read it off the line
 HOST_WRITE_EDGE = Draw(("write", False), (False, False), split=5)
@@ -837,6 +848,13 @@ HOST_WRITE_EDGE = Draw(("write", False), (False, False), split=5)
 #: split 180 cycles after the host queued its read of P1's memory: P1's
 #: server is running the read with one of P2's writes in its backlog
 BACKLOG = Draw(("backlog", False), split=180)
+
+#: HOST_WRITE, traced, rewound: the board runs one byte (20 cycles) past
+#: the split, into the next byte's start bit, before the checkpoint is
+#: restored into it.  The line is low at both ends, but was driven low
+#: from high after the restored cycle: a wire that kept that drive's
+#: stamp would show the high level again at the restored cycle
+HOST_WRITE_REWIND = Draw(("write", True), split=44, rewind=20)
 
 
 def assert_matches_lockstep(draw):
@@ -897,6 +915,20 @@ def test_split_inside_a_host_frame_with_the_line_low():
     ]
     assert board_rx["sampling"] and board_rx["level"] == 0
     assert_matches_lockstep(HOST_WRITE)
+
+
+@pytest.mark.parametrize("strict", [False, True], ids=["quiescent", "lockstep"])
+def test_rewind_inside_a_host_frame_with_the_line_low(strict):
+    draw = replace(HOST_WRITE_REWIND, modes=(strict,))
+    rig = _HostWrite(draw.workload, strict)
+    rig.setup()
+    rig.sim.step(draw.split)
+    rxd = rig.system.rxd
+    split = rig.sim.cycle
+    assert rxd.value == 0  # mid-frame, the line low
+    rig.sim.step(draw.rewind)
+    assert rxd.value == 0 and rxd.read(split) == 1  # driven low later
+    assert_matches_lockstep(draw)
 
 
 def test_split_right_after_a_logged_line_edge():

@@ -61,11 +61,9 @@ class TestClassification:
     def test_kernel_markers_cover_both_loops(self):
         table = _kernel_region_table()
         assert list(table["_advance"][1]) == [
-            "run_until", "wake_heap", "eval", "commit", "kernel", "watchers"
+            "run_until", "wake_heap", "eval", "kernel", "watchers"
         ]
-        assert list(table["_step_lockstep"][1]) == [
-            "eval", "commit", "watchers"
-        ]
+        assert list(table["_step_lockstep"][1]) == ["eval", "watchers"]
         # line numbers must be strictly increasing for bisect
         for linenos, _ in table.values():
             assert linenos == sorted(linenos)
@@ -156,7 +154,7 @@ class TestHostPerfProfiler:
         )
         assert by_subsystem == pytest.approx(snap["attributed_s"], rel=1e-3)
         assert set(snap["regions"]) <= {
-            "wake_heap", "eval", "commit", "watchers",
+            "wake_heap", "eval", "watchers",
             "fast_forward", "run_until", "kernel", "host",
         }
         # the quiescent kernel fast-forwarded at least once on this

@@ -44,8 +44,8 @@ class TestMeshStructure:
         assert Mesh(2, 2).addresses() == [(0, 0), (1, 0), (0, 1), (1, 1)]
 
     def test_each_wire_committed_exactly_once(self):
-        """No wire may be adopted by two components (double commit would
-        break two-phase semantics)."""
+        """No wire may be adopted by two components (a checkpoint would
+        save and restore it twice)."""
         net = HermesNetwork(3, 3)
         seen = {}
         for component in net.iter_components():
@@ -59,8 +59,8 @@ class TestMeshStructure:
     @pytest.mark.parametrize("strict", [False, True])
     def test_every_fabric_wire_is_a_view_the_kernel_never_latches(self, strict):
         """Every link's tx/data/ack, a Local port's included, shows a
-        field of the link record: the kernel never commits, queues or
-        watches it, in either mode."""
+        field of the link record, which no one drives or reads as a
+        wire, in either mode."""
         net = HermesNetwork(topology="mesh:3x3")
         sim = net.make_simulator(strict_lockstep=strict)
         net.send((0, 0), (2, 2), [1, 2, 3])
@@ -68,11 +68,9 @@ class TestMeshStructure:
         wires = _mesh_wires(net.mesh)
         # 12 router-to-router channels and 9 Local ports, both ways
         assert len(wires) == 3 * 2 * (12 + 9)
-        latched = set(sim._tracked_wires)
         for w in wires:
             assert type(w) is FieldWire, w.name
-            assert w not in latched, w.name
-            assert w._queue is None and w._sinks == () and w._members == ()
+            assert w.value == getattr(w._record, w._field), w.name
 
     @pytest.mark.parametrize("strict", [False, True])
     def test_interfaces_may_come_before_the_fabric(self, strict):

@@ -24,10 +24,10 @@ class GlitchyLine(Component):
         self.glitch_cycles = set(glitch_cycles)
 
     def eval(self, cycle):
-        value = self.src.value
+        value = self.src.read(cycle)
         if cycle in self.glitch_cycles:
             value ^= 1
-        self.dst.drive(value)
+        self.dst.drive(value, cycle)
 
 
 def noisy_pair(glitch_cycles, divisor=4):
@@ -127,11 +127,11 @@ class TestAutoBaudRobustness:
 
 
 class EdgeRouter(Component):
-    """A kernel unit around a receiver that routes its line edges, as
-    the Serial IP and the host do: the receiver logs a mid-frame edge
-    instead of waking the unit.  At each cycle in *busy* the unit is
-    awake anyway, as an IP is while another member works, so the
-    receiver is also evaluated with edges in its log."""
+    """A kernel unit around a receiver, as the Serial IP and the host
+    are: the receiver logs a mid-frame edge instead of waking the unit.
+    At each cycle in *busy* the unit is awake anyway, as an IP is while
+    another member works, so the receiver is also evaluated with edges
+    in its log."""
 
     def __init__(self, rx, busy=()):
         super().__init__("router")
@@ -144,10 +144,6 @@ class EdgeRouter(Component):
         if due is None:
             return None
         return min([due] + [c for c in self.busy if c > cycle])
-
-    def member_input(self, member, wire):
-        if member.edge(self._kernel.cycle + 1, wire.value):
-            self.wake()
 
 
 def _link(strict, tx_divisor, rx_divisor, glitches, busy=None):

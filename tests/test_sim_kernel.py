@@ -1,4 +1,4 @@
-"""Tests for the two-phase simulation kernel."""
+"""Tests for the simulation kernel and its self-latching wires."""
 
 import pytest
 
@@ -13,7 +13,7 @@ class Counter(Component):
         self.out = self.wire("out", reset=0)
 
     def eval(self, cycle):
-        self.out.drive(self.out.value + 1)
+        self.out.drive(self.out.read(cycle) + 1, cycle)
 
 
 class Follower(Component):
@@ -25,7 +25,18 @@ class Follower(Component):
         self.out = self.wire("out", reset=0)
 
     def eval(self, cycle):
-        self.out.drive(self.source.value)
+        self.out.drive(self.source.read(cycle), cycle)
+
+
+class Edges:
+    """A wire's reader that records the edges it is handed."""
+
+    def __init__(self, wire):
+        wire.reader = self
+        self.seen = []
+
+    def edge(self, cycle, level):
+        self.seen.append((cycle, level))
 
 
 class TestWire:
@@ -34,93 +45,93 @@ class TestWire:
         assert w.value == 7
 
     def test_drive_is_invisible_until_commit(self):
+        # a drive at cycle 0 is seen from cycle 1 on
         w = Wire("w", reset=0)
-        w.drive(5)
-        assert w.value == 0
-        w.commit()
-        assert w.value == 5
+        w.drive(5, 0)
+        assert w.read(0) == 0
+        assert w.read(1) == 5
+        assert w.value == 5  # between cycles: what readers see next
 
     def test_reset_clears_pending_drive(self):
         w = Wire("w", reset=3)
-        w.drive(9)
+        w.drive(9, 0)
         w.reset()
-        w.commit()
-        assert w.value == 3
+        assert w.read(0) == w.read(1) == 3
 
     def test_width_check_accepts_in_range(self):
         w = Wire("w", width=4)
-        w.drive(15)
-        w.commit()
-        assert w.value == 15
+        w.drive(15, 0)
+        assert w.read(1) == 15
 
     def test_width_check_rejects_too_large(self):
         w = Wire("w", width=4)
         with pytest.raises(ValueError):
-            w.drive(16)
+            w.drive(16, 0)
 
     def test_width_check_rejects_negative(self):
         w = Wire("w", width=4)
         with pytest.raises(ValueError):
-            w.drive(-1)
+            w.drive(-1, 0)
 
     def test_width_check_rejects_non_int(self):
         w = Wire("w", width=4)
         with pytest.raises(ValueError):
-            w.drive("x")
+            w.drive("x", 0)
 
     def test_unwidthed_wire_accepts_any_value(self):
         w = Wire("w")
-        w.drive(("tuple", 1))
-        w.commit()
-        assert w.value == ("tuple", 1)
+        w.drive(("tuple", 1), 0)
+        assert w.read(1) == ("tuple", 1)
+
+    def test_load_forgets_a_later_drive(self):
+        # a checkpoint restored into a board that ran past it: the
+        # restored value shows at the restored cycle, not the one before
+        # the drive the board made later
+        w = Wire("w", reset=1)
+        w.drive(0, 500)
+        w.load(0)
+        assert w.read(300) == w.read(501) == 0
 
 
 class TestDriveOnChange:
-    """A drive equal to the pending value is dropped before the queue."""
-
-    def _elaborated(self):
-        c = Counter()
-        sim = Simulator()
-        sim.add(c)
-        sim.step(0)  # elaborate: installs the driven-wire queue
-        return sim, c.out
+    """A drive equal to the value last driven returns at once: the
+    wire is not restamped and its reader is told nothing."""
 
     def test_equal_drive_is_not_queued(self):
-        sim, w = self._elaborated()
-        w.drive(w._next)
-        assert sim._driven == []
-        assert w._queued is False
+        w = Wire("w", reset=0)
+        edges = Edges(w)
+        w.drive(0, 0)
+        w.drive(4, 1)
+        w.drive(4, 2)
+        assert edges.seen == [(2, 4)]
+        assert w.read(2) == 4  # not restamped at cycle 2
 
     def test_changed_drive_is_queued_once_per_cycle(self):
-        sim, w = self._elaborated()
-        w.drive(5)
-        w.drive(6)
-        w.drive(6)
-        assert sim._driven == [w]
-        assert w._queued is True
-        sim.step()  # Counter drives value + 1 = 1 over the pending 6
-        assert w.value == 1
-        assert sim._driven == [] and w._queued is False
-        w.drive(9)
-        assert sim._driven == [w]
+        # the value before the cycle stays what that cycle reads
+        w = Wire("w", reset=0)
+        w.drive(5, 3)
+        w.drive(6, 3)
+        w.drive(6, 3)
+        assert w.read(3) == 0
+        assert w.read(4) == 6
+        w.drive(9, 4)
+        assert (w.read(4), w.read(5)) == (6, 9)
 
     def test_drive_back_to_committed_value_latches_it(self):
-        sim, w = self._elaborated()
-        w.drive(5)
-        w.drive(0)
-        w.commit()
-        assert w.value == 0
+        w = Wire("w", reset=0)
+        w.drive(5, 0)
+        w.drive(0, 0)
+        assert w.read(0) == w.read(1) == 0
 
     def test_checked_wire_rejects_out_of_range_value_equal_to_next(self):
         w = Wire("w", reset=300, width=8)
-        assert w._next == 300
+        assert w.value == 300
         with pytest.raises(ValueError):
-            w.drive(300)
+            w.drive(300, 0)
 
 
 class TestComponent:
     def test_owned_wires_commit_through_component(self):
-        # the lock-step loop latches every owned wire, queued or not
         c = Counter()
         sim = Simulator(strict_lockstep=True)
         sim.add(c)
@@ -132,20 +143,17 @@ class TestComponent:
         child = Counter("child")
         parent.add_child(child)
         parent.eval(0)
-        child.out.commit()
-        assert child.out.value == 1
+        assert child.out.read(1) == 1
 
     def test_reset_recurses(self):
         parent = Component("parent")
         child = Counter("child")
         parent.add_child(child)
         parent.eval(0)
-        child.out.commit()
         parent.reset()
-        assert child.out.value == 0
+        assert child.out.value == child.out.read(1) == 0
 
     def test_lockstep_latches_wires_adopted_after_elaboration(self):
-        # the flat wire list is invalidated with the elaboration
         parent = Component("parent")
         sim = Simulator(strict_lockstep=True)
         sim.add(parent)
@@ -183,7 +191,7 @@ class TestSimulator:
         assert f.out.value == c.out.value - 1
 
     def test_order_independence(self):
-        """Evaluation order must not change results (two-phase)."""
+        """Evaluation order must not change results."""
         sim1 = Simulator()
         c1 = sim1.add(Counter())
         f1 = sim1.add(Follower(c1.out))

@@ -16,8 +16,8 @@ class Toggler(Component):
         self.bus = self.wire("bus", reset=0, width=8)
 
     def eval(self, cycle):
-        self.bit.drive(cycle & 1)
-        self.bus.drive((cycle * 3) & 0xFF)
+        self.bit.drive(cycle & 1, cycle)
+        self.bus.drive((cycle * 3) & 0xFF, cycle)
 
 
 @pytest.fixture
