@@ -75,7 +75,8 @@ class Wire:
             self.reader.edge(cycle + 1, value)
 
     def read(self, cycle: int) -> Any:
-        """The value a reader sees at *cycle*."""
+        """The value a reader sees at *cycle*, the current cycle or a
+        later one."""
         return self.value if cycle > self._at else self._prev
 
     def load(self, value: Any) -> None:
